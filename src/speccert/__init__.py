@@ -69,6 +69,7 @@ from .spectrum import (
     SpectralPoint,
     TrackedSpectrum,
     decompose,
+    decompose_many,
     gap,
     save_track_csv,
     track,
@@ -113,6 +114,7 @@ __all__ = [
     "climb",
     "closure",
     "decompose",
+    "decompose_many",
     "degeneracy_tol",
     "ensemble_genericity",
     "evaluate",

@@ -27,12 +27,15 @@ from .errors import (
 )
 from .operators import ControlHamiltonian
 from .resonance import check_nonresonant
-from .spectrum import _BranchContinuer, decompose
+from .spectrum import _BranchContinuer, decompose, decompose_many
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
 MAX_TOTAL_STEPS = 10**8
 DEFAULT_MAX_RECORDS = 1200
+# matrix entries per stacked eigensolve of step Hamiltonians, so a chunk holds
+# STEP_CHUNK_ELEMS // n**2 steps (1820 at n=3) and its memory does not grow with n
+STEP_CHUNK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,6 @@ class StateTrajectory:
                 writer.writerow(row)
 
 
-def _step_unitary(mat: np.ndarray, h: float) -> np.ndarray:
-    """exp(-i h H) for Hermitian H via eigendecomposition (unitary to roundoff)."""
-    lam, vecs = np.linalg.eigh(mat)
-    phases = np.exp(-1j * h * lam)
-    return (vecs * phases[None, :]) @ vecs.conj().T
-
-
 def branch_populations(frame: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """|<phi_j, psi>|^2 per frame column; invariant under column phases."""
     amps = frame.conj().T @ psi
@@ -174,7 +170,11 @@ def propagate(
     Each step applies the exact exponential of the Hamiltonian frozen at the
     segment midpoint of the step (second-order accurate, exactly unitary per
     step). Step sizes are chosen so that ||H|| * h <= step_limit on every
-    segment.
+    segment. The step exponentials are evaluated in stacked chunks of up to
+    ``STEP_CHUNK_ELEMS // n**2`` steps, V diag(exp(-i h lambda)) V^dagger from
+    one stacked eigensolve of the chunk's midpoint Hamiltonians, then applied to the state
+    one step at a time. The recorded points are decomposed in stacked blocks of
+    the same size, so memory does not grow with the number of steps or records.
 
     Raises
     ------
@@ -205,35 +205,40 @@ def propagate(
     states = [psi.copy()]
     t = 0.0
     step_count = 0
+    n = H.dim
+    chunk = max(1, STEP_CHUNK_ELEMS // n**2)
     for (a, b, dur), nsteps in zip(segs, steps_per_seg):
         h = dur / nsteps
         delta = b - a
-        for i in range(nsteps):
-            frac = (i + 0.5) / nsteps
-            u_mid = a + frac * delta
-            psi = _step_unitary(H.matrix_at(u_mid), h) @ psi
-            t += h
-            step_count += 1
-            if step_count % stride == 0 or i == nsteps - 1:
-                times.append(t)
-                controls.append(a + ((i + 1) / nsteps) * delta)
-                states.append(psi.copy())
+        for start in range(0, nsteps, chunk):
+            stop = min(start + chunk, nsteps)
+            mids = a + ((np.arange(start, stop) + 0.5) / nsteps)[:, None] * delta
+            lam, vecs = np.linalg.eigh(H.matrices_at(mids))
+            unitaries = (vecs * np.exp(-1j * h * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+            for i, step in enumerate(unitaries, start):
+                psi = step @ psi
+                t += h
+                step_count += 1
+                if step_count % stride == 0 or i == nsteps - 1:
+                    times.append(t)
+                    controls.append(a + ((i + 1) / nsteps) * delta)
+                    states.append(psi.copy())
     times_arr = np.asarray(times)
     controls_arr = np.vstack(controls)
     states_arr = np.vstack(states)
     norm_defect = np.abs(np.linalg.norm(states_arr, axis=1) - 1.0)
-    n = H.dim
     populations = np.empty((times_arr.shape[0], n))
     labels = np.empty((times_arr.shape[0], n), dtype=int)
-    first = decompose(H, controls_arr[0])
-    continuer = _BranchContinuer(first)
-    labels[0] = continuer.labels
-    # branch_populations returns values by sorted position; store by label
-    populations[0, labels[0] - 1] = branch_populations(first.frame, states_arr[0])
-    for k in range(1, times_arr.shape[0]):
-        sp = decompose(H, controls_arr[k])
-        labels[k] = continuer.step(sp)
-        populations[k, labels[k] - 1] = branch_populations(sp.frame, states_arr[k])
+    # decomposed in blocks of the step chunk, so no frame outlives its block
+    for start in range(0, times_arr.shape[0], chunk):
+        points = decompose_many(H, controls_arr[start : start + chunk])
+        if start == 0:
+            continuer = _BranchContinuer(points[0])
+        for k, sp in enumerate(points, start):
+            # the first point matches its own frame, which keeps labels 1..n
+            labels[k] = continuer.step(sp)
+            # branch_populations returns values by sorted position; store by label
+            populations[k, labels[k] - 1] = branch_populations(sp.frame, states_arr[k])
     return StateTrajectory(
         times=times_arr,
         controls=controls_arr,
@@ -403,7 +408,7 @@ def climb(
     for i, (p, w) in enumerate(zip(points, directions)):
         entry = p - rho * w
         exitp = p + rho * w
-        if not (H.contains(entry) and H.contains(exitp) and H.contains(p, margin=rho * 0.0)):
+        if not (H.contains(entry) and H.contains(exitp) and H.contains(p)):
             raise GeometryError(
                 f"passage of radius {rho:.3g} at {p.tolist()} leaves the control box"
             )

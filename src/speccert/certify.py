@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +119,9 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
 
     Stages: conical-connectedness search, non-resonant point sampling,
     coupling graph at that point, Lie closure with transitivity
-    classification. Failed stages are recorded and the remaining stages still
-    run; the verdict comes from the closure alone.
+    classification. Failed stages (a toolkit error or a numpy ``LinAlgError``)
+    are recorded and the remaining stages still run; the verdict comes from
+    the closure alone.
     """
     cfg = config or CertifyConfig()
     errors: list = []
@@ -134,7 +135,7 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
         connectedness = certify_connectedness(
             H, cfg.seed_budget, rng_seed=cfg.rng_seed, tau_deg=cfg.tol_deg
         )
-    except SpeccertError as exc:
+    except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"connectedness: {exc}")
     try:
         resonance = sample_nonresonant(
@@ -144,12 +145,12 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
             sp = decompose(H, resonance.report.u_bar)
             graph = build_graph(H, sp)
             graph_connected, _ = is_connected(graph)
-    except SpeccertError as exc:
+    except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"resonance/graph: {exc}")
     try:
         closure_result = closure(generators_from(H))
         transitivity = classify_transitive(closure_result, H.dim)
-    except SpeccertError as exc:
+    except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"closure: {exc}")
     verdict = (
         _verdict_from_closure(closure_result, H.dim)

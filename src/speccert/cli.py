@@ -21,7 +21,7 @@ from .adiabatic import load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, degeneracy_tol, locate_intersection, test_conicality
 from .errors import SpeccertError
-from .operators import ControlHamiltonian, load_hamiltonian
+from .operators import ControlHamiltonian
 from .sampling import box_sequence
 from .spectrum import decompose
 

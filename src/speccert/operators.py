@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as an ndarray of one of the numpy dtype ``kinds``, all finite.
+
+    Raises
+    ------
+    StructuralError
+        If ``values`` is ragged, holds non-numbers, or holds inf/nan.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise StructuralError(f"{what} is not a rectangular array: {exc}") from exc
+    if a.dtype.kind not in kinds:
+        raise StructuralError(f"{what} must hold numbers, got dtype {a.dtype}")
+    if not np.all(np.isfinite(a)):
+        raise StructuralError(f"{what} has non-finite entries")
+    return a
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """An n x n Hermitian matrix, n >= 2, immutable after construction."""
@@ -61,7 +81,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=complex)
+        a = _finite_array(self.matrix, "operator matrix", kinds="iufc").astype(complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 2:
@@ -86,7 +106,13 @@ class HermitianOperator:
 
     @classmethod
     def from_real_imag(cls, re, im) -> "HermitianOperator":
-        return cls(np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+        re = _finite_array(re, "real part")
+        im = _finite_array(im, "imaginary part")
+        if re.shape != im.shape:
+            raise StructuralError(
+                f"real part {re.shape} and imaginary part {im.shape} differ in shape"
+            )
+        return cls(re + 1j * im)
 
     @property
     def dim(self) -> int:
@@ -133,7 +159,7 @@ class ControlHamiltonian:
         dims = {self.drift.dim} | {h.dim for h in controlled}
         if len(dims) != 1:
             raise StructuralError(f"all operators must share one dimension, got {sorted(dims)}")
-        box = np.array(self.box, dtype=float)
+        box = _finite_array(self.box, "box").astype(float)
         if box.shape != (len(controlled), 2):
             raise StructuralError(
                 f"box must have shape ({len(controlled)}, 2), got {box.shape}"
@@ -169,15 +195,24 @@ class ControlHamiltonian:
         """Spectral norms of the controlled operators."""
         return np.array([h.operator_norm() for h in self.controlled])
 
+    @cached_property
+    def _controlled_stack(self) -> np.ndarray:
+        """(m, n*n) rows of the controlled matrices, built on first evaluation."""
+        return _freeze(np.stack([h.matrix.ravel() for h in self.controlled]))
+
     def matrix_at(self, u) -> np.ndarray:
         """Raw matrix of H(u); fast path used by inner loops."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise StructuralError(f"control point must have length {self.m}, got shape {u.shape}")
-        out = np.array(self.drift.matrix)
-        for ul, h in zip(u, self.controlled):
-            out += ul * h.matrix
-        return out
+        return self.drift.matrix + (u @ self._controlled_stack).reshape(self.dim, self.dim)
+
+    def matrices_at(self, U) -> np.ndarray:
+        """Raw matrices H(U[k]) stacked as (N, n, n) for control points U of shape (N, m)."""
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.m:
+            raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
+        return self.drift.matrix + (U @ self._controlled_stack).reshape(-1, self.dim, self.dim)
 
     def norm_bound(self, u) -> float:
         """Upper bound on the spectral norm of H(u) via the triangle inequality."""
@@ -199,7 +234,7 @@ class ControlHamiltonian:
             drift = HermitianOperator.from_json_dict(d["drift"])
             controlled = tuple(HermitianOperator.from_json_dict(c) for c in d["controlled"])
             box = d["box"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed Hamiltonian document: {exc}") from exc
         if drift.dim != dim:
             raise StructuralError(f"declared dim {dim} does not match drift dim {drift.dim}")

@@ -8,14 +8,13 @@ records this weakening.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 from .operators import ControlHamiltonian
-from .spectrum import decompose
+from .spectrum import decompose, decompose_many
 
 RES_TOL_SCALE = 1e-6
 SIMPLE_TOL_SCALE = 1e-8
@@ -47,6 +46,33 @@ class ResonanceReport:
         }
 
 
+def _gap_stats(lam: np.ndarray, tau_res: float | None):
+    """(min gap separation, simple, tau_res) per row of ascending spectra lam (N, n)."""
+    n = lam.shape[1]
+    diameter = lam[:, -1] - lam[:, 0]
+    tau = RES_TOL_SCALE * diameter if tau_res is None else np.full(lam.shape[0], float(tau_res))
+    simple = np.all(
+        np.diff(lam, axis=1) >= SIMPLE_TOL_SCALE * np.maximum(1.0, diameter)[:, None], axis=1
+    )
+    lower, upper = np.triu_indices(n, k=1)
+    gaps = np.sort(lam[:, upper] - lam[:, lower], axis=1)
+    # for sorted gaps the closest pair is adjacent, so this is the minimum
+    # over all pairs, bit for bit: fl(b - a) >= fl(c - a) for a <= c <= b
+    min_sep = np.min(np.diff(gaps, axis=1), axis=1) if n > 2 else np.full(lam.shape[0], np.inf)
+    return min_sep, simple, tau
+
+
+def _report(u: np.ndarray, stats, k: int) -> ResonanceReport:
+    """The report for row k of ``_gap_stats`` output, taken at control point u."""
+    min_sep, simple, tau = stats
+    return ResonanceReport(
+        u_bar=u,
+        min_gap_separation=float(min_sep[k]),
+        simple=bool(simple[k]),
+        tau_res=float(tau[k]),
+    )
+
+
 def check_nonresonant(
     H: ControlHamiltonian, u, tau_res: float | None = None
 ) -> ResonanceReport:
@@ -58,25 +84,7 @@ def check_nonresonant(
     deterministic.
     """
     sp = decompose(H, u)
-    lam = sp.eigenvalues
-    n = lam.shape[0]
-    diameter = float(lam[-1] - lam[0])
-    if tau_res is None:
-        tau_res = RES_TOL_SCALE * diameter
-    simple = all(sp.gap(j) >= SIMPLE_TOL_SCALE * max(1.0, diameter) for j in range(1, n))
-    gaps = np.array([lam[k] - lam[j] for j in range(n) for k in range(j + 1, n)])
-    if gaps.shape[0] < 2:
-        min_sep = np.inf
-    else:
-        diffs = np.abs(gaps[:, None] - gaps[None, :])
-        iu = np.triu_indices(gaps.shape[0], k=1)
-        min_sep = float(np.min(diffs[iu]))
-    return ResonanceReport(
-        u_bar=np.asarray(u, dtype=float),
-        min_gap_separation=min_sep,
-        simple=simple,
-        tau_res=float(tau_res),
-    )
+    return _report(sp.u, _gap_stats(sp.eigenvalues[None, :], tau_res), 0)
 
 
 @dataclass(frozen=True)
@@ -120,12 +128,12 @@ def sample_nonresonant(
     # all candidates are drawn up front so the result is the first pass by
     # index even if the evaluation order ever changes
     candidates = lo + rng.random((budget, H.m)) * (hi - lo)
-    first_pass: ResonanceReport | None = None
-    passes = 0
-    for u in candidates:
-        report = check_nonresonant(H, u, tau_res=tau_res)
-        if report.passed:
-            passes += 1
-            if first_pass is None:
-                first_pass = report
-    return NonresonantSample(report=first_pass, tried=budget, acceptance_rate=passes / budget)
+    points = decompose_many(H, candidates)
+    stats = min_sep, simple, tau = _gap_stats(np.stack([sp.eigenvalues for sp in points]), tau_res)
+    passed = simple & (min_sep >= tau)
+    first = int(np.argmax(passed))
+    return NonresonantSample(
+        report=_report(points[first].u, stats, first) if passed[first] else None,
+        tried=budget,
+        acceptance_rate=int(np.count_nonzero(passed)) / budget,
+    )

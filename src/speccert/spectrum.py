@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,15 +56,58 @@ class GapTable:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = np.array(vecs)
-    idx = np.argmax(np.abs(out), axis=0)
-    for j, i in enumerate(idx):
-        z = out[i, j]
-        a = abs(z)
-        if a > 0:
-            out[:, j] *= np.conj(z) / a
-    return out
+    """Rotate every column of a (..., n, n) frame stack so its largest entry is real positive."""
+    idx = np.argmax(np.abs(vecs), axis=-2)
+    # the largest entry of a unit column has magnitude >= 1/sqrt(n) > 0
+    z = np.take_along_axis(vecs, idx[..., None, :], axis=-2)
+    return vecs * (np.conj(z) / np.abs(z))
+
+
+def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool) -> list:
+    """SpectralPoints of the Hermitian stack mats (N, n, n) = H(U[k]) from one eigensolve."""
+    try:
+        lam, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver did not converge on {len(U)} point(s) from u={U[0].tolist()}"
+        ) from exc
+    vecs = _fix_phases(vecs)
+    if check:
+        hnorm = np.max(np.abs(lam), axis=1)
+        resid = np.max(np.linalg.norm(mats @ vecs - vecs * lam[:, None, :], axis=1), axis=1)
+        gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
+        ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
+        tr = np.trace(mats, axis1=1, axis2=2).real
+        tr_defect = np.abs(np.sum(lam, axis=1) - tr)
+        checks = (
+            ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + hnorm)),
+            ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
+            ("eigenvalue sum does not match trace", tr_defect, RESIDUAL_TOL * (1.0 + np.abs(tr))),
+        )
+        over = np.stack([value > limit for _, value, limit in checks])
+        if over.any():
+            k = int(np.argmax(over.any(axis=0)))
+            message, value, _ = checks[int(np.argmax(over[:, k]))]
+            raise NumericalError(f"{message} at u={U[k].tolist()}", residual=float(value[k]))
+    for a in (U, lam, vecs):
+        a.setflags(write=False)
+    return [SpectralPoint(u=U[k], eigenvalues=lam[k], frame=vecs[k]) for k in range(len(U))]
+
+
+def decompose_many(H: ControlHamiltonian, U) -> list:
+    """Eigendecompose H(U[k]) for every row of U (shape (N, m)) with one stacked eigensolve.
+
+    Returns one SpectralPoint per row, each as ``decompose`` would return it.
+
+    Raises
+    ------
+    NumericalError
+        If the eigensolver fails to converge or, at some row, the residual /
+        orthonormality / trace invariants exceed their tolerances (carries the
+        first failing row's residual).
+    """
+    U = np.array(U, dtype=float)
+    return _decompose_stack(H.matrices_at(U), U, check=True)
 
 
 def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
@@ -80,29 +122,8 @@ def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
         If the eigensolver fails to converge or the residual / orthonormality /
         trace invariants exceed their tolerances (carries the residual).
     """
-    u = np.asarray(u, dtype=float)
-    mat = H.matrix_at(u)
-    try:
-        lam, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge at u={u.tolist()}") from exc
-    vecs = _fix_phases(vecs)
-    if check:
-        hnorm = float(np.max(np.abs(lam))) if lam.size else 0.0
-        resid = float(np.max(np.linalg.norm(mat @ vecs - vecs * lam[None, :], axis=0)))
-        if resid > RESIDUAL_TOL * (1.0 + hnorm):
-            raise NumericalError("eigenpair residual above tolerance", residual=resid)
-        ortho = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(H.dim))))
-        if ortho > ORTHONORMALITY_TOL:
-            raise NumericalError("frame not orthonormal to tolerance", residual=ortho)
-        tr = float(np.trace(mat).real)
-        if abs(float(np.sum(lam)) - tr) > RESIDUAL_TOL * (1.0 + abs(tr)):
-            raise NumericalError("eigenvalue sum does not match trace", residual=abs(np.sum(lam) - tr))
-    lam.setflags(write=False)
-    vecs.setflags(write=False)
-    u = np.array(u)
-    u.setflags(write=False)
-    return SpectralPoint(u=u, eigenvalues=lam, frame=vecs)
+    u = np.array(u, dtype=float)
+    return _decompose_stack(H.matrix_at(u)[None], u[None], check)[0]
 
 
 def gap(sp: SpectralPoint, j: int) -> float:
@@ -221,15 +242,12 @@ def track(
     n = H.dim
     lip = float(np.sum(H.control_norms()))
     margin = 1e-7 * (1.0 + lip)
-    points = []
+    points = decompose_many(H, pts)
     labels = np.empty((len(pts), n), dtype=int)
-    first = decompose(H, pts[0])
-    points.append(first)
-    continuer = _BranchContinuer(first)
+    continuer = _BranchContinuer(points[0])
     labels[0] = continuer.labels
-    prev = first
     for k in range(1, len(pts)):
-        sp = decompose(H, pts[k])
+        sp, prev = points[k], points[k - 1]
         labels[k] = continuer.step(sp)
         # Lipschitz sanity per labeled branch; a gross violation means the
         # matching lost a branch, which refinement would have prevented.
@@ -243,8 +261,6 @@ def track(
                     f"branch continuation jumped by {dv:.3g} over a step of {step:.3g}",
                     residual=dv,
                 )
-        points.append(sp)
-        prev = sp
     return TrackedSpectrum(points=tuple(points), labels=labels, lipschitz_bound=lip + margin)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from speccert import ControlHamiltonian, HermitianOperator
+from speccert.sampling import random_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -13,6 +14,15 @@ def make_family(drift, controlled, box) -> ControlHamiltonian:
         drift=HermitianOperator(np.asarray(drift, dtype=complex)),
         controlled=tuple(HermitianOperator(np.asarray(c, dtype=complex)) for c in controlled),
         box=np.asarray(box, dtype=float),
+    )
+
+
+def random_family(seed: int, n: int, m: int) -> ControlHamiltonian:
+    """Unit-norm complex Hermitian family with m controls over the box [-2, 2]^m."""
+    rng = np.random.default_rng(seed)
+    ops = [HermitianOperator(random_hermitian(rng, n)) for _ in range(m + 1)]
+    return ControlHamiltonian(
+        drift=ops[0], controlled=tuple(ops[1:]), box=np.array([[-2.0, 2.0]] * m)
     )
 
 

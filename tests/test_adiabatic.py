@@ -17,7 +17,8 @@ from speccert import (
     propagate,
     test_conicality,
 )
-from conftest import SIGMA_X, SIGMA_Z, make_family
+from speccert.adiabatic import STEP_CHUNK_ELEMS
+from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
 def hold(u, T, epsilon=1.0):
@@ -116,6 +117,62 @@ class TestPropagate:
         assert lines[0] == "t,u_1,u_2,pop_1,pop_2,norm_defect"
         defects = [float(row.split(",")[-1]) for row in lines[1:]]
         assert max(defects) <= 1e-9
+
+
+def reference_states(H, path, psi0, step_limit=0.1):
+    """Every step's state from one expm per step midpoint, one step at a time."""
+    psi = np.asarray(psi0, dtype=complex)
+    states = []
+    for a, b, dur in path.segments():
+        nsteps = max(1, int(np.ceil(dur * max(H.norm_bound(a), H.norm_bound(b)) / step_limit)))
+        h = dur / nsteps
+        for i in range(nsteps):
+            psi = expm(-1j * h * H.matrix_at(a + ((i + 0.5) / nsteps) * (b - a))) @ psi
+            states.append(psi)
+    return np.array(states)
+
+
+class TestChunkedPropagation:
+    def test_matches_per_step_reference_across_chunks(self):
+        H = random_family(5, 4, 2)
+        waypoints = (np.array([-1.5, 0.5]), np.array([1.0, -1.2]), np.array([0.3, 1.4]))
+        path = ControlPath(waypoints=waypoints, durations=np.array([90.0, 7.0]), epsilon=1.0)
+        psi0 = decompose(H, waypoints[0]).frame[:, 0]
+        reference = reference_states(H, path, psi0)
+        bound = max(H.norm_bound(waypoints[0]), H.norm_bound(waypoints[1]))
+        assert 90.0 * bound / 0.1 > STEP_CHUNK_ELEMS // 4**2
+        traj = propagate(H, path, psi0, max_records=len(reference))
+        assert traj.states.shape[0] == len(reference) + 1
+        assert np.max(np.abs(traj.states[1:] - reference)) <= 1e-12
+        assert np.max(traj.norm_defect) <= 1e-12
+
+    def test_record_rule_across_chunks(self):
+        H = random_family(6, 4, 2)
+        path = line([-1.5, -1.5], [1.5, 1.2], 150.0)
+        psi0 = decompose(H, [-1.5, -1.5]).frame[:, 0]
+        reference = reference_states(H, path, psi0)
+        total = len(reference)
+        assert total > 2 * (STEP_CHUNK_ELEMS // 4**2)
+        traj = propagate(H, path, psi0, max_records=50)
+        stride = total // 50
+        recorded = [k for k in range(1, total + 1) if k % stride == 0 or k == total]
+        assert traj.states.shape[0] == len(recorded) + 1
+        assert np.max(np.abs(traj.states[1:] - reference[np.array(recorded) - 1])) <= 1e-12
+        h = 150.0 / total
+        assert np.allclose(traj.times[1:], h * np.array(recorded), rtol=1e-12)
+
+
+    def test_labels_continue_across_record_blocks(self):
+        # H = u1 sigma_z crosses exactly at u1 = 0, where the labels exchange sorted positions
+        H = make_family(np.zeros((2, 2)), [SIGMA_Z, SIGMA_X], [[-2, 2], [-2, 2]])
+        path = line([-1.5, 0.0], [0.7, 0.0], 300.0)
+        traj = propagate(H, path, np.array([1.0, 0.0]), max_records=10**6)
+        block = STEP_CHUNK_ELEMS // 2**2
+        crossing = int(np.argmax(traj.controls[:, 0] > 0.0))
+        assert 0 < crossing < block < traj.times.shape[0]
+        assert np.array_equal(traj.labels[0], [1, 2])
+        assert np.array_equal(traj.labels[-1], [2, 1])
+        assert np.allclose(traj.populations[:, 0], 1.0, atol=1e-12)
 
 
 class TestGaugeRobustness:

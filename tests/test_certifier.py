@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestCertify:
             "agreement",
             "provenance",
         }
+
+
+    def test_linalg_error_is_a_stage_error(self, two_level_cone, monkeypatch):
+        def failing_closure(generators):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        # the package re-exports the function certify, which shadows the module
+        monkeypatch.setattr(importlib.import_module("speccert.certify"), "closure", failing_closure)
+        cert = certify(two_level_cone, CertifyConfig(rng_seed=1))
+        assert cert.errors == ("closure: SVD did not converge",)
+        assert cert.closure_result is None
+        assert cert.verdict == "not-certified"
+        assert cert.connectedness.certified
+        assert cert.resonance.found
+        assert cert.graph_connected
 
 
 class TestEnsemble:

@@ -112,6 +112,26 @@ class TestCertifyCommand:
             main(["certify", "--input", str(cone_file), "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_ragged_matrix_row_exit_2(self, cone_file, tmp_path, capsys):
+        doc = json.loads(cone_file.read_text())
+        doc["drift"]["re"][1] = [0.0]
+        bad = tmp_path / "ragged.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["certify", "--input", str(bad), "--out", str(tmp_path), "--seed", "1"])
+        assert code == 2
+        assert "rectangular" in capsys.readouterr().err
+
+    def test_infinite_box_bound_exit_2(self, cone_file, tmp_path, capsys):
+        doc = json.loads(cone_file.read_text())
+        doc["box"][0][1] = float("inf")
+        bad = tmp_path / "infinite.json"
+        bad.write_text(json.dumps(doc))
+        assert "Infinity" in bad.read_text()
+        code = main(["certify", "--input", str(bad), "--out", str(tmp_path), "--seed", "1"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_deterministic_output(self, cone_file, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccert import (
     ControlHamiltonian,
@@ -11,7 +13,7 @@ from speccert import (
     load_hamiltonian,
     validate,
 )
-from conftest import SIGMA_X, SIGMA_Z, make_family
+from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
 class TestValidate:
@@ -136,3 +138,62 @@ class TestControlHamiltonian:
         assert set(doc) == {"dim", "drift", "controlled", "box"}
         assert set(doc["drift"]) == {"re", "im"}
         assert len(doc["drift"]["re"]) == 2
+
+
+class TestInputContract:
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(StructuralError, match="rectangular"):
+            HermitianOperator([[1.0, 0.0], [0.0]])
+
+    def test_non_numeric_entries_rejected(self):
+        with pytest.raises(StructuralError, match="numbers"):
+            HermitianOperator.from_real_imag([["a", 0], [0, 1]], [[0, 0], [0, 0]])
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(StructuralError, match="non-finite"):
+            HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_real_imag_shape_mismatch_rejected(self):
+        with pytest.raises(StructuralError, match="shape"):
+            HermitianOperator.from_real_imag(np.eye(2), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf, np.nan])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(StructuralError, match="non-finite"):
+            make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, bound], [-1, 1]])
+
+    def test_non_integer_dim_in_document_rejected(self, two_level_cone):
+        doc = two_level_cone.to_json_dict()
+        doc["dim"] = "two"
+        with pytest.raises(StructuralError, match="malformed"):
+            ControlHamiltonian.from_json_dict(doc)
+
+
+class TestMatricesAt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        m=st.integers(2, 3),
+        count=st.integers(1, 50),
+    )
+    def test_rows_match_matrix_at(self, seed, n, m, count):
+        H = random_family(seed, n, m)
+        U = np.random.default_rng(seed + 1).uniform(-2, 2, (count, m))
+        stacked = H.matrices_at(U)
+        assert stacked.shape == (count, n, n)
+        for k in range(count):
+            single = H.matrix_at(U[k])
+            assert np.max(np.abs(stacked[k] - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
+
+    def test_wrong_shape_raises(self, two_level_cone):
+        with pytest.raises(StructuralError):
+            two_level_cone.matrices_at(np.zeros((4, 3)))
+        with pytest.raises(StructuralError):
+            two_level_cone.matrices_at(np.zeros(2))
+
+    def test_operator_stack_built_on_first_evaluation(self):
+        H = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
+        assert "_controlled_stack" not in vars(H)
+        H.matrix_at([0.0, 0.0])
+        assert "_controlled_stack" in vars(H)

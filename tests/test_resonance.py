@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speccert import HermitianOperator, check_nonresonant, sample_nonresonant
+from speccert import HermitianOperator, check_nonresonant, decompose, sample_nonresonant
 from speccert.operators import ControlHamiltonian
 from conftest import make_family
 
@@ -79,6 +81,30 @@ class TestCheckNonresonant:
             assert big.passed == base.passed
 
 
+def brute_force_min_separation(lam) -> float:
+    """Smallest |g_a - g_b| over all pairs of unordered gaps g = lam_k - lam_j, j < k."""
+    n = len(lam)
+    gaps = [lam[k] - lam[j] for j in range(n) for k in range(j + 1, n)]
+    pairs = [abs(a - b) for i, a in enumerate(gaps) for b in gaps[i + 1 :]]
+    return min(pairs) if pairs else np.inf
+
+
+class TestGapSeparation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-4, 4).map(float), st.floats(-10, 10, allow_nan=False)),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_matches_brute_force(self, entries):
+        H = family_with_fixed_spectrum(entries)
+        lam = decompose(H, [0.0, 0.0]).eigenvalues
+        report = check_nonresonant(H, [0.0, 0.0])
+        assert report.min_gap_separation == brute_force_min_separation(lam)
+
+
 class TestSampleNonresonant:
     def test_two_level_found_immediately(self, two_level_cone):
         out = sample_nonresonant(two_level_cone, budget=20, rng_seed=1)
@@ -109,3 +135,15 @@ class TestSampleNonresonant:
         assert "acceptance_rate" in doc
         assert "min_gap_separation" in doc["report"]
         assert "rational independence" in doc["report"]["certified_property"]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_per_candidate_checks(self, three_level_chain, seed):
+        H = three_level_chain
+        out = sample_nonresonant(H, budget=60, rng_seed=seed)
+        # the candidates as sample_nonresonant draws them, checked one at a time
+        rng = np.random.default_rng(seed)
+        lo, hi = H.box[:, 0], H.box[:, 1]
+        reports = [check_nonresonant(H, u) for u in lo + rng.random((60, H.m)) * (hi - lo)]
+        passed = [r for r in reports if r.passed]
+        assert out.acceptance_rate == len(passed) / 60
+        assert out.report.to_json_dict() == passed[0].to_json_dict()

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccert import (
+    ControlHamiltonian,
     GapTable,
+    NumericalError,
     RefinementNeededError,
+    StructuralError,
     decompose,
+    decompose_many,
     gap,
     save_track_csv,
     track,
 )
-from conftest import SIGMA_X, SIGMA_Z, make_family
+from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
 class TestDecompose:
@@ -55,6 +61,55 @@ class TestDecompose:
             i = np.argmax(np.abs(col))
             assert col[i].imag == pytest.approx(0.0, abs=1e-14)
             assert col[i].real > 0
+
+
+class TestDecomposeMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        m=st.integers(2, 3),
+        count=st.integers(1, 50),
+    )
+    def test_rows_match_decompose(self, seed, n, m, count):
+        H = random_family(seed, n, m)
+        U = np.random.default_rng(seed + 1).uniform(-2, 2, (count, m))
+        points = decompose_many(H, U)
+        assert len(points) == count
+        for u, sp in zip(U, points):
+            ref = decompose(H, u)
+            assert np.array_equal(sp.u, u)
+            assert np.max(np.abs(sp.eigenvalues - ref.eigenvalues)) <= 1e-12
+            assert np.max(np.abs(sp.frame - ref.frame)) <= 1e-10
+
+    def test_outputs_read_only(self, three_level_chain):
+        sp = decompose_many(three_level_chain, [[0.1, 0.2], [0.3, 0.4]])[1]
+        for a in (sp.u, sp.eigenvalues, sp.frame):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_failing_row_in_batch_raises(self, three_level_chain, monkeypatch):
+        exact = ControlHamiltonian.matrices_at
+
+        def corrupted(self, U):
+            # eigh reads one triangle, so breaking Hermiticity in the other
+            # leaves a frame that does not diagonalise the matrix
+            mats = exact(self, U).copy()
+            mats[3, 0, 2] += 0.5
+            return mats
+
+        monkeypatch.setattr(ControlHamiltonian, "matrices_at", corrupted)
+        U = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 2))
+        with pytest.raises(NumericalError, match="residual") as excinfo:
+            decompose_many(three_level_chain, U)
+        assert excinfo.value.residual > 1e-9
+        assert str(U[3].tolist()) in str(excinfo.value)
+
+    def test_wrong_control_length_raises(self, three_level_chain):
+        with pytest.raises(StructuralError):
+            decompose(three_level_chain, [0.1, 0.2, 0.3])
+        with pytest.raises(StructuralError):
+            decompose_many(three_level_chain, [[0.1, 0.2, 0.3]])
 
 
 class TestGap:
