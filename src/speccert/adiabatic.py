@@ -27,7 +27,7 @@ from .errors import (
 )
 from .operators import ControlHamiltonian
 from .resonance import check_nonresonant
-from .spectrum import _BranchContinuer, decompose, decompose_many
+from .spectrum import _BranchContinuer, decompose, decompose_many, degeneracy_tol
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
@@ -233,7 +233,7 @@ def propagate(
     for start in range(0, times_arr.shape[0], chunk):
         points = decompose_many(H, controls_arr[start : start + chunk])
         if start == 0:
-            continuer = _BranchContinuer(points[0])
+            continuer = _BranchContinuer(points[0], degeneracy_tol(H))
         for k, sp in enumerate(points, start):
             # the first point matches its own frame, which keeps labels 1..n
             labels[k] = continuer.step(sp)

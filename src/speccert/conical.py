@@ -9,53 +9,25 @@ origin, and certify from the worst sampled direction.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import GeometryError, PreconditionError, StructuralError
+from .errors import PreconditionError
 from .operators import ControlHamiltonian
 from .sampling import axis_directions, box_sequence, sphere_directions
-from .spectrum import decompose
+from .spectrum import decompose, degeneracy_tol
 
-DEG_TOL_SCALE = 1e-8
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
 INTERIOR_REL_MARGIN = 1e-6
 
 
 def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
-    """Spectral diameter max(lambda_n - lambda_1) probed at the box center and corners.
-
-    For m > 6 the corner set is replaced by per-axis extreme points to keep the
-    probe count linear in m. Deterministic.
-    """
-    box = H.box
-    m = H.m
-    probes = [H.box_center()]
-    if m <= 6:
-        for corner in itertools.product(*[(box[l, 0], box[l, 1]) for l in range(m)]):
-            probes.append(np.array(corner))
-    else:
-        center = H.box_center()
-        for l in range(m):
-            for side in (0, 1):
-                p = np.array(center)
-                p[l] = box[l, side]
-                probes.append(p)
-    diam = 0.0
-    for p in probes:
-        lam = np.linalg.eigvalsh(H.matrix_at(p))
-        diam = max(diam, float(lam[-1] - lam[0]))
-    return diam
-
-
-def degeneracy_tol(H: ControlHamiltonian) -> float:
-    """Scale-invariant gap threshold below which two levels count as degenerate."""
-    return DEG_TOL_SCALE * max(1.0, spectral_diameter_estimate(H))
+    """Spectral diameter max(lambda_n - lambda_1) over probe points: ``H.energy_scale``."""
+    return H.energy_scale
 
 
 def _gap_value(H: ControlHamiltonian, u: np.ndarray, j: int) -> float:
@@ -108,6 +80,7 @@ def locate_intersection(
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     bounds = [(float(lo), float(hi)) for lo, hi in H.box]
+    margin = INTERIOR_REL_MARGIN * (H.box[:, 1] - H.box[:, 0])
     best_gap = np.inf
     best_u = None
     for s in seeds:
@@ -135,12 +108,11 @@ def locate_intersection(
             gp = _gap_value(H, np.asarray(polished.x), level)
             if gp < g:
                 u, g = np.asarray(polished.x, dtype=float), gp
-        if g < best_gap:
+        # boundary minimizers are dropped first, so one cannot hide an interior one
+        interior = np.all(u > H.box[:, 0] + margin) and np.all(u < H.box[:, 1] - margin)
+        if interior and g < best_gap:
             best_gap, best_u = g, u
     if best_u is None or best_gap > tau_deg:
-        return None
-    margin = INTERIOR_REL_MARGIN * (H.box[:, 1] - H.box[:, 0])
-    if not (np.all(best_u > H.box[:, 0] + margin) and np.all(best_u < H.box[:, 1] - margin)):
         return None
     return best_u
 
@@ -223,7 +195,7 @@ def test_conicality(
     if t0 is None:
         t0 = 1e-3 * H.box_diameter()
     if c_min is None:
-        c_min = 1e-6 * spectral_diameter_estimate(H) / H.box_diameter()
+        c_min = 1e-6 * H.energy_scale / H.box_diameter()
     sp = decompose(H, u_star)
     residual_gap = sp.gap(level)
     if residual_gap > tau_deg:
@@ -267,10 +239,10 @@ def test_conicality(
     if not flank_ok:
         return _reject("degeneracy multiplicity is not exactly two at this point")
     worst = int(np.argmin(slopes))
-    if slopes[worst] < c_min:
+    if slopes[worst] <= c_min:
         return _reject(
             f"gap slope {slopes[worst]:.3e} along direction {directions[worst].tolist()} "
-            f"is below c_min {c_min:.3e}"
+            f"does not exceed c_min {c_min:.3e}"
         )
     bad = int(np.argmax(residuals))
     if residuals[bad] > residual_max:

@@ -8,14 +8,13 @@ roundoff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint
+from .spectrum import SpectralPoint, degeneracy_tol
 
 EDGE_TOL_SCALE = 1e-9
 
@@ -57,10 +56,8 @@ def build_graph(
         edge set, would be ill-defined).
     """
     n = sp.dim
-    lam = sp.eigenvalues
-    diameter = float(lam[-1] - lam[0])
-    deg_tol = 1e-8 * max(1.0, diameter)
-    if any(sp.gap(j) < deg_tol for j in range(1, n)):
+    tol = degeneracy_tol(H)
+    if not all(sp.gap(j) > tol for j in range(1, n)):
         raise StructuralError(
             "coupling graph requires a simple spectrum; degenerate levels found"
         )
@@ -101,8 +98,3 @@ def is_connected(g: CouplingGraph):
         groups.setdefault(find(node), []).append(node)
     components = sorted(groups.values())
     return len(components) == 1, components
-
-
-def save_graph(g: CouplingGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(g.to_json_dict(), fh, sort_keys=True, indent=2)

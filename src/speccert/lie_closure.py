@@ -9,7 +9,6 @@ an explicit antiunitary-structure witness search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,6 @@ class _SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.matrices)
-
-    def residual_norm(self, mat: np.ndarray) -> float:
-        v = _vec(mat)
-        if self.dim:
-            v = v - self.vectors.T @ (self.vectors @ v)
-        return float(np.linalg.norm(v))
 
     def try_add(self, mat: np.ndarray, rel_tol: float = RANK_TOL) -> bool:
         """Add the component of ``mat`` orthogonal to the span; False if dependent."""
@@ -272,8 +265,3 @@ def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict
             return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=False)
         return TransitivityVerdict(controllable_on_sphere=None, controllable_on_group=False)
     return TransitivityVerdict(controllable_on_sphere=False, controllable_on_group=False)
-
-
-def save_closure(result: LieClosureResult, path, include_basis: bool = False) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json_dict(include_basis=include_basis), fh, sort_keys=True, indent=2)

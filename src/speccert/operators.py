@@ -6,6 +6,7 @@ axis-aligned box given per axis as a closed interval [lo_l, hi_l].
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -199,6 +200,24 @@ class ControlHamiltonian:
     def _controlled_stack(self) -> np.ndarray:
         """(m, n*n) rows of the controlled matrices, built on first evaluation."""
         return _freeze(np.stack([h.matrix.ravel() for h in self.controlled]))
+
+    @cached_property
+    def energy_scale(self) -> float:
+        """Spectral diameter max(lambda_n - lambda_1) over probe points, computed once.
+
+        The probes are the box center and corners, or for m > 6 the center's
+        per-axis extreme points, which keeps the probe count linear in m. The
+        value scales with the family, (sH).energy_scale = |s| H.energy_scale,
+        and sets every degeneracy threshold (``spectrum.degeneracy_tol``).
+        """
+        center = self.box_center()
+        if self.m <= 6:
+            others = np.array(list(itertools.product(*self.box)))
+        else:
+            others = np.tile(center, (2 * self.m, 1))
+            others[np.arange(2 * self.m), np.repeat(np.arange(self.m), 2)] = self.box.ravel()
+        lam = np.linalg.eigvalsh(self.matrices_at(np.vstack([center, others])))
+        return float(np.max(lam[:, -1] - lam[:, 0]))
 
     def matrix_at(self, u) -> np.ndarray:
         """Raw matrix of H(u); fast path used by inner loops."""

@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .operators import ControlHamiltonian
-from .spectrum import decompose, decompose_many
+from .spectrum import decompose, decompose_many, degeneracy_tol
 
 RES_TOL_SCALE = 1e-6
-SIMPLE_TOL_SCALE = 1e-8
 
 CERTIFIED_PROPERTY = "all pairwise spectral gaps distinct (rational independence not tested)"
 
@@ -46,14 +45,12 @@ class ResonanceReport:
         }
 
 
-def _gap_stats(lam: np.ndarray, tau_res: float | None):
-    """(min gap separation, simple, tau_res) per row of ascending spectra lam (N, n)."""
+def _gap_stats(H: ControlHamiltonian, lam: np.ndarray, tau_res: float | None):
+    """(min gap separation, simple, tau_res) per row of ascending spectra lam (N, n) of H."""
     n = lam.shape[1]
     diameter = lam[:, -1] - lam[:, 0]
     tau = RES_TOL_SCALE * diameter if tau_res is None else np.full(lam.shape[0], float(tau_res))
-    simple = np.all(
-        np.diff(lam, axis=1) >= SIMPLE_TOL_SCALE * np.maximum(1.0, diameter)[:, None], axis=1
-    )
+    simple = np.all(np.diff(lam, axis=1) > degeneracy_tol(H), axis=1)
     lower, upper = np.triu_indices(n, k=1)
     gaps = np.sort(lam[:, upper] - lam[:, lower], axis=1)
     # for sorted gaps the closest pair is adjacent, so this is the minimum
@@ -84,7 +81,7 @@ def check_nonresonant(
     deterministic.
     """
     sp = decompose(H, u)
-    return _report(sp.u, _gap_stats(sp.eigenvalues[None, :], tau_res), 0)
+    return _report(sp.u, _gap_stats(H, sp.eigenvalues[None, :], tau_res), 0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,8 @@ def sample_nonresonant(
     # index even if the evaluation order ever changes
     candidates = lo + rng.random((budget, H.m)) * (hi - lo)
     points = decompose_many(H, candidates)
-    stats = min_sep, simple, tau = _gap_stats(np.stack([sp.eigenvalues for sp in points]), tau_res)
+    lam = np.stack([sp.eigenvalues for sp in points])
+    stats = min_sep, simple, tau = _gap_stats(H, lam, tau_res)
     passed = simple & (min_sep >= tau)
     first = int(np.argmax(passed))
     return NonresonantSample(

@@ -12,6 +12,9 @@ from .operators import ControlHamiltonian
 
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
+# two adjacent levels are degenerate when their gap is at most DEGENERACY_REL
+# times the family's spectral scale; the one degeneracy threshold of the package
+DEGENERACY_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,16 @@ def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
     return _decompose_stack(H.matrix_at(u)[None], u[None], check)[0]
 
 
+def degeneracy_tol(H: ControlHamiltonian) -> float:
+    """Gap at or below which two levels of H count as degenerate.
+
+    ``DEGENERACY_REL`` times ``H.energy_scale``, the family's spectral diameter
+    estimate, so the threshold scales with H: degeneracy_tol(sH) = |s|
+    degeneracy_tol(H), and no degeneracy decision depends on the energy unit.
+    """
+    return DEGENERACY_REL * H.energy_scale
+
+
 def gap(sp: SpectralPoint, j: int) -> float:
     """Adjacent spectral gap at a decomposed point (1-based level index)."""
     return sp.gap(j)
@@ -160,27 +173,23 @@ def _greedy_match(frame_old: np.ndarray, frame_new: np.ndarray) -> np.ndarray:
 class _BranchContinuer:
     """Carries branch labels along a frame sequence by maximal overlap.
 
-    Labels are matched against the last frame seen at a point with a
-    non-degenerate spectrum; frames at (numerically) degenerate points are
+    Labels are matched against the last frame seen at a point whose adjacent
+    gaps all exceed ``tol``; frames at (numerically) degenerate points are
     ambiguous within the crossing pair and are skipped as references, which
     is what makes the two crossing labels exchange sorted positions across
     an exact crossing.
     """
 
-    def __init__(self, first: SpectralPoint):
+    def __init__(self, first: SpectralPoint, tol: float):
         self.labels = np.arange(1, first.dim + 1)
         self.ref_frame = first.frame
         self.ref_labels = self.labels.copy()
-
-    @staticmethod
-    def _nondegenerate(sp: SpectralPoint) -> bool:
-        tol = 1e-8 * max(1.0, sp.diameter())
-        return all(sp.gap(j) > tol for j in range(1, sp.dim))
+        self.tol = tol
 
     def step(self, sp: SpectralPoint) -> np.ndarray:
         match = _greedy_match(self.ref_frame, sp.frame)
         self.labels = self.ref_labels[match]
-        if self._nondegenerate(sp):
+        if all(sp.gap(j) > self.tol for j in range(1, sp.dim)):
             self.ref_frame = sp.frame
             self.ref_labels = self.labels.copy()
         return self.labels.copy()
@@ -244,7 +253,7 @@ def track(
     margin = 1e-7 * (1.0 + lip)
     points = decompose_many(H, pts)
     labels = np.empty((len(pts), n), dtype=int)
-    continuer = _BranchContinuer(points[0])
+    continuer = _BranchContinuer(points[0], degeneracy_tol(H))
     labels[0] = continuer.labels
     for k in range(1, len(pts)):
         sp, prev = points[k], points[k - 1]

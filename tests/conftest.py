@@ -26,6 +26,15 @@ def random_family(seed: int, n: int, m: int) -> ControlHamiltonian:
     )
 
 
+def scaled(H: ControlHamiltonian, s: float) -> ControlHamiltonian:
+    """The family s*H over the same box: H expressed in an energy unit 1/s times as large."""
+    return ControlHamiltonian(
+        drift=HermitianOperator(s * H.drift.matrix),
+        controlled=tuple(HermitianOperator(s * h.matrix) for h in H.controlled),
+        box=H.box,
+    )
+
+
 @pytest.fixture
 def two_level_cone() -> ControlHamiltonian:
     """H(u) = u1*sigma_x + u2*sigma_z: single conical intersection at the origin."""

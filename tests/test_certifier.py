@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from speccert import (
     CertifyConfig,
@@ -11,7 +13,21 @@ from speccert import (
     generators_from,
 )
 from speccert.sampling import random_symmetric
-from conftest import make_family
+from conftest import make_family, scaled
+
+
+def _evidence(H):
+    """The parts of a certificate that must not depend on the energy unit."""
+    cert = certify(H)
+    report = cert.connectedness
+    return {
+        "status": report.status,
+        "certified": set(report.certificates),
+        "failed": set(report.failures),
+        "verdict": cert.verdict,
+        "resonance_found": cert.resonance.found,
+        "graph_connected": cert.graph_connected,
+    }
 
 
 class TestCertify:
@@ -92,6 +108,17 @@ class TestCertify:
         assert cert.connectedness.certified
         assert cert.resonance.found
         assert cert.graph_connected
+
+
+class TestEnergyUnit:
+    @settings(
+        max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(k=st.integers(-8, 8))
+    @example(k=-8)
+    @example(k=8)
+    def test_evidence_invariant_under_scaling(self, three_level_chain, k):
+        assert _evidence(scaled(three_level_chain, 10.0**k)) == _evidence(three_level_chain)
 
 
 class TestEnsemble:

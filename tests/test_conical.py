@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from speccert import (
     PreconditionError,
@@ -17,6 +20,23 @@ from conftest import SIGMA_X, SIGMA_Z, make_family
 def flat_gap_family():
     """gap = 2|u1|, independent of u2: linear but with a zero-slope direction."""
     return make_family(np.zeros((2, 2)), [SIGMA_Z, np.zeros((2, 2))], [[-1, 1], [-1, 1]])
+
+
+@pytest.fixture
+def scalar_family():
+    """H(u) = (u1 + 2 u2) I: degenerate everywhere, with no cone anywhere."""
+    return make_family(np.zeros((2, 2)), [np.eye(2), 2 * np.eye(2)], [[-1, 1], [-1, 1]])
+
+
+@pytest.fixture
+def boundary_pair_family():
+    """Two cones side by side: levels 2, 3 meet inside at (0, 0) and on the box edge at (1, 0)."""
+    z = np.zeros((2, 2))
+    return make_family(
+        block_diag(z, -SIGMA_X),
+        [block_diag(SIGMA_X, SIGMA_X), block_diag(SIGMA_Z, SIGMA_Z)],
+        [[-1, 1], [-1, 1]],
+    )
 
 
 @pytest.fixture
@@ -56,6 +76,24 @@ class TestLocateIntersection:
         seeds = box_sequence(diag_family.box, 6, seed=2)
         assert locate_intersection(diag_family, 2, seeds) is None
 
+    def test_boundary_intersection_does_not_hide_interior_one(self, boundary_pair_family):
+        H = boundary_pair_family
+        for budget in (1, 2, 4, 8, 16, 32):
+            u = locate_intersection(H, 2, box_sequence(H.box, budget, seed=0))
+            assert u is not None, budget
+            assert np.linalg.norm(u) < 1e-6
+
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 8), extra=st.integers(1, 16))
+    def test_larger_budget_keeps_a_found_intersection(self, boundary_pair_family, seed, k, extra):
+        # box_sequence is prefix-stable, so the larger budget retries every smaller-budget seed
+        H = boundary_pair_family
+        small = locate_intersection(H, 2, box_sequence(H.box, k, seed))
+        large = locate_intersection(H, 2, box_sequence(H.box, k + extra, seed))
+        assert small is None or large is not None
+
     def test_seed_outside_box_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
             locate_intersection(two_level_cone, 1, [[2.0, 0.0]])
@@ -81,6 +119,12 @@ class TestConicality:
         # the zero-slope direction (0, +-1) is among the sampled axis directions
         axis_mask = np.abs(result.directions[:, 0]) < 1e-12
         assert np.all(result.slopes[axis_mask] < 1e-8)
+
+    def test_zero_slope_rejected(self, scalar_family):
+        # c_min is 0 for a family whose spectral diameter is 0; a slope of 0 must not clear it
+        result = test_conicality(scalar_family, [0.0, 0.0], 1)
+        assert not result.conical
+        assert "slope" in result.reason
 
     def test_quadratic_contact_rejected_by_residual(self, quadratic_contact_family):
         result = test_conicality(quadratic_contact_family, [0.0, 0.0], 1)
@@ -144,6 +188,12 @@ class TestCertifyConnectedness:
         assert set(report.certificates) == {1, 2}
         for cert in report.certificates.values():
             assert cert.others_simple
+
+    def test_scalar_family_incomplete(self, scalar_family):
+        report = certify_connectedness(scalar_family, 4, rng_seed=0)
+        assert report.status == "incomplete"
+        assert not report.certificates
+        assert "slope" in report.failures[1]
 
     def test_budget_monotonicity(self, two_level_cone):
         small = certify_connectedness(two_level_cone, 4, rng_seed=9)

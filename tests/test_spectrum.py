@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,14 @@ from speccert import (
     StructuralError,
     decompose,
     decompose_many,
+    degeneracy_tol,
     gap,
     save_track_csv,
+    spectral_diameter_estimate,
     track,
 )
-from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
+from speccert.spectrum import DEGENERACY_REL
+from conftest import SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 
 
 class TestDecompose:
@@ -110,6 +115,44 @@ class TestDecomposeMany:
             decompose(three_level_chain, [0.1, 0.2, 0.3])
         with pytest.raises(StructuralError):
             decompose_many(three_level_chain, [[0.1, 0.2, 0.3]])
+
+
+class TestDegeneracyTol:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        m=st.integers(2, 8),
+        k=st.integers(-8, 8),
+    )
+    def test_scales_with_the_family(self, seed, n, m, k):
+        H = random_family(seed, n, m)
+        s = 10.0**k
+        assert degeneracy_tol(scaled(H, s)) == pytest.approx(s * degeneracy_tol(H), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_energy_scale_matches_per_probe_loop(self, m):
+        H = random_family(m, 4, m)
+        center = H.box_center()
+        if m <= 6:
+            probes = [center, *itertools.product(*H.box)]
+        else:
+            probes = [center]
+            for l, side in itertools.product(range(m), (0, 1)):
+                p = center.copy()
+                p[l] = H.box[l, side]
+                probes.append(p)
+        ref = max(np.ptp(np.linalg.eigvalsh(H.matrix_at(np.asarray(p)))) for p in probes)
+        assert H.energy_scale == pytest.approx(ref, rel=1e-12)
+
+    def test_probed_once_per_family(self, monkeypatch, three_level_chain):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        tol = degeneracy_tol(three_level_chain)
+        assert degeneracy_tol(three_level_chain) == tol
+        assert tol == DEGENERACY_REL * spectral_diameter_estimate(three_level_chain)
+        assert calls == [(5, 3, 3)]
 
 
 class TestGap:
