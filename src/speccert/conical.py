@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import PreconditionError
 from .operators import ControlHamiltonian
@@ -23,6 +22,18 @@ from .spectrum import decompose, degeneracy_tol
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
 INTERIOR_REL_MARGIN = 1e-6
+# Gauss-Newton locator, per seed: the iteration cap; the largest step, as a
+# fraction of the box diagonal; the factor the step cap shrinks by after a
+# rejected step; and the full-step length, in box diagonals, beyond which the
+# linearised nearest degeneracy is too far out for the seed to reach one
+MAX_ITERATIONS = 64
+STEP_FRACTION = 0.25
+SHRINK = 0.25
+FAR_STEP = 10.0
+# runs that end without a hit restart from fresh low-discrepancy points, up to
+# RESTARTS times per seed, drawn from a sequence scrambled with RESTART_SEED
+RESTARTS = 2
+RESTART_SEED = 0x5EED
 
 
 def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
@@ -30,42 +41,35 @@ def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
     return H.energy_scale
 
 
-def _gap_value(H: ControlHamiltonian, u: np.ndarray, j: int) -> float:
-    lam = np.linalg.eigvalsh(H.matrix_at(u))
-    return float(lam[j] - lam[j - 1])
-
-
-def _gap_sq_and_grad(H: ControlHamiltonian, u: np.ndarray, j: int):
-    """Squared gap and its gradient from first-order eigenvalue perturbation.
-
-    d lambda_j / d u_l = <phi_j, H_l phi_j> for a simple eigenvalue; near the
-    degeneracy the squared gap stays smooth even though the gap itself is not.
-    """
-    lam, vecs = np.linalg.eigh(H.matrix_at(u))
-    g = float(lam[j] - lam[j - 1])
-    lo = vecs[:, j - 1]
-    hi = vecs[:, j]
-    grad = np.empty(H.m)
-    for l, hop in enumerate(H.controlled):
-        hm = hop.matrix
-        grad[l] = 2.0 * g * float((hi.conj() @ hm @ hi).real - (lo.conj() @ hm @ lo).real)
-    return g * g, grad
-
-
 def locate_intersection(
     H: ControlHamiltonian,
     level: int,
     seeds,
     tau_deg: float | None = None,
-    simplex_maxfev: int = 400,
 ) -> np.ndarray | None:
     """Search the box for a point where levels (level, level+1) become degenerate.
 
-    Minimizes the squared gap from each seed with bounded Nelder-Mead, then
-    polishes with a gradient step (first-order eigenvalue derivatives) while
-    the gap is still above the acceptance threshold. Returns the best interior
-    minimizer with gap <= tau_deg, or None when every run stalls above it or
-    only box-boundary minimizers remain.
+    From every seed, a damped Gauss-Newton solve drives the traceless part of
+    H(u), restricted to the crossing pair's eigenframe P, to zero. With
+    B_l = P^dagger H_l P, the residual is r = (gap/2, 0, 0) and the Jacobian
+    rows are ((B_l)_11 - (B_l)_00)/2, Re (B_l)_01 and Im (B_l)_01 (first-order
+    eigenvalue perturbation, so a cone is reached quadratically). Each step is
+    the minimum-norm least-squares solution of J step = -r, capped in length
+    and clipped to the box; it is kept only if the gap falls, and the cap
+    widens after a kept step and shrinks after a rejected one. A seed ends at
+    gap <= tau_deg, when its cap falls to roundoff, when its full step is more
+    than ``FAR_STEP`` box diagonals long (the gap has a positive minimum
+    nearby, an avoided crossing), or after ``MAX_ITERATIONS``. A run that ends
+    anywhere but at an interior hit restarts from the seed's next point of a
+    fixed low-discrepancy sequence, up to ``RESTARTS`` times per seed. All
+    seeds run in lockstep, one stacked eigensolve per iteration, and no seed's
+    path depends on which other seeds share the batch.
+
+    Returns the point reached by the first seed, in seed order, whose runs end
+    at an interior point with gap <= tau_deg, or None when no seed does. Since
+    each seed's outcome depends on that seed and its position alone, the
+    result is prefix-stable: appending seeds never changes a point already
+    found.
 
     Parameters
     ----------
@@ -79,42 +83,82 @@ def locate_intersection(
         raise PreconditionError(f"level must be in 1..{n - 1}, got {level}")
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
-    bounds = [(float(lo), float(hi)) for lo, hi in H.box]
-    margin = INTERIOR_REL_MARGIN * (H.box[:, 1] - H.box[:, 0])
-    best_gap = np.inf
-    best_u = None
-    for s in seeds:
-        s = np.asarray(s, dtype=float)
+    U = np.array(list(seeds), dtype=float)
+    if U.size == 0:
+        return None
+    if U.ndim != 2 or U.shape[1] != H.m:
+        raise PreconditionError(f"seeds must be control points of length {H.m}")
+    for s in U:
         if not H.contains(s):
             raise PreconditionError(f"seed {s.tolist()} lies outside the control box")
-        res = minimize(
-            lambda u: _gap_value(H, u, level) ** 2,
-            s,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-10, "fatol": 1e-24, "maxfev": simplex_maxfev},
+    k = len(U)
+    slot = np.arange(k)
+    # slot i restarts from points i*RESTARTS ... of one prefix-stable sequence
+    restarts = box_sequence(H.box, k * RESTARTS, RESTART_SEED).reshape(k, RESTARTS, H.m)
+    lo, hi = H.box[:, 0], H.box[:, 1]
+    margin = INTERIOR_REL_MARGIN * (hi - lo)
+    diameter = H.box_diameter()
+    cap_max = STEP_FRACTION * diameter
+    cap_min = np.finfo(float).eps * (diameter + np.max(np.abs(H.box)))
+    ops = H._controlled_stack
+    gap = np.empty(k)
+    pair = np.empty((k, n, 2), dtype=complex)
+    cap = np.empty(k)
+    iterations = np.zeros(k, dtype=int)
+    runs = np.zeros(k, dtype=int)
+    far = np.zeros(k, dtype=bool)
+    live = np.zeros(k, dtype=bool)
+    fresh = np.ones(k, dtype=bool)  # slots whose run starts at U
+    first = k  # index of the first slot that ended at an interior hit
+    while True:
+        if fresh.any():
+            f = np.nonzero(fresh)[0]
+            lam, vecs = np.linalg.eigh(H.matrices_at(U[f]))
+            gap[f] = lam[:, level] - lam[:, level - 1]
+            pair[f] = vecs[:, :, level - 1 : level + 1]
+            cap[f], iterations[f], far[f] = cap_max, 0, False
+            live |= fresh
+        ended = live & (gap <= tau_deg)
+        hits = ended & np.all((U > lo + margin) & (U < hi - margin), axis=1)
+        if hits.any():
+            first = min(first, int(np.argmax(hits)))
+        over = live & (ended | far | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
+        # slots after the first hit cannot change the answer
+        live &= ~over & (slot < first)
+        # a run that ends without a hit restarts its slot from the slot's next point
+        fresh = over & ~hits & (runs < RESTARTS) & (slot < first)
+        U[fresh] = restarts[fresh, runs[fresh]]
+        runs[fresh] += 1
+        if not live.any():
+            if fresh.any():
+                continue
+            break
+        a = np.nonzero(live)[0]
+        B = np.einsum("kia,lij,kjb->klab", pair[a].conj(), ops, pair[a])
+        J = np.stack(
+            [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
+            axis=1,
         )
-        u = np.asarray(res.x, dtype=float)
-        g = _gap_value(H, u, level)
-        if g > tau_deg:
-            polished = minimize(
-                lambda v: _gap_sq_and_grad(H, v, level),
-                u,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"ftol": 1e-20, "gtol": 1e-18, "maxiter": 200},
-            )
-            gp = _gap_value(H, np.asarray(polished.x), level)
-            if gp < g:
-                u, g = np.asarray(polished.x, dtype=float), gp
-        # boundary minimizers are dropped first, so one cannot hide an interior one
-        interior = np.all(u > H.box[:, 0] + margin) and np.all(u < H.box[:, 1] - margin)
-        if interior and g < best_gap:
-            best_gap, best_u = g, u
-    if best_u is None or best_gap > tau_deg:
-        return None
-    return best_u
+        step = -(gap[a] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
+        length = np.linalg.norm(step, axis=1)
+        # a longer step puts the nearest zero of the linear model far outside
+        # the box, as at an avoided crossing, where the gap has a positive minimum
+        near = length <= FAR_STEP * diameter
+        far[a[~near]] = True
+        a, step, length = a[near], step[near], length[near]
+        step *= np.minimum(1.0, cap[a] / np.maximum(length, np.finfo(float).tiny))[:, None]
+        trial = np.clip(U[a] + step, lo, hi)
+        lam, vecs = np.linalg.eigh(H.matrices_at(trial))
+        trial_gap = lam[:, level] - lam[:, level - 1]
+        better = trial_gap < gap[a]
+        keep = a[better]
+        U[keep], gap[keep] = trial[better], trial_gap[better]
+        pair[keep] = vecs[better, :, level - 1 : level + 1]
+        cap[a] = np.where(
+            better, np.minimum(2.0 * cap[a], cap_max), SHRINK * np.minimum(cap[a], length)
+        )
+        iterations[a] += 1
+    return None if first == k else U[first]
 
 
 @dataclass(frozen=True)
@@ -174,11 +218,12 @@ def test_conicality(
     """Test whether a located degeneracy opens linearly in every sampled direction.
 
     Samples the 2m coordinate axis directions plus ``n_directions`` seeded
-    low-discrepancy unit directions, probes radii {t0, t0/2, t0/4}, and fits
-    gap ~ s_v * t through the origin per direction. Certifies iff the smallest
-    slope clears ``c_min`` and every per-direction relative fit residual is at
-    most ``residual_max``; a large residual indicates tangential or
-    higher-order contact.
+    low-discrepancy unit directions, probes radii {t0, t0/2, t0/4} (all
+    probes in one stacked eigensolve), and fits gap ~ s_v * t through the
+    origin per direction. Certifies iff the smallest slope clears ``c_min``
+    and every per-direction relative fit residual is at most
+    ``residual_max``; a large residual indicates tangential or higher-order
+    contact.
 
     Raises
     ------
@@ -216,15 +261,12 @@ def test_conicality(
     )
     directions = np.vstack([axis_directions(H.m), sphere_directions(H.m, n_directions, rng_seed)])
     radii = np.array([t0, t0 / 2, t0 / 4])
-    slopes = np.empty(directions.shape[0])
-    residuals = np.empty(directions.shape[0])
-    for i, v in enumerate(directions):
-        g = np.array([_gap_value(H, u_star + t * v, level) for t in radii])
-        s = float(radii @ g / (radii @ radii))
-        misfit = g - s * radii
-        denom = max(float(np.linalg.norm(g)), 1e-300)
-        slopes[i] = s
-        residuals[i] = float(np.linalg.norm(misfit)) / denom
+    probes = u_star + radii[None, :, None] * directions[:, None, :]
+    lam = np.linalg.eigvalsh(H.matrices_at(probes.reshape(-1, H.m))).reshape(*probes.shape[:2], n)
+    g = lam[:, :, level] - lam[:, :, level - 1]
+    slopes = g @ radii / (radii @ radii)
+    misfit = g - slopes[:, None] * radii
+    residuals = np.linalg.norm(misfit, axis=1) / np.maximum(np.linalg.norm(g, axis=1), 1e-300)
 
     def _reject(reason: str) -> ConicalityResult:
         return ConicalityResult(
@@ -316,8 +358,8 @@ def certify_connectedness(
 ) -> ConnectednessReport:
     """Search every adjacent level pair for a certified conical intersection.
 
-    For each level j runs a multistart gap minimization from ``seed_budget``
-    low-discrepancy seeds (plus optional user hints) and submits any located
+    For each level j runs ``locate_intersection`` from the user hints, if any,
+    followed by ``seed_budget`` low-discrepancy seeds, and submits the located
     point to the conicality test. Status is "certified" iff every level has a
     conical certificate with all other levels simple there; otherwise
     "incomplete". Incompleteness is a status, not an error.

@@ -198,8 +198,8 @@ class ControlHamiltonian:
 
     @cached_property
     def _controlled_stack(self) -> np.ndarray:
-        """(m, n*n) rows of the controlled matrices, built on first evaluation."""
-        return _freeze(np.stack([h.matrix.ravel() for h in self.controlled]))
+        """(m, n, n) stack of the controlled matrices, built on first evaluation."""
+        return _freeze(np.stack([h.matrix for h in self.controlled]))
 
     @cached_property
     def energy_scale(self) -> float:
@@ -220,18 +220,27 @@ class ControlHamiltonian:
         return float(np.max(lam[:, -1] - lam[:, 0]))
 
     def matrix_at(self, u) -> np.ndarray:
-        """Raw matrix of H(u); fast path used by inner loops."""
+        """Raw matrix of H(u), bitwise equal to the matching row of ``matrices_at``."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise StructuralError(f"control point must have length {self.m}, got shape {u.shape}")
-        return self.drift.matrix + (u @ self._controlled_stack).reshape(self.dim, self.dim)
+        return self.matrices_at(u[None])[0]
 
     def matrices_at(self, U) -> np.ndarray:
-        """Raw matrices H(U[k]) stacked as (N, n, n) for control points U of shape (N, m)."""
+        """Raw matrices H(U[k]) stacked as (N, n, n) for control points U of shape (N, m).
+
+        Every entry is summed term by term in a fixed order, so row k is bitwise
+        the same whichever other rows share the call; a BLAS product would not
+        promise that, since its kernel, and so its rounding, depends on N.
+        """
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.m:
             raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
-        return self.drift.matrix + (U @ self._controlled_stack).reshape(-1, self.dim, self.dim)
+        ops = self._controlled_stack
+        out = self.drift.matrix + U[:, 0, None, None] * ops[0]
+        for l in range(1, self.m):
+            out += U[:, l, None, None] * ops[l]
+        return out
 
     def norm_bound(self, u) -> float:
         """Upper bound on the spectral norm of H(u) via the triangle inequality."""

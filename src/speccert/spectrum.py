@@ -250,10 +250,12 @@ def track(
             )
     n = H.dim
     lip = float(np.sum(H.control_norms()))
-    margin = 1e-7 * (1.0 + lip)
+    tol = degeneracy_tol(H)
+    # relative to H, like lip, so the check bites in every energy unit
+    margin = tol + 1e-7 * lip
     points = decompose_many(H, pts)
     labels = np.empty((len(pts), n), dtype=int)
-    continuer = _BranchContinuer(points[0], degeneracy_tol(H))
+    continuer = _BranchContinuer(points[0], tol)
     labels[0] = continuer.labels
     for k in range(1, len(pts)):
         sp, prev = points[k], points[k - 1]

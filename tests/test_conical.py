@@ -12,8 +12,11 @@ from speccert import (
     locate_intersection,
     test_conicality,
 )
+from speccert.certify import _perturbed, _random_family
+from speccert import conical
+from speccert.conical import INTERIOR_REL_MARGIN
 from speccert.sampling import box_sequence
-from conftest import SIGMA_X, SIGMA_Z, make_family
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 
 
 @pytest.fixture
@@ -37,6 +40,43 @@ def boundary_pair_family():
         [block_diag(SIGMA_X, SIGMA_X), block_diag(SIGMA_Z, SIGMA_Z)],
         [[-1, 1], [-1, 1]],
     )
+
+
+@pytest.fixture
+def double_cone_family():
+    """Levels 2, 3 meet in two interior cones, at (0, 0) and at (1, 0)."""
+    z = np.zeros((2, 2))
+    return make_family(
+        block_diag(z, -SIGMA_X),
+        [block_diag(SIGMA_X, SIGMA_X), block_diag(SIGMA_Z, SIGMA_Z)],
+        [[-1, 2], [-1, 1]],
+    )
+
+
+def planted_cone(a, coupling: float = 0.0):
+    """u1 sigma_x + u2 sigma_y + u3 sigma_z shifted to a, embedded at n = 3.
+
+    Levels 1, 2 meet where the 2x2 block vanishes; ``coupling`` links the
+    block to the third level through a complex entry, which moves the point
+    away from a.
+    """
+    drift = np.zeros((3, 3), dtype=complex)
+    drift[:2, :2] = -(a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z)
+    drift[2, 2] = 3.0
+    drift[0, 2] = coupling * (1 + 1j)
+    drift[2, 0] = np.conj(drift[0, 2])
+    controls = [block_diag(sigma, np.zeros((1, 1))) for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    return make_family(drift, controls, [[-1, 1]] * 3)
+
+
+def _drawn_family(seed: int, n: int, m: int):
+    """The ensemble's draw: real symmetric for m = 2, complex Hermitian for m = 3, box [-2, 2]^m."""
+    return _random_family(np.random.default_rng(seed), n, m, 2.0)
+
+
+def _is_interior(H, u) -> bool:
+    margin = INTERIOR_REL_MARGIN * (H.box[:, 1] - H.box[:, 0])
+    return bool(np.all(u > H.box[:, 0] + margin) and np.all(u < H.box[:, 1] - margin))
 
 
 @pytest.fixture
@@ -88,11 +128,110 @@ class TestLocateIntersection:
     )
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 8), extra=st.integers(1, 16))
     def test_larger_budget_keeps_a_found_intersection(self, boundary_pair_family, seed, k, extra):
-        # box_sequence is prefix-stable, so the larger budget retries every smaller-budget seed
+        # box_sequence is prefix-stable, so the larger budget retries every smaller-budget
+        # seed, and the first seed that hits is the same seed, reaching the same point
         H = boundary_pair_family
         small = locate_intersection(H, 2, box_sequence(H.box, k, seed))
         large = locate_intersection(H, 2, box_sequence(H.box, k + extra, seed))
-        assert small is None or large is not None
+        assert small is None or (large is not None and np.array_equal(small, large))
+
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 8), extra=st.integers(1, 16))
+    def test_larger_budget_reports_the_same_of_two_cones(self, double_cone_family, seed, k, extra):
+        H = double_cone_family
+        small = locate_intersection(H, 2, box_sequence(H.box, k, seed))
+        large = locate_intersection(H, 2, box_sequence(H.box, k + extra, seed))
+        assert small is None or (large is not None and np.array_equal(small, large))
+
+    def test_seed_ending_on_the_box_edge_restarts(self, boundary_pair_family):
+        # the run from (0.9, 0.05) reaches the edge cone at (1, 0); a restart finds (0, 0)
+        u = locate_intersection(boundary_pair_family, 2, [[0.9, 0.05]])
+        assert u is not None
+        assert np.linalg.norm(u) < 1e-6
+
+    def test_stalled_seed_restarts(self, monkeypatch):
+        # without restarts this seed's only run ends short of a degeneracy
+        H = _drawn_family(0, 4, 2)
+        seed = box_sequence(H.box, 4, 0)[1]
+        monkeypatch.setattr(conical, "RESTARTS", 0)
+        assert locate_intersection(H, 1, [seed]) is None
+        monkeypatch.undo()
+        u = locate_intersection(H, 1, [seed])
+        assert u is not None
+        assert _is_interior(H, u)
+        assert decompose(H, u).gap(1) <= degeneracy_tol(H)
+
+    def test_first_hit_in_seed_order_is_returned(self, double_cone_family):
+        H = double_cone_family
+        near_second, near_first = [0.9, 0.1], [0.1, -0.1]
+        u = locate_intersection(H, 2, [near_second, near_first])
+        assert np.linalg.norm(u - [1.0, 0.0]) < 1e-6
+        u = locate_intersection(H, 2, [near_first, near_second])
+        assert np.linalg.norm(u) < 1e-6
+
+    def test_quadratic_convergence_on_the_two_level_cone(self, two_level_cone):
+        # seed at distance 0.5; the pair block is exactly affine, so the solve is exact
+        u = locate_intersection(two_level_cone, 1, [[0.3, 0.4]])
+        assert np.linalg.norm(u) <= 1e-12
+
+    def test_quadratic_convergence_on_the_shifted_cone(self, shifted_cone):
+        u = locate_intersection(shifted_cone, 1, [[0.3, -0.6]])
+        assert np.linalg.norm(u - [0.0, -1.0]) <= 1e-12
+
+    def test_planted_complex_cone_located(self):
+        a = np.array([0.3, -0.2, 0.1])
+        H = planted_cone(a)
+        u = locate_intersection(H, 1, box_sequence(H.box, 3, seed=0))
+        assert np.linalg.norm(u - a) <= 1e-12
+
+    def test_coupled_complex_cone_located_and_conical(self):
+        # the complex coupling to level 3 moves the cone off a; the Im row is needed to find it
+        H = planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3)
+        u = locate_intersection(H, 1, box_sequence(H.box, 3, seed=0))
+        assert u is not None
+        assert decompose(H, u).gap(1) <= degeneracy_tol(H)
+        assert test_conicality(H, u, 1).conical
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 5), m=st.integers(2, 3))
+    def test_returned_points_are_interior_degeneracies(self, seed, n, m):
+        H = _drawn_family(seed, n, m)
+        tau = degeneracy_tol(H)
+        seeds = box_sequence(H.box, 4, seed)
+        for j in range(1, n):
+            u = locate_intersection(H, j, seeds)
+            if u is not None:
+                assert _is_interior(H, u)
+                assert decompose(H, u).gap(j) <= tau
+
+    def test_random_families_have_located_intersections(self):
+        # keeps the property above from passing vacuously
+        found = 0
+        for seed in range(5):
+            H = _drawn_family(seed, 4, 2)
+            seeds = box_sequence(H.box, 4, seed)
+            found += sum(locate_intersection(H, j, seeds) is not None for j in range(1, 4))
+        assert found >= 5
+
+    def test_warm_start_relocates_perturbed_family(self, three_level_chain):
+        # the ensemble's persistence path: re-locate from u_star after a 1e-3 perturbation
+        H = three_level_chain
+        rng = np.random.default_rng(4)
+        for j in (1, 2):
+            u_star = locate_intersection(H, j, box_sequence(H.box, 12, seed=5))
+            Hp = _perturbed(H, rng, 1e-3)
+            u_new = locate_intersection(Hp, j, [u_star])
+            assert u_new is not None
+            assert np.linalg.norm(u_new - u_star) <= 10 * 1e-3
+
+    def test_empty_seeds_find_nothing(self, two_level_cone):
+        assert locate_intersection(two_level_cone, 1, []) is None
+
+    def test_seed_of_wrong_length_rejected(self, two_level_cone):
+        with pytest.raises(PreconditionError):
+            locate_intersection(two_level_cone, 1, [[0.1, 0.1, 0.1]])
 
     def test_seed_outside_box_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
@@ -152,6 +291,23 @@ class TestConicality:
         assert cert.c_hat > 0
         assert cert.c_hat <= np.min(cert.direction_slopes) + 1e-15
 
+    @pytest.mark.parametrize("family", ["chain", "random"])
+    def test_probes_match_a_per_probe_loop(self, three_level_chain, family):
+        if family == "chain":
+            H, level = three_level_chain, 1
+        else:
+            H, level = _drawn_family(1, 4, 2), 2
+        u_star = locate_intersection(H, level, box_sequence(H.box, 8, seed=0))
+        result = test_conicality(H, u_star, level)
+        radii = 1e-3 * H.box_diameter() * np.array([1.0, 0.5, 0.25])
+        for v, slope, residual in zip(result.directions, result.slopes, result.fit_residuals):
+            lam = [np.linalg.eigvalsh(H.matrix_at(u_star + t * v)) for t in radii]
+            g = np.array([x[level] - x[level - 1] for x in lam])
+            s = float(radii @ g / (radii @ radii))
+            fit = np.linalg.norm(g - s * radii) / np.linalg.norm(g)
+            assert slope == pytest.approx(s, abs=1e-12)
+            assert residual == pytest.approx(fit, abs=1e-12)
+
     def test_c_hat_converges_with_radius(self, two_level_cone):
         errs = []
         for t0 in (1e-2, 1e-3, 1e-4):
@@ -188,6 +344,13 @@ class TestCertifyConnectedness:
         assert set(report.certificates) == {1, 2}
         for cert in report.certificates.values():
             assert cert.others_simple
+
+    def test_hint_that_hits_comes_before_box_seeds(self, double_cone_family):
+        H = double_cone_family
+        plain = certify_connectedness(H, 8, rng_seed=0)
+        hinted = certify_connectedness(H, 8, rng_seed=0, hints=[[0.9, 0.1]])
+        assert np.linalg.norm(plain.certificates[2].u_star) < 1e-6
+        assert np.linalg.norm(hinted.certificates[2].u_star - [1.0, 0.0]) < 1e-6
 
     def test_scalar_family_incomplete(self, scalar_family):
         report = certify_connectedness(scalar_family, 4, rng_seed=0)

@@ -186,6 +186,22 @@ class TestMatricesAt:
             single = H.matrix_at(U[k])
             assert np.max(np.abs(stacked[k] - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        m=st.integers(2, 4),
+        count=st.integers(1, 20),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, seed, n, m, count):
+        # the locator runs seeds in lockstep batches that shrink as seeds end
+        H = random_family(seed, n, m)
+        U = np.random.default_rng(seed + 1).uniform(-2, 2, (count, m))
+        stacked = H.matrices_at(U)
+        for k in range(count):
+            assert np.array_equal(stacked[k], H.matrix_at(U[k]))
+            assert np.array_equal(stacked[k], H.matrices_at(U[k:])[0])
+
     def test_wrong_shape_raises(self, two_level_cone):
         with pytest.raises(StructuralError):
             two_level_cone.matrices_at(np.zeros((4, 3)))

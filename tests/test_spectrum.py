@@ -224,6 +224,14 @@ class TestTrack:
                 step = np.linalg.norm(path[k + 1] - path[k])
                 assert abs(vals[k + 1] - vals[k]) <= L * step + 1e-9
 
+    @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+    def test_lipschitz_bound_scales_with_the_family(self, three_level_chain, s):
+        # the branch-jump margin is relative to H, so no unit-bearing floor remains
+        path = [np.array([-0.3 + 0.01 * k, 0.4 - 0.005 * k]) for k in range(60)]
+        bound = track(three_level_chain, path).lipschitz_bound
+        scaled_bound = track(scaled(three_level_chain, s), path).lipschitz_bound
+        assert scaled_bound == pytest.approx(s * bound, rel=1e-12)
+
     def test_csv_export(self, tmp_path, two_level_cone):
         path = [np.array([x, 0.0]) for x in np.linspace(-0.2, 0.2, 5)]
         tracked = track(two_level_cone, path)
