@@ -364,6 +364,10 @@ def climb(
     in order. Each passage is straight through its intersection, aimed at the
     next one; connectors between passages detour by a perpendicular offset
     whenever they would come within ``delta`` of another located intersection.
+    By default ``rho`` is 0.8 times the smallest of the intersections' box
+    clearances and half their pairwise distances (at most a quarter of the box
+    diagonal), so the passage balls lie in the box and do not overlap, and
+    ``delta`` is rho/2.
     Returns the plan, the trajectory, and the final population of the top
     sorted level at the end point.
 
@@ -383,6 +387,14 @@ def climb(
     if rho is None:
         clearances = [
             min(float(np.min(p - box[:, 0])), float(np.min(box[:, 1] - p))) for p in points
+        ]
+        # half the spacing of two intersections keeps their passages apart:
+        # a longer passage would run past the next one's entry, or through the
+        # next intersection, and the path would double back between them
+        clearances += [
+            0.5 * float(np.linalg.norm(p - q))
+            for i, p in enumerate(points)
+            for q in points[i + 1 :]
         ]
         rho = 0.8 * min(clearances)
         rho = min(rho, 0.25 * H.box_diameter())

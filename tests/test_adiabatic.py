@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from speccert import (
     BudgetError,
+    ConnectednessReport,
     ControlPath,
     GeometryError,
     PreconditionError,
@@ -232,6 +233,23 @@ class TestClimb:
         result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2)
         assert result.p_target >= 0.9
         assert np.max(result.trajectory.norm_defect) <= 1e-9
+
+    def test_passages_do_not_overlap(self, three_level_chain):
+        # (0, 0) and (0.75, 0) are 0.75 apart but 0.6 from the box edge, so a
+        # radius from the box clearance alone would overlap the two passages
+        certs = {
+            j: test_conicality(three_level_chain, u, j).certificate
+            for j, u in ((1, [0.0, 0.0]), (2, [0.75, 0.0]))
+        }
+        report = ConnectednessReport(
+            certificates=certs, failures={}, status="certified", metadata={}
+        )
+        result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2)
+        waypoints = np.array(result.path.waypoints)
+        start = int(np.argmin(np.linalg.norm(waypoints - [0.0, 0.0], axis=1)))
+        # from the first intersection on, the path only moves toward the second
+        assert np.all(np.diff(waypoints[start:, 0]) > 0)
+        assert result.p_target >= 0.9
 
     def test_uncertified_report_rejected(self, diag_family):
         report = certify_connectedness(diag_family, 4, rng_seed=3)
