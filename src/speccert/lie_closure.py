@@ -1,10 +1,11 @@
 """Real Lie algebra generated by skew-Hermitian matrices under iterated brackets.
 
-The closure is computed by breadth-first bracketing against an orthonormal
-basis of the span (real inner product Re tr(A^dagger B)). Classification is
-by dimension: the full algebra has dimension n^2, its traceless part n^2 - 1,
-and for even n the quaternionic candidate has dimension n(n+1)/2, resolved by
-an explicit antiunitary-structure witness search.
+The closure is grown breadth-first on an orthonormal basis of the span (real
+inner product Re tr(A^dagger B)), bracketing new directions with the
+generators only (see ``closure``). Classification is by dimension: the full
+algebra has dimension n^2, its traceless part n^2 - 1, and for even n the
+quaternionic candidate has dimension n(n+1)/2, resolved by an explicit
+antiunitary-structure witness search.
 """
 
 from __future__ import annotations
@@ -29,46 +30,51 @@ CLASS_OTHER = "other"
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+    """Real coordinates of each matrix in a stack (..., n, n), one row per matrix."""
+    lead = a.shape[:-2]
+    return np.concatenate([a.real.reshape(*lead, -1), a.imag.reshape(*lead, -1)], axis=-1)
 
 
 def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    re = v[: n * n].reshape(n, n)
-    im = v[n * n:].reshape(n, n)
-    m = re + 1j * im
+    m = (v[..., : n * n] + 1j * v[..., n * n:]).reshape(*v.shape[:-1], n, n)
     # the skew-Hermitian subspace is closed under projection; fold roundoff back
-    return (m - m.conj().T) / 2
+    return (m - np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 class _SpanBasis:
-    """Orthonormal basis of a growing subspace of skew-Hermitian matrices."""
+    """Orthonormal basis (rows ``vectors[:dim]``) of a growing space of skew-Hermitian matrices."""
 
     def __init__(self, n: int):
         self.n = n
-        self.vectors = np.zeros((0, 2 * n * n))
-        self.matrices: list = []
+        self.dim = 0
+        self.vectors = np.zeros((n * n, 2 * n * n))
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrices)
-
-    def try_add(self, mat: np.ndarray, rel_tol: float = RANK_TOL) -> bool:
-        """Add the component of ``mat`` orthogonal to the span; False if dependent."""
-        v = _vec(mat)
+    def try_add(self, v: np.ndarray, rel_tol: float = RANK_TOL) -> bool:
+        """Add the component of ``v`` orthogonal to the span; False if dependent."""
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
+        q = self.vectors[: self.dim]
         # two projection passes keep orthogonality near machine precision
         for _ in range(2):
-            if self.dim:
-                v = v - self.vectors.T @ (self.vectors @ v)
+            v = v - q.T @ (q @ v)
         resid = float(np.linalg.norm(v))
         if resid <= rel_tol * norm0:
             return False
-        v /= resid
-        self.vectors = np.vstack([self.vectors, v])
-        self.matrices.append(_unvec(v, self.n))
+        self.vectors[self.dim] = v / resid
+        self.dim += 1
         return True
+
+    def extend(self, candidates: np.ndarray, rel_tol: float) -> None:
+        """``try_add`` each candidate row in order, stopping once the span is all of u(n)."""
+        for v in candidates:
+            if self.dim == len(self.vectors):
+                return
+            self.try_add(v, rel_tol=rel_tol)
+
+    def matrices(self, start: int = 0) -> np.ndarray:
+        """Basis elements from ``start`` on as a stack of skew-Hermitian matrices."""
+        return _unvec(self.vectors[start: self.dim], self.n)
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,13 @@ def _classify(dim: int, n: int, traceless: bool, basis: list) -> str:
 def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     """Close a generating set of skew-Hermitian matrices under commutators.
 
-    Breadth-first: every sweep brackets the newest basis elements against the
-    whole basis, orthonormalizes genuinely new directions (relative rank
-    tolerance ``rank_tol``), and stops when no growth remains. Brackets with
-    norm below 1e-12 * ||A|| ||B|| are treated as zero. Terminates because
-    the dimension is bounded by n^2.
+    Breadth-first: every sweep brackets the elements the last sweep added with
+    the orthonormalised generator span, keeps genuinely new directions
+    (relative rank tolerance ``rank_tol``), and stops when none remain or the
+    span is all of u(n). That is the whole closure: the Lie algebra generated
+    by X is spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]]
+    with every x_i in X, and each is ad_x of a shorter one for some x in X.
+    Brackets of these unit-norm elements with norm below 1e-12 count as zero.
 
     Raises
     ------
@@ -151,30 +159,19 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     if any(g.shape[0] != n for g in gens):
         raise StructuralError("generators must share a common dimension")
     traceless = all(
-        abs(complex(np.trace(g))) <= TRACE_TOL * max(1.0, float(np.linalg.norm(g)))
-        for g in gens
+        abs(complex(np.trace(g))) <= TRACE_TOL * float(np.linalg.norm(g)) for g in gens
     )
     basis = _SpanBasis(n)
-    frontier_start = 0
-    for g in gens:
-        basis.try_add(g, rel_tol=rank_tol)
-    full_dim = n * n
-    while frontier_start < basis.dim and basis.dim < full_dim:
-        frontier_end = basis.dim
-        for i in range(frontier_start, frontier_end):
-            a = basis.matrices[i]
-            for j in range(frontier_end):
-                b = basis.matrices[j]
-                c = a @ b - b @ a
-                if float(np.linalg.norm(c)) <= BRACKET_ZERO_TOL:
-                    continue
-                basis.try_add(c, rel_tol=rank_tol)
-                if basis.dim >= full_dim:
-                    break
-            if basis.dim >= full_dim:
-                break
-        frontier_start = frontier_end
-    mats = tuple(basis.matrices)
+    basis.extend(_vec(np.array(gens)), rel_tol=rank_tol)
+    span = basis.matrices()
+    start = 0
+    while start < basis.dim < n * n:
+        frontier = basis.matrices(start)[:, None]
+        start = basis.dim
+        brackets = _vec(frontier @ span - span @ frontier).reshape(-1, 2 * n * n)
+        nonzero = np.linalg.norm(brackets, axis=1) > BRACKET_ZERO_TOL
+        basis.extend(brackets[nonzero], rel_tol=rank_tol)
+    mats = tuple(basis.matrices())
     return LieClosureResult(
         dimension=basis.dim,
         basis=mats,
@@ -209,7 +206,7 @@ def _sp_witness(basis, n: int, tol: float = 1e-6) -> bool:
         # vec(J X - conj(X) J) = (X^T kron I - I kron conj(X)) vec(J)
         rows.append(np.kron(np.asarray(x).T, eye) - np.kron(eye, np.conj(x)))
     stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     scale = float(svals[0]) if svals.size else 0.0
     if scale == 0.0:
         return False

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speccert import (
     StructuralError,
@@ -13,6 +15,7 @@ from speccert.lie_closure import (
     CLASS_SP_CANDIDATE,
     CLASS_TRACELESS,
     LieClosureResult,
+    _classify,
     _sp_witness,
 )
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
@@ -112,11 +115,10 @@ class TestGeneratorsFrom:
         assert result.classification == CLASS_TRACELESS
 
 
-def sp2_element(rng):
-    """Random element of compact sp(2) in u(4): [[A, B], [-conj(B), conj(A)]]."""
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    A = (a - a.conj().T) / 2
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def sp_element(rng, k):
+    """Random element of compact sp(k) in u(2k): [[A, B], [-conj(B), conj(A)]]."""
+    A = random_skew(rng, k)
+    b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     B = (b + b.T) / 2
     top = np.hstack([A, B])
     bot = np.hstack([-np.conj(B), np.conj(A)])
@@ -145,12 +147,13 @@ class TestClassifyTransitive:
         assert verdict.controllable_on_group
         assert verdict.controllable_on_sphere
 
-    def test_sp2_subalgebra_controls_sphere_only(self):
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_sp2_subalgebra_controls_sphere_only(self, k):
         rng = np.random.default_rng(10)
-        result = closure([sp2_element(rng) for _ in range(3)])
-        assert result.dimension == 10
+        result = closure([sp_element(rng, k) for _ in range(3)])
+        assert result.dimension == k * (2 * k + 1)
         assert result.classification == CLASS_SP_CANDIDATE
-        verdict = classify_transitive(result, 4)
+        verdict = classify_transitive(result, 2 * k)
         assert verdict.controllable_on_sphere is True
         assert not verdict.controllable_on_group
 
@@ -201,3 +204,110 @@ class TestConjugationInvariance:
             rotated = [q @ g @ q.conj().T for g in gens]
             rotated = [(g - g.conj().T) / 2 for g in rotated]  # fold roundoff
             assert closure(rotated).dimension == closure(gens).dimension
+
+
+def reference_closure(generators, rank_tol=1e-9):
+    """All-pairs breadth-first closure: every sweep brackets its new elements with the whole basis.
+
+    A slower route to the same span, kept as the reference for ``closure``.
+    """
+    n = generators[0].shape[0]
+    vectors = np.zeros((0, 2 * n * n))
+    matrices = []
+
+    def try_add(mat):
+        nonlocal vectors
+        v = np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            return
+        for _ in range(2):
+            v = v - vectors.T @ (vectors @ v)
+        resid = np.linalg.norm(v)
+        if resid <= rank_tol * norm0:
+            return
+        v = v / resid
+        vectors = np.vstack([vectors, v])
+        m = (v[: n * n] + 1j * v[n * n:]).reshape(n, n)
+        matrices.append((m - m.conj().T) / 2)
+
+    for g in generators:
+        try_add(g)
+    start = 0
+    while start < len(matrices) < n * n:
+        stop = len(matrices)
+        for a in matrices[start:stop]:
+            for b in matrices[:stop]:
+                c = comm(a, b)
+                if np.linalg.norm(c) > 1e-12 and len(matrices) < n * n:
+                    try_add(c)
+        start = stop
+    traceless = all(abs(np.trace(g)) <= 1e-10 * np.linalg.norm(g) for g in generators)
+    return len(matrices), _classify(len(matrices), n, traceless, matrices)
+
+
+STRUCTURED_KINDS = ["block", "sp", "real", "chain"]
+
+
+def structured_generators(kind, n, seed):
+    """Generators of a reducible, quaternionic, real or sparse-chain algebra in u(n) (sp: u(2k))."""
+    rng = np.random.default_rng(seed)
+    if kind == "block":
+        k = n // 2
+        gens = []
+        for _ in range(3):
+            g = np.zeros((n, n), dtype=complex)
+            g[:k, :k] = random_skew(rng, k)
+            g[k:, k:] = random_skew(rng, n - k)
+            gens.append(g)
+        return gens
+    if kind == "sp":
+        return [sp_element(rng, max(1, n // 2)) for _ in range(3)]
+    if kind == "real":
+        return [1j * (s + s.T) / 2 for s in rng.standard_normal((3, n, n))]
+    # a chain: diagonal drift, one control coupling nearest neighbours only
+    coupling = np.diag(rng.standard_normal(n - 1), 1)
+    return [1j * np.diag(rng.standard_normal(n)), 1j * (coupling + coupling.T)]
+
+
+def assert_closed_under_brackets(result):
+    """Every bracket of two basis elements lies in the basis span."""
+    basis = np.array(result.basis)
+    q = np.concatenate([basis.real, basis.imag], axis=-1).reshape(len(basis), -1)
+    c = basis[:, None] @ basis - basis @ basis[:, None]
+    c = np.concatenate([c.real, c.imag], axis=-1).reshape(len(basis) ** 2, -1)
+    assert np.max(np.linalg.norm(c - (c @ q.T) @ q, axis=1)) <= 1e-9
+
+
+class TestAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(STRUCTURED_KINDS),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-3, 3),
+    )
+    def test_matches_all_pairs_closure(self, kind, n, seed, log_scale):
+        gens = [10.0**log_scale * g for g in structured_generators(kind, n, seed)]
+        result = closure(gens)
+        assert (result.dimension, result.classification) == reference_closure(gens)
+        assert_closed_under_brackets(result)
+
+
+class TestGeneratorScale:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["pauli"] + STRUCTURED_KINDS),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        k=st.integers(-21, 8),
+    )
+    @example(kind="pauli", n=2, seed=0, k=-21)
+    @example(kind="sp", n=4, seed=0, k=8)
+    def test_invariant_under_generator_scale(self, kind, n, seed, k):
+        if kind == "pauli":
+            gens = [1j * np.eye(2), 1j * SIGMA_X, 1j * SIGMA_Z]
+        else:
+            gens = structured_generators(kind, n, seed)
+        # dimension, classification, traceless_generators and n
+        assert closure([10.0**k * g for g in gens]).to_json_dict() == closure(gens).to_json_dict()
