@@ -25,9 +25,9 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .operators import ControlHamiltonian
+from .operators import ControlHamiltonian, _finite_array
 from .resonance import check_nonresonant
-from .spectrum import _BranchContinuer, decompose, decompose_many, degeneracy_tol
+from .spectrum import continue_branches, decompose, decompose_many, degeneracy_tol
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
@@ -53,10 +53,10 @@ class ControlPath:
     epsilon: float
 
     def __post_init__(self):
-        wps = tuple(np.asarray(w, dtype=float) for w in self.waypoints)
-        if not wps:
-            raise StructuralError("a path needs at least one waypoint")
-        dur = np.asarray(self.durations, dtype=float)
+        wps = _finite_array(self.waypoints, "waypoints").astype(float)
+        if wps.ndim != 2 or not len(wps):
+            raise StructuralError("a path needs one or more waypoints of one common length")
+        dur = _finite_array(self.durations, "durations").astype(float)
         expected = 1 if len(wps) == 1 else len(wps) - 1
         if dur.shape != (expected,):
             raise StructuralError(
@@ -64,13 +64,14 @@ class ControlPath:
             )
         if not np.all(dur > 0):
             raise StructuralError("all segment durations must be positive")
-        if self.epsilon <= 0:
-            raise StructuralError("epsilon must be positive")
-        for w in wps:
-            w.setflags(write=False)
+        epsilon = _finite_array(self.epsilon, "epsilon")
+        if epsilon.shape != () or not epsilon > 0:
+            raise StructuralError("epsilon must be a positive number")
+        wps.setflags(write=False)
         dur.setflags(write=False)
-        object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "waypoints", tuple(wps))
         object.__setattr__(self, "durations", dur)
+        object.__setattr__(self, "epsilon", float(epsilon))
 
     @property
     def total_time(self) -> float:
@@ -96,15 +97,23 @@ class ControlPath:
 
 
 def load_path(path) -> ControlPath:
-    d = json.loads(Path(path).read_text())
+    """Read a ControlPath from its JSON document.
+
+    Raises
+    ------
+    StructuralError
+        If the file is not JSON or the document is not a valid path.
+    """
     try:
-        return ControlPath(
-            waypoints=tuple(np.asarray(w, dtype=float) for w in d["waypoints"]),
-            durations=np.asarray(d["durations"], dtype=float),
-            epsilon=float(d["epsilon"]),
-        )
-    except KeyError as exc:
-        raise StructuralError(f"malformed path document: missing {exc}") from exc
+        d = json.loads(Path(path).read_text())
+        fields = d["waypoints"], d["durations"], d["epsilon"]
+    except json.JSONDecodeError as exc:
+        raise StructuralError(
+            f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"malformed path document {path}: {exc!r}") from exc
+    return ControlPath(*fields)
 
 
 @dataclass(frozen=True)
@@ -153,9 +162,9 @@ class StateTrajectory:
 
 
 def branch_populations(frame: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """|<phi_j, psi>|^2 per frame column; invariant under column phases."""
-    amps = frame.conj().T @ psi
-    return np.abs(amps) ** 2
+    """|<phi_j, psi>|^2 per frame column, over stacks too; invariant under column phases."""
+    amps = np.swapaxes(frame.conj(), -1, -2) @ np.asarray(psi)[..., None]
+    return np.abs(amps[..., 0]) ** 2
 
 
 def propagate(
@@ -178,10 +187,17 @@ def propagate(
 
     Raises
     ------
+    PreconditionError
+        If ``psi0`` is not a unit vector, ``step_limit`` is not finite and
+        positive, or ``max_records`` is not a positive integer.
     BudgetError
         If the required number of steps exceeds 1e8; slower paths should use
         a larger epsilon.
     """
+    if not (math.isfinite(step_limit) and step_limit > 0):
+        raise PreconditionError(f"step_limit must be finite and positive, got {step_limit}")
+    if not (isinstance(max_records, (int, np.integer)) and max_records >= 1):
+        raise PreconditionError(f"max_records must be a positive integer, got {max_records}")
     psi = np.asarray(psi0, dtype=complex).copy()
     if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_TOL:
         raise PreconditionError("initial state must have unit norm")
@@ -229,16 +245,17 @@ def propagate(
     norm_defect = np.abs(np.linalg.norm(states_arr, axis=1) - 1.0)
     populations = np.empty((times_arr.shape[0], n))
     labels = np.empty((times_arr.shape[0], n), dtype=int)
+    ref = None
     # decomposed in blocks of the step chunk, so no frame outlives its block
     for start in range(0, times_arr.shape[0], chunk):
-        points = decompose_many(H, controls_arr[start : start + chunk])
-        if start == 0:
-            continuer = _BranchContinuer(points[0], degeneracy_tol(H))
-        for k, sp in enumerate(points, start):
-            # the first point matches its own frame, which keeps labels 1..n
-            labels[k] = continuer.step(sp)
-            # branch_populations returns values by sorted position; store by label
-            populations[k, labels[k] - 1] = branch_populations(sp.frame, states_arr[k])
+        block = slice(start, start + chunk)
+        points = decompose_many(H, controls_arr[block])
+        lam = np.array([sp.eigenvalues for sp in points])
+        frames = np.array([sp.frame for sp in points])
+        labels[block], ref = continue_branches(lam, frames, degeneracy_tol(H), ref)
+        # branch_populations returns values by sorted position; store them by label
+        pops = branch_populations(frames, states_arr[block])
+        populations[block] = np.take_along_axis(pops, np.argsort(labels[block], axis=1), axis=1)
     return StateTrajectory(
         times=times_arr,
         controls=controls_arr,

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adiabatic import load_path, plan_passage, propagate
+from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, degeneracy_tol, locate_intersection, test_conicality
 from .errors import SpeccertError
 from .operators import ControlHamiltonian
 from .sampling import box_sequence
-from .spectrum import decompose
+from .spectrum import decompose, decompose_many
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -41,6 +41,17 @@ def _load_input(path_str: str) -> ControlHamiltonian:
             f"malformed JSON in {path_str}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         ) from exc
     return ControlHamiltonian.from_json_dict(doc)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a flag whose value must be a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _outdir(args) -> Path:
@@ -69,9 +80,13 @@ def _cmd_spectrum(args) -> int:
             + [f"u_{l + 1}" for l in range(H.m)]
             + [f"lambda_{j + 1}" for j in range(H.dim)]
         )
-        for k, u in enumerate(points):
-            lam = decompose(H, u).eigenvalues
-            writer.writerow([k] + [repr(float(x)) for x in u] + [repr(float(x)) for x in lam])
+        # decomposed in blocks of bounded size, never as one stack over the grid
+        block = max(1, STEP_CHUNK_ELEMS // H.dim**2)
+        for start in range(0, len(points), block):
+            for k, sp in enumerate(decompose_many(H, points[start : start + block]), start):
+                writer.writerow(
+                    [k] + [repr(float(x)) for x in sp.u] + [repr(float(x)) for x in sp.eigenvalues]
+                )
     print(f"wrote {points.shape[0]} rows to {target}")
     return EXIT_OK
 
@@ -134,12 +149,7 @@ def _cmd_simulate(args) -> int:
     path_file = Path(args.path)
     if not path_file.exists():
         raise FileNotFoundError(args.path)
-    try:
-        path = load_path(path_file)
-    except json.JSONDecodeError as exc:
-        raise SpeccertError(
-            f"malformed JSON in {args.path}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
-        ) from exc
+    path = load_path(path_file)
     sp = decompose(H, path.waypoints[0])
     if not 1 <= args.init_level <= H.dim:
         raise SpeccertError(f"--init-level must be in 1..{H.dim}")
@@ -184,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         if seed_required:
             p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-        p.add_argument("--tol-deg", type=float, default=None, help="degeneracy gap threshold")
+        p.add_argument(
+            "--tol-deg", type=_positive_float, default=None, help="degeneracy gap threshold"
+        )
 
     p = sub.add_parser("spectrum", help="eigenvalue sweep over the control box")
     add_common(p, seed_required=False)
@@ -200,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seed_required=True)
     p.add_argument("--budget", type=int, default=8, help="search seeds per level")
     p.add_argument("--resonance-budget", type=int, default=200, help="non-resonance samples")
-    p.add_argument("--tol-res", type=float, default=None, help="gap-separation threshold")
+    p.add_argument("--tol-res", type=_positive_float, default=None, help="gap-separation threshold")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("synthesize", help="plan a passage through one intersection")
     add_common(p, seed_required=True)
     p.add_argument("--level", type=int, required=True, help="lower level of the pair")
-    p.add_argument("--rho", type=float, required=True, help="entry/exit radius")
-    p.add_argument("--epsilon", type=float, required=True, help="slowness parameter")
+    p.add_argument("--rho", type=_positive_float, required=True, help="entry/exit radius")
+    p.add_argument("--epsilon", type=_positive_float, required=True, help="slowness parameter")
     p.add_argument("--budget", type=int, default=8, help="search seeds")
     p.set_defaults(func=_cmd_synthesize)
 

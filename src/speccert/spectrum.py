@@ -144,55 +144,38 @@ def gap(sp: SpectralPoint, j: int) -> float:
     return sp.gap(j)
 
 
-def _greedy_match(frame_old: np.ndarray, frame_new: np.ndarray) -> np.ndarray:
-    """Assign new columns to old columns by descending overlap.
+def continue_branches(lam: np.ndarray, frames: np.ndarray, tol: float, ref=None):
+    """Branch labels (K, n) of sorted spectra ``lam`` (K, n) with frames (K, n, n).
 
-    Returns ``match`` with match[new_col] = old_col. Greedy over descending
-    |<phi_old, phi_new>|; ties broken by (old, new) index order.
+    Each point's columns are matched greedily by descending overlap, ties in
+    (i, j) order, to its reference: the last earlier point whose adjacent gaps
+    all exceed ``tol``, else ``ref`` = (frame, labels), by default the first
+    point with labels 1..n. Skipping degenerate frames, which are ambiguous
+    within the crossing pair, is what exchanges the two crossing labels.
+    Also returns the reference for a stack that continues this one.
     """
-    n = frame_old.shape[1]
-    overlap = np.abs(frame_old.conj().T @ frame_new)
-    match = np.full(n, -1)
-    used_old = np.zeros(n, dtype=bool)
-    used_new = np.zeros(n, dtype=bool)
-    flat = [(-overlap[i, j], i, j) for i in range(n) for j in range(n)]
-    flat.sort()
-    assigned = 0
-    for _, i, j in flat:
-        if used_old[i] or used_new[j]:
-            continue
-        match[j] = i
-        used_old[i] = True
-        used_new[j] = True
-        assigned += 1
-        if assigned == n:
-            break
-    return match
-
-
-class _BranchContinuer:
-    """Carries branch labels along a frame sequence by maximal overlap.
-
-    Labels are matched against the last frame seen at a point whose adjacent
-    gaps all exceed ``tol``; frames at (numerically) degenerate points are
-    ambiguous within the crossing pair and are skipped as references, which
-    is what makes the two crossing labels exchange sorted positions across
-    an exact crossing.
-    """
-
-    def __init__(self, first: SpectralPoint, tol: float):
-        self.labels = np.arange(1, first.dim + 1)
-        self.ref_frame = first.frame
-        self.ref_labels = self.labels.copy()
-        self.tol = tol
-
-    def step(self, sp: SpectralPoint) -> np.ndarray:
-        match = _greedy_match(self.ref_frame, sp.frame)
-        self.labels = self.ref_labels[match]
-        if all(sp.gap(j) > self.tol for j in range(1, sp.dim)):
-            self.ref_frame = sp.frame
-            self.ref_labels = self.labels.copy()
-        return self.labels.copy()
+    K, n = lam.shape
+    if ref is None:
+        ref = (frames[0], np.arange(1, n + 1))
+    old = np.concatenate((ref[0][None], frames))
+    # old[up[e]] is the reference of old[e]; ref (e = 0) is its own
+    nondegenerate = np.all(np.diff(lam, axis=1) > tol, axis=1)
+    last = np.maximum.accumulate(np.where(nondegenerate, np.arange(1, K + 1), 0))
+    up = np.concatenate(([0, 0], last[:-1]))
+    overlap = np.abs(np.swapaxes(old[up[1:]].conj(), 1, 2) @ frames)
+    # perm[e] maps old[e]'s columns to its reference's; argmax's first maximum is the tie-break
+    perm = np.tile(np.arange(n), (K + 1, 1))
+    rows = np.arange(K)
+    for _ in range(n):
+        i, j = np.divmod(np.argmax(overlap.reshape(K, n * n), axis=1), n)
+        perm[rows + 1, j] = i
+        overlap[rows, i, :] = -1.0
+        overlap[rows, :, j] = -1.0
+    # pointer jumping: each round composes every map with its reference's
+    while np.any(up):
+        perm, up = np.take_along_axis(perm[up], perm, axis=1), up[up]
+    labels = np.asarray(ref[1])[perm]
+    return labels[1:], (old[last[-1]], labels[last[-1]])
 
 
 @dataclass(frozen=True)
@@ -210,11 +193,9 @@ class TrackedSpectrum:
 
     def branch_values(self, label: int) -> np.ndarray:
         """Eigenvalue series of one labeled branch."""
-        out = np.empty(len(self.points))
-        for k, sp in enumerate(self.points):
-            pos = int(np.nonzero(self.labels[k] == label)[0][0])
-            out[k] = sp.eigenvalues[pos]
-        return out
+        if not 1 <= label <= self.labels.shape[1]:
+            raise PreconditionError(f"no branch carries label {label}")
+        return np.array([sp.eigenvalues for sp in self.points])[self.labels == label]
 
 
 def track(
@@ -242,36 +223,29 @@ def track(
         raise StructuralError("path must contain at least one point")
     if step_bound is None:
         step_bound = 0.05 * H.box_diameter()
-    for k in range(len(pts) - 1):
-        d = float(np.linalg.norm(pts[k + 1] - pts[k]))
-        if d > step_bound:
-            raise RefinementNeededError(
-                f"path step {k}->{k + 1} has length {d:.3g} > step bound {step_bound:.3g}; refine the path"
-            )
-    n = H.dim
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if np.any(steps > step_bound):
+        k = int(np.argmax(steps > step_bound))
+        raise RefinementNeededError(
+            f"path step {k}->{k + 1} has length {steps[k]:.3g} > step bound {step_bound:.3g}; refine the path"
+        )
     lip = float(np.sum(H.control_norms()))
     tol = degeneracy_tol(H)
     # relative to H, like lip, so the check bites in every energy unit
     margin = tol + 1e-7 * lip
     points = decompose_many(H, pts)
-    labels = np.empty((len(pts), n), dtype=int)
-    continuer = _BranchContinuer(points[0], tol)
-    labels[0] = continuer.labels
-    for k in range(1, len(pts)):
-        sp, prev = points[k], points[k - 1]
-        labels[k] = continuer.step(sp)
-        # Lipschitz sanity per labeled branch; a gross violation means the
-        # matching lost a branch, which refinement would have prevented.
-        step = float(np.linalg.norm(pts[k] - pts[k - 1]))
-        for b in range(1, n + 1):
-            pos_new = int(np.nonzero(labels[k] == b)[0][0])
-            pos_old = int(np.nonzero(labels[k - 1] == b)[0][0])
-            dv = abs(sp.eigenvalues[pos_new] - prev.eigenvalues[pos_old])
-            if dv > 2.0 * (lip * step + margin):
-                raise NumericalError(
-                    f"branch continuation jumped by {dv:.3g} over a step of {step:.3g}",
-                    residual=dv,
-                )
+    lam = np.array([sp.eigenvalues for sp in points])
+    labels, _ = continue_branches(lam, np.array([sp.frame for sp in points]), tol)
+    # Lipschitz sanity per labeled branch; a gross violation means the
+    # matching lost a branch, which refinement would have prevented.
+    jumps = np.abs(np.diff(np.take_along_axis(lam, np.argsort(labels, axis=1), axis=1), axis=0))
+    over = jumps > 2.0 * (lip * steps + margin)[:, None]
+    if np.any(over):
+        k, b = np.unravel_index(np.argmax(over), over.shape)
+        raise NumericalError(
+            f"branch continuation jumped by {jumps[k, b]:.3g} over a step of {steps[k]:.3g}",
+            residual=float(jumps[k, b]),
+        )
     return TrackedSpectrum(points=tuple(points), labels=labels, lipschitz_bound=lip + margin)
 
 

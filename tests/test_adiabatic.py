@@ -13,12 +13,15 @@ from speccert import (
     certify_connectedness,
     climb,
     decompose,
+    decompose_many,
     load_path,
     plan_passage,
     propagate,
     test_conicality,
 )
 from speccert.adiabatic import STEP_CHUNK_ELEMS
+from speccert.spectrum import degeneracy_tol
+from branch_reference import reference_labels
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
@@ -106,6 +109,22 @@ class TestPropagate:
         with pytest.raises(GeometryError):
             propagate(two_level_cone, hold([3.0, 0.0], 1.0), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"step_limit": 0.0},
+            {"step_limit": -1.0},
+            {"step_limit": float("nan")},
+            {"step_limit": float("inf")},
+            {"max_records": 0},
+            {"max_records": -3},
+            {"max_records": 2.5},
+        ],
+    )
+    def test_step_and_record_options_rejected(self, two_level_cone, options):
+        with pytest.raises(PreconditionError):
+            propagate(two_level_cone, hold([0.1, 0.1], 1.0), np.array([1.0, 0.0]), **options)
+
     def test_step_budget_error(self, two_level_cone):
         with pytest.raises(BudgetError):
             propagate(two_level_cone, hold([1.0, 0.0], 2e8), np.array([1.0, 0.0]))
@@ -174,6 +193,31 @@ class TestChunkedPropagation:
         assert np.array_equal(traj.labels[0], [1, 2])
         assert np.array_equal(traj.labels[-1], [2, 1])
         assert np.allclose(traj.populations[:, 0], 1.0, atol=1e-12)
+
+    def test_crossing_after_a_block_boundary_inside_a_degenerate_hold(self):
+        # H = I + u1 sigma_z + u2 sigma_x is degenerate only at the origin; the
+        # path along u2 holds there across the first record-block boundary,
+        # then leaves on the far side, so the labels exchange in the second
+        # block against the reference carried over from the first. The apex
+        # frame overlaps both sigma_x eigenvectors equally, so matching against
+        # it instead would not exchange them.
+        H = make_family(np.eye(2), [SIGMA_Z, SIGMA_X], [[-1, 1], [-1, 1]])
+        a, apex, b = np.array([0.0, -0.6]), np.zeros(2), np.array([0.0, 0.6])
+        path = ControlPath(
+            waypoints=(a, apex, apex, b), durations=np.array([150.0, 200.0, 150.0]), epsilon=1.0
+        )
+        psi0 = decompose(H, a).frame[:, 0]
+        traj = propagate(H, path, psi0, max_records=10**6)
+        block = STEP_CHUNK_ELEMS // 2**2
+        held = np.flatnonzero(np.all(traj.controls == apex, axis=1))
+        assert held[0] < block - 1 and block < held[-1] < traj.times.shape[0] - 1
+        points = decompose_many(H, traj.controls)
+        assert np.array_equal(traj.labels, reference_labels(points, degeneracy_tol(H)))
+        assert np.array_equal(traj.labels[0], [1, 2])
+        assert np.array_equal(traj.labels[-1], [2, 1])
+        for k in (0, block - 1, block, traj.times.shape[0] - 1):
+            pops = branch_populations(points[k].frame, traj.states[k])
+            assert np.allclose(traj.populations[k, traj.labels[k] - 1], pops, rtol=0, atol=1e-14)
 
 
 class TestGaugeRobustness:

@@ -132,6 +132,29 @@ class TestCertifyCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "certificate.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("certify", "--tol-deg", "nan"),
+            ("certify", "--tol-deg", "inf"),
+            ("certify", "--tol-deg", "-1"),
+            ("certify", "--tol-deg", "0"),
+            ("certify", "--tol-res", "nan"),
+            ("certify", "--tol-res", "abc"),
+            ("find-intersections", "--tol-deg", "nan"),
+        ],
+    )
+    def test_non_finite_or_non_positive_tolerance_exit_2(
+        self, cone_file, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(cone_file), "--out", str(out), "--seed", "1",
+                  flag, value])
+        assert excinfo.value.code == 2
+        assert "finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, cone_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -200,6 +223,31 @@ class TestSynthesizeSimulate:
         assert code == 0
         rows = read_csv(out / "trajectory.csv")
         assert all(float(r["norm_defect"]) <= 1e-9 for r in rows)
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"waypoints": [[0.1, 0.2]], "durations": [Infinity], "epsilon": 1.0}',
+            '{"waypoints": [[0.1, 0.2]], "durations": "abc", "epsilon": 1.0}',
+            '{"waypoints": [[0.1, 0.2], [0.3]], "durations": [1.0], "epsilon": 1.0}',
+            '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": "x"}',
+            "[1, 2]",
+            '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": NaN}',
+        ],
+        ids=["infinite-duration", "string-durations", "ragged-waypoints", "string-epsilon",
+             "top-level-list", "nan-epsilon"],
+    )
+    def test_simulate_malformed_path_exit_2(self, cone_file, tmp_path, capsys, document):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(document)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--input", str(cone_file), "--path", str(path_file), "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestEnsembleCommand:

@@ -9,6 +9,7 @@ from speccert import (
     ControlHamiltonian,
     GapTable,
     NumericalError,
+    PreconditionError,
     RefinementNeededError,
     StructuralError,
     decompose,
@@ -19,7 +20,9 @@ from speccert import (
     spectral_diameter_estimate,
     track,
 )
-from speccert.spectrum import DEGENERACY_REL
+from speccert.sampling import random_hermitian, random_symmetric
+from speccert.spectrum import DEGENERACY_REL, continue_branches
+from branch_reference import _greedy_match, reference_labels
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 
 
@@ -232,6 +235,27 @@ class TestTrack:
         scaled_bound = track(scaled(three_level_chain, s), path).lipschitz_bound
         assert scaled_bound == pytest.approx(s * bound, rel=1e-12)
 
+    def test_branch_jump_raises(self, three_level_chain, monkeypatch):
+        start = np.array([-0.3, 0.4])
+        stop = np.array([1.1, -0.4])
+        path = [start + s * (stop - start) for s in np.linspace(0, 1, 40)]
+        vals = np.array([track(three_level_chain, path).branch_values(b) for b in (1, 2, 3)]).T
+        # with the Lipschitz bound near zero, any branch move beyond the
+        # degeneracy margin is a jump; the first one in (step, branch) order is reported
+        jumps = np.abs(np.diff(vals, axis=0))
+        k, b = np.argwhere(jumps > 2 * degeneracy_tol(three_level_chain))[0]
+        monkeypatch.setattr(
+            ControlHamiltonian, "control_norms", lambda self: np.full(self.m, 1e-30)
+        )
+        with pytest.raises(NumericalError, match="branch continuation jumped") as excinfo:
+            track(three_level_chain, path)
+        assert excinfo.value.residual == jumps[k, b]
+
+    def test_branch_label_out_of_range(self, two_level_cone):
+        tracked = track(two_level_cone, [np.array([0.5, 0.3])])
+        with pytest.raises(PreconditionError):
+            tracked.branch_values(3)
+
     def test_csv_export(self, tmp_path, two_level_cone):
         path = [np.array([x, 0.0]) for x in np.linspace(-0.2, 0.2, 5)]
         tracked = track(two_level_cone, path)
@@ -240,6 +264,69 @@ class TestTrack:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "step,u_1,u_2,lambda_1,lambda_2,branch_1,branch_2"
         assert len(lines) == 6
+
+
+def planted_cone_family(seed: int, n: int, real: bool, level: int, apex) -> ControlHamiltonian:
+    """Random m=2 family over [-2, 2]^2 whose levels ``level``, ``level`` + 1 meet at ``apex``."""
+    rng = np.random.default_rng(seed)
+    draw = random_symmetric if real else random_hermitian
+    drift, h1, h2 = (draw(rng, n) for _ in range(3))
+    at_apex = drift + apex[0] * h1 + apex[1] * h2
+    lam, vecs = np.linalg.eigh(at_apex)
+    lam[level] = lam[level - 1]
+    drift = drift + (vecs * lam) @ vecs.conj().T - at_apex
+    return make_family((drift + drift.conj().T) / 2, [h1, h2], [[-2, 2], [-2, 2]])
+
+
+class TestContinueBranches:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        real=st.booleans(),
+        kind=st.sampled_from(["walk", "cone", "apex"]),
+        cut=st.integers(1, 60),
+    )
+    def test_labels_match_greedy_reference(self, seed, n, real, kind, cut):
+        rng = np.random.default_rng(seed)
+        apex = rng.uniform(-1, 1, 2)
+        level = int(rng.integers(1, n))
+        H = planted_cone_family(seed, n, real, level, apex)
+        tol = degeneracy_tol(H)
+        if kind == "walk":
+            path = np.cumsum(rng.normal(0, 0.05, (40, 2)), axis=0) + apex
+        else:
+            # s = 0 is the apex exactly; "apex" stays there for five points
+            s = np.arange(-20, 21) / 20
+            if kind == "apex":
+                s = np.concatenate([s[:20], np.zeros(4), s[20:]])
+            direction = rng.normal(size=2)
+            path = apex + 0.5 * s[:, None] * direction / np.linalg.norm(direction)
+        points = decompose_many(H, path)
+        lam = np.array([sp.eigenvalues for sp in points])
+        frames = np.array([sp.frame for sp in points])
+        if kind != "walk":
+            assert np.any(np.diff(lam, axis=1) <= tol)
+        labels, _ = continue_branches(lam, frames, tol)
+        assert np.array_equal(labels, reference_labels(points, tol))
+        # split in two, carrying the reference, the stack labels the same
+        cut = min(cut, len(path) - 1)
+        head, ref = continue_branches(lam[:cut], frames[:cut], tol)
+        tail, _ = continue_branches(lam[cut:], frames[cut:], tol, ref)
+        assert np.array_equal(np.vstack([head, tail]), labels)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), count=st.integers(1, 6))
+    def test_ties_broken_in_index_order(self, seed, n, count):
+        # overlaps from small integers tie often; gaps equal to tol do not exceed
+        # it, so every point is matched against the first, the identity
+        rng = np.random.default_rng(seed)
+        frames = np.concatenate([np.eye(n)[None], rng.integers(0, 3, (count, n, n))])
+        lam = np.tile(np.arange(n, dtype=float), (count + 1, 1))
+        labels, _ = continue_branches(lam, frames, tol=1.0)
+        expected = [_greedy_match(np.eye(n), frame) + 1 for frame in frames]
+        assert np.array_equal(labels, expected)
 
 
 class TestWeylBound:
