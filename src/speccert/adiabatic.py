@@ -25,12 +25,16 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .operators import ControlHamiltonian, _finite_array
+from .operators import ControlHamiltonian, _affine_stack, _finite_array, read_json
 from .resonance import check_nonresonant
 from .spectrum import continue_branches, decompose, decompose_many, degeneracy_tol
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
+# climb: the largest step limit it tries (16 x the default, so halving lands
+# on the default exactly) and the final-state error it aims for
+CLIMB_START_LIMIT = 1.6
+CLIMB_TOLERANCE = 1e-6
 MAX_TOTAL_STEPS = 10**8
 DEFAULT_MAX_RECORDS = 1200
 # matrix entries per stacked eigensolve of step Hamiltonians, so a chunk holds
@@ -104,14 +108,10 @@ def load_path(path) -> ControlPath:
     StructuralError
         If the file is not JSON or the document is not a valid path.
     """
+    d = read_json(path)
     try:
-        d = json.loads(Path(path).read_text())
         fields = d["waypoints"], d["durations"], d["epsilon"]
-    except json.JSONDecodeError as exc:
-        raise StructuralError(
-            f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed path document {path}: {exc!r}") from exc
     return ControlPath(*fields)
 
@@ -176,20 +176,28 @@ def propagate(
 ) -> StateTrajectory:
     """Integrate i d/dt psi = H(u(t)) psi along a piecewise-linear control path.
 
-    Each step applies the exact exponential of the Hamiltonian frozen at the
-    segment midpoint of the step (second-order accurate, exactly unitary per
-    step). Step sizes are chosen so that ||H|| * h <= step_limit on every
-    segment. The step exponentials are evaluated in stacked chunks of up to
-    ``STEP_CHUNK_ELEMS // n**2`` steps, V diag(exp(-i h lambda)) V^dagger from
-    one stacked eigensolve of the chunk's midpoint Hamiltonians, then applied to the state
-    one step at a time. The recorded points are decomposed in stacked blocks of
-    the same size, so memory does not grow with the number of steps or records.
+    Each step is the fourth-order Magnus step for a Hamiltonian linear in time:
+    exp(-i h K) with K = H(u_mid) - i (h^2/12) [D, H(u_mid)], where u_mid is
+    the step's midpoint and D = dH/dt is the segment's constant rate. It is
+    fourth-order accurate, exactly unitary per step, and costs one eigensolve
+    per step. Step sizes are chosen so that ||H|| * h <= step_limit on every
+    segment. Since H is affine in u, K is too: each segment's corrected
+    operators are built once, and the step exponentials are evaluated in
+    stacked chunks of up to ``STEP_CHUNK_ELEMS // n**2`` steps,
+    V diag(exp(-i h lambda)) V^dagger from one stacked eigensolve of the
+    chunk's K, then applied to the state one step at a time. The recorded
+    points are decomposed in stacked blocks of the same size, so memory does
+    not grow with the number of steps or records.
 
     Raises
     ------
+    StructuralError
+        If the path's waypoints do not have length ``H.m``.
     PreconditionError
         If ``psi0`` is not a unit vector, ``step_limit`` is not finite and
         positive, or ``max_records`` is not a positive integer.
+    GeometryError
+        If a waypoint lies outside the control box.
     BudgetError
         If the required number of steps exceeds 1e8; slower paths should use
         a larger epsilon.
@@ -201,6 +209,10 @@ def propagate(
     psi = np.asarray(psi0, dtype=complex).copy()
     if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_TOL:
         raise PreconditionError("initial state must have unit norm")
+    if path.waypoints[0].shape != (H.m,):
+        raise StructuralError(
+            f"path waypoints have length {path.waypoints[0].shape[0]}, the family has m = {H.m}"
+        )
     for w in path.waypoints:
         if not H.contains(w):
             raise GeometryError(f"waypoint {w.tolist()} lies outside the control box")
@@ -223,13 +235,19 @@ def propagate(
     step_count = 0
     n = H.dim
     chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+    drift, ops = H.drift.matrix, H._controlled_stack
     for (a, b, dur), nsteps in zip(segs, steps_per_seg):
         h = dur / nsteps
         delta = b - a
+        # K(u) = H(u) - i (h^2/12) [D, H(u)] is affine in u, with operators k0, ks
+        rate = np.tensordot(delta / dur, ops, axes=1)
+        c = 1j * h**2 / 12
+        k0 = drift - c * (rate @ drift - drift @ rate)
+        ks = ops - c * (rate @ ops - ops @ rate)
         for start in range(0, nsteps, chunk):
             stop = min(start + chunk, nsteps)
             mids = a + ((np.arange(start, stop) + 0.5) / nsteps)[:, None] * delta
-            lam, vecs = np.linalg.eigh(H.matrices_at(mids))
+            lam, vecs = np.linalg.eigh(_affine_stack(k0, ks, mids))
             unitaries = (vecs * np.exp(-1j * h * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
             for i, step in enumerate(unitaries, start):
                 psi = step @ psi
@@ -358,12 +376,19 @@ def _route(a, b, obstacles, delta, box, depth: int = 8) -> list:
 
 @dataclass(frozen=True)
 class ClimbResult:
-    """A chained-passage plan, its simulated trajectory, and the achieved transfer."""
+    """A chained-passage plan, its simulated trajectory, and the achieved transfer.
+
+    ``step_limit`` is the ``propagate`` step limit the trajectory used, and
+    ``error_estimate`` the Richardson estimate of its final state's error,
+    ||psi_h - psi_2h|| / 15, against a run at twice that limit.
+    """
 
     path: ControlPath
     trajectory: StateTrajectory
     p_target: float
     target_level: int
+    step_limit: float
+    error_estimate: float
 
 
 def climb(
@@ -385,8 +410,16 @@ def climb(
     clearances and half their pairwise distances (at most a quarter of the box
     diagonal), so the passage balls lie in the box and do not overlap, and
     ``delta`` is rho/2.
-    Returns the plan, the trajectory, and the final population of the top
-    sorted level at the end point.
+
+    The step limit comes from a measured error. The path is propagated at
+    ``CLIMB_START_LIMIT`` and once more, recording only segment ends, at twice
+    that limit; the propagator is fourth order, so ||psi_h - psi_2h|| / 15
+    estimates the final state's error. While the estimate exceeds
+    ``CLIMB_TOLERANCE`` the limit is halved, and the last run serves as the
+    coarse one, down to ``DEFAULT_STEP_LIMIT`` at the least, so no climb takes
+    more steps than ``propagate``'s default rule.
+    Returns the plan, the trajectory, the final population of the top sorted
+    level at the end point, the step limit used and the error estimate.
 
     Raises
     ------
@@ -459,7 +492,23 @@ def climb(
     )
     path = ControlPath(waypoints=tuple(deduped), durations=durations, epsilon=epsilon)
     psi0 = decompose(H, u_anchor).frame[:, 0]
-    trajectory = propagate(H, path, psi0)
+    step_limit = CLIMB_START_LIMIT
+    coarse = propagate(H, path, psi0, 2 * step_limit, max_records=1).final_state
+    while True:
+        trajectory = propagate(H, path, psi0, step_limit)
+        # Richardson estimate for a fourth-order method: 2**4 - 1 = 15
+        error = float(np.linalg.norm(trajectory.final_state - coarse)) / 15
+        if error <= CLIMB_TOLERANCE or step_limit <= DEFAULT_STEP_LIMIT:
+            break
+        step_limit /= 2
+        coarse = trajectory.final_state
     end_frame = decompose(H, deduped[-1]).frame
     p_target = float(np.abs(end_frame[:, n - 1].conj() @ trajectory.final_state) ** 2)
-    return ClimbResult(path=path, trajectory=trajectory, p_target=p_target, target_level=n)
+    return ClimbResult(
+        path=path,
+        trajectory=trajectory,
+        p_target=p_target,
+        target_level=n,
+        step_limit=step_limit,
+        error_estimate=error,
+    )

@@ -21,7 +21,7 @@ from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, degeneracy_tol, locate_intersection, test_conicality
 from .errors import SpeccertError
-from .operators import ControlHamiltonian
+from .operators import ControlHamiltonian, load_hamiltonian
 from .sampling import box_sequence
 from .spectrum import decompose, decompose_many
 
@@ -31,16 +31,9 @@ EXIT_INPUT = 2
 
 
 def _load_input(path_str: str) -> ControlHamiltonian:
-    path = Path(path_str)
-    if not path.exists():
+    if not Path(path_str).exists():
         raise FileNotFoundError(path_str)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpeccertError(
-            f"malformed JSON in {path_str}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    return ControlHamiltonian.from_json_dict(doc)
+    return load_hamiltonian(path_str)
 
 
 def _positive_float(text: str) -> float:

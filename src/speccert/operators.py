@@ -135,6 +135,19 @@ class HermitianOperator:
         return cls.from_real_imag(d["re"], d["im"])
 
 
+def _affine_stack(constant: np.ndarray, ops: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Matrices constant + sum_l U[k, l] ops[l] stacked as (N, n, n), for U of shape (N, m).
+
+    Every entry is summed term by term in a fixed order, so row k is bitwise
+    the same whichever other rows share the call; a BLAS product would not
+    promise that, since its kernel, and so its rounding, depends on N.
+    """
+    out = constant + U[:, 0, None, None] * ops[0]
+    for l in range(1, ops.shape[0]):
+        out += U[:, l, None, None] * ops[l]
+    return out
+
+
 @dataclass(frozen=True)
 class ControlHamiltonian:
     """Affine family H(u) = drift + sum_l u_l * controlled[l] over a box.
@@ -229,18 +242,13 @@ class ControlHamiltonian:
     def matrices_at(self, U) -> np.ndarray:
         """Raw matrices H(U[k]) stacked as (N, n, n) for control points U of shape (N, m).
 
-        Every entry is summed term by term in a fixed order, so row k is bitwise
-        the same whichever other rows share the call; a BLAS product would not
-        promise that, since its kernel, and so its rounding, depends on N.
+        Row k is bitwise the same whichever other rows share the call
+        (``_affine_stack``).
         """
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.m:
             raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
-        ops = self._controlled_stack
-        out = self.drift.matrix + U[:, 0, None, None] * ops[0]
-        for l in range(1, self.m):
-            out += U[:, l, None, None] * ops[l]
-        return out
+        return _affine_stack(self.drift.matrix, self._controlled_stack, U)
 
     def norm_bound(self, u) -> float:
         """Upper bound on the spectral norm of H(u) via the triangle inequality."""
@@ -272,10 +280,33 @@ class ControlHamiltonian:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
 
 
+def read_json(path):
+    """The parsed JSON document at ``path``.
+
+    Raises
+    ------
+    StructuralError
+        If the file is not UTF-8 text or not JSON.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise StructuralError(
+            f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"malformed JSON in {path}: {exc.reason}") from exc
+
+
 def load_hamiltonian(path) -> ControlHamiltonian:
-    """Load a ControlHamiltonian from its JSON file representation."""
-    text = Path(path).read_text()
-    return ControlHamiltonian.from_json_dict(json.loads(text))
+    """Load a ControlHamiltonian from its JSON file representation.
+
+    Raises
+    ------
+    StructuralError
+        If the file is not JSON or the document is not a valid Hamiltonian.
+    """
+    return ControlHamiltonian.from_json_dict(read_json(path))
 
 
 def evaluate(H: ControlHamiltonian, u) -> HermitianOperator:

@@ -19,7 +19,7 @@ from speccert import (
     propagate,
     test_conicality,
 )
-from speccert.adiabatic import STEP_CHUNK_ELEMS
+from speccert.adiabatic import DEFAULT_STEP_LIMIT, STEP_CHUNK_ELEMS
 from speccert.spectrum import degeneracy_tol
 from branch_reference import reference_labels
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
@@ -88,18 +88,22 @@ class TestPropagate:
         oracle = expm(-1j * T * two_level_cone.matrix_at(u)) @ psi0
         assert np.linalg.norm(traj.final_state - oracle) < 1e-8
 
-    def test_second_order_convergence(self, two_level_cone):
-        # time-dependent H with noncommuting endpoints exposes the O(h^2) error
+    @staticmethod
+    def observed_order(H):
+        # time-dependent H with noncommuting endpoints exposes the step error
         path = line([1.0, 0.0], [0.0, 1.0], 20.0)
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        finals = [
-            propagate(two_level_cone, path, psi0, step_limit=s).final_state
-            for s in (0.2, 0.1, 0.05)
-        ]
+        finals = [propagate(H, path, psi0, step_limit=s).final_state for s in (0.2, 0.1, 0.05)]
         e1 = np.linalg.norm(finals[0] - finals[1])
         e2 = np.linalg.norm(finals[1] - finals[2])
-        order = np.log2(e1 / e2)
-        assert order >= 1.9
+        return np.log2(e1 / e2)
+
+    def test_second_order_convergence(self, two_level_cone):
+        assert self.observed_order(two_level_cone) >= 1.9
+
+    def test_fourth_order_convergence(self, two_level_cone):
+        # the Magnus step's commutator term makes the error O(h^4)
+        assert self.observed_order(two_level_cone) >= 3.8
 
     def test_non_unit_state_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
@@ -108,6 +112,11 @@ class TestPropagate:
     def test_waypoint_outside_box_rejected(self, two_level_cone):
         with pytest.raises(GeometryError):
             propagate(two_level_cone, hold([3.0, 0.0], 1.0), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("waypoint", [[0.1, 0.2, 0.3], [0.1]])
+    def test_waypoint_length_must_match_family(self, two_level_cone, waypoint):
+        with pytest.raises(StructuralError, match="m = 2"):
+            propagate(two_level_cone, hold(waypoint, 1.0), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize(
         "options",
@@ -140,14 +149,18 @@ class TestPropagate:
 
 
 def reference_states(H, path, psi0, step_limit=0.1):
-    """Every step's state from one expm per step midpoint, one step at a time."""
+    """Every step's state from one expm of the fourth-order Magnus exponent per
+    step, K = H(u_mid) - i (h^2/12) [D, H(u_mid)] with D = dH/dt, one step at a time."""
     psi = np.asarray(psi0, dtype=complex)
     states = []
     for a, b, dur in path.segments():
         nsteps = max(1, int(np.ceil(dur * max(H.norm_bound(a), H.norm_bound(b)) / step_limit)))
         h = dur / nsteps
+        rate = (H.matrix_at(b) - H.matrix_at(a)) / dur
         for i in range(nsteps):
-            psi = expm(-1j * h * H.matrix_at(a + ((i + 0.5) / nsteps) * (b - a))) @ psi
+            mid = H.matrix_at(a + ((i + 0.5) / nsteps) * (b - a))
+            K = mid - 1j * (h**2 / 12) * (rate @ mid - mid @ rate)
+            psi = expm(-1j * h * K) @ psi
             states.append(psi)
     return np.array(states)
 
@@ -294,6 +307,27 @@ class TestClimb:
         # from the first intersection on, the path only moves toward the second
         assert np.all(np.diff(waypoints[start:, 0]) > 0)
         assert result.p_target >= 0.9
+
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize(
+        "family, budget, seed, anchor",
+        [("two_level_cone", 6, 3, [0.3, 0.4]), ("three_level_chain", 12, 5, [-0.3, 0.55])],
+    )
+    def test_error_estimate_tracks_true_error(self, request, family, budget, seed, anchor, epsilon):
+        H = request.getfixturevalue(family)
+        report = certify_connectedness(H, budget, rng_seed=seed)
+        result = climb(H, report, anchor, epsilon=epsilon)
+        assert result.step_limit >= DEFAULT_STEP_LIMIT
+        psi0 = decompose(H, anchor).frame[:, 0]
+        fine = propagate(H, result.path, psi0, result.step_limit / 8, max_records=1)
+        true_error = float(np.linalg.norm(result.trajectory.final_state - fine.final_state))
+        assert true_error <= 1e-6
+        # the cone's climb runs on one line through the apex, where H(t) is a
+        # multiple of one matrix: every step is exact and both errors are rounding
+        if true_error > 1e-10:
+            assert true_error / 4 <= result.error_estimate <= 4 * true_error
+        else:
+            assert result.error_estimate <= 1e-10
 
     def test_uncertified_report_rejected(self, diag_family):
         report = certify_connectedness(diag_family, 4, rng_seed=3)

@@ -70,6 +70,13 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"dim": 2, "drift": "\xff"}')
+        code = main(["spectrum", "--input", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         doc = {
             "dim": 3,
@@ -234,9 +241,10 @@ class TestSynthesizeSimulate:
             '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": "x"}',
             "[1, 2]",
             '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": NaN}',
+            '{"waypoints": [[0.1, 0.2]],\n "durations": [1.0',
         ],
         ids=["infinite-duration", "string-durations", "ragged-waypoints", "string-epsilon",
-             "top-level-list", "nan-epsilon"],
+             "top-level-list", "nan-epsilon", "broken-json"],
     )
     def test_simulate_malformed_path_exit_2(self, cone_file, tmp_path, capsys, document):
         path_file = tmp_path / "path.json"
