@@ -192,7 +192,8 @@ def propagate(
     Raises
     ------
     StructuralError
-        If the path's waypoints do not have length ``H.m``.
+        If the path's waypoints do not have length ``H.m``, or ``psi0`` does
+        not have length ``H.dim``.
     PreconditionError
         If ``psi0`` is not a unit vector, ``step_limit`` is not finite and
         positive, or ``max_records`` is not a positive integer.
@@ -207,6 +208,8 @@ def propagate(
     if not (isinstance(max_records, (int, np.integer)) and max_records >= 1):
         raise PreconditionError(f"max_records must be a positive integer, got {max_records}")
     psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.shape != (H.dim,):
+        raise StructuralError(f"initial state has shape {psi.shape}, the family has n = {H.dim}")
     if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_TOL:
         raise PreconditionError("initial state must have unit norm")
     if path.waypoints[0].shape != (H.m,):

@@ -16,9 +16,9 @@ import numpy as np
 
 from .conical import (
     ConnectednessReport,
+    _locate_groups,
     certify_connectedness,
     degeneracy_tol,
-    locate_intersection,
     test_conicality,
 )
 from .coupling import CouplingGraph, build_graph, is_connected
@@ -300,53 +300,63 @@ def ensemble_genericity(
     the operators, a certified intersection must be re-locatable nearby
     (within 10x the perturbation size).
 
+    Trial t draws from its own generator, spawned from ``rng_seed`` as child
+    t of ``np.random.SeedSequence(rng_seed)``: first its family, then one
+    perturbation per conical level in level order. So no trial depends on
+    another's outcome, and all families are drawn up front: one lockstep
+    locator solve serves every (trial, level) pair, and one more every
+    persistence relocation.
+
     Fractions are None when no intersection was located (vacuous statistics).
     """
     if m not in (2, 3):
         raise SpeccertError("ensemble experiments are defined for m in {2, 3}")
     if trials < 1:
         raise SpeccertError("trials must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    per_trial = []
-    located_total = conical_total = 0
-    pa_total = ps_total = 0
-    for t in range(trials):
-        H = _random_family(rng, n, m, box_halfwidth)
-        tau = degeneracy_tol(H)
-        seeds = box_sequence(H.box, seeds_per_level, rng_seed + 1000 + t)
-        located = conical = 0
-        p_attempts = p_success = 0
-        for j in range(1, n):
-            u_star = locate_intersection(H, j, seeds, tau_deg=tau)
-            if u_star is None:
-                continue
-            located += 1
-            try:
-                result = test_conicality(H, u_star, j, tau_deg=tau, rng_seed=rng_seed)
-            except SpeccertError:
-                continue
-            if not result.conical:
-                continue
-            conical += 1
-            Hp = _perturbed(H, rng, perturbation)
-            p_attempts += 1
-            tau_p = degeneracy_tol(Hp)
-            u_new = locate_intersection(Hp, j, [u_star], tau_deg=tau_p)
-            if u_new is not None and float(np.linalg.norm(u_new - u_star)) <= 10 * perturbation:
-                p_success += 1
-        per_trial.append(
-            EnsembleTrial(
-                trial=t,
-                located=located,
-                conical=conical,
-                persistence_attempts=p_attempts,
-                persistence_successes=p_success,
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
+    families = [_random_family(rng, n, m, box_halfwidth) for rng in rngs]
+    pairs = [(t, j) for t in range(trials) for j in range(1, n)]
+    located = _locate_groups(
+        [
+            (
+                families[t],
+                j,
+                box_sequence(families[t].box, seeds_per_level, rng_seed + 1000 + t),
+                degeneracy_tol(families[t]),
             )
+            for t, j in pairs
+        ]
+    )
+    tally = np.zeros((trials, 3), dtype=int)  # located, conical, persisted
+    probes = []  # (trial, u_star, relocation group) per conical intersection
+    for (t, j), u_star in zip(pairs, located):
+        if u_star is None:
+            continue
+        tally[t, 0] += 1
+        H = families[t]
+        try:
+            result = test_conicality(H, u_star, j, tau_deg=degeneracy_tol(H), rng_seed=rng_seed)
+        except SpeccertError:
+            continue
+        if result.conical:
+            tally[t, 1] += 1
+            Hp = _perturbed(H, rngs[t], perturbation)
+            probes.append((t, u_star, (Hp, j, u_star[None], degeneracy_tol(Hp))))
+    relocated = _locate_groups([group for _, _, group in probes])
+    for (t, u_star, _), u_new in zip(probes, relocated):
+        if u_new is not None and float(np.linalg.norm(u_new - u_star)) <= 10 * perturbation:
+            tally[t, 2] += 1
+    per_trial = tuple(
+        EnsembleTrial(
+            trial=t,
+            located=int(found),
+            conical=int(conical),
+            persistence_attempts=int(conical),
+            persistence_successes=int(persisted),
         )
-        located_total += located
-        conical_total += conical
-        pa_total += p_attempts
-        ps_total += p_success
+        for t, (found, conical, persisted) in enumerate(tally)
+    )
+    located_total, conical_total, persisted_total = (int(x) for x in tally.sum(axis=0))
     return EnsembleSummary(
         n=n,
         m=m,
@@ -355,8 +365,8 @@ def ensemble_genericity(
         located_total=located_total,
         conical_total=conical_total,
         conical_fraction=None if located_total == 0 else conical_total / located_total,
-        persistence_attempts=pa_total,
-        persistence_successes=ps_total,
-        persistence_fraction=None if pa_total == 0 else ps_total / pa_total,
-        per_trial=tuple(per_trial),
+        persistence_attempts=conical_total,
+        persistence_successes=persisted_total,
+        persistence_fraction=None if conical_total == 0 else persisted_total / conical_total,
+        per_trial=per_trial,
     )

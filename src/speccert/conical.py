@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import ControlHamiltonian
-from .sampling import axis_directions, box_sequence, sphere_directions
+from .operators import ControlHamiltonian, _affine_stack
+from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
 from .spectrum import decompose, degeneracy_tol
 
 DEFAULT_DIRECTIONS = 32
@@ -78,29 +78,78 @@ def locate_intersection(
     seeds : iterable of control points
         Start points for the multistart search; must lie inside the box.
     """
-    n = H.dim
-    if not 1 <= level <= n - 1:
-        raise PreconditionError(f"level must be in 1..{n - 1}, got {level}")
+    _check_level(H, level)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
-    U = np.array(list(seeds), dtype=float)
+    U = _seed_array(H, seeds)
     if U.size == 0:
         return None
+    return _locate_groups([(H, level, U, tau_deg)])[0]
+
+
+def _check_level(H: ControlHamiltonian, level: int) -> None:
+    if not 1 <= level <= H.dim - 1:
+        raise PreconditionError(f"level must be in 1..{H.dim - 1}, got {level}")
+
+
+def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
+    """Seeds as a (k, m) float array, each checked to lie in the box."""
+    U = np.array(list(seeds), dtype=float)
+    if U.size == 0:
+        return U
     if U.ndim != 2 or U.shape[1] != H.m:
         raise PreconditionError(f"seeds must be control points of length {H.m}")
     for s in U:
         if not H.contains(s):
             raise PreconditionError(f"seed {s.tolist()} lies outside the control box")
-    k = len(U)
-    slot = np.arange(k)
-    # slot i restarts from points i*RESTARTS ... of one prefix-stable sequence
-    restarts = box_sequence(H.box, k * RESTARTS, RESTART_SEED).reshape(k, RESTARTS, H.m)
-    lo, hi = H.box[:, 0], H.box[:, 1]
+    return U
+
+
+def _locate_groups(groups) -> list:
+    """``locate_intersection`` for many groups in one lockstep solve.
+
+    A group is (H, level, seeds, tau): a family, the lower level of the pair,
+    a non-empty (k, m) array of checked seeds and the degeneracy threshold.
+    All groups share n and m. Every slot (one seed of one group) carries its
+    group's index, and the group's operators, box, step caps, threshold and
+    first hit are gathered per slot, so one stacked eigensolve per iteration
+    serves every family, level and seed. A slot's path depends on its own
+    group, seed and position only (``_affine_stack``, stacked ``eigh`` and
+    ``pinv`` work row by row), so each group's answer is bitwise the one a
+    solve of that group alone returns. Returns one point or None per group.
+    """
+    if not groups:
+        return []
+    Hs, levels, seed_sets, taus = zip(*groups)
+    counts = np.array([len(U) for U in seed_sets])
+    start = np.cumsum(counts) - counts
+    grp = np.repeat(np.arange(len(groups)), counts)
+    pos = np.arange(len(grp)) - start[grp]  # a slot's position in its group's seed order
+    U = np.concatenate(seed_sets, dtype=float)
+    n, m = Hs[0].dim, Hs[0].m
+    drift = np.stack([H.drift.matrix for H in Hs])
+    ops = np.stack([H._controlled_stack for H in Hs])
+    box = np.stack([H.box for H in Hs])
+    lo, hi = box[grp, :, 0], box[grp, :, 1]
     margin = INTERIOR_REL_MARGIN * (hi - lo)
-    diameter = H.box_diameter()
-    cap_max = STEP_FRACTION * diameter
-    cap_min = np.finfo(float).eps * (diameter + np.max(np.abs(H.box)))
-    ops = H._controlled_stack
+    inner_lo, inner_hi = lo + margin, hi - margin
+    diameter = np.array([H.box_diameter() for H in Hs])
+    cap_max = STEP_FRACTION * diameter[grp]
+    cap_min = (np.finfo(float).eps * (diameter + np.max(np.abs(box), axis=(1, 2))))[grp]
+    far_step = FAR_STEP * diameter[grp]
+    level = np.array(levels)[grp]
+    tau = np.array(taus, dtype=float)[grp]
+    # slot i of a group restarts from points i*RESTARTS ... of one prefix-stable
+    # sequence, scaled to the group's box as box_sequence scales it
+    unit = _halton_unit(int(counts.max()) * RESTARTS, m, RESTART_SEED)
+
+    def pair_at(idx, points):
+        lam, vecs = np.linalg.eigh(_affine_stack(drift[grp[idx]], ops[grp[idx]], points))
+        j, rows = level[idx], np.arange(len(idx))
+        gap = lam[rows, j] - lam[rows, j - 1]
+        return gap, np.take_along_axis(vecs, (j - 1)[:, None, None] + np.arange(2), axis=2)
+
+    k = len(grp)
     gap = np.empty(k)
     pair = np.empty((k, n, 2), dtype=complex)
     cap = np.empty(k)
@@ -109,32 +158,31 @@ def locate_intersection(
     far = np.zeros(k, dtype=bool)
     live = np.zeros(k, dtype=bool)
     fresh = np.ones(k, dtype=bool)  # slots whose run starts at U
-    first = k  # index of the first slot that ended at an interior hit
+    first = counts.copy()  # per group, the position of the first slot that ended at an interior hit
     while True:
         if fresh.any():
             f = np.nonzero(fresh)[0]
-            lam, vecs = np.linalg.eigh(H.matrices_at(U[f]))
-            gap[f] = lam[:, level] - lam[:, level - 1]
-            pair[f] = vecs[:, :, level - 1 : level + 1]
-            cap[f], iterations[f], far[f] = cap_max, 0, False
+            gap[f], pair[f] = pair_at(f, U[f])
+            cap[f], iterations[f], far[f] = cap_max[f], 0, False
             live |= fresh
-        ended = live & (gap <= tau_deg)
-        hits = ended & np.all((U > lo + margin) & (U < hi - margin), axis=1)
-        if hits.any():
-            first = min(first, int(np.argmax(hits)))
+        ended = live & (gap <= tau)
+        hits = ended & np.all((U > inner_lo) & (U < inner_hi), axis=1)
+        np.minimum.at(first, grp[hits], pos[hits])
+        # slots after their group's first hit cannot change its answer
+        useful = pos < first[grp]
         over = live & (ended | far | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
-        # slots after the first hit cannot change the answer
-        live &= ~over & (slot < first)
+        live &= ~over & useful
         # a run that ends without a hit restarts its slot from the slot's next point
-        fresh = over & ~hits & (runs < RESTARTS) & (slot < first)
-        U[fresh] = restarts[fresh, runs[fresh]]
-        runs[fresh] += 1
+        fresh = over & ~hits & (runs < RESTARTS) & useful
+        f = np.nonzero(fresh)[0]
+        U[f] = lo[f] + unit[pos[f] * RESTARTS + runs[f]] * (hi[f] - lo[f])
+        runs[f] += 1
         if not live.any():
             if fresh.any():
                 continue
             break
         a = np.nonzero(live)[0]
-        B = np.einsum("kia,lij,kjb->klab", pair[a].conj(), ops, pair[a])
+        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a]], pair[a])
         J = np.stack(
             [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
             axis=1,
@@ -143,22 +191,20 @@ def locate_intersection(
         length = np.linalg.norm(step, axis=1)
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive minimum
-        near = length <= FAR_STEP * diameter
+        near = length <= far_step[a]
         far[a[~near]] = True
         a, step, length = a[near], step[near], length[near]
         step *= np.minimum(1.0, cap[a] / np.maximum(length, np.finfo(float).tiny))[:, None]
-        trial = np.clip(U[a] + step, lo, hi)
-        lam, vecs = np.linalg.eigh(H.matrices_at(trial))
-        trial_gap = lam[:, level] - lam[:, level - 1]
+        trial = np.clip(U[a] + step, lo[a], hi[a])
+        trial_gap, trial_pair = pair_at(a, trial)
         better = trial_gap < gap[a]
         keep = a[better]
-        U[keep], gap[keep] = trial[better], trial_gap[better]
-        pair[keep] = vecs[better, :, level - 1 : level + 1]
+        U[keep], gap[keep], pair[keep] = trial[better], trial_gap[better], trial_pair[better]
         cap[a] = np.where(
-            better, np.minimum(2.0 * cap[a], cap_max), SHRINK * np.minimum(cap[a], length)
+            better, np.minimum(2.0 * cap[a], cap_max[a]), SHRINK * np.minimum(cap[a], length)
         )
         iterations[a] += 1
-    return None if first == k else U[first]
+    return [None if first[g] == counts[g] else U[start[g] + first[g]] for g in range(len(groups))]
 
 
 @dataclass(frozen=True)
@@ -233,8 +279,7 @@ def test_conicality(
     """
     u_star = np.asarray(u_star, dtype=float)
     n = H.dim
-    if not 1 <= level <= n - 1:
-        raise PreconditionError(f"level must be in 1..{n - 1}, got {level}")
+    _check_level(H, level)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     if t0 is None:
@@ -358,11 +403,12 @@ def certify_connectedness(
 ) -> ConnectednessReport:
     """Search every adjacent level pair for a certified conical intersection.
 
-    For each level j runs ``locate_intersection`` from the user hints, if any,
-    followed by ``seed_budget`` low-discrepancy seeds, and submits the located
-    point to the conicality test. Status is "certified" iff every level has a
-    conical certificate with all other levels simple there; otherwise
-    "incomplete". Incompleteness is a status, not an error.
+    For every level j locates an intersection from the user hints, if any,
+    followed by ``seed_budget`` low-discrepancy seeds (all levels in one
+    lockstep solve, each level's point the one ``locate_intersection``
+    returns), and submits the located point to the conicality test. Status is
+    "certified" iff every level has a conical certificate with all other
+    levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
     """
     if seed_budget < 1:
         raise PreconditionError("seed_budget must be at least 1")
@@ -371,10 +417,11 @@ def certify_connectedness(
     seeds = list(box_sequence(H.box, seed_budget, rng_seed))
     if hints is not None:
         seeds = [np.asarray(h, dtype=float) for h in hints] + seeds
+    U = _seed_array(H, seeds)
+    located = _locate_groups([(H, j, U, tau_deg) for j in range(1, H.dim)])
     certificates: dict = {}
     failures: dict = {}
-    for j in range(1, H.dim):
-        u_star = locate_intersection(H, j, seeds, tau_deg=tau_deg)
+    for j, u_star in enumerate(located, start=1):
         if u_star is None:
             failures[j] = "no interior intersection located"
             continue

@@ -138,13 +138,15 @@ class HermitianOperator:
 def _affine_stack(constant: np.ndarray, ops: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Matrices constant + sum_l U[k, l] ops[l] stacked as (N, n, n), for U of shape (N, m).
 
-    Every entry is summed term by term in a fixed order, so row k is bitwise
-    the same whichever other rows share the call; a BLAS product would not
-    promise that, since its kernel, and so its rounding, depends on N.
+    ``constant`` is one (n, n) matrix or one per row, (N, n, n); ``ops`` is one
+    (m, n, n) stack or one per row, (N, m, n, n). Every entry is summed term by
+    term in a fixed order, so row k is bitwise the same whichever other rows,
+    with whichever operators, share the call; a BLAS product would not promise
+    that, since its kernel, and so its rounding, depends on N.
     """
-    out = constant + U[:, 0, None, None] * ops[0]
-    for l in range(1, ops.shape[0]):
-        out += U[:, l, None, None] * ops[l]
+    out = constant + U[:, 0, None, None] * ops[..., 0, :, :]
+    for l in range(1, U.shape[1]):
+        out += U[:, l, None, None] * ops[..., l, :, :]
     return out
 
 

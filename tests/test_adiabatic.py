@@ -118,6 +118,10 @@ class TestPropagate:
         with pytest.raises(StructuralError, match="m = 2"):
             propagate(two_level_cone, hold(waypoint, 1.0), np.array([1.0, 0.0]))
 
+    def test_state_length_must_match_family(self, two_level_cone):
+        with pytest.raises(StructuralError, match="n = 2"):
+            propagate(two_level_cone, hold([0.1, 0.2], 1.0), np.array([1.0, 0, 0]))
+
     @pytest.mark.parametrize(
         "options",
         [

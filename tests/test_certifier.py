@@ -14,6 +14,7 @@ from speccert import (
 )
 from speccert.sampling import random_symmetric
 from conftest import make_family, scaled
+from ensemble_reference import reference_trials
 
 
 def _evidence(H):
@@ -129,6 +130,16 @@ class TestEnsemble:
         assert summary.conical_fraction is not None
         assert summary.conical_fraction >= 0.5
         assert len(summary.per_trial) == 4
+
+    @pytest.mark.parametrize("n, m, rng_seed", [(3, 2, 7), (4, 3, 3)])
+    def test_per_trial_counts_match_the_per_level_loop(self, n, m, rng_seed):
+        summary = ensemble_genericity(n=n, m=m, trials=12, rng_seed=rng_seed)
+        assert summary.per_trial == reference_trials(n, m, 12, rng_seed)
+
+    def test_trials_do_not_depend_on_the_trial_count(self):
+        few = ensemble_genericity(n=3, m=2, trials=3, rng_seed=5)
+        many = ensemble_genericity(n=3, m=2, trials=9, rng_seed=5)
+        assert few.per_trial == many.per_trial[:3]
 
     def test_hermitian_ensemble_runs(self):
         summary = ensemble_genericity(n=3, m=3, trials=2, rng_seed=7)

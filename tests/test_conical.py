@@ -13,9 +13,9 @@ from speccert import (
     test_conicality,
 )
 from speccert.certify import _perturbed, _random_family
-from speccert import conical
-from speccert.conical import INTERIOR_REL_MARGIN
-from speccert.sampling import box_sequence
+from speccert import ControlHamiltonian, HermitianOperator, conical
+from speccert.conical import INTERIOR_REL_MARGIN, _locate_groups
+from speccert.sampling import box_sequence, random_hermitian, random_symmetric
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 
 
@@ -72,6 +72,16 @@ def planted_cone(a, coupling: float = 0.0):
 def _drawn_family(seed: int, n: int, m: int):
     """The ensemble's draw: real symmetric for m = 2, complex Hermitian for m = 3, box [-2, 2]^m."""
     return _random_family(np.random.default_rng(seed), n, m, 2.0)
+
+
+def _in_company(H, level, seeds):
+    """The answer for (H, level, seeds) from one solve shared with another family's levels."""
+    other = _drawn_family(0, H.dim, H.m)
+    company = [
+        (other, j, box_sequence(other.box, 5, j), degeneracy_tol(other)) for j in range(1, H.dim)
+    ]
+    group = (H, level, np.array(seeds, dtype=float), degeneracy_tol(H))
+    return _locate_groups(company[:1] + [group] + company[1:])[1]
 
 
 def _is_interior(H, u) -> bool:
@@ -132,8 +142,9 @@ class TestLocateIntersection:
         # seed, and the first seed that hits is the same seed, reaching the same point
         H = boundary_pair_family
         small = locate_intersection(H, 2, box_sequence(H.box, k, seed))
-        large = locate_intersection(H, 2, box_sequence(H.box, k + extra, seed))
-        assert small is None or (large is not None and np.array_equal(small, large))
+        for locate in (locate_intersection, _in_company):
+            large = locate(H, 2, box_sequence(H.box, k + extra, seed))
+            assert small is None or (large is not None and np.array_equal(small, large))
 
     @settings(
         max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -142,8 +153,9 @@ class TestLocateIntersection:
     def test_larger_budget_reports_the_same_of_two_cones(self, double_cone_family, seed, k, extra):
         H = double_cone_family
         small = locate_intersection(H, 2, box_sequence(H.box, k, seed))
-        large = locate_intersection(H, 2, box_sequence(H.box, k + extra, seed))
-        assert small is None or (large is not None and np.array_equal(small, large))
+        for locate in (locate_intersection, _in_company):
+            large = locate(H, 2, box_sequence(H.box, k + extra, seed))
+            assert small is None or (large is not None and np.array_equal(small, large))
 
     def test_seed_ending_on_the_box_edge_restarts(self, boundary_pair_family):
         # the run from (0.9, 0.05) reaches the edge cone at (1, 0); a restart finds (0, 0)
@@ -240,6 +252,53 @@ class TestLocateIntersection:
     def test_bad_level_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
             locate_intersection(two_level_cone, 2, [[0.1, 0.1]])
+
+
+class TestBatchedLocator:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 5),
+        m=st.integers(2, 3),
+        shape=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 8)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_each_group_matches_its_standalone_solve(self, seed, n, m, shape):
+        # shape lists (family, level, seed count) per group; real families for m = 2,
+        # complex ones for m = 3
+        families = [_drawn_family(seed + f, n, m) for f in range(3)]
+        groups = []
+        for f, level, count in shape:
+            H = families[f]
+            seeds = box_sequence(H.box, count, seed + len(groups))
+            groups.append((H, 1 + (level - 1) % (n - 1), seeds, degeneracy_tol(H)))
+        for (H, level, seeds, tau), u in zip(groups, _locate_groups(groups)):
+            alone = locate_intersection(H, level, seeds, tau_deg=tau)
+            assert (u is None and alone is None) or np.array_equal(u, alone)
+
+    def test_no_groups_no_answers(self):
+        assert _locate_groups([]) == []
+
+    def test_complex_families_with_two_controls_have_no_intersections(self):
+        # a complex Hermitian crossing has codimension 3, so two controls generically
+        # miss it; real families drawn the same way show the solve does find crossings
+        located = {}
+        for draw in (random_symmetric, random_hermitian):
+            groups = []
+            for child in np.random.SeedSequence(0).spawn(40):
+                rng = np.random.default_rng(child)
+                ops = [HermitianOperator(draw(rng, 3)) for _ in range(3)]
+                H = ControlHamiltonian(
+                    drift=ops[0], controlled=tuple(ops[1:]), box=np.array([[-3.0, 3.0]] * 2)
+                )
+                seeds = box_sequence(H.box, 8, 0)
+                groups += [(H, j, seeds, degeneracy_tol(H)) for j in (1, 2)]
+            located[draw] = sum(u is not None for u in _locate_groups(groups))
+        assert located[random_hermitian] == 0
+        assert located[random_symmetric] >= 60
 
 
 class TestConicality:

@@ -13,6 +13,7 @@ from speccert import (
     load_hamiltonian,
     validate,
 )
+from speccert.operators import _affine_stack
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
@@ -201,6 +202,25 @@ class TestMatricesAt:
         for k in range(count):
             assert np.array_equal(stacked[k], H.matrix_at(U[k]))
             assert np.array_equal(stacked[k], H.matrices_at(U[k:])[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        m=st.integers(2, 4),
+        count=st.integers(1, 20),
+    )
+    def test_rows_with_their_own_operators_match_their_family(self, seed, n, m, count):
+        # the batched locator gathers each row's drift and controls from its own family
+        families = [random_family(seed + g, n, m) for g in range(3)]
+        drift = np.stack([H.drift.matrix for H in families])
+        ops = np.stack([H._controlled_stack for H in families])
+        rng = np.random.default_rng(seed + 1)
+        U = rng.uniform(-2, 2, (count, m))
+        g = rng.integers(0, 3, count)
+        stacked = _affine_stack(drift[g], ops[g], U)
+        for k in range(count):
+            assert np.array_equal(stacked[k], families[g[k]].matrix_at(U[k]))
 
     def test_wrong_shape_raises(self, two_level_cone):
         with pytest.raises(StructuralError):

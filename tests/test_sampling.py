@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+from scipy.stats import norm, qmc
+
+from speccert.sampling import box_sequence, sphere_directions
+
+
+def _fresh_halton(count: int, m: int, seed: int) -> np.ndarray:
+    return qmc.Halton(d=m, scramble=True, seed=seed).random(count)
+
+
+@pytest.mark.parametrize("count, m, seed", [(1, 2, 0), (6, 2, 1007), (24, 3, 0x5EED), (50, 5, 3)])
+def test_box_sequence_matches_a_fresh_halton_draw(count, m, seed):
+    box = np.column_stack([-np.arange(1.0, m + 1), np.linspace(0.5, 3.0, m)])
+    expected = box[:, 0] + _fresh_halton(count, m, seed) * (box[:, 1] - box[:, 0])
+    for _ in range(2):  # the second call reads the cached table
+        assert np.array_equal(box_sequence(box, count, seed), expected)
+
+
+@pytest.mark.parametrize("m, count, seed", [(2, 32, 0), (3, 32, 7), (4, 5, 11)])
+def test_sphere_directions_match_a_fresh_halton_draw(m, count, seed):
+    g = norm.ppf(np.clip(_fresh_halton(count, m, seed), 1e-12, 1 - 1e-12))
+    expected = g / np.linalg.norm(g, axis=1)[:, None]
+    for _ in range(2):
+        assert np.array_equal(sphere_directions(m, count, seed), expected)
+
+
+def test_cached_tables_are_read_only():
+    directions = sphere_directions(2, 32, 0)
+    assert directions is sphere_directions(2, 32, 0)
+    with pytest.raises(ValueError):
+        directions[0, 0] = 1.0
+    # a scaled box sequence is the caller's own array
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    points = box_sequence(box, 4, 0)
+    points[0, 0] = 5.0
+    assert box_sequence(box, 4, 0)[0, 0] != 5.0
