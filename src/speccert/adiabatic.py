@@ -27,7 +27,7 @@ from .errors import (
 )
 from .operators import ControlHamiltonian, _affine_stack, _finite_array, read_json
 from .resonance import check_nonresonant
-from .spectrum import continue_branches, decompose, decompose_many, degeneracy_tol
+from .spectrum import _decompose_stack, continue_branches, decompose, degeneracy_tol
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
@@ -153,12 +153,8 @@ class StateTrajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for k in range(self.times.shape[0]):
-                row = [repr(float(self.times[k]))]
-                row += [repr(float(x)) for x in self.controls[k]]
-                row += [repr(float(x)) for x in self.populations[k]]
-                row.append(repr(float(self.norm_defect[k])))
-                writer.writerow(row)
+            table = np.column_stack((self.times, self.controls, self.populations, self.norm_defect))
+            writer.writerows([repr(float(x)) for x in row] for row in table)
 
 
 def branch_populations(frame: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -188,6 +184,9 @@ def propagate(
     chunk's K, then applied to the state one step at a time. The recorded
     points are decomposed in stacked blocks of the same size, so memory does
     not grow with the number of steps or records.
+
+    Records are the initial point, every ceil(steps / max_records)-th step and
+    each segment's last step: at most ``max_records`` plus one per segment.
 
     Raises
     ------
@@ -220,26 +219,23 @@ def propagate(
         if not H.contains(w):
             raise GeometryError(f"waypoint {w.tolist()} lies outside the control box")
     segs = list(path.segments())
-    steps_per_seg = []
-    for a, b, dur in segs:
-        nb = max(H.norm_bound(a), H.norm_bound(b))
-        nsteps = max(1, math.ceil(dur * nb / step_limit))
-        steps_per_seg.append(nsteps)
-    total_steps = int(np.sum(steps_per_seg))
+    steps_per_seg = [
+        max(1, math.ceil(dur * max(H.norm_bound(a), H.norm_bound(b)) / step_limit))
+        for a, b, dur in segs
+    ]
+    total_steps = sum(steps_per_seg)
     if total_steps > MAX_TOTAL_STEPS:
         raise BudgetError(
             f"path requires {total_steps} steps (> {MAX_TOTAL_STEPS}); increase epsilon"
         )
-    stride = max(1, total_steps // max_records)
-    times = [0.0]
-    controls = [np.array(segs[0][0])]
-    states = [psi.copy()]
-    t = 0.0
-    step_count = 0
+    stride = -(-total_steps // max_records)
     n = H.dim
     chunk = max(1, STEP_CHUNK_ELEMS // n**2)
     drift, ops = H.drift.matrix, H._controlled_stack
-    for (a, b, dur), nsteps in zip(segs, steps_per_seg):
+    times = np.zeros(1)
+    records = [(times, segs[0][0][None], psi[None])]
+    offsets = np.cumsum([0] + steps_per_seg)
+    for (a, b, dur), nsteps, offset in zip(segs, steps_per_seg, offsets):
         h = dur / nsteps
         delta = b - a
         # K(u) = H(u) - i (h^2/12) [D, H(u)] is affine in u, with operators k0, ks
@@ -248,39 +244,35 @@ def propagate(
         k0 = drift - c * (rate @ drift - drift @ rate)
         ks = ops - c * (rate @ ops - ops @ rate)
         for start in range(0, nsteps, chunk):
-            stop = min(start + chunk, nsteps)
-            mids = a + ((np.arange(start, stop) + 0.5) / nsteps)[:, None] * delta
+            steps = np.arange(start, min(start + chunk, nsteps))
+            mids = a + ((steps + 0.5) / nsteps)[:, None] * delta
             lam, vecs = np.linalg.eigh(_affine_stack(k0, ks, mids))
             unitaries = (vecs * np.exp(-1j * h * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-            for i, step in enumerate(unitaries, start):
-                psi = step @ psi
-                t += h
-                step_count += 1
-                if step_count % stride == 0 or i == nsteps - 1:
-                    times.append(t)
-                    controls.append(a + ((i + 1) / nsteps) * delta)
-                    states.append(psi.copy())
-    times_arr = np.asarray(times)
-    controls_arr = np.vstack(controls)
-    states_arr = np.vstack(states)
-    norm_defect = np.abs(np.linalg.norm(states_arr, axis=1) - 1.0)
-    populations = np.empty((times_arr.shape[0], n))
-    labels = np.empty((times_arr.shape[0], n), dtype=int)
+            states = np.empty((len(steps), n), dtype=complex)
+            for k, step in enumerate(unitaries):
+                psi = states[k] = step @ psi
+            # a sequential cumsum from the running time adds h exactly as t += h would
+            times = np.cumsum(np.concatenate((times[-1:], np.full(len(steps), h))))[1:]
+            keep = ((offset + steps + 1) % stride == 0) | (steps == nsteps - 1)
+            controls = a + ((steps[keep] + 1) / nsteps)[:, None] * delta
+            records.append((times[keep], controls, states[keep]))
+    times, controls, states = (np.concatenate(parts) for parts in zip(*records))
+    norm_defect = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+    populations = np.empty((times.shape[0], n))
+    labels = np.empty((times.shape[0], n), dtype=int)
     ref = None
     # decomposed in blocks of the step chunk, so no frame outlives its block
-    for start in range(0, times_arr.shape[0], chunk):
+    for start in range(0, times.shape[0], chunk):
         block = slice(start, start + chunk)
-        points = decompose_many(H, controls_arr[block])
-        lam = np.array([sp.eigenvalues for sp in points])
-        frames = np.array([sp.frame for sp in points])
+        lam, frames = _decompose_stack(H.matrices_at(controls[block]), controls[block])
         labels[block], ref = continue_branches(lam, frames, degeneracy_tol(H), ref)
         # branch_populations returns values by sorted position; store them by label
-        pops = branch_populations(frames, states_arr[block])
+        pops = branch_populations(frames, states[block])
         populations[block] = np.take_along_axis(pops, np.argsort(labels[block], axis=1), axis=1)
     return StateTrajectory(
-        times=times_arr,
-        controls=controls_arr,
-        states=states_arr,
+        times=times,
+        controls=controls,
+        states=states,
         populations=populations,
         labels=labels,
         norm_defect=norm_defect,

@@ -49,7 +49,6 @@ class CertifyConfig:
     resonance_budget: int = 200
     tol_deg: float | None = None
     tol_res: float | None = None
-    include_basis: bool = False
 
 
 @dataclass(frozen=True)
@@ -267,9 +266,8 @@ def _random_family(rng, n: int, m: int, box_halfwidth: float) -> ControlHamilton
 
 
 def _perturbed(H: ControlHamiltonian, rng, rel_size: float) -> ControlHamiltonian:
-    draw = random_symmetric if all(
-        np.allclose(h.matrix.imag, 0) for h in (H.drift, *H.controlled)
-    ) else random_hermitian
+    """H with each operator bumped by noise of ``_random_family``'s kind for H.m."""
+    draw = random_symmetric if H.m == 2 else random_hermitian
 
     def bump(op: HermitianOperator) -> HermitianOperator:
         scale = rel_size * max(op.operator_norm(), 1e-300)

@@ -23,7 +23,7 @@ from .conical import certify_connectedness, degeneracy_tol, locate_intersection,
 from .errors import SpeccertError
 from .operators import ControlHamiltonian, load_hamiltonian
 from .sampling import box_sequence
-from .spectrum import decompose, decompose_many
+from .spectrum import _decompose_stack, decompose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -76,10 +76,10 @@ def _cmd_spectrum(args) -> int:
         # decomposed in blocks of bounded size, never as one stack over the grid
         block = max(1, STEP_CHUNK_ELEMS // H.dim**2)
         for start in range(0, len(points), block):
-            for k, sp in enumerate(decompose_many(H, points[start : start + block]), start):
-                writer.writerow(
-                    [k] + [repr(float(x)) for x in sp.u] + [repr(float(x)) for x in sp.eigenvalues]
-                )
+            U = points[start : start + block]
+            lam, _ = _decompose_stack(H.matrices_at(U), U)
+            for k, row in enumerate(np.hstack((U, lam)), start):
+                writer.writerow([k] + [repr(float(x)) for x in row])
     print(f"wrote {points.shape[0]} rows to {target}")
     return EXIT_OK
 

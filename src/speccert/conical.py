@@ -94,11 +94,16 @@ def _check_level(H: ControlHamiltonian, level: int) -> None:
 
 def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
     """Seeds as a (k, m) float array, each checked to lie in the box."""
-    U = np.array(list(seeds), dtype=float)
+    message = f"seeds must be control points of length {H.m}"
+    try:
+        U = np.array(list(seeds), dtype=float)
+    except (TypeError, ValueError) as exc:
+        # ragged or non-numeric seeds
+        raise PreconditionError(message) from exc
     if U.size == 0:
         return U
     if U.ndim != 2 or U.shape[1] != H.m:
-        raise PreconditionError(f"seeds must be control points of length {H.m}")
+        raise PreconditionError(message)
     for s in U:
         if not H.contains(s):
             raise PreconditionError(f"seed {s.tolist()} lies outside the control box")

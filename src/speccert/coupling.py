@@ -64,19 +64,13 @@ def build_graph(
     if tau_edge is None:
         tau_edge = EDGE_TOL_SCALE * float(np.max(H.control_norms()))
     frame = sp.frame
-    edges = set()
-    weights = {}
-    for l, hop in enumerate(H.controlled):
-        coupled = np.abs(frame.conj().T @ hop.matrix @ frame)
-        for j in range(n):
-            for k in range(j + 1, n):
-                w = float(coupled[j, k])
-                if w > tau_edge:
-                    key = (j + 1, k + 1)
-                    edges.add(key)
-                    if w > weights.get(key, 0.0):
-                        weights[key] = w
-    return CouplingGraph(n_nodes=n, edges=frozenset(edges), weights=weights)
+    # |<phi_j, H_l phi_k>| for every l at once, maximised over l
+    coupled = np.max(np.abs(frame.conj().T @ H._controlled_stack @ frame), axis=0)
+    weights = {
+        (int(j) + 1, int(k) + 1): float(coupled[j, k])
+        for j, k in zip(*np.nonzero(np.triu(coupled > tau_edge, k=1)))
+    }
+    return CouplingGraph(n_nodes=n, edges=frozenset(weights), weights=weights)
 
 
 def is_connected(g: CouplingGraph):

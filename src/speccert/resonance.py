@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .operators import ControlHamiltonian
-from .spectrum import decompose, decompose_many, degeneracy_tol
+from .spectrum import _decompose_stack, decompose, degeneracy_tol
 
 RES_TOL_SCALE = 1e-6
 
@@ -125,13 +125,12 @@ def sample_nonresonant(
     # all candidates are drawn up front so the result is the first pass by
     # index even if the evaluation order ever changes
     candidates = lo + rng.random((budget, H.m)) * (hi - lo)
-    points = decompose_many(H, candidates)
-    lam = np.stack([sp.eigenvalues for sp in points])
+    lam, _ = _decompose_stack(H.matrices_at(candidates), candidates)
     stats = min_sep, simple, tau = _gap_stats(H, lam, tau_res)
     passed = simple & (min_sep >= tau)
     first = int(np.argmax(passed))
     return NonresonantSample(
-        report=_report(points[first].u, stats, first) if passed[first] else None,
+        report=_report(candidates[first], stats, first) if passed[first] else None,
         tried=budget,
         acceptance_rate=int(np.count_nonzero(passed)) / budget,
     )

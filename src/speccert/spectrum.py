@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.conj(z) / np.abs(z))
 
 
-def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool) -> list:
-    """SpectralPoints of the Hermitian stack mats (N, n, n) = H(U[k]) from one eigensolve."""
+def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
+    """Checked eigenvalues (N, n) and phase-fixed frames of mats = H(U[k]); freezes U too."""
     try:
         lam, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -94,7 +95,12 @@ def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool) -> list:
             raise NumericalError(f"{message} at u={U[k].tolist()}", residual=float(value[k]))
     for a in (U, lam, vecs):
         a.setflags(write=False)
-    return [SpectralPoint(u=U[k], eigenvalues=lam[k], frame=vecs[k]) for k in range(len(U))]
+    return lam, vecs
+
+
+def _points(U: np.ndarray, lam: np.ndarray, frames: np.ndarray) -> list:
+    """One SpectralPoint per row of U and its ``_decompose_stack`` output."""
+    return [SpectralPoint(u=U[k], eigenvalues=lam[k], frame=frames[k]) for k in range(len(U))]
 
 
 def decompose_many(H: ControlHamiltonian, U) -> list:
@@ -110,7 +116,7 @@ def decompose_many(H: ControlHamiltonian, U) -> list:
         first failing row's residual).
     """
     U = np.array(U, dtype=float)
-    return _decompose_stack(H.matrices_at(U), U, check=True)
+    return _points(U, *_decompose_stack(H.matrices_at(U), U))
 
 
 def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
@@ -125,8 +131,8 @@ def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
         If the eigensolver fails to converge or the residual / orthonormality /
         trace invariants exceed their tolerances (carries the residual).
     """
-    u = np.array(u, dtype=float)
-    return _decompose_stack(H.matrix_at(u)[None], u[None], check)[0]
+    U = np.array(u, dtype=float)[None]
+    return _points(U, *_decompose_stack(H.matrix_at(U[0])[None], U, check))[0]
 
 
 def degeneracy_tol(H: ControlHamiltonian) -> float:
@@ -187,15 +193,21 @@ class TrackedSpectrum:
     exchange sorted positions when their branches cross.
     """
 
-    points: tuple
+    _controls: np.ndarray
+    _eigenvalues: np.ndarray
+    _frames: np.ndarray
     labels: np.ndarray
     lipschitz_bound: float
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(_points(self._controls, self._eigenvalues, self._frames))
 
     def branch_values(self, label: int) -> np.ndarray:
         """Eigenvalue series of one labeled branch."""
         if not 1 <= label <= self.labels.shape[1]:
             raise PreconditionError(f"no branch carries label {label}")
-        return np.array([sp.eigenvalues for sp in self.points])[self.labels == label]
+        return self._eigenvalues[self.labels == label]
 
 
 def track(
@@ -218,12 +230,12 @@ def track(
     RefinementNeededError
         If two consecutive path points are farther apart than ``step_bound``.
     """
-    pts = [np.asarray(p, dtype=float) for p in path]
-    if not pts:
+    U = np.array(list(path), dtype=float)
+    if not len(U):
         raise StructuralError("path must contain at least one point")
     if step_bound is None:
         step_bound = 0.05 * H.box_diameter()
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(U, axis=0), axis=1)
     if np.any(steps > step_bound):
         k = int(np.argmax(steps > step_bound))
         raise RefinementNeededError(
@@ -233,9 +245,8 @@ def track(
     tol = degeneracy_tol(H)
     # relative to H, like lip, so the check bites in every energy unit
     margin = tol + 1e-7 * lip
-    points = decompose_many(H, pts)
-    lam = np.array([sp.eigenvalues for sp in points])
-    labels, _ = continue_branches(lam, np.array([sp.frame for sp in points]), tol)
+    lam, frames = _decompose_stack(H.matrices_at(U), U)
+    labels, _ = continue_branches(lam, frames, tol)
     # Lipschitz sanity per labeled branch; a gross violation means the
     # matching lost a branch, which refinement would have prevented.
     jumps = np.abs(np.diff(np.take_along_axis(lam, np.argsort(labels, axis=1), axis=1), axis=0))
@@ -246,25 +257,20 @@ def track(
             f"branch continuation jumped by {jumps[k, b]:.3g} over a step of {steps[k]:.3g}",
             residual=float(jumps[k, b]),
         )
-    return TrackedSpectrum(points=tuple(points), labels=labels, lipschitz_bound=lip + margin)
+    return TrackedSpectrum(U, lam, frames, labels=labels, lipschitz_bound=lip + margin)
 
 
 def save_track_csv(tracked: TrackedSpectrum, path) -> None:
     """Write tracked spectra as CSV: step, u_1..u_m, lambda_1..lambda_n, branch labels."""
-    m = tracked.points[0].u.shape[0]
-    n = tracked.points[0].dim
+    U, lam = tracked._controls, tracked._eigenvalues
     header = (
         ["step"]
-        + [f"u_{l + 1}" for l in range(m)]
-        + [f"lambda_{j + 1}" for j in range(n)]
-        + [f"branch_{j + 1}" for j in range(n)]
+        + [f"u_{l + 1}" for l in range(U.shape[1])]
+        + [f"lambda_{j + 1}" for j in range(lam.shape[1])]
+        + [f"branch_{j + 1}" for j in range(lam.shape[1])]
     )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, sp in enumerate(tracked.points):
-            row = [k]
-            row += [repr(float(x)) for x in sp.u]
-            row += [repr(float(x)) for x in sp.eigenvalues]
-            row += [int(x) for x in tracked.labels[k]]
-            writer.writerow(row)
+        for k, (row, labels) in enumerate(zip(np.hstack((U, lam)), tracked.labels)):
+            writer.writerow([k] + [repr(float(x)) for x in row] + [int(x) for x in labels])

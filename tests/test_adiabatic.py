@@ -199,6 +199,24 @@ class TestChunkedPropagation:
         assert np.allclose(traj.times[1:], h * np.array(recorded), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("max_records", [1, 7, 50, 100, 199, 1000])
+    def test_record_cap(self, max_records):
+        # H(0) = sigma_z has norm 1, so at step limit 1 the three held segments
+        # take 66, 66 and 67 steps: 199 = 2 * 100 - 1 in all
+        H = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
+        path = ControlPath(
+            waypoints=(np.zeros(2),) * 4, durations=np.array([66.0, 66.0, 67.0]), epsilon=1.0
+        )
+        psi0 = np.array([0.6, 0.8j])
+        full = propagate(H, path, psi0, step_limit=1.0, max_records=10**6)
+        assert full.times.shape[0] == 200
+        traj = propagate(H, path, psi0, step_limit=1.0, max_records=max_records)
+        stride = -(-199 // max_records)
+        recorded = [0] + [k for k in range(1, 200) if k % stride == 0 or k in (66, 132, 199)]
+        assert traj.times.shape[0] == len(recorded) <= max_records + 3
+        for field in ("times", "controls", "states", "labels", "populations", "norm_defect"):
+            assert np.array_equal(getattr(traj, field), getattr(full, field)[recorded])
+
     def test_labels_continue_across_record_blocks(self):
         # H = u1 sigma_z crosses exactly at u1 = 0, where the labels exchange sorted positions
         H = make_family(np.zeros((2, 2)), [SIGMA_Z, SIGMA_X], [[-2, 2], [-2, 2]])

@@ -242,8 +242,9 @@ class TestLocateIntersection:
         assert locate_intersection(two_level_cone, 1, []) is None
 
     def test_seed_of_wrong_length_rejected(self, two_level_cone):
-        with pytest.raises(PreconditionError):
-            locate_intersection(two_level_cone, 1, [[0.1, 0.1, 0.1]])
+        for seeds in ([[0.1, 0.1, 0.1]], [[0.1, 0.2], [0.1, 0.2, 0.3]]):
+            with pytest.raises(PreconditionError):
+                locate_intersection(two_level_cone, 1, seeds)
 
     def test_seed_outside_box_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
@@ -384,6 +385,11 @@ class TestCertifyConnectedness:
         assert report.certified
         assert set(report.certificates) == {1}
         assert np.linalg.norm(report.certificates[1].u_star) < 1e-6
+
+    def test_hint_of_wrong_length_rejected(self, two_level_cone):
+        # the hint and the box seeds together are ragged
+        with pytest.raises(PreconditionError):
+            certify_connectedness(two_level_cone, 4, hints=[[0.1, 0.2, 0.3]])
 
     def test_diag_family_incomplete(self, diag_family):
         report = certify_connectedness(diag_family, 6, rng_seed=3)

@@ -4,7 +4,7 @@ import pytest
 from speccert import StructuralError, build_graph, decompose, is_connected
 from speccert.coupling import CouplingGraph
 from speccert.spectrum import SpectralPoint
-from conftest import SIGMA_X, SIGMA_Z, make_family
+from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
 def graph_for(drift, controlled, u=(0.0, 0.0), box=((-1, 1), (-1, 1))):
@@ -40,6 +40,27 @@ class TestBuildGraph:
         h2 = 0.7 * SIGMA_X
         g = graph_for(SIGMA_Z, [h1, h2])
         assert g.weights[(1, 2)] == pytest.approx(0.7)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_matches_per_operator_loop(self, n):
+        for seed in range(5):
+            H = random_family(seed, n, 3)
+            sp = decompose(H, [0.3, -0.7, 1.1])
+            # at most one edge per pair, weighted by its largest coupling over the controls
+            tau = 0.05
+            edges, weights = set(), {}
+            for hop in H.controlled:
+                coupled = np.abs(sp.frame.conj().T @ hop.matrix @ sp.frame)
+                for j in range(n):
+                    for k in range(j + 1, n):
+                        key = (j + 1, k + 1)
+                        if coupled[j, k] > tau:
+                            edges.add(key)
+                            weights[key] = max(weights.get(key, 0.0), coupled[j, k])
+            g = build_graph(H, sp, tau_edge=tau)
+            assert g.edges == frozenset(edges)
+            assert g.weights == weights
 
 
 def SIGMA_X_3():
