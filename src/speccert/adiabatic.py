@@ -231,22 +231,19 @@ def propagate(
     stride = -(-total_steps // max_records)
     n = H.dim
     chunk = max(1, STEP_CHUNK_ELEMS // n**2)
-    drift, ops = H.drift.matrix, H._controlled_stack
     times = np.zeros(1)
     records = [(times, segs[0][0][None], psi[None])]
     offsets = np.cumsum([0] + steps_per_seg)
     for (a, b, dur), nsteps, offset in zip(segs, steps_per_seg, offsets):
         h = dur / nsteps
         delta = b - a
-        # K(u) = H(u) - i (h^2/12) [D, H(u)] is affine in u, with operators k0, ks
-        rate = np.tensordot(delta / dur, ops, axes=1)
-        c = 1j * h**2 / 12
-        k0 = drift - c * (rate @ drift - drift @ rate)
-        ks = ops - c * (rate @ ops - ops @ rate)
+        # K(u) = H(u) - i (h^2/12) [D, H(u)] is affine in u, with operator stack ks
+        rate = np.tensordot(delta / dur, H._stack[1:], axes=1)
+        ks = H._stack - 1j * h**2 / 12 * (rate @ H._stack - H._stack @ rate)
         for start in range(0, nsteps, chunk):
             steps = np.arange(start, min(start + chunk, nsteps))
             mids = a + ((steps + 0.5) / nsteps)[:, None] * delta
-            lam, vecs = np.linalg.eigh(_affine_stack(k0, ks, mids))
+            lam, vecs = np.linalg.eigh(_affine_stack(ks, mids))
             unitaries = (vecs * np.exp(-1j * h * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
             states = np.empty((len(steps), n), dtype=complex)
             for k, step in enumerate(unitaries):

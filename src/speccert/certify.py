@@ -268,16 +268,9 @@ def _random_family(rng, n: int, m: int, box_halfwidth: float) -> ControlHamilton
 def _perturbed(H: ControlHamiltonian, rng, rel_size: float) -> ControlHamiltonian:
     """H with each operator bumped by noise of ``_random_family``'s kind for H.m."""
     draw = random_symmetric if H.m == 2 else random_hermitian
-
-    def bump(op: HermitianOperator) -> HermitianOperator:
-        scale = rel_size * max(op.operator_norm(), 1e-300)
-        return HermitianOperator(op.matrix + scale * draw(rng, H.dim))
-
-    return ControlHamiltonian(
-        drift=bump(H.drift),
-        controlled=tuple(bump(h) for h in H.controlled),
-        box=H.box,
-    )
+    scales = rel_size * np.maximum(H._norms, 1e-300)
+    ops = [HermitianOperator(op + s * draw(rng, H.dim)) for op, s in zip(H._stack, scales)]
+    return ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=H.box)
 
 
 def ensemble_genericity(
@@ -311,6 +304,8 @@ def ensemble_genericity(
         raise SpeccertError("ensemble experiments are defined for m in {2, 3}")
     if trials < 1:
         raise SpeccertError("trials must be at least 1")
+    if n < 2:
+        raise SpeccertError(f"n must be at least 2, got {n}")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
     families = [_random_family(rng, n, m, box_halfwidth) for rng in rngs]
     pairs = [(t, j) for t in range(trials) for j in range(1, n)]
@@ -333,7 +328,7 @@ def ensemble_genericity(
         tally[t, 0] += 1
         H = families[t]
         try:
-            result = test_conicality(H, u_star, j, tau_deg=degeneracy_tol(H), rng_seed=rng_seed)
+            result = test_conicality(H, u_star, j, rng_seed=rng_seed)
         except SpeccertError:
             continue
         if result.conical:

@@ -47,6 +47,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a flag whose value must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -57,8 +68,6 @@ def _cmd_spectrum(args) -> int:
     H = _load_input(args.input)
     out = _outdir(args)
     res = args.grid
-    if res < 1:
-        raise SpeccertError("--grid must be at least 1")
     axes = [
         np.linspace(H.box[l, 0], H.box[l, 1], res) if res > 1 else np.array([H.box[l, 0]])
         for l in range(H.m)
@@ -193,18 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalue sweep over the control box")
     add_common(p, seed_required=False)
-    p.add_argument("--grid", type=int, default=51, help="grid resolution per axis")
+    p.add_argument("--grid", type=_positive_int, default=51, help="grid resolution per axis")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("find-intersections", help="search for conical intersections")
     add_common(p, seed_required=True)
-    p.add_argument("--budget", type=int, default=8, help="search seeds per level")
+    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
     p.set_defaults(func=_cmd_find_intersections)
 
     p = sub.add_parser("certify", help="run the full controllability pipeline")
     add_common(p, seed_required=True)
-    p.add_argument("--budget", type=int, default=8, help="search seeds per level")
-    p.add_argument("--resonance-budget", type=int, default=200, help="non-resonance samples")
+    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
+    p.add_argument(
+        "--resonance-budget", type=_positive_int, default=200, help="non-resonance samples"
+    )
     p.add_argument("--tol-res", type=_positive_float, default=None, help="gap-separation threshold")
     p.set_defaults(func=_cmd_certify)
 
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True, help="lower level of the pair")
     p.add_argument("--rho", type=_positive_float, required=True, help="entry/exit radius")
     p.add_argument("--epsilon", type=_positive_float, required=True, help="slowness parameter")
-    p.add_argument("--budget", type=int, default=8, help="search seeds")
+    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="propagate a state along a control path")

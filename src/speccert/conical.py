@@ -132,8 +132,7 @@ def _locate_groups(groups) -> list:
     pos = np.arange(len(grp)) - start[grp]  # a slot's position in its group's seed order
     U = np.concatenate(seed_sets, dtype=float)
     n, m = Hs[0].dim, Hs[0].m
-    drift = np.stack([H.drift.matrix for H in Hs])
-    ops = np.stack([H._controlled_stack for H in Hs])
+    ops = np.stack([H._stack for H in Hs])
     box = np.stack([H.box for H in Hs])
     lo, hi = box[grp, :, 0], box[grp, :, 1]
     margin = INTERIOR_REL_MARGIN * (hi - lo)
@@ -149,7 +148,7 @@ def _locate_groups(groups) -> list:
     unit = _halton_unit(int(counts.max()) * RESTARTS, m, RESTART_SEED)
 
     def pair_at(idx, points):
-        lam, vecs = np.linalg.eigh(_affine_stack(drift[grp[idx]], ops[grp[idx]], points))
+        lam, vecs = np.linalg.eigh(_affine_stack(ops[grp[idx]], points))
         j, rows = level[idx], np.arange(len(idx))
         gap = lam[rows, j] - lam[rows, j - 1]
         return gap, np.take_along_axis(vecs, (j - 1)[:, None, None] + np.arange(2), axis=2)
@@ -187,7 +186,7 @@ def _locate_groups(groups) -> list:
                 continue
             break
         a = np.nonzero(live)[0]
-        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a]], pair[a])
+        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a], 1:], pair[a])
         J = np.stack(
             [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
             axis=1,
@@ -279,8 +278,8 @@ def test_conicality(
     Raises
     ------
     PreconditionError
-        If the point is not degenerate at ``tau_deg``, or the ball of radius
-        t0 around it leaves the box.
+        If ``t0`` is not finite and positive, the point is not degenerate at
+        ``tau_deg``, or the ball of radius t0 around it leaves the box.
     """
     u_star = np.asarray(u_star, dtype=float)
     n = H.dim
@@ -289,6 +288,8 @@ def test_conicality(
         tau_deg = degeneracy_tol(H)
     if t0 is None:
         t0 = 1e-3 * H.box_diameter()
+    if not (np.isfinite(t0) and t0 > 0):
+        raise PreconditionError(f"probe radius t0 must be finite and positive, got {t0}")
     if c_min is None:
         c_min = 1e-6 * H.energy_scale / H.box_diameter()
     sp = decompose(H, u_star)
@@ -317,32 +318,22 @@ def test_conicality(
     slopes = g @ radii / (radii @ radii)
     misfit = g - slopes[:, None] * radii
     residuals = np.linalg.norm(misfit, axis=1) / np.maximum(np.linalg.norm(g, axis=1), 1e-300)
-
-    def _reject(reason: str) -> ConicalityResult:
-        return ConicalityResult(
-            conical=False,
-            certificate=None,
-            reason=reason,
-            slopes=slopes,
-            fit_residuals=residuals,
-            directions=directions,
-        )
-
-    if not flank_ok:
-        return _reject("degeneracy multiplicity is not exactly two at this point")
     worst = int(np.argmin(slopes))
-    if slopes[worst] <= c_min:
-        return _reject(
+    bad = int(np.argmax(residuals))
+    reason = ""
+    if not flank_ok:
+        reason = "degeneracy multiplicity is not exactly two at this point"
+    elif not slopes[worst] > c_min:  # a nan slope never certifies
+        reason = (
             f"gap slope {slopes[worst]:.3e} along direction {directions[worst].tolist()} "
             f"does not exceed c_min {c_min:.3e}"
         )
-    bad = int(np.argmax(residuals))
-    if residuals[bad] > residual_max:
-        return _reject(
+    elif residuals[bad] > residual_max:
+        reason = (
             f"linear fit residual {residuals[bad]:.3f} along direction "
             f"{directions[bad].tolist()} exceeds {residual_max}; contact is not linear"
         )
-    cert = ConicalCertificate(
+    cert = None if reason else ConicalCertificate(
         level=level,
         u_star=u_star,
         c_hat=float(slopes[worst]),
@@ -353,9 +344,9 @@ def test_conicality(
         n_directions=n_directions,
     )
     return ConicalityResult(
-        conical=True,
+        conical=not reason,
         certificate=cert,
-        reason="",
+        reason=reason,
         slopes=slopes,
         fit_residuals=residuals,
         directions=directions,
@@ -437,15 +428,11 @@ def certify_connectedness(
             continue
         if not result.conical:
             failures[j] = result.reason
-        elif not result.certificate.others_simple:
-            failures[j] = "other levels are not simple at the located intersection"
-            certificates[j] = result.certificate
         else:
             certificates[j] = result.certificate
-    status = "certified" if all(
-        j in certificates and certificates[j].others_simple and j not in failures
-        for j in range(1, H.dim)
-    ) else "incomplete"
+            if not result.certificate.others_simple:
+                failures[j] = "other levels are not simple at the located intersection"
+    status = "certified" if not failures else "incomplete"
     metadata = {
         "box": H.box.tolist(),
         "seed_budget": seed_budget,

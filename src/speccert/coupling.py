@@ -65,7 +65,7 @@ def build_graph(
         tau_edge = EDGE_TOL_SCALE * float(np.max(H.control_norms()))
     frame = sp.frame
     # |<phi_j, H_l phi_k>| for every l at once, maximised over l
-    coupled = np.max(np.abs(frame.conj().T @ H._controlled_stack @ frame), axis=0)
+    coupled = np.max(np.abs(frame.conj().T @ H._stack[1:] @ frame), axis=0)
     weights = {
         (int(j) + 1, int(k) + 1): float(coupled[j, k])
         for j, k in zip(*np.nonzero(np.triu(coupled > tau_edge, k=1)))

@@ -188,7 +188,7 @@ def generators_from(H: ControlHamiltonian) -> list:
     drift from each controlled part, so the closure of this set equals the
     closure of {i H(u)} over the whole box.
     """
-    return [1j * H.drift.matrix] + [1j * h.matrix for h in H.controlled]
+    return list(1j * H._stack)
 
 
 def _sp_witness(basis, n: int, tol: float = 1e-6) -> bool:

@@ -135,24 +135,28 @@ class HermitianOperator:
         return cls.from_real_imag(d["re"], d["im"])
 
 
-def _affine_stack(constant: np.ndarray, ops: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Matrices constant + sum_l U[k, l] ops[l] stacked as (N, n, n), for U of shape (N, m).
+def _affine_stack(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Matrices ops[0] + sum_l U[k, l] ops[l + 1] stacked as (N, n, n), for U of shape (N, m).
 
-    ``constant`` is one (n, n) matrix or one per row, (N, n, n); ``ops`` is one
-    (m, n, n) stack or one per row, (N, m, n, n). Every entry is summed term by
-    term in a fixed order, so row k is bitwise the same whichever other rows,
-    with whichever operators, share the call; a BLAS product would not promise
+    ``ops`` is one (m + 1, n, n) operator stack, constant term first, or one
+    such stack per row, (N, m + 1, n, n). Every entry is summed term by term
+    in a fixed order, so row k is bitwise the same whichever other rows, with
+    whichever operators, share the call; a BLAS product would not promise
     that, since its kernel, and so its rounding, depends on N.
     """
-    out = constant + U[:, 0, None, None] * ops[..., 0, :, :]
+    out = ops[..., 0, :, :] + U[:, 0, None, None] * ops[..., 1, :, :]
     for l in range(1, U.shape[1]):
-        out += U[:, l, None, None] * ops[..., l, :, :]
+        out += U[:, l, None, None] * ops[..., l + 1, :, :]
     return out
 
 
 @dataclass(frozen=True)
 class ControlHamiltonian:
     """Affine family H(u) = drift + sum_l u_l * controlled[l] over a box.
+
+    The rest of the package reads a family only through its read-only
+    (m + 1, n, n) operator stack ``_stack``, drift in row 0, and the stack's
+    spectral norms ``_norms``, each computed once.
 
     Parameters
     ----------
@@ -207,14 +211,19 @@ class ControlHamiltonian:
             np.all(u >= self.box[:, 0] + margin) and np.all(u <= self.box[:, 1] - margin)
         )
 
-    def control_norms(self) -> np.ndarray:
-        """Spectral norms of the controlled operators."""
-        return np.array([h.operator_norm() for h in self.controlled])
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """(m + 1, n, n) stack of the drift and the controlled matrices, built on first use."""
+        return _freeze(np.stack([self.drift.matrix, *(h.matrix for h in self.controlled)]))
 
     @cached_property
-    def _controlled_stack(self) -> np.ndarray:
-        """(m, n, n) stack of the controlled matrices, built on first evaluation."""
-        return _freeze(np.stack([h.matrix for h in self.controlled]))
+    def _norms(self) -> np.ndarray:
+        """(m + 1,) spectral norms of the stack's rows, from one stacked eigensolve."""
+        return _freeze(np.max(np.abs(np.linalg.eigvalsh(self._stack)), axis=1))
+
+    def control_norms(self) -> np.ndarray:
+        """Spectral norms of the controlled operators."""
+        return self._norms[1:].copy()
 
     @cached_property
     def energy_scale(self) -> float:
@@ -250,12 +259,12 @@ class ControlHamiltonian:
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.m:
             raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
-        return _affine_stack(self.drift.matrix, self._controlled_stack, U)
+        return _affine_stack(self._stack, U)
 
     def norm_bound(self, u) -> float:
         """Upper bound on the spectral norm of H(u) via the triangle inequality."""
         u = np.asarray(u, dtype=float)
-        return float(self.drift.operator_norm() + np.abs(u) @ self.control_norms())
+        return float(self._norms[0] + np.abs(u) @ self._norms[1:])
 
     def to_json_dict(self) -> dict:
         return {

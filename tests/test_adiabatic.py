@@ -19,7 +19,7 @@ from speccert import (
     propagate,
     test_conicality,
 )
-from speccert.adiabatic import DEFAULT_STEP_LIMIT, STEP_CHUNK_ELEMS
+from speccert.adiabatic import DEFAULT_STEP_LIMIT, STEP_CHUNK_ELEMS, _route, _segment_clearance
 from speccert.spectrum import degeneracy_tol
 from branch_reference import reference_labels
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
@@ -360,6 +360,49 @@ class TestClimb:
         report = certify_connectedness(two_level_cone, 6, rng_seed=3)
         with pytest.raises(PreconditionError):
             climb(two_level_cone, report, [0.0, 0.0], epsilon=0.1)
+
+
+class TestRoute:
+    """``_route``: the detours a climb takes around the intersections it does not pass."""
+
+    BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+
+    @staticmethod
+    def clearance(a, waypoints, b, obstacles) -> float:
+        points = [a, *waypoints, b]
+        return min(
+            _segment_clearance(p, q, o)[0]
+            for p, q in zip(points, points[1:])
+            for o in obstacles
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, obstacles, delta",
+        [
+            ([-1.0, 0.0], [1.0, 0.0], [[0.0, 0.0]], 0.2),
+            ([-1.0, 0.0], [1.0, 0.0], [[0.0, 0.0], [0.5, 0.1]], 0.2),
+            ([-1.0, 0.1], [1.0, -0.05], [[0.0, 0.0]], 0.3),
+        ],
+    )
+    def test_detour_keeps_delta_from_the_obstacles(self, a, b, obstacles, delta):
+        a, b, obstacles = np.array(a), np.array(b), [np.array(o) for o in obstacles]
+        assert self.clearance(a, [], b, obstacles) < delta
+        waypoints = _route(a, b, obstacles, delta, self.BOX)
+        assert waypoints
+        assert self.clearance(a, waypoints, b, obstacles) >= delta * (1 - 1e-9)
+
+    def test_clear_segment_needs_no_detour(self):
+        a, b = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
+        assert _route(a, b, [np.zeros(2)], 0.2, self.BOX) == []
+
+    def test_detour_stays_inside_the_box(self):
+        # the way around an obstacle near the top edge points out of the box
+        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        a, b = np.array([-0.5, 0.95]), np.array([0.5, 0.95])
+        waypoints = _route(a, b, [np.array([0.0, 0.9])], 0.2, box)
+        assert waypoints
+        for w in waypoints:
+            assert np.all(w >= box[:, 0]) and np.all(w <= box[:, 1])
 
 
 class TestAdiabaticTrend:

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from speccert import (
     CertifyConfig,
+    ControlHamiltonian,
+    HermitianOperator,
+    SpeccertError,
     certify,
     closure,
     ensemble_genericity,
     generators_from,
 )
-from speccert.sampling import random_symmetric
+from speccert.certify import _perturbed, _random_family
+from speccert.sampling import random_hermitian, random_symmetric
 from conftest import make_family, scaled
 from ensemble_reference import reference_trials
 
@@ -140,6 +144,25 @@ class TestEnsemble:
         few = ensemble_genericity(n=3, m=2, trials=3, rng_seed=5)
         many = ensemble_genericity(n=3, m=2, trials=9, rng_seed=5)
         assert few.per_trial == many.per_trial[:3]
+
+    @pytest.mark.parametrize("m, draw", [(2, random_symmetric), (3, random_hermitian)])
+    def test_perturbation_matches_a_per_operator_reference(self, m, draw):
+        H = _random_family(np.random.default_rng(3), 4, m, 3.0)
+        # a zero operator keeps its noise at the 1e-300 floor
+        H = ControlHamiltonian(
+            drift=H.drift, controlled=(*H.controlled[:-1], HermitianOperator(np.zeros((4, 4)))),
+            box=H.box,
+        )
+        got = _perturbed(H, np.random.default_rng(7), 1e-3)
+        rng = np.random.default_rng(7)
+        for op, bumped in zip([H.drift, *H.controlled], [got.drift, *got.controlled]):
+            scale = 1e-3 * max(float(np.max(np.abs(np.linalg.eigvalsh(op.matrix)))), 1e-300)
+            assert np.array_equal(bumped.matrix, op.matrix + scale * draw(rng, 4))
+        assert np.array_equal(got.box, H.box)
+
+    def test_invalid_n_rejected(self):
+        with pytest.raises(SpeccertError, match="n must be at least 2"):
+            ensemble_genericity(n=1, m=2, trials=1, rng_seed=0)
 
     def test_hermitian_ensemble_runs(self):
         summary = ensemble_genericity(n=3, m=3, trials=2, rng_seed=7)

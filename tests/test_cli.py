@@ -162,6 +162,35 @@ class TestCertifyCommand:
         assert "finite number > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("certify", "--budget", "0"),
+            ("certify", "--budget", "-3"),
+            ("certify", "--budget", "2.5"),
+            ("certify", "--resonance-budget", "0"),
+            ("certify", "--resonance-budget", "-1"),
+            ("find-intersections", "--budget", "0"),
+            ("synthesize", "--budget", "0"),
+            ("synthesize", "--budget", "-1"),
+            ("spectrum", "--grid", "0"),
+        ],
+    )
+    def test_integer_flag_below_one_exit_2(
+        self, cone_file, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--input", str(cone_file), "--out", str(out), flag, value]
+        if command != "spectrum":
+            argv += ["--seed", "1"]
+        if command == "synthesize":
+            argv += ["--level", "1", "--rho", "0.1", "--epsilon", "0.01"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, cone_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -269,6 +298,17 @@ class TestEnsembleCommand:
         doc = json.loads((out / "ensemble_summary.json").read_text())
         assert "conical_fraction" in doc
         assert (out / "ensemble_trials.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-2", "1"])
+    def test_dimension_below_two_exit_2(self, tmp_path, capsys, n):
+        # a usage error raised by ensemble_genericity, returned by main, not by argparse
+        out = tmp_path / "out"
+        code = main(
+            ["ensemble", "--out", str(out), "--seed", "7", "--n", n, "--m", "2", "--trials", "2"]
+        )
+        assert code == 2
+        assert f"n must be at least 2, got {n}" in capsys.readouterr().err
+        assert not (out / "ensemble_summary.json").exists()
 
 
 class TestConsoleEntry:

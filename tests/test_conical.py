@@ -340,6 +340,12 @@ class TestConicality:
         with pytest.raises(PreconditionError):
             test_conicality(two_level_cone, [0.0, 0.0], 1, t0=1.5)
 
+    @pytest.mark.parametrize("t0", [0.0, -0.1, np.nan, np.inf])
+    def test_probe_radius_must_be_finite_and_positive(self, flat_gap_family, t0):
+        # at t0 = 0 every probe sits at u_star, and each slope is 0/0
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            test_conicality(flat_gap_family, [0.0, 0.0], 1, t0=t0)
+
     def test_certificate_json_schema(self, two_level_cone):
         result = test_conicality(two_level_cone, [0.0, 0.0], 1)
         doc = result.certificate.to_json_dict()
@@ -402,6 +408,13 @@ class TestCertifyConnectedness:
         H = make_family(SIGMA_Z, [0.1 * SIGMA_X, 0.1 * SIGMA_X], [[-1, 1], [-1, 1]])
         report = certify_connectedness(H, 6, rng_seed=3)
         assert report.status == "incomplete"
+
+    def test_zero_probe_radius_incomplete(self):
+        H = make_family(np.zeros((2, 2)), [SIGMA_Z, SIGMA_X], [[-1, 1], [-1, 1]])
+        report = certify_connectedness(H, 4, t0=0.0)
+        assert report.status == "incomplete"
+        assert not report.certificates
+        assert "finite and positive" in report.failures[1]
 
     def test_three_level_chain_certified(self, three_level_chain):
         report = certify_connectedness(three_level_chain, 12, rng_seed=5)

@@ -89,3 +89,16 @@ def test_private_checker_flags_dead_names():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def test_only_operators_splits_drift_from_controls():
+    # every other module reads a family through its operator stack and cached norms
+    split = {"drift", "controlled", "operator_norm"}
+    found = sorted(
+        f"{path.name}:{node.lineno}:{node.attr}"
+        for path in MODULES
+        if path.name != "operators.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in split
+    )
+    assert found == []

@@ -13,6 +13,7 @@ from speccert import (
     load_hamiltonian,
     validate,
 )
+from speccert.certify import _perturbed
 from speccert.operators import _affine_stack
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
@@ -211,14 +212,13 @@ class TestMatricesAt:
         count=st.integers(1, 20),
     )
     def test_rows_with_their_own_operators_match_their_family(self, seed, n, m, count):
-        # the batched locator gathers each row's drift and controls from its own family
+        # the batched locator gathers each row's operator stack from its own family
         families = [random_family(seed + g, n, m) for g in range(3)]
-        drift = np.stack([H.drift.matrix for H in families])
-        ops = np.stack([H._controlled_stack for H in families])
+        ops = np.stack([H._stack for H in families])
         rng = np.random.default_rng(seed + 1)
         U = rng.uniform(-2, 2, (count, m))
         g = rng.integers(0, 3, count)
-        stacked = _affine_stack(drift[g], ops[g], U)
+        stacked = _affine_stack(ops[g], U)
         for k in range(count):
             assert np.array_equal(stacked[k], families[g[k]].matrix_at(U[k]))
 
@@ -230,6 +230,37 @@ class TestMatricesAt:
 
     def test_operator_stack_built_on_first_evaluation(self):
         H = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
-        assert "_controlled_stack" not in vars(H)
+        assert "_stack" not in vars(H)
         H.matrix_at([0.0, 0.0])
-        assert "_controlled_stack" in vars(H)
+        assert "_stack" in vars(H)
+
+
+class TestNorms:
+    def test_norms_match_each_operator(self):
+        H = random_family(5, 4, 3)
+        ops = [H.drift, *H.controlled]
+        assert np.array_equal(H._stack, np.stack([op.matrix for op in ops]))
+        assert np.array_equal(H.control_norms(), [h.operator_norm() for h in H.controlled])
+        u = np.array([0.3, -1.2, 2.0])
+        bound = H.drift.operator_norm() + np.abs(u) @ [h.operator_norm() for h in H.controlled]
+        assert H.norm_bound(u) == float(bound)
+
+    def test_norms_take_one_eigensolve_per_family(self, monkeypatch):
+        H = random_family(6, 3, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append((np.shape(a), np.asarray(a).dtype.kind))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        H.norm_bound([0.5, 0.5])
+        assert calls == [((3, 3, 3), "c")]
+        H.norm_bound([0.1, -0.2])
+        H.control_norms()
+        assert calls == [((3, 3, 3), "c")]
+        # the only eigensolves left in a perturbation scale its real noise draws
+        _perturbed(H, np.random.default_rng(0), 1e-3)
+        _perturbed(H, np.random.default_rng(1), 1e-3)
+        assert calls[1:] == [((3, 3), "f")] * 6
