@@ -1,15 +1,17 @@
 """Real Lie algebra generated by skew-Hermitian matrices under iterated brackets.
 
 The closure is grown breadth-first on an orthonormal basis of the span (real
-inner product Re tr(A^dagger B)), bracketing new directions with the
-generators only (see ``closure``). Classification is by dimension: the full
-algebra has dimension n^2, its traceless part n^2 - 1, and for even n the
-quaternionic candidate has dimension n(n+1)/2, resolved by an explicit
-antiunitary-structure witness search.
+inner product Re tr(A^dagger B), in n^2 real coordinates), bracketing new
+directions with the generators only (see ``closure``). Classification is by
+dimension: the full algebra has dimension n^2, its traceless part n^2 - 1, and
+for even n the quaternionic candidate has dimension n(n+1)/2, resolved by an
+explicit antiunitary-structure witness search.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,10 @@ RANK_TOL = 1e-9
 BRACKET_ZERO_TOL = 1e-12
 SKEW_TOL = 1e-12
 TRACE_TOL = 1e-10
+# rows a leaf of the blocked basis extension takes one at a time
+LEAF_ROWS = 8
+# fewest rows the extension projects in one piece; fewer make its products memory-bound
+_PIECE_ROWS = 64
 
 CLASS_FULL = "u(n)"
 CLASS_TRACELESS = "su(n)"
@@ -29,16 +35,49 @@ CLASS_ABELIAN = "abelian-or-small"
 CLASS_OTHER = "other"
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinates(n: int) -> tuple:
+    """Where the n^2 real coordinates of an n x n skew-Hermitian matrix are stored.
+
+    The coordinates are ``[Im diag, sqrt2 Re upper, sqrt2 Im upper]``, upper
+    meaning the strict upper triangle: an isometry from the skew-Hermitian
+    matrices under Re tr(A^dagger B) onto R^(n^2). On the float view of a flat
+    complex matrix (entry k at 2k and 2k + 1), coordinate c is stored at
+    ``upper[c]`` divided by ``scale[c]`` and mirrored at ``lower[c]``, the
+    same part of the transposed entry, times ``sign[c]``: a skew-Hermitian
+    matrix negates the real part of its mirror.
+    """
+    i, j = np.triu_indices(n, 1)
+    diag, up, low = np.arange(n) * (n + 1), i * n + j, j * n + i
+    k = len(up)
+    out = (
+        np.concatenate([2 * diag + 1, 2 * up, 2 * up + 1]),
+        np.concatenate([2 * diag + 1, 2 * low, 2 * low + 1]),
+        np.concatenate([np.ones(n), -np.ones(k), np.ones(k)]),
+        np.concatenate([np.ones(n), np.full(2 * k, np.sqrt(2.0))]),
+    )
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _vec(a: np.ndarray) -> np.ndarray:
-    """Real coordinates of each matrix in a stack (..., n, n), one row per matrix."""
-    lead = a.shape[:-2]
-    return np.concatenate([a.real.reshape(*lead, -1), a.imag.reshape(*lead, -1)], axis=-1)
+    """Coordinates (..., n^2) of the skew-Hermitian part (a - a^dagger)/2 of each matrix."""
+    n = a.shape[-1]
+    upper, lower, sign, scale = _coordinates(n)
+    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1, n * n).view(np.float64)
+    v = (flat.take(upper, axis=1) + sign * flat.take(lower, axis=1)) * (scale / 2)
+    return v.reshape(*a.shape[:-2], n * n)
 
 
 def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    m = (v[..., : n * n] + 1j * v[..., n * n:]).reshape(*v.shape[:-1], n, n)
-    # the skew-Hermitian subspace is closed under projection; fold roundoff back
-    return (m - np.swapaxes(m.conj(), -1, -2)) / 2
+    """The exactly skew-Hermitian matrices with coordinates ``v`` (..., n^2)."""
+    upper, lower, sign, scale = _coordinates(n)
+    w = v.reshape(-1, n * n) / scale
+    out = np.zeros((len(w), 2 * n * n))
+    out[:, upper] = w
+    out[:, lower] = sign * w
+    return out.view(complex).reshape(*v.shape[:-1], n, n)
 
 
 class _SpanBasis:
@@ -47,37 +86,71 @@ class _SpanBasis:
     def __init__(self, n: int):
         self.n = n
         self.dim = 0
-        self.vectors = np.zeros((n * n, 2 * n * n))
+        self.vectors = np.zeros((n * n, n * n))
 
-    def try_add(self, v: np.ndarray, rel_tol: float = RANK_TOL) -> bool:
-        """Add the component of ``v`` orthogonal to the span; False if dependent."""
-        norm0 = float(np.linalg.norm(v))
-        if norm0 == 0.0:
-            return False
-        q = self.vectors[: self.dim]
-        # two projection passes keep orthogonality near machine precision
-        for _ in range(2):
-            v = v - q.T @ (q @ v)
-        resid = float(np.linalg.norm(v))
-        if resid <= rel_tol * norm0:
-            return False
-        self.vectors[self.dim] = v / resid
-        self.dim += 1
-        return True
+    def extend(
+        self, candidates: np.ndarray, rel_tol: float = RANK_TOL, floor: float = 0.0
+    ) -> None:
+        """Add each candidate row's component orthogonal to the span, in order, if independent.
 
-    def extend(self, candidates: np.ndarray, rel_tol: float) -> None:
-        """``try_add`` each candidate row in order, stopping once the span is all of u(n)."""
-        for v in candidates:
+        The decisions are those of taking the rows one at a time: a row of
+        norm above ``floor`` is added when its residual against the span,
+        including the rows added before it, exceeds ``rel_tol`` times its
+        norm. Stops once the span is all of u(n).
+        """
+        norms = np.sqrt((candidates * candidates).sum(axis=1))
+        keep = norms > floor
+        rows, norms = candidates[keep], norms[keep]
+        # pieces of about as many rows as there is room left, so that a block
+        # that fills the space is not projected far beyond the row that fills it
+        while len(rows) and self.dim < len(self.vectors):
+            take = max(len(self.vectors) - self.dim, _PIECE_ROWS)
+            self._accept(rows[:take], norms[:take], rel_tol, 0)
+            rows, norms = rows[take:], norms[take:]
+
+    def _accept(self, rows: np.ndarray, norms: np.ndarray, rel_tol: float, start: int) -> None:
+        """``extend`` for rows already orthogonal to ``vectors[:start]``.
+
+        A block of more than ``LEAF_ROWS`` rows is projected off
+        ``vectors[start:dim]`` in two matrix-product passes, which keep
+        classical Gram-Schmidt orthogonal to machine precision. Rows that then
+        fail the test are dropped, since projecting them further only shrinks
+        them. The first half of the rest is accepted first; the second half
+        is then projected off what the first half added. A leaf runs the same
+        test row by row.
+        """
+        if self.dim == len(self.vectors):
+            return
+        if len(rows) > LEAF_ROWS and self.dim > start:
+            q = self.vectors[start: self.dim]
+            for _ in range(2):
+                rows = rows - (rows @ q.T) @ q
+                keep = np.sqrt((rows * rows).sum(axis=1)) > rel_tol * norms
+                rows, norms = rows[keep], norms[keep]
+            start = self.dim
+        if len(rows) > LEAF_ROWS:
+            half = len(rows) // 2
+            self._accept(rows[:half], norms[:half], rel_tol, start)
+            self._accept(rows[half:], norms[half:], rel_tol, start)
+            return
+        for v, norm0 in zip(rows, norms.tolist()):
             if self.dim == len(self.vectors):
                 return
-            self.try_add(v, rel_tol=rel_tol)
+            if self.dim > start:
+                q = self.vectors[start: self.dim]
+                v = v - (q @ v) @ q
+                v = v - (q @ v) @ q
+            resid = math.sqrt(v @ v)
+            if resid > rel_tol * norm0:
+                self.vectors[self.dim] = v / resid
+                self.dim += 1
 
     def matrices(self, start: int = 0) -> np.ndarray:
         """Basis elements from ``start`` on as a stack of skew-Hermitian matrices."""
         return _unvec(self.vectors[start: self.dim], self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieClosureResult:
     """Bracket-generated algebra: orthonormal basis, dimension, classification."""
 
@@ -145,6 +218,8 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     by X is spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]]
     with every x_i in X, and each is ad_x of a shorter one for some x in X.
     Brackets of these unit-norm elements with norm below 1e-12 count as zero.
+    Only the skew-Hermitian part of each generator enters, so a Hermitian part
+    small enough to pass the skew check adds no direction.
 
     Raises
     ------
@@ -158,19 +233,20 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     n = gens[0].shape[0]
     if any(g.shape[0] != n for g in gens):
         raise StructuralError("generators must share a common dimension")
-    traceless = all(
-        abs(complex(np.trace(g))) <= TRACE_TOL * float(np.linalg.norm(g)) for g in gens
-    )
+    coords = _vec(np.array(gens))
+    traceless = bool(np.all(
+        np.abs(coords[:, :n].sum(axis=1)) <= TRACE_TOL * np.linalg.norm(coords, axis=1)
+    ))
     basis = _SpanBasis(n)
-    basis.extend(_vec(np.array(gens)), rel_tol=rank_tol)
+    basis.extend(coords, rel_tol=rank_tol)
     span = basis.matrices()
     start = 0
     while start < basis.dim < n * n:
         frontier = basis.matrices(start)[:, None]
         start = basis.dim
-        brackets = _vec(frontier @ span - span @ frontier).reshape(-1, 2 * n * n)
-        nonzero = np.linalg.norm(brackets, axis=1) > BRACKET_ZERO_TOL
-        basis.extend(brackets[nonzero], rel_tol=rank_tol)
+        # for skew-Hermitian a, b: b a = (a b)^dagger, so [a, b] is twice the skew part of a b
+        brackets = 2.0 * _vec(frontier @ span).reshape(-1, n * n)
+        basis.extend(brackets, rel_tol=rank_tol, floor=BRACKET_ZERO_TOL)
     mats = tuple(basis.matrices())
     return LieClosureResult(
         dimension=basis.dim,

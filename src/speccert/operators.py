@@ -75,7 +75,7 @@ def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """An n x n Hermitian matrix, n >= 2, immutable after construction."""
 
@@ -150,7 +150,7 @@ def _affine_stack(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlHamiltonian:
     """Affine family H(u) = drift + sum_l u_l * controlled[l] over a box.
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from speccert import (
@@ -12,12 +12,16 @@ from speccert import (
 from speccert.lie_closure import (
     CLASS_ABELIAN,
     CLASS_FULL,
+    CLASS_OTHER,
     CLASS_SP_CANDIDATE,
     CLASS_TRACELESS,
+    RANK_TOL,
     LieClosureResult,
     _classify,
     _sp_witness,
+    _SpanBasis,
 )
+from speccert.sampling import random_symmetric
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 
 
@@ -89,6 +93,15 @@ class TestClosure:
         rng = np.random.default_rng(8)
         result = closure([random_skew(rng, 4) for _ in range(3)])
         assert result.dimension <= 16
+
+    @pytest.mark.parametrize("hermitian", [SIGMA_Z, SIGMA_X, np.eye(2)])
+    def test_only_the_skew_hermitian_part_counts(self, hermitian):
+        # a Hermitian part below the absolute input floor passes the skew check,
+        # but it is no direction of the algebra at any generator scale
+        for scale in (1e-20, 1.0):
+            gens = [scale * 1j * SIGMA_X, scale * 1j * SIGMA_Z + 1e-13 * hermitian]
+            result = closure(gens)
+            assert (result.dimension, result.classification) == (3, CLASS_TRACELESS)
 
     def test_rank_tolerance_parameter(self):
         result = closure([1j * SIGMA_X, 1j * SIGMA_Z], rank_tol=1e-10)
@@ -311,3 +324,111 @@ class TestGeneratorScale:
             gens = structured_generators(kind, n, seed)
         # dimension, classification, traceless_generators and n
         assert closure([10.0**k * g for g in gens]).to_json_dict() == closure(gens).to_json_dict()
+
+
+def reference_extend(vectors, rows, rel_tol=RANK_TOL):
+    """Row-by-row two-pass Gram-Schmidt that stops at a full basis: what ``extend`` must decide."""
+    for v in rows:
+        norm0 = np.linalg.norm(v)
+        if len(vectors) == vectors.shape[1] or norm0 == 0.0:
+            continue
+        for _ in range(2):
+            v = v - vectors.T @ (vectors @ v)
+        resid = np.linalg.norm(v)
+        if resid > rel_tol * norm0:
+            vectors = np.vstack([vectors, v / resid])
+    return vectors
+
+
+ROW_KINDS = ["new", "zero", "in-span", "near-span", "repeat", "combination"]
+
+
+@st.composite
+def candidate_blocks(draw):
+    """n and blocks of rows in R^(n^2), each row at a random scale.
+
+    A row is new, zero, in the span of earlier blocks, 1e-6 (relative) off
+    that span, a repeat of an earlier row of its block, or a combination of
+    earlier rows of its block.
+    """
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    block_kinds = st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=100)
+    kinds = draw(st.lists(block_kinds, min_size=1, max_size=4))
+    blocks, seen = [], []
+    for block_kinds in kinds:
+        block = []
+        for kind in block_kinds:
+            if kind in ("in-span", "near-span") and seen:
+                row = rng.standard_normal(len(seen)) @ np.array(seen)
+                if kind == "near-span":
+                    row = row + 1e-6 * np.linalg.norm(row) * rng.standard_normal(n * n)
+            elif kind == "repeat" and block:
+                row = block[rng.integers(len(block))]
+            elif kind == "combination" and len(block) > 1:
+                row = rng.standard_normal(len(block)) @ np.array(block)
+            elif kind == "zero":
+                row = np.zeros(n * n)
+            else:
+                row = rng.standard_normal(n * n)
+            block.append(row * 10.0 ** rng.uniform(-3, 3))
+        seen += block
+        blocks.append(np.array(block))
+    return n, blocks
+
+
+class TestSpanBasisExtend:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=candidate_blocks())
+    def test_matches_row_by_row_gram_schmidt(self, case):
+        n, blocks = case
+        basis = _SpanBasis(n)
+        reference = np.zeros((0, n * n))
+        for block in blocks:
+            basis.extend(block)
+            reference = reference_extend(reference, block)
+            vectors = basis.vectors[: basis.dim]
+            assert basis.dim == len(reference)
+            projector_gap = np.abs(vectors.T @ vectors - reference.T @ reference)
+            assert np.max(projector_gap, initial=0.0) <= 1e-10
+            gram_gap = np.abs(vectors @ vectors.T - np.eye(basis.dim))
+            assert np.max(gram_gap, initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stops_at_a_full_basis(self, n):
+        # with no rank tolerance every rounding residual counts as new, so only
+        # the stop at n^2 keeps a long block from writing past the basis
+        basis = _SpanBasis(n)
+        basis.extend(np.random.default_rng(n).standard_normal((5 * n * n, n * n)), rel_tol=0.0)
+        assert basis.dim == n * n
+        vectors = basis.vectors
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(n * n))) <= 1e-12
+
+
+def block_diagonal_generators(seed):
+    """i H0, i H1, i H2 of an n = 16 family built from two 8 x 8 real-symmetric blocks."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(3):
+        mat = np.zeros((16, 16))
+        mat[:8, :8] = random_symmetric(rng, 8)
+        mat[8:, 8:] = random_symmetric(rng, 8)
+        gens.append(1j * mat)
+    return gens
+
+
+class TestLargeClosures:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_block_family_closes_to_u8_plus_u8(self, seed):
+        result = closure(block_diagonal_generators(seed))
+        assert (result.dimension, result.classification) == (128, CLASS_OTHER)
+        assert not classify_transitive(result, 16).controllable_on_group
+
+    def test_random_n24_family_is_full_and_its_traceless_part_is_su(self):
+        rng = np.random.default_rng(24)
+        gens = [random_skew(rng, 24) for _ in range(3)]
+        result = closure(gens)
+        assert (result.dimension, result.classification) == (576, CLASS_FULL)
+        traceless = [g - np.trace(g) / 24 * np.eye(24) for g in gens]
+        result = closure(traceless)
+        assert (result.dimension, result.classification) == (575, CLASS_TRACELESS)

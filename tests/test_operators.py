@@ -9,7 +9,9 @@ from speccert import (
     ControlHamiltonian,
     HermitianOperator,
     StructuralError,
+    closure,
     evaluate,
+    generators_from,
     load_hamiltonian,
     validate,
 )
@@ -140,6 +142,27 @@ class TestControlHamiltonian:
         assert set(doc) == {"dim", "drift", "controlled", "box"}
         assert set(doc["drift"]) == {"re", "im"}
         assert len(doc["drift"]["re"]) == 2
+
+
+def _equal_pair(kind):
+    """Two separately built objects of one kind with equal contents."""
+    H = random_family(3, 3, 2)
+    G = ControlHamiltonian.from_json_dict(H.to_json_dict())
+    if kind == "operator":
+        return H.drift, G.drift
+    if kind == "closure":
+        return closure(generators_from(H)), closure(generators_from(G))
+    return H, G
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("kind", ["operator", "family", "closure"])
+    def test_equality_and_hashing_are_by_identity(self, kind):
+        a, b = _equal_pair(kind)
+        assert a == a
+        assert not (a == b)
+        assert a != b
+        assert len({a, b, a}) == 2
 
 
 class TestInputContract:
