@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,21 +117,73 @@ def load_path(path) -> ControlPath:
     return ControlPath(*fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateTrajectory:
     """Simulated states on a recorded time grid with branch populations.
 
     ``populations[k, b-1]`` is |<phi_b(u(t_k)), psi(t_k)>|^2 for the branch
     carrying label b; labels start as the sorted levels at t=0 and follow the
     eigenframes by maximal overlap, exchanging sorted positions at crossings.
+
+    A trajectory from ``propagate`` computes ``populations`` and ``labels``
+    on their first read, in one checked pass that decomposes every record,
+    and caches both; a ``NumericalError`` from that decomposition surfaces at
+    the read. Its ``controls`` and ``states``, which that pass reads, are
+    read-only. Built from all six fields, it returns the arrays it was given.
     """
 
     times: np.ndarray
     controls: np.ndarray
     states: np.ndarray
-    populations: np.ndarray
-    labels: np.ndarray
     norm_defect: np.ndarray
+
+    def __init__(self, times, controls, states, populations, labels, norm_defect):
+        vars(self).update(
+            times=times,
+            controls=controls,
+            states=states,
+            norm_defect=norm_defect,
+            _records=(populations, labels),
+        )
+
+    @classmethod
+    def _of(cls, H: ControlHamiltonian, times, controls, states, norm_defect) -> "StateTrajectory":
+        """The records of a run of H, with populations and labels left to the first read."""
+        traj = cls.__new__(cls)
+        controls.setflags(write=False)
+        states.setflags(write=False)
+        vars(traj).update(
+            times=times, controls=controls, states=states, norm_defect=norm_defect, _family=H
+        )
+        return traj
+
+    @cached_property
+    def _records(self) -> tuple:
+        H = self._family
+        n = H.dim
+        chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+        count = self.times.shape[0]
+        populations = np.empty((count, n))
+        labels = np.empty((count, n), dtype=int)
+        ref = None
+        # decomposed in blocks of the step chunk, so no frame outlives its block
+        for start in range(0, count, chunk):
+            block = slice(start, start + chunk)
+            controls = self.controls[block]
+            lam, frames = _decompose_stack(H.matrices_at(controls), controls)
+            labels[block], ref = continue_branches(lam, frames, degeneracy_tol(H), ref)
+            # branch_populations returns values by sorted position; store them by label
+            pops = branch_populations(frames, self.states[block])
+            populations[block] = np.take_along_axis(pops, np.argsort(labels[block], axis=1), axis=1)
+        return populations, labels
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self._records[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._records[1]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -181,9 +234,11 @@ def propagate(
     operators are built once, and the step exponentials are evaluated in
     stacked chunks of up to ``STEP_CHUNK_ELEMS // n**2`` steps,
     V diag(exp(-i h lambda)) V^dagger from one stacked eigensolve of the
-    chunk's K, then applied to the state one step at a time. The recorded
-    points are decomposed in stacked blocks of the same size, so memory does
-    not grow with the number of steps or records.
+    chunk's K, then applied to the state one step at a time, so memory does
+    not grow with the number of steps. The trajectory decomposes its recorded
+    points in stacked blocks of the same size, on the first read of its
+    ``populations`` or ``labels``; a ``NumericalError`` from those
+    decompositions is raised at that read, not here.
 
     Records are the initial point, every ceil(steps / max_records)-th step and
     each segment's last step: at most ``max_records`` plus one per segment.
@@ -255,25 +310,7 @@ def propagate(
             records.append((times[keep], controls, states[keep]))
     times, controls, states = (np.concatenate(parts) for parts in zip(*records))
     norm_defect = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    populations = np.empty((times.shape[0], n))
-    labels = np.empty((times.shape[0], n), dtype=int)
-    ref = None
-    # decomposed in blocks of the step chunk, so no frame outlives its block
-    for start in range(0, times.shape[0], chunk):
-        block = slice(start, start + chunk)
-        lam, frames = _decompose_stack(H.matrices_at(controls[block]), controls[block])
-        labels[block], ref = continue_branches(lam, frames, degeneracy_tol(H), ref)
-        # branch_populations returns values by sorted position; store them by label
-        pops = branch_populations(frames, states[block])
-        populations[block] = np.take_along_axis(pops, np.argsort(labels[block], axis=1), axis=1)
-    return StateTrajectory(
-        times=times,
-        controls=controls,
-        states=states,
-        populations=populations,
-        labels=labels,
-        norm_defect=norm_defect,
-    )
+    return StateTrajectory._of(H, times, controls, states, norm_defect)
 
 
 def plan_passage(
@@ -404,8 +441,9 @@ def climb(
     ``delta`` is rho/2.
 
     The step limit comes from a measured error. The path is propagated at
-    ``CLIMB_START_LIMIT`` and once more, recording only segment ends, at twice
-    that limit; the propagator is fourth order, so ||psi_h - psi_2h|| / 15
+    ``CLIMB_START_LIMIT`` and once more at twice that limit, reading only the
+    final states, so neither run decomposes its records; the propagator is
+    fourth order, so ||psi_h - psi_2h|| / 15
     estimates the final state's error. While the estimate exceeds
     ``CLIMB_TOLERANCE`` the limit is halved, and the last run serves as the
     coarse one, down to ``DEFAULT_STEP_LIMIT`` at the least, so no climb takes
@@ -485,7 +523,7 @@ def climb(
     path = ControlPath(waypoints=tuple(deduped), durations=durations, epsilon=epsilon)
     psi0 = decompose(H, u_anchor).frame[:, 0]
     step_limit = CLIMB_START_LIMIT
-    coarse = propagate(H, path, psi0, 2 * step_limit, max_records=1).final_state
+    coarse = propagate(H, path, psi0, 2 * step_limit).final_state
     while True:
         trajectory = propagate(H, path, psi0, step_limit)
         # Richardson estimate for a fourth-order method: 2**4 - 1 = 15

@@ -180,6 +180,8 @@ def _check_skew(mats) -> list:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"generator must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise StructuralError("generator has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(a))))
         if float(np.max(np.abs(a + a.conj().T))) > SKEW_TOL * scale:
             raise StructuralError("generator is not skew-Hermitian")

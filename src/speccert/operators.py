@@ -135,6 +135,13 @@ class HermitianOperator:
         return cls.from_real_imag(d["re"], d["im"])
 
 
+def _row_operator(row: np.ndarray) -> HermitianOperator:
+    """A HermitianOperator over a validated read-only stack row, sharing its memory."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "matrix", row)
+    return op
+
+
 def _affine_stack(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Matrices ops[0] + sum_l U[k, l] ops[l + 1] stacked as (N, n, n), for U of shape (N, m).
 
@@ -154,9 +161,11 @@ def _affine_stack(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
 class ControlHamiltonian:
     """Affine family H(u) = drift + sum_l u_l * controlled[l] over a box.
 
-    The rest of the package reads a family only through its read-only
-    (m + 1, n, n) operator stack ``_stack``, drift in row 0, and the stack's
-    spectral norms ``_norms``, each computed once.
+    The family stores its operators once, as the read-only (m + 1, n, n)
+    operator stack ``_stack`` built at construction, drift in row 0;
+    ``drift`` and ``controlled`` are operators over views of its rows. The
+    rest of the package reads a family only through that stack and its
+    spectral norms ``_norms``, computed once.
 
     Parameters
     ----------
@@ -186,7 +195,10 @@ class ControlHamiltonian:
             )
         if not np.all(box[:, 0] < box[:, 1]):
             raise StructuralError("each control interval needs lo < hi")
-        object.__setattr__(self, "controlled", controlled)
+        stack = _freeze(np.stack([self.drift.matrix, *(h.matrix for h in controlled)]))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "drift", _row_operator(stack[0]))
+        object.__setattr__(self, "controlled", tuple(_row_operator(row) for row in stack[1:]))
         object.__setattr__(self, "box", _freeze(box))
 
     @property
@@ -210,11 +222,6 @@ class ControlHamiltonian:
         return bool(
             np.all(u >= self.box[:, 0] + margin) and np.all(u <= self.box[:, 1] - margin)
         )
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        """(m + 1, n, n) stack of the drift and the controlled matrices, built on first use."""
-        return _freeze(np.stack([self.drift.matrix, *(h.matrix for h in self.controlled)]))
 
     @cached_property
     def _norms(self) -> np.ndarray:

@@ -1,8 +1,14 @@
 """Reference branch continuation: the per-point greedy matcher that
 ``spectrum.continue_branches`` replaced, kept as the oracle whose labels the
-array kernel must reproduce exactly."""
+array kernel must reproduce exactly; and the eager record pass that
+``propagate`` ran before trajectories decomposed their records on first read,
+kept as the oracle for those lazy records."""
 
 import numpy as np
+
+from speccert import branch_populations
+from speccert.adiabatic import STEP_CHUNK_ELEMS
+from speccert.spectrum import _decompose_stack, continue_branches, degeneracy_tol
 
 
 def _greedy_match(frame_old: np.ndarray, frame_new: np.ndarray) -> np.ndarray:
@@ -60,3 +66,21 @@ def reference_labels(points, tol: float) -> np.ndarray:
     """Labels (K, n) of SpectralPoints ``points``, one continuer step per point."""
     continuer = _BranchContinuer(points[0], tol)
     return np.array([continuer.step(sp) for sp in points])
+
+
+def reference_records(H, traj) -> tuple:
+    """(populations, labels) of a trajectory of H, decomposed eagerly in blocks
+    of the step chunk with ``continue_branches``'s reference carried across."""
+    n = H.dim
+    chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+    times, controls, states = traj.times, traj.controls, traj.states
+    populations = np.empty((times.shape[0], n))
+    labels = np.empty((times.shape[0], n), dtype=int)
+    ref = None
+    for start in range(0, times.shape[0], chunk):
+        block = slice(start, start + chunk)
+        lam, frames = _decompose_stack(H.matrices_at(controls[block]), controls[block])
+        labels[block], ref = continue_branches(lam, frames, degeneracy_tol(H), ref)
+        pops = branch_populations(frames, states[block])
+        populations[block] = np.take_along_axis(pops, np.argsort(labels[block], axis=1), axis=1)
+    return populations, labels

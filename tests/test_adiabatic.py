@@ -19,9 +19,16 @@ from speccert import (
     propagate,
     test_conicality,
 )
-from speccert.adiabatic import DEFAULT_STEP_LIMIT, STEP_CHUNK_ELEMS, _route, _segment_clearance
+from speccert import adiabatic
+from speccert.adiabatic import (
+    DEFAULT_STEP_LIMIT,
+    STEP_CHUNK_ELEMS,
+    StateTrajectory,
+    _route,
+    _segment_clearance,
+)
 from speccert.spectrum import degeneracy_tol
-from branch_reference import reference_labels
+from branch_reference import reference_labels, reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
@@ -253,6 +260,71 @@ class TestChunkedPropagation:
         for k in (0, block - 1, block, traj.times.shape[0] - 1):
             pops = branch_populations(points[k].frame, traj.states[k])
             assert np.allclose(traj.populations[k, traj.labels[k] - 1], pops, rtol=0, atol=1e-14)
+
+
+class TestLazyRecords:
+    """Populations and labels are decomposed on first read, bitwise as the eager pass did."""
+
+    @pytest.mark.parametrize(
+        "family, waypoints, durations, max_records",
+        [
+            ("two_level_cone", [[0.4, 0.3], [0.0, 0.0], [-0.4, -0.3]], [50.0, 50.0], 1200),
+            ("three_level_chain", [[-0.3, 0.55], [0.0, 0.0], [0.75, 0.0]], [40.0, 40.0], 1200),
+            # more records than one block of 1820 at n = 3, so the reference carries across
+            ("three_level_chain", [[-0.3, 0.55], [0.2, -0.3], [0.9, 0.1]], [150.0, 150.0], 10**6),
+        ],
+    )
+    def test_records_match_the_eager_pass(self, request, family, waypoints, durations, max_records):
+        H = request.getfixturevalue(family)
+        path = ControlPath(
+            waypoints=tuple(np.array(w, dtype=float) for w in waypoints),
+            durations=np.array(durations),
+            epsilon=1.0,
+        )
+        psi0 = decompose(H, path.waypoints[0]).frame[:, 0]
+        traj = propagate(H, path, psi0, max_records=max_records)
+        if max_records > 1200:
+            assert traj.times.shape[0] > STEP_CHUNK_ELEMS // H.dim**2
+        populations, labels = reference_records(H, traj)
+        assert np.array_equal(traj.populations, populations)
+        assert np.array_equal(traj.labels, labels)
+        # a second read returns the cached arrays, derived from records that cannot change
+        assert traj.populations is traj.populations
+        assert traj.labels is traj.labels
+        assert not traj.controls.flags.writeable and not traj.states.flags.writeable
+
+    def test_climb_does_no_record_pass(self, monkeypatch, three_level_chain):
+        report = certify_connectedness(three_level_chain, 12, rng_seed=5)
+        rows = []
+        decompose_stack = adiabatic._decompose_stack
+
+        def counting(mats, U, *args, **kwargs):
+            rows.append(len(U))
+            return decompose_stack(mats, U, *args, **kwargs)
+
+        monkeypatch.setattr(adiabatic, "_decompose_stack", counting)
+        result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-3)
+        assert rows == []
+        traj = result.trajectory
+        assert traj.populations.shape == (traj.times.shape[0], 3)
+        # one pass over every record serves both arrays and every later read
+        assert sum(rows) == traj.times.shape[0]
+        assert traj.labels.shape == traj.populations.shape
+        assert sum(rows) == traj.times.shape[0]
+
+    def test_constructor_returns_the_given_arrays(self):
+        fields = dict(
+            times=np.array([0.0, 1.0]),
+            controls=np.zeros((2, 2)),
+            states=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+            populations=np.array([[1.0, 0.0], [0.5, 0.5]]),
+            labels=np.array([[1, 2], [2, 1]]),
+            norm_defect=np.zeros(2),
+        )
+        traj = StateTrajectory(**fields)
+        for name, value in fields.items():
+            assert getattr(traj, name) is value
+        assert traj.final_population_sorted(1) == 0.5
 
 
 class TestGaugeRobustness:

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from speccert import StateTrajectory, decompose, load_hamiltonian, load_path, propagate
 from speccert.cli import main
+from branch_reference import reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family
 
 
@@ -260,6 +262,36 @@ class TestSynthesizeSimulate:
         rows = read_csv(out / "trajectory.csv")
         assert all(float(r["norm_defect"]) <= 1e-9 for r in rows)
 
+    def test_simulate_output_is_that_of_the_eager_records(self, cone_file, tmp_path, capsys):
+        # the trajectory decomposes its records on first read; what simulate
+        # writes is what it wrote when propagate decomposed them eagerly
+        path_doc = {
+            "waypoints": [[0.4, 0.3], [0.0, 0.05], [-0.4, -0.3]],
+            "durations": [50.0, 50.0],
+            "epsilon": 0.01,
+        }
+        path_file = tmp_path / "passage.json"
+        path_file.write_text(json.dumps(path_doc))
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--input", str(cone_file), "--path", str(path_file), "--out", str(out)]
+        )
+        assert code == 0
+        H, path = load_hamiltonian(cone_file), load_path(path_file)
+        traj = propagate(H, path, decompose(H, path.waypoints[0]).frame[:, 0])
+        populations, labels = reference_records(H, traj)
+        eager = StateTrajectory(
+            times=traj.times,
+            controls=traj.controls,
+            states=traj.states,
+            populations=populations,
+            labels=labels,
+            norm_defect=traj.norm_defect,
+        )
+        eager.save_csv(tmp_path / "eager.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+        final = " ".join(f"{eager.final_population_sorted(j):.6f}" for j in (1, 2))
+        assert capsys.readouterr().out.splitlines()[-1] == f"final populations by sorted level: {final}"
 
     @pytest.mark.parametrize(
         "document",

@@ -57,6 +57,14 @@ class TestClosure:
         with pytest.raises(StructuralError):
             closure([SIGMA_X])
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_rejected(self, entry):
+        # NaN fails every comparison, so the skew test alone would let it through
+        with np.errstate(invalid="ignore"):
+            generator = np.full((2, 2), np.nan) if entry == "nan" else 1j * np.diag([1.0, np.inf])
+        with pytest.raises(StructuralError, match="non-finite"):
+            closure([generator])
+
     def test_mismatched_dims_rejected(self):
         with pytest.raises(StructuralError):
             closure([1j * SIGMA_X, 1j * np.eye(3)])

@@ -251,11 +251,17 @@ class TestMatricesAt:
         with pytest.raises(StructuralError):
             two_level_cone.matrices_at(np.zeros(2))
 
-    def test_operator_stack_built_on_first_evaluation(self):
-        H = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
-        assert "_stack" not in vars(H)
-        H.matrix_at([0.0, 0.0])
+    def test_operators_are_views_of_the_stack(self):
+        # the family stores each operator once: the public operators are read-only rows of the stack
+        matrices = [SIGMA_Z, SIGMA_X, 2 * SIGMA_Z]
+        H = make_family(matrices[0], matrices[1:], [[-1, 1], [-1, 1]])
         assert "_stack" in vars(H)
+        for k, op in enumerate([H.drift, *H.controlled]):
+            assert isinstance(op, HermitianOperator)
+            assert np.shares_memory(op.matrix, H._stack)
+            assert np.array_equal(op.matrix, H._stack[k])
+            assert np.array_equal(op.matrix, matrices[k])
+            assert not op.matrix.flags.writeable
 
 
 class TestNorms:
