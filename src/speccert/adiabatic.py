@@ -43,7 +43,7 @@ DEFAULT_MAX_RECORDS = 1200
 STEP_CHUNK_ELEMS = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPath:
     """Piecewise-linear control schedule with a slowness parameter.
 
@@ -117,7 +117,7 @@ def load_path(path) -> ControlPath:
     return ControlPath(*fields)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateTrajectory:
     """Simulated states on a recorded time grid with branch populations.
 
@@ -403,7 +403,7 @@ def _route(a, b, obstacles, delta, box, depth: int = 8) -> list:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClimbResult:
     """A chained-passage plan, its simulated trajectory, and the achieved transfer.
 

@@ -24,6 +24,8 @@ from .conical import (
 from .coupling import CouplingGraph, build_graph, is_connected
 from .errors import SpeccertError
 from .lie_closure import (
+    CLASS_FULL,
+    CLASS_TRACELESS,
     LieClosureResult,
     TransitivityVerdict,
     classify_transitive,
@@ -51,7 +53,7 @@ class CertifyConfig:
     tol_res: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllabilityCertificate:
     """Machine-readable record of one certification run."""
 
@@ -105,14 +107,6 @@ class ControllabilityCertificate:
             )
 
 
-def _verdict_from_closure(result: LieClosureResult, n: int) -> str:
-    if result.dimension == n * n:
-        return f"exactly-controllable-U({n})"
-    if result.dimension == n * n - 1 and result.traceless_generators:
-        return f"exactly-controllable-SU({n})"
-    return VERDICT_NOT_CERTIFIED
-
-
 def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> ControllabilityCertificate:
     """Run the full certification pipeline on one control-affine family.
 
@@ -151,11 +145,10 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
         transitivity = classify_transitive(closure_result, H.dim)
     except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"closure: {exc}")
-    verdict = (
-        _verdict_from_closure(closure_result, H.dim)
-        if closure_result is not None
-        else VERDICT_NOT_CERTIFIED
-    )
+    # the closure's class alone decides: u(n) and su(n) are the controllable ones
+    groups = {CLASS_FULL: "U", CLASS_TRACELESS: "SU"}
+    group = None if closure_result is None else groups.get(closure_result.classification)
+    verdict = VERDICT_NOT_CERTIFIED if group is None else f"exactly-controllable-{group}({H.dim})"
     spectral_predicts = bool(
         connectedness is not None
         and connectedness.certified

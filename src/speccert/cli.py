@@ -21,19 +21,13 @@ from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, degeneracy_tol, locate_intersection, test_conicality
 from .errors import SpeccertError
-from .operators import ControlHamiltonian, load_hamiltonian
+from .operators import load_hamiltonian
 from .sampling import box_sequence
 from .spectrum import _decompose_stack, decompose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-
-
-def _load_input(path_str: str) -> ControlHamiltonian:
-    if not Path(path_str).exists():
-        raise FileNotFoundError(path_str)
-    return load_hamiltonian(path_str)
 
 
 def _positive_float(text: str) -> float:
@@ -65,7 +59,7 @@ def _outdir(args) -> Path:
 
 
 def _cmd_spectrum(args) -> int:
-    H = _load_input(args.input)
+    H = load_hamiltonian(args.input)
     out = _outdir(args)
     res = args.grid
     axes = [
@@ -94,7 +88,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_find_intersections(args) -> int:
-    H = _load_input(args.input)
+    H = load_hamiltonian(args.input)
     out = _outdir(args)
     report = certify_connectedness(
         H, args.budget, rng_seed=args.seed, tau_deg=args.tol_deg
@@ -106,7 +100,7 @@ def _cmd_find_intersections(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    H = _load_input(args.input)
+    H = load_hamiltonian(args.input)
     out = _outdir(args)
     cfg = CertifyConfig(
         rng_seed=args.seed,
@@ -123,7 +117,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    H = _load_input(args.input)
+    H = load_hamiltonian(args.input)
     out = _outdir(args)
     seeds = box_sequence(H.box, args.budget, args.seed)
     tau = args.tol_deg if args.tol_deg is not None else degeneracy_tol(H)
@@ -146,12 +140,9 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    H = _load_input(args.input)
+    H = load_hamiltonian(args.input)
     out = _outdir(args)
-    path_file = Path(args.path)
-    if not path_file.exists():
-        raise FileNotFoundError(args.path)
-    path = load_path(path_file)
+    path = load_path(args.path)
     sp = decompose(H, path.waypoints[0])
     if not 1 <= args.init_level <= H.dim:
         raise SpeccertError(f"--init-level must be in 1..{H.dim}")
@@ -249,8 +240,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: input file not found: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a missing input, a directory given as a file or a file given as --out
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
     except SpeccertError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,7 +211,7 @@ def _locate_groups(groups) -> list:
     return [None if first[g] == counts[g] else U[start[g] + first[g]] for g in range(len(groups))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConicalCertificate:
     """Evidence that an adjacent-level intersection is conical.
 
@@ -242,7 +242,7 @@ class ConicalCertificate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConicalityResult:
     """Outcome of the conicality test: a certificate or a reasoned rejection."""
 
@@ -357,7 +357,7 @@ def test_conicality(
 test_conicality.__test__ = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectednessReport:
     """Per-level conical certificates and the overall certified/incomplete status.
 

@@ -3,9 +3,9 @@
 The closure is grown breadth-first on an orthonormal basis of the span (real
 inner product Re tr(A^dagger B), in n^2 real coordinates), bracketing new
 directions with the generators only (see ``closure``). Classification is by
-dimension: the full algebra has dimension n^2, its traceless part n^2 - 1, and
-for even n the quaternionic candidate has dimension n(n+1)/2, resolved by an
-explicit antiunitary-structure witness search.
+dimension: u(n) has n^2, su(n) n^2 - 1, and for even n the quaternionic
+candidate n(n+1)/2, resolved by an explicit antiunitary-structure witness
+search; an algebra is abelian when no bracket of the first sweep is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .operators import ControlHamiltonian
 RANK_TOL = 1e-9
 BRACKET_ZERO_TOL = 1e-12
 SKEW_TOL = 1e-12
-TRACE_TOL = 1e-10
 # rows a leaf of the blocked basis extension takes one at a time
 LEAF_ROWS = 8
 # fewest rows the extension projects in one piece; fewer make its products memory-bound
@@ -90,13 +89,13 @@ class _SpanBasis:
 
     def extend(
         self, candidates: np.ndarray, rel_tol: float = RANK_TOL, floor: float = 0.0
-    ) -> None:
+    ) -> bool:
         """Add each candidate row's component orthogonal to the span, in order, if independent.
 
         The decisions are those of taking the rows one at a time: a row of
         norm above ``floor`` is added when its residual against the span,
         including the rows added before it, exceeds ``rel_tol`` times its
-        norm. Stops once the span is all of u(n).
+        norm. Stops once the span is all of u(n). Returns whether any row clears ``floor``.
         """
         norms = np.sqrt((candidates * candidates).sum(axis=1))
         keep = norms > floor
@@ -107,6 +106,7 @@ class _SpanBasis:
             take = max(len(self.vectors) - self.dim, _PIECE_ROWS)
             self._accept(rows[:take], norms[:take], rel_tol, 0)
             rows, norms = rows[take:], norms[take:]
+        return bool(keep.any())
 
     def _accept(self, rows: np.ndarray, norms: np.ndarray, rel_tol: float, start: int) -> None:
         """``extend`` for rows already orthogonal to ``vectors[:start]``.
@@ -189,23 +189,19 @@ def _check_skew(mats) -> list:
     return out
 
 
-def _is_abelian(basis: list) -> bool:
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            c = a @ b - b @ a
-            if float(np.linalg.norm(c)) > 1e-10:
-                return False
-    return True
+def _classify(dim: int, n: int, abelian: bool) -> str:
+    """Class of a closed subalgebra of u(n) from its dimension and commutativity.
 
-
-def _classify(dim: int, n: int, traceless: bool, basis: list) -> str:
+    Its only subalgebra of codimension 1 is su(n): one of the compact simple
+    su(n) would have a central orthogonal complement.
+    """
     if dim == n * n:
         return CLASS_FULL
-    if dim == n * n - 1 and traceless:
+    if dim == n * n - 1:
         return CLASS_TRACELESS
     if n % 2 == 0 and dim == n * (n + 1) // 2:
         return CLASS_SP_CANDIDATE
-    if _is_abelian(basis):
+    if abelian:
         return CLASS_ABELIAN
     return CLASS_OTHER
 
@@ -219,9 +215,12 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     span is all of u(n). That is the whole closure: the Lie algebra generated
     by X is spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]]
     with every x_i in X, and each is ad_x of a shorter one for some x in X.
-    Brackets of these unit-norm elements with norm below 1e-12 count as zero.
-    Only the skew-Hermitian part of each generator enters, so a Hermitian part
-    small enough to pass the skew check adds no direction.
+    Brackets of these unit-norm elements with norm at most 1e-12 count as
+    zero; the algebra is abelian when no sweep has a nonzero bracket (only the
+    first, over all pairs of generator directions, can lack one). Only the
+    skew-Hermitian part of each generator enters, so a Hermitian part small
+    enough to pass the skew check adds no direction. ``traceless_generators``
+    is reported only; the class follows from the dimension.
 
     Raises
     ------
@@ -236,24 +235,23 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     if any(g.shape[0] != n for g in gens):
         raise StructuralError("generators must share a common dimension")
     coords = _vec(np.array(gens))
-    traceless = bool(np.all(
-        np.abs(coords[:, :n].sum(axis=1)) <= TRACE_TOL * np.linalg.norm(coords, axis=1)
-    ))
+    trace = np.abs(coords[:, :n].sum(axis=1))
+    traceless = bool(np.all(trace <= rank_tol * np.linalg.norm(coords, axis=1)))
     basis = _SpanBasis(n)
     basis.extend(coords, rel_tol=rank_tol)
     span = basis.matrices()
     start = 0
+    nonzero = []
     while start < basis.dim < n * n:
         frontier = basis.matrices(start)[:, None]
         start = basis.dim
         # for skew-Hermitian a, b: b a = (a b)^dagger, so [a, b] is twice the skew part of a b
         brackets = 2.0 * _vec(frontier @ span).reshape(-1, n * n)
-        basis.extend(brackets, rel_tol=rank_tol, floor=BRACKET_ZERO_TOL)
-    mats = tuple(basis.matrices())
+        nonzero.append(basis.extend(brackets, rel_tol=rank_tol, floor=BRACKET_ZERO_TOL))
     return LieClosureResult(
         dimension=basis.dim,
-        basis=mats,
-        classification=_classify(basis.dim, n, traceless, list(mats)),
+        basis=tuple(basis.matrices()),
+        classification=_classify(basis.dim, n, abelian=not any(nonzero)),
         traceless_generators=traceless,
         n=n,
     )
@@ -324,18 +322,14 @@ class TransitivityVerdict:
 def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict:
     """Decide controllability of the lifted system and of the state sphere.
 
-    Group controllability requires the full algebra (dimension n^2) or its
-    traceless part (n^2 - 1 with traceless generators). Sphere
-    controllability additionally holds when n is even, the dimension equals
-    n(n+1)/2 and an antiunitary structure witness confirms the quaternionic
-    algebra; candidate dimension without a witness is reported indeterminate.
+    Reads the closure's class: u(n) and su(n) are controllable on the group
+    and the sphere. A quaternionic candidate is controllable on the sphere
+    when an antiunitary structure witness confirms it, and indeterminate
+    without one.
     """
-    on_group = result.dimension == n * n or (
-        result.dimension == n * n - 1 and result.traceless_generators
-    )
-    if on_group:
+    if result.classification in (CLASS_FULL, CLASS_TRACELESS):
         return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=True)
-    if n % 2 == 0 and result.dimension == n * (n + 1) // 2:
+    if result.classification == CLASS_SP_CANDIDATE:
         if _sp_witness(list(result.basis), n):
             return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=False)
         return TransitivityVerdict(controllable_on_sphere=None, controllable_on_group=False)

@@ -21,7 +21,7 @@ RES_TOL_SCALE = 1e-6
 CERTIFIED_PROPERTY = "all pairwise spectral gaps distinct (rational independence not tested)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceReport:
     """Gap-distinctness evidence at one control point."""
 
@@ -84,7 +84,7 @@ def check_nonresonant(
     return _report(sp.u, _gap_stats(H, sp.eigenvalues[None, :], tau_res), 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonresonantSample:
     """Result of a randomized search for a non-resonant control point."""
 

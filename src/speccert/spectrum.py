@@ -18,7 +18,7 @@ ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_REL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPoint:
     """Eigenvalues (ascending, repeated by multiplicity) and an orthonormal frame.
 
@@ -44,7 +44,7 @@ class SpectralPoint:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapTable:
     """All ordered-pair spectral gaps gaps[j-1, k-1] = lambda_j - lambda_k."""
 
@@ -184,7 +184,7 @@ def continue_branches(lam: np.ndarray, frames: np.ndarray, tol: float, ref=None)
     return labels[1:], (old[last[-1]], labels[last[-1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackedSpectrum:
     """Spectra along a path with branch labels continued by frame overlap.
 

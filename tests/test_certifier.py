@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -8,16 +9,24 @@ from hypothesis import strategies as st
 from speccert import (
     CertifyConfig,
     ControlHamiltonian,
+    GapTable,
     HermitianOperator,
     SpeccertError,
     certify,
+    certify_connectedness,
+    check_nonresonant,
+    climb,
     closure,
+    decompose,
     ensemble_genericity,
     generators_from,
+    sample_nonresonant,
+    test_conicality,
+    track,
 )
 from speccert.certify import _perturbed, _random_family
 from speccert.sampling import random_hermitian, random_symmetric
-from conftest import make_family, scaled
+from conftest import SIGMA_X, SIGMA_Z, make_family, scaled
 from ensemble_reference import reference_trials
 
 
@@ -126,6 +135,37 @@ class TestEnergyUnit:
         assert _evidence(scaled(three_level_chain, 10.0**k)) == _evidence(three_level_chain)
 
 
+def _traceless_family(seed, n, offset):
+    """Random traceless complex family over [-2, 2]^2, its drift shifted by offset * I."""
+    rng = np.random.default_rng(seed)
+    ops = [random_hermitian(rng, n) for _ in range(3)]
+    ops = [a - np.trace(a).real / n * np.eye(n) for a in ops]
+    ops[0] = ops[0] + offset * np.eye(n)
+    return make_family(ops[0], ops[1:], [[-2.0, 2.0], [-2.0, 2.0]])
+
+
+class TestEnergyOffset:
+    """Shifting the energy zero moves no verdict: su(n) is decided by dimension."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        offset=st.one_of(st.just(0.0), st.floats(-12, -6).map(lambda k: 10.0**k)),
+    )
+    @example(n=4, seed=0, offset=1e-10)
+    def test_verdict_invariant_under_energy_offset(self, n, seed, offset):
+        # the verdict comes from the closure alone, so small budgets suffice
+        cfg = CertifyConfig(seed_budget=1, resonance_budget=1)
+        base = certify(_traceless_family(seed, n, 0.0), cfg)
+        shifted = certify(_traceless_family(seed, n, offset), cfg)
+        assert shifted.controllable == base.controllable
+        assert (
+            shifted.transitivity.controllable_on_sphere
+            == base.transitivity.controllable_on_sphere
+        )
+
+
 class TestEnsemble:
     def test_small_real_symmetric_ensemble(self):
         summary = ensemble_genericity(n=3, m=2, trials=4, rng_seed=7)
@@ -191,3 +231,48 @@ class TestEnsemble:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("trial,located,conical")
         assert len(lines) == 3
+
+
+def _records():
+    """One record of each result kind, built from the two-level cone."""
+    H = make_family(np.zeros((2, 2)), [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
+    u = np.array([0.3, 0.4])
+    report = certify_connectedness(H, 6, rng_seed=3)
+    climbed = climb(H, report, u, epsilon=1e-2)
+    sp = decompose(H, u)
+    return {
+        "ConicalCertificate": report.certificates[1],
+        "ConicalityResult": test_conicality(H, np.zeros(2), 1),
+        "ConnectednessReport": report,
+        "ControlPath": climbed.path,
+        "StateTrajectory": climbed.trajectory,
+        "ClimbResult": climbed,
+        "ControllabilityCertificate": certify(H, CertifyConfig(seed_budget=2, resonance_budget=5)),
+        "SpectralPoint": sp,
+        "GapTable": GapTable.from_point(sp),
+        "TrackedSpectrum": track(H, [u, 1.1 * u]),
+        "ResonanceReport": check_nonresonant(H, u),
+        "NonresonantSample": sample_nonresonant(H, 5, rng_seed=0),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _record_pairs():
+    """Two separately built records of each kind, with equal contents."""
+    first, second = _records(), _records()
+    return {kind: (first[kind], second[kind]) for kind in first}
+
+
+class TestRecordIdentity:
+    @pytest.mark.parametrize("kind", [
+        "ClimbResult", "ConicalCertificate", "ConicalityResult", "ConnectednessReport",
+        "ControlPath", "ControllabilityCertificate", "GapTable", "NonresonantSample",
+        "ResonanceReport", "SpectralPoint", "StateTrajectory", "TrackedSpectrum",
+    ])
+    def test_equality_and_hashing_are_by_identity(self, kind):
+        a, b = _record_pairs()[kind]
+        assert type(a).__name__ == kind
+        assert a == a
+        assert not (a == b)
+        assert a != b
+        assert len({a, b, a}) == 2

@@ -95,6 +95,35 @@ class TestSpectrumCommand:
         assert code == 2
 
 
+class TestFileErrors:
+    """A file the command cannot read or write is an input error: exit 2, the file named."""
+
+    def _assert_input_error(self, argv, name, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
+
+    def test_input_directory(self, tmp_path, capsys):
+        folder = tmp_path / "family_dir"
+        folder.mkdir()
+        argv = ["certify", "--input", str(folder), "--seed", "0", "--out", str(tmp_path / "out")]
+        self._assert_input_error(argv, "family_dir", capsys)
+
+    def test_path_directory(self, cone_file, tmp_path, capsys):
+        folder = tmp_path / "path_dir"
+        folder.mkdir()
+        argv = ["simulate", "--input", str(cone_file), "--path", str(folder),
+                "--out", str(tmp_path / "out")]
+        self._assert_input_error(argv, "path_dir", capsys)
+
+    def test_out_is_a_file(self, cone_file, tmp_path, capsys):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("")
+        argv = ["spectrum", "--input", str(cone_file), "--out", str(taken), "--grid", "2"]
+        self._assert_input_error(argv, "taken.txt", capsys)
+
+
 class TestCertifyCommand:
     def test_cone_certified_exit_0(self, cone_file, tmp_path):
         out = tmp_path / "out"

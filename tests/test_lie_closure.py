@@ -53,6 +53,25 @@ class TestClosure:
         result = closure([np.zeros((3, 3), dtype=complex)] * 3)
         assert result.dimension == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["diagonal", "rotated", "single", "zero"])
+    def test_commuting_generators_are_abelian(self, kind, n):
+        rng = np.random.default_rng(n)
+        diagonals = [1j * np.diag(rng.standard_normal(n)) for _ in range(3)]
+        if kind == "rotated":
+            # diagonal in one random eigenbasis
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            gens = [q @ d @ q.conj().T for d in diagonals]
+        elif kind == "single":
+            gens = [random_skew(rng, n)]
+        elif kind == "zero":
+            gens = [np.zeros((n, n), dtype=complex)] * 2
+        else:
+            gens = diagonals
+        result = closure(gens)
+        assert result.classification == CLASS_ABELIAN
+        assert not classify_transitive(result, n).controllable_on_group
+
     def test_non_skew_rejected(self):
         with pytest.raises(StructuralError):
             closure([SIGMA_X])
@@ -255,16 +274,18 @@ def reference_closure(generators, rank_tol=1e-9):
     for g in generators:
         try_add(g)
     start = 0
+    abelian = True
     while start < len(matrices) < n * n:
         stop = len(matrices)
         for a in matrices[start:stop]:
             for b in matrices[:stop]:
                 c = comm(a, b)
-                if np.linalg.norm(c) > 1e-12 and len(matrices) < n * n:
-                    try_add(c)
+                if np.linalg.norm(c) > 1e-12:
+                    abelian = False
+                    if len(matrices) < n * n:
+                        try_add(c)
         start = stop
-    traceless = all(abs(np.trace(g)) <= 1e-10 * np.linalg.norm(g) for g in generators)
-    return len(matrices), _classify(len(matrices), n, traceless, matrices)
+    return len(matrices), _classify(len(matrices), n, abelian)
 
 
 STRUCTURED_KINDS = ["block", "sp", "real", "chain"]

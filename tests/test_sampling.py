@@ -1,12 +1,39 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from speccert.sampling import box_sequence, sphere_directions
+import speccert
+from speccert.conical import RESTART_SEED
+from speccert.sampling import _halton_unit, box_sequence, sphere_directions
 
 
 def _fresh_halton(count: int, m: int, seed: int) -> np.ndarray:
     return qmc.Halton(d=m, scramble=True, seed=seed).random(count)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("seed", [0, 1, 1007, RESTART_SEED])
+def test_halton_table_matches_scipy(m, seed):
+    for count in (1, 2, 3, 17, 100, 1000):
+        assert np.array_equal(_halton_unit(count, m, seed), _fresh_halton(count, m, seed))
+
+
+def test_import_leaves_scipy_stats_out():
+    src = Path(speccert.__file__).resolve().parents[1]
+    code = "import sys, speccert; print(sorted(k for k in sys.modules if 'scipy.stats' in k))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("count, m, seed", [(1, 2, 0), (6, 2, 1007), (24, 3, 0x5EED), (50, 5, 3)])
