@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conical import (
+    ConicalityResult,
     ConnectednessReport,
+    _conicality_rows,
     _locate_groups,
     certify_connectedness,
     degeneracy_tol,
-    test_conicality,
 )
 from .coupling import CouplingGraph, build_graph, is_connected
 from .errors import SpeccertError
@@ -32,10 +33,10 @@ from .lie_closure import (
     closure,
     generators_from,
 )
-from .operators import ControlHamiltonian, HermitianOperator
+from .operators import ControlHamiltonian, _checked_box, _checked_hermitian, _energy_scales
 from .resonance import NonresonantSample, sample_nonresonant
-from .sampling import box_sequence, random_hermitian, random_symmetric
-from .spectrum import decompose
+from .sampling import _gaussian_stack, _unit_norm, box_sequence
+from .spectrum import DEGENERACY_REL, decompose
 
 SCHEMA_VERSION = "speccert-certificate/1"
 
@@ -251,19 +252,28 @@ class EnsembleSummary:
                 )
 
 
-def _random_family(rng, n: int, m: int, box_halfwidth: float) -> ControlHamiltonian:
-    draw = random_symmetric if m == 2 else random_hermitian
-    ops = [HermitianOperator(draw(rng, n)) for _ in range(m + 1)]
-    box = np.array([[-box_halfwidth, box_halfwidth]] * m)
-    return ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=box)
+def _draw_operators(rngs, n: int, m: int) -> np.ndarray:
+    """m + 1 unit-norm operators per generator, stacked (len(rngs), m + 1, n, n).
+
+    Real symmetric for m = 2, complex Hermitian for m = 3: each generator's
+    stream is read as m + 1 calls of ``random_symmetric`` or
+    ``random_hermitian`` would read it, and one stacked eigensolve scales
+    every matrix, so the stack is bitwise those calls' matrices.
+    """
+    return _unit_norm(np.stack([_gaussian_stack(rng, (m + 1, n, n), m == 2) for rng in rngs]))
 
 
-def _perturbed(H: ControlHamiltonian, rng, rel_size: float) -> ControlHamiltonian:
-    """H with each operator bumped by noise of ``_random_family``'s kind for H.m."""
-    draw = random_symmetric if H.m == 2 else random_hermitian
-    scales = rel_size * np.maximum(H._norms, 1e-300)
-    ops = [HermitianOperator(op + s * draw(rng, H.dim)) for op, s in zip(H._stack, scales)]
-    return ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=H.box)
+def _perturbed_stacks(stacks: np.ndarray, rngs, rel_size: float) -> np.ndarray:
+    """Operator stacks (k, m + 1, n, n), each bumped by noise from its own generator.
+
+    The noise is a ``_draw_operators`` draw, so of the family's kind for m,
+    and each operator moves by ``rel_size`` times its spectral norm (floored
+    at 1e-300) times a unit-norm noise matrix.
+    """
+    noise = _draw_operators(rngs, stacks.shape[-1], stacks.shape[1] - 1)
+    norms = np.max(np.abs(np.linalg.eigvalsh(stacks)), axis=-1)
+    bumps = (rel_size * np.maximum(norms, 1e-300))[..., None, None] * noise
+    return _checked_hermitian(stacks + bumps)
 
 
 def ensemble_genericity(
@@ -287,9 +297,11 @@ def ensemble_genericity(
     Trial t draws from its own generator, spawned from ``rng_seed`` as child
     t of ``np.random.SeedSequence(rng_seed)``: first its family, then one
     perturbation per conical level in level order. So no trial depends on
-    another's outcome, and all families are drawn up front: one lockstep
-    locator solve serves every (trial, level) pair, and one more every
-    persistence relocation.
+    another's outcome, and the work is stacked across trials: the families
+    are one (trials, m + 1, n, n) operator stack, drawn, scaled and given
+    their energy scales by one stacked eigensolve each; one lockstep locator
+    solve serves every (trial, level) pair, one conicality call every
+    located point, and one more locator solve every persistence relocation.
 
     Fractions are None when no intersection was located (vacuous statistics).
     """
@@ -299,39 +311,37 @@ def ensemble_genericity(
         raise SpeccertError("trials must be at least 1")
     if n < 2:
         raise SpeccertError(f"n must be at least 2, got {n}")
+    box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
-    families = [_random_family(rng, n, m, box_halfwidth) for rng in rngs]
+    stacks = _checked_hermitian(_draw_operators(rngs, n, m).astype(complex))
+    scales = _energy_scales(stacks, box)
+    taus = DEGENERACY_REL * scales
+    seeds = [box_sequence(box, seeds_per_level, rng_seed + 1000 + t) for t in range(trials)]
     pairs = [(t, j) for t in range(trials) for j in range(1, n)]
-    located = _locate_groups(
-        [
-            (
-                families[t],
-                j,
-                box_sequence(families[t].box, seeds_per_level, rng_seed + 1000 + t),
-                degeneracy_tol(families[t]),
-            )
-            for t, j in pairs
-        ]
+    located = _locate_groups([(stacks[t], box, j, seeds[t], taus[t]) for t, j in pairs])
+    found = [(t, j, u) for (t, j), u in zip(pairs, located) if u is not None]
+    outcomes = _conicality_rows(
+        [(stacks[t], box, j, u, taus[t], scales[t]) for t, j, u in found], rng_seed=rng_seed
     )
     tally = np.zeros((trials, 3), dtype=int)  # located, conical, persisted
-    probes = []  # (trial, u_star, relocation group) per conical intersection
-    for (t, j), u_star in zip(pairs, located):
-        if u_star is None:
-            continue
+    conical = []
+    for (t, j, u), result in zip(found, outcomes):
         tally[t, 0] += 1
-        H = families[t]
-        try:
-            result = test_conicality(H, u_star, j, rng_seed=rng_seed)
-        except SpeccertError:
-            continue
-        if result.conical:
+        # a point whose test raised (a failed precondition or check) counts as located only
+        if isinstance(result, ConicalityResult) and result.conical:
             tally[t, 1] += 1
-            Hp = _perturbed(H, rngs[t], perturbation)
-            probes.append((t, u_star, (Hp, j, u_star[None], degeneracy_tol(Hp))))
-    relocated = _locate_groups([group for _, _, group in probes])
-    for (t, u_star, _), u_new in zip(probes, relocated):
-        if u_new is not None and float(np.linalg.norm(u_new - u_star)) <= 10 * perturbation:
-            tally[t, 2] += 1
+            conical.append((t, j, u))
+    if conical:
+        # drawn after every trial's family, in level order within each trial
+        probed = [t for t, _, _ in conical]
+        bumped = _perturbed_stacks(stacks[probed], [rngs[t] for t in probed], perturbation)
+        bumped_taus = DEGENERACY_REL * _energy_scales(bumped, box)
+        relocated = _locate_groups(
+            [(bumped[i], box, j, u[None], bumped_taus[i]) for i, (_, j, u) in enumerate(conical)]
+        )
+        for (t, _, u_star), u_new in zip(conical, relocated):
+            if u_new is not None and float(np.linalg.norm(u_new - u_star)) <= 10 * perturbation:
+                tally[t, 2] += 1
     per_trial = tuple(
         EnsembleTrial(
             trial=t,

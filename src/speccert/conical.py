@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-from .operators import ControlHamiltonian, _affine_stack
+from .errors import PreconditionError, SpeccertError, StructuralError
+from .operators import ControlHamiltonian, _affine_stack, _box_diameters
 from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
-from .spectrum import decompose, degeneracy_tol
+from .spectrum import _decompose_stack, _failed_rows, degeneracy_tol
 
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
@@ -34,6 +34,10 @@ FAR_STEP = 10.0
 # RESTARTS times per seed, drawn from a sequence scrambled with RESTART_SEED
 RESTARTS = 2
 RESTART_SEED = 0x5EED
+# the conicality test evaluates its probe matrices for blocks of points of at
+# most this many matrix entries, so its memory does not grow with the points
+# that share a call (512 KB of complex entries)
+PROBE_BLOCK_ENTRIES = 2**15
 
 
 def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
@@ -84,7 +88,7 @@ def locate_intersection(
     U = _seed_array(H, seeds)
     if U.size == 0:
         return None
-    return _locate_groups([(H, level, U, tau_deg)])[0]
+    return _locate_groups([(H._stack, H.box, level, U, tau_deg)])[0]
 
 
 def _check_level(H: ControlHamiltonian, level: int) -> None:
@@ -113,9 +117,10 @@ def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
 def _locate_groups(groups) -> list:
     """``locate_intersection`` for many groups in one lockstep solve.
 
-    A group is (H, level, seeds, tau): a family, the lower level of the pair,
-    a non-empty (k, m) array of checked seeds and the degeneracy threshold.
-    All groups share n and m. Every slot (one seed of one group) carries its
+    A group is (stack, box, level, seeds, tau): a family's (m + 1, n, n)
+    operator stack and (m, 2) box, the lower level of the pair, a non-empty
+    (k, m) array of checked seeds and the degeneracy threshold. All groups
+    share n and m. Every slot (one seed of one group) carries its
     group's index, and the group's operators, box, step caps, threshold and
     first hit are gathered per slot, so one stacked eigensolve per iteration
     serves every family, level and seed. A slot's path depends on its own
@@ -125,19 +130,19 @@ def _locate_groups(groups) -> list:
     """
     if not groups:
         return []
-    Hs, levels, seed_sets, taus = zip(*groups)
+    stacks, boxes, levels, seed_sets, taus = zip(*groups)
     counts = np.array([len(U) for U in seed_sets])
     start = np.cumsum(counts) - counts
     grp = np.repeat(np.arange(len(groups)), counts)
     pos = np.arange(len(grp)) - start[grp]  # a slot's position in its group's seed order
     U = np.concatenate(seed_sets, dtype=float)
-    n, m = Hs[0].dim, Hs[0].m
-    ops = np.stack([H._stack for H in Hs])
-    box = np.stack([H.box for H in Hs])
+    ops = np.stack(stacks)
+    box = np.stack(boxes)
+    n, m = ops.shape[-1], box.shape[1]
     lo, hi = box[grp, :, 0], box[grp, :, 1]
     margin = INTERIOR_REL_MARGIN * (hi - lo)
     inner_lo, inner_hi = lo + margin, hi - margin
-    diameter = np.array([H.box_diameter() for H in Hs])
+    diameter = _box_diameters(box)
     cap_max = STEP_FRACTION * diameter[grp]
     cap_min = (np.finfo(float).eps * (diameter + np.max(np.abs(box), axis=(1, 2))))[grp]
     far_step = FAR_STEP * diameter[grp]
@@ -270,87 +275,158 @@ def test_conicality(
     Samples the 2m coordinate axis directions plus ``n_directions`` seeded
     low-discrepancy unit directions, probes radii {t0, t0/2, t0/4} (all
     probes in one stacked eigensolve), and fits gap ~ s_v * t through the
-    origin per direction. Certifies iff the smallest slope clears ``c_min``
-    and every per-direction relative fit residual is at most
-    ``residual_max``; a large residual indicates tangential or higher-order
-    contact.
+    origin per direction. Certifies iff the smallest slope clears ``c_min`` and every
+    per-direction relative fit residual is at most ``residual_max``; a large
+    residual indicates tangential or higher-order contact. ``t0`` defaults to
+    1e-3 box diagonals, ``c_min`` to 1e-6 ``H.energy_scale`` per box diagonal.
 
     Raises
     ------
     PreconditionError
         If ``t0`` is not finite and positive, the point is not degenerate at
         ``tau_deg``, or the ball of radius t0 around it leaves the box.
+    StructuralError
+        If ``u_star`` is not a control point of length m.
+    NumericalError
+        If the eigendecomposition at ``u_star`` fails ``decompose``'s checks.
     """
     u_star = np.asarray(u_star, dtype=float)
-    n = H.dim
     _check_level(H, level)
+    if u_star.shape != (H.m,):
+        raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
-    if t0 is None:
-        t0 = 1e-3 * H.box_diameter()
-    if not (np.isfinite(t0) and t0 > 0):
-        raise PreconditionError(f"probe radius t0 must be finite and positive, got {t0}")
-    if c_min is None:
-        c_min = 1e-6 * H.energy_scale / H.box_diameter()
-    sp = decompose(H, u_star)
-    residual_gap = sp.gap(level)
-    if residual_gap > tau_deg:
-        raise PreconditionError(
-            f"point is not degenerate at level {level}: gap {residual_gap:.3e} > tau {tau_deg:.3e}"
-        )
-    if not H.contains(u_star, margin=t0):
-        raise PreconditionError(
-            f"u_star must be interior to the box with margin {t0:.3g} for radial probing"
-        )
-    # multiplicity must be exactly two: both flanking adjacent gaps clear 10*tau
-    flank_ok = True
-    for adj in (level - 1, level + 1):
-        if 1 <= adj <= n - 1 and sp.gap(adj) < 10.0 * tau_deg:
-            flank_ok = False
-    others_simple = flank_ok and all(
-        sp.gap(l) >= 10.0 * tau_deg for l in range(1, n) if l != level
-    )
-    directions = np.vstack([axis_directions(H.m), sphere_directions(H.m, n_directions, rng_seed)])
-    radii = np.array([t0, t0 / 2, t0 / 4])
-    probes = u_star + radii[None, :, None] * directions[:, None, :]
-    lam = np.linalg.eigvalsh(H.matrices_at(probes.reshape(-1, H.m))).reshape(*probes.shape[:2], n)
-    g = lam[:, :, level] - lam[:, :, level - 1]
-    slopes = g @ radii / (radii @ radii)
-    misfit = g - slopes[:, None] * radii
-    residuals = np.linalg.norm(misfit, axis=1) / np.maximum(np.linalg.norm(g, axis=1), 1e-300)
-    worst = int(np.argmin(slopes))
-    bad = int(np.argmax(residuals))
-    reason = ""
-    if not flank_ok:
-        reason = "degeneracy multiplicity is not exactly two at this point"
-    elif not slopes[worst] > c_min:  # a nan slope never certifies
-        reason = (
-            f"gap slope {slopes[worst]:.3e} along direction {directions[worst].tolist()} "
-            f"does not exceed c_min {c_min:.3e}"
-        )
-    elif residuals[bad] > residual_max:
-        reason = (
-            f"linear fit residual {residuals[bad]:.3f} along direction "
-            f"{directions[bad].tolist()} exceeds {residual_max}; contact is not linear"
-        )
-    cert = None if reason else ConicalCertificate(
-        level=level,
-        u_star=u_star,
-        c_hat=float(slopes[worst]),
-        residual_gap=residual_gap,
-        direction_slopes=slopes,
-        others_simple=others_simple,
-        t0=float(t0),
+    (outcome,) = _conicality_rows(
+        [(H._stack, H.box, level, u_star, tau_deg, H.energy_scale)],
+        t0=t0,
         n_directions=n_directions,
+        c_min=c_min,
+        residual_max=residual_max,
+        rng_seed=rng_seed,
     )
-    return ConicalityResult(
-        conical=not reason,
-        certificate=cert,
-        reason=reason,
-        slopes=slopes,
-        fit_residuals=residuals,
-        directions=directions,
-    )
+    if isinstance(outcome, SpeccertError):
+        raise outcome
+    return outcome
+
+
+def _conicality_rows(
+    rows,
+    t0: float | None = None,
+    n_directions: int = DEFAULT_DIRECTIONS,
+    c_min: float | None = None,
+    residual_max: float = RESIDUAL_MAX,
+    rng_seed: int = 0,
+) -> list:
+    """``test_conicality`` for many points in three stacked steps.
+
+    A row is (stack, box, level, u_star, tau, energy_scale): a family's
+    (m + 1, n, n) operator stack and (m, 2) box, a valid lower level of the
+    pair, a control point of length m, the degeneracy threshold and the
+    family's ``energy_scale``. All rows share n and m; ``t0`` and ``c_min``,
+    when None, default per row as ``test_conicality`` sets them. One checked
+    eigensolve at the points, judged row by row, decides each row's
+    preconditions; one eigensolve over the probes of every row that meets
+    them, taken in blocks of at most ``PROBE_BLOCK_ENTRIES`` matrix entries,
+    and array fits give the slopes. Every step works row by row
+    (``_affine_stack``, stacked ``eigh``/``eigvalsh`` and batched products),
+    so each row's outcome is bitwise what ``test_conicality`` returns for it
+    alone: per row, a ConicalityResult or the SpeccertError the test raises.
+    The results of one call share one read-only array of directions.
+    """
+    if not rows:
+        return []
+    stacks, boxes, levels, points, taus, scales = zip(*rows)
+    ops = np.stack(stacks)
+    box = np.stack(boxes)
+    level = np.array(levels)
+    U = np.array(points, dtype=float)
+    tau = np.array(taus, dtype=float)
+    N, n, m = len(rows), ops.shape[-1], box.shape[1]
+    diameter = _box_diameters(box)
+    t0s = 1e-3 * diameter if t0 is None else np.full(N, t0, dtype=float)
+    if c_min is None:
+        c_mins = 1e-6 * np.array(scales, dtype=float) / diameter
+    else:
+        c_mins = np.full(N, c_min, dtype=float)
+    mats = _affine_stack(ops, U)
+    lam, vecs = _decompose_stack(mats, U, check=False)
+    failed = _failed_rows(mats, U, lam, vecs)
+    gaps = np.diff(lam, axis=1)  # gaps[:, l - 1] is the gap above level l
+    residual_gap = gaps[np.arange(N), level - 1]
+    fits = np.all((U >= box[..., 0] + t0s[:, None]) & (U <= box[..., 1] - t0s[:, None]), axis=1)
+    outcomes = [None] * N
+    for k in range(N):
+        if not (np.isfinite(t0s[k]) and t0s[k] > 0):
+            shown = t0s[k] if t0 is None else t0
+            outcomes[k] = PreconditionError(
+                f"probe radius t0 must be finite and positive, got {shown}"
+            )
+        elif k in failed:
+            outcomes[k] = failed[k]
+        elif residual_gap[k] > tau[k]:
+            outcomes[k] = PreconditionError(
+                f"point is not degenerate at level {levels[k]}: "
+                f"gap {residual_gap[k]:.3e} > tau {tau[k]:.3e}"
+            )
+        elif not fits[k]:
+            outcomes[k] = PreconditionError(
+                f"u_star must be interior to the box with margin {t0s[k]:.3g} for radial probing"
+            )
+    # multiplicity must be exactly two: both flanking adjacent gaps clear 10*tau
+    pair = np.arange(1, n) - level[:, None]
+    flank_ok = ~np.any((gaps < 10.0 * tau[:, None]) & (np.abs(pair) == 1), axis=1)
+    others_simple = flank_ok & np.all((gaps >= 10.0 * tau[:, None]) | (pair == 0), axis=1)
+    directions = np.vstack([axis_directions(m), sphere_directions(m, n_directions, rng_seed)])
+    directions.setflags(write=False)
+    radii = np.stack([t0s, t0s / 2, t0s / 4], axis=1)
+    probed = [k for k in range(N) if outcomes[k] is None]
+    per_block = max(1, PROBE_BLOCK_ENTRIES // (3 * len(directions) * n * n))
+    for first in range(0, len(probed), per_block):
+        b = np.array(probed[first : first + per_block])
+        r = radii[b]
+        # (B, directions, radii, m) probes and their (B, directions, radii, n) spectra
+        probes = U[b, None, None, :] + r[:, None, :, None] * directions[None, :, None, :]
+        lam_p = np.linalg.eigvalsh(_affine_stack(ops[b, None, None], probes))
+        upper = np.take_along_axis(lam_p, level[b, None, None, None], axis=3)
+        g = (upper - np.take_along_axis(lam_p, level[b, None, None, None] - 1, axis=3))[..., 0]
+        slopes = (g @ r[:, :, None])[..., 0] / (r[:, None, :] @ r[:, :, None])[:, 0]
+        misfit = g - slopes[..., None] * r[:, None, :]
+        residuals = np.linalg.norm(misfit, axis=2) / np.maximum(np.linalg.norm(g, axis=2), 1e-300)
+        for k, s, res in zip(b.tolist(), slopes, residuals):
+            worst = int(np.argmin(s))
+            bad = int(np.argmax(res))
+            reason = ""
+            if not flank_ok[k]:
+                reason = "degeneracy multiplicity is not exactly two at this point"
+            elif not s[worst] > c_mins[k]:  # a nan slope never certifies
+                reason = (
+                    f"gap slope {s[worst]:.3e} along direction {directions[worst].tolist()} "
+                    f"does not exceed c_min {c_mins[k]:.3e}"
+                )
+            elif res[bad] > residual_max:
+                reason = (
+                    f"linear fit residual {res[bad]:.3f} along direction "
+                    f"{directions[bad].tolist()} exceeds {residual_max}; contact is not linear"
+                )
+            cert = None if reason else ConicalCertificate(
+                level=levels[k],
+                u_star=points[k],
+                c_hat=float(s[worst]),
+                residual_gap=float(residual_gap[k]),
+                direction_slopes=s,
+                others_simple=bool(others_simple[k]),
+                t0=float(t0s[k]),
+                n_directions=n_directions,
+            )
+            outcomes[k] = ConicalityResult(
+                conical=not reason,
+                certificate=cert,
+                reason=reason,
+                slopes=s,
+                fit_residuals=res,
+                directions=directions,
+            )
+    return outcomes
 
 
 # not a unit test, despite the domain name
@@ -402,7 +478,8 @@ def certify_connectedness(
     For every level j locates an intersection from the user hints, if any,
     followed by ``seed_budget`` low-discrepancy seeds (all levels in one
     lockstep solve, each level's point the one ``locate_intersection``
-    returns), and submits the located point to the conicality test. Status is
+    returns), and submits every located point to the conicality test in one
+    call, each level's outcome the one ``test_conicality`` gives. Status is
     "certified" iff every level has a conical certificate with all other
     levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
     """
@@ -414,18 +491,26 @@ def certify_connectedness(
     if hints is not None:
         seeds = [np.asarray(h, dtype=float) for h in hints] + seeds
     U = _seed_array(H, seeds)
-    located = _locate_groups([(H, j, U, tau_deg) for j in range(1, H.dim)])
+    located = _locate_groups([(H._stack, H.box, j, U, tau_deg) for j in range(1, H.dim)])
+    found = [(j, u) for j, u in enumerate(located, start=1) if u is not None]
+    outcomes = _conicality_rows(
+        [(H._stack, H.box, j, u, tau_deg, H.energy_scale) for j, u in found],
+        t0=t0,
+        rng_seed=rng_seed,
+    )
+    tested = {j: outcome for (j, _), outcome in zip(found, outcomes)}
     certificates: dict = {}
     failures: dict = {}
-    for j, u_star in enumerate(located, start=1):
-        if u_star is None:
+    for j in range(1, H.dim):
+        result = tested.get(j)
+        if result is None:
             failures[j] = "no interior intersection located"
             continue
-        try:
-            result = test_conicality(H, u_star, j, t0=t0, tau_deg=tau_deg, rng_seed=rng_seed)
-        except PreconditionError as exc:
-            failures[j] = f"located point failed conicality preconditions: {exc}"
+        if isinstance(result, PreconditionError):
+            failures[j] = f"located point failed conicality preconditions: {result}"
             continue
+        if isinstance(result, SpeccertError):
+            raise result  # a failed eigendecomposition, as test_conicality raises it
         if not result.conical:
             failures[j] = result.reason
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .operators import ControlHamiltonian
 
 RANK_TOL = 1e-9
@@ -326,7 +326,16 @@ def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict
     and the sphere. A quaternionic candidate is controllable on the sphere
     when an antiunitary structure witness confirms it, and indeterminate
     without one.
+
+    Raises
+    ------
+    PreconditionError
+        If ``n`` is not the dimension of the closure's generators, ``result.n``.
     """
+    if n != result.n:
+        raise PreconditionError(
+            f"closure of {result.n} x {result.n} generators classified at n = {n}"
+        )
     if result.classification in (CLASS_FULL, CLASS_TRACELESS):
         return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=True)
     if result.classification == CLASS_SP_CANDIDATE:

@@ -56,6 +56,64 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_hermitian(a: np.ndarray) -> np.ndarray:
+    """The complex stack ``a`` (..., n, n), read-only, once each of its matrices is Hermitian.
+
+    Raises
+    ------
+    StructuralError
+        If some matrix has a Hermiticity defect above ``HERMITICITY_TOL``.
+    """
+    defect = float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
+    if defect > HERMITICITY_TOL:
+        raise StructuralError(
+            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e}); "
+            "use HermitianOperator.from_array(..., symmetrize=True) to fold it explicitly"
+        )
+    return _freeze(a)
+
+
+def _checked_box(box, m: int) -> np.ndarray:
+    """``box`` as a read-only (m, 2) float array of closed intervals lo < hi.
+
+    Raises
+    ------
+    StructuralError
+        If it has another shape, a non-finite entry, or an interval with lo >= hi.
+    """
+    box = _finite_array(box, "box").astype(float)
+    if box.shape != (m, 2):
+        raise StructuralError(f"box must have shape ({m}, 2), got {box.shape}")
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise StructuralError("each control interval needs lo < hi")
+    return _freeze(box)
+
+
+def _box_diameters(box: np.ndarray) -> np.ndarray:
+    """Diagonal lengths (N,) of boxes (N, m, 2).
+
+    Each is the square root of one dot product of the box's side lengths with
+    themselves, as ``np.linalg.norm`` computes it, whichever boxes share the call.
+    """
+    sides = box[..., 1] - box[..., 0]
+    return np.sqrt(sides[:, None, :] @ sides[:, :, None])[:, 0, 0]
+
+
+def _energy_scales(stacks: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """``energy_scale`` (N,) of the families with operator stacks (N, m + 1, n, n) over one
+    box, from one stacked eigensolve; each is bitwise its family's alone."""
+    m = box.shape[0]
+    center = (box[:, 0] + box[:, 1]) / 2
+    if m <= 6:
+        others = np.array(list(itertools.product(*box)))
+    else:
+        others = np.tile(center, (2 * m, 1))
+        others[np.arange(2 * m), np.repeat(np.arange(m), 2)] = box.ravel()
+    mats = _affine_stack(stacks[:, None], np.vstack([center, others]))
+    lam = np.linalg.eigvalsh(mats.reshape(-1, *mats.shape[-2:])).reshape(mats.shape[:-1])
+    return np.max(lam[..., -1] - lam[..., 0], axis=1)
+
+
 def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     """``values`` as an ndarray of one of the numpy dtype ``kinds``, all finite.
 
@@ -87,13 +145,7 @@ class HermitianOperator:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 2:
             raise StructuralError("operator dimension must be at least 2")
-        defect = hermiticity_defect(a)
-        if defect > HERMITICITY_TOL:
-            raise StructuralError(
-                f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e}); "
-                "use HermitianOperator.from_array(..., symmetrize=True) to fold it explicitly"
-            )
-        object.__setattr__(self, "matrix", _freeze(a))
+        object.__setattr__(self, "matrix", _checked_hermitian(a))
 
     @classmethod
     def from_array(cls, matrix, symmetrize: bool = False) -> "HermitianOperator":
@@ -143,17 +195,19 @@ def _row_operator(row: np.ndarray) -> HermitianOperator:
 
 
 def _affine_stack(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Matrices ops[0] + sum_l U[k, l] ops[l + 1] stacked as (N, n, n), for U of shape (N, m).
+    """Matrices ops[0] + sum_l U[..., l] ops[l + 1] stacked as (..., n, n), for U of shape (..., m).
 
-    ``ops`` is one (m + 1, n, n) operator stack, constant term first, or one
-    such stack per row, (N, m + 1, n, n). Every entry is summed term by term
-    in a fixed order, so row k is bitwise the same whichever other rows, with
-    whichever operators, share the call; a BLAS product would not promise
-    that, since its kernel, and so its rounding, depends on N.
+    ``ops`` is one (m + 1, n, n) operator stack, constant term first, or
+    stacks that broadcast against U's leading axes, (..., m + 1, n, n): one
+    per row of U, say, or one per leading index of a (N, K, m) array of
+    points. Every entry is summed term by term in a fixed order, so each
+    matrix is bitwise the same whichever other matrices, with whichever
+    operators, share the call; a BLAS product would not promise that, since
+    its kernel, and so its rounding, depends on N.
     """
-    out = ops[..., 0, :, :] + U[:, 0, None, None] * ops[..., 1, :, :]
-    for l in range(1, U.shape[1]):
-        out += U[:, l, None, None] * ops[..., l + 1, :, :]
+    out = ops[..., 0, :, :] + U[..., 0, None, None] * ops[..., 1, :, :]
+    for l in range(1, U.shape[-1]):
+        out += U[..., l, None, None] * ops[..., l + 1, :, :]
     return out
 
 
@@ -188,18 +242,12 @@ class ControlHamiltonian:
         dims = {self.drift.dim} | {h.dim for h in controlled}
         if len(dims) != 1:
             raise StructuralError(f"all operators must share one dimension, got {sorted(dims)}")
-        box = _finite_array(self.box, "box").astype(float)
-        if box.shape != (len(controlled), 2):
-            raise StructuralError(
-                f"box must have shape ({len(controlled)}, 2), got {box.shape}"
-            )
-        if not np.all(box[:, 0] < box[:, 1]):
-            raise StructuralError("each control interval needs lo < hi")
+        box = _checked_box(self.box, len(controlled))
         stack = _freeze(np.stack([self.drift.matrix, *(h.matrix for h in controlled)]))
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "drift", _row_operator(stack[0]))
         object.__setattr__(self, "controlled", tuple(_row_operator(row) for row in stack[1:]))
-        object.__setattr__(self, "box", _freeze(box))
+        object.__setattr__(self, "box", box)
 
     @property
     def dim(self) -> int:
@@ -211,7 +259,7 @@ class ControlHamiltonian:
 
     def box_diameter(self) -> float:
         """Euclidean length of the box diagonal."""
-        return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
+        return float(_box_diameters(self.box[None])[0])
 
     def box_center(self) -> np.ndarray:
         return (self.box[:, 0] + self.box[:, 1]) / 2
@@ -241,14 +289,7 @@ class ControlHamiltonian:
         value scales with the family, (sH).energy_scale = |s| H.energy_scale,
         and sets every degeneracy threshold (``spectrum.degeneracy_tol``).
         """
-        center = self.box_center()
-        if self.m <= 6:
-            others = np.array(list(itertools.product(*self.box)))
-        else:
-            others = np.tile(center, (2 * self.m, 1))
-            others[np.arange(2 * self.m), np.repeat(np.arange(self.m), 2)] = self.box.ravel()
-        lam = np.linalg.eigvalsh(self.matrices_at(np.vstack([center, others])))
-        return float(np.max(lam[:, -1] - lam[:, 0]))
+        return float(_energy_scales(self._stack[None], self.box)[0])
 
     def matrix_at(self, u) -> np.ndarray:
         """Raw matrix of H(u), bitwise equal to the matching row of ``matrices_at``."""

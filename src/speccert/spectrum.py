@@ -68,7 +68,10 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
-    """Checked eigenvalues (N, n) and phase-fixed frames of mats = H(U[k]); freezes U too."""
+    """Checked eigenvalues (N, n) and phase-fixed frames of mats = H(U[k]); freezes U too.
+
+    With ``check``, raises the error of the first row that fails ``_failed_rows``.
+    """
     try:
         lam, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -77,25 +80,39 @@ def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
         ) from exc
     vecs = _fix_phases(vecs)
     if check:
-        hnorm = np.max(np.abs(lam), axis=1)
-        resid = np.max(np.linalg.norm(mats @ vecs - vecs * lam[:, None, :], axis=1), axis=1)
-        gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
-        ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
-        tr = np.trace(mats, axis1=1, axis2=2).real
-        tr_defect = np.abs(np.sum(lam, axis=1) - tr)
-        checks = (
-            ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + hnorm)),
-            ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
-            ("eigenvalue sum does not match trace", tr_defect, RESIDUAL_TOL * (1.0 + np.abs(tr))),
-        )
-        over = np.stack([value > limit for _, value, limit in checks])
-        if over.any():
-            k = int(np.argmax(over.any(axis=0)))
-            message, value, _ = checks[int(np.argmax(over[:, k]))]
-            raise NumericalError(f"{message} at u={U[k].tolist()}", residual=float(value[k]))
+        failed = _failed_rows(mats, U, lam, vecs)
+        if failed:
+            raise failed[min(failed)]
     for a in (U, lam, vecs):
         a.setflags(write=False)
     return lam, vecs
+
+
+def _failed_rows(mats: np.ndarray, U: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> dict:
+    """{row: NumericalError} for each row of a ``_decompose_stack`` whose eigenpairs fail a check.
+
+    A row fails when its eigenpair residual, its frame's orthonormality or its
+    eigenvalue sum against the trace is out of tolerance; the error names the
+    first check the row fails and carries that check's value. Each row is
+    judged on its own, so a row's error is the one ``decompose`` raises for it.
+    """
+    hnorm = np.max(np.abs(lam), axis=1)
+    resid = np.max(np.linalg.norm(mats @ vecs - vecs * lam[:, None, :], axis=1), axis=1)
+    gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
+    ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    tr_defect = np.abs(np.sum(lam, axis=1) - tr)
+    checks = (
+        ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + hnorm)),
+        ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
+        ("eigenvalue sum does not match trace", tr_defect, RESIDUAL_TOL * (1.0 + np.abs(tr))),
+    )
+    over = np.stack([value > limit for _, value, limit in checks])
+    failed = {}
+    for k in np.nonzero(over.any(axis=0))[0].tolist():
+        message, value, _ = checks[int(np.argmax(over[:, k]))]
+        failed[k] = NumericalError(f"{message} at u={U[k].tolist()}", residual=float(value[k]))
+    return failed
 
 
 def _points(U: np.ndarray, lam: np.ndarray, frames: np.ndarray) -> list:

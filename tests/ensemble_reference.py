@@ -1,13 +1,40 @@
 """Reference genericity ensemble: the per-trial, per-level loop that
-``certify.ensemble_genericity`` replaced with two batched locator solves, kept
-as the oracle whose per-trial counts the batched version must reproduce.
-Trial t draws from child t of ``SeedSequence(rng_seed)``, as there."""
+``certify.ensemble_genericity`` replaced with stacked draws, two batched
+locator solves and one conicality call, kept as the oracle whose per-trial
+counts the batched version must reproduce. It draws one family and one
+perturbation at a time, as objects, and tests each point with the reference
+conicality test. Trial t draws from child t of ``SeedSequence(rng_seed)``, as
+there."""
 
 import numpy as np
 
-from speccert import SpeccertError, degeneracy_tol, locate_intersection, test_conicality
-from speccert.certify import EnsembleTrial, _perturbed, _random_family
-from speccert.sampling import box_sequence
+from speccert import (
+    ControlHamiltonian,
+    HermitianOperator,
+    SpeccertError,
+    degeneracy_tol,
+    locate_intersection,
+)
+from speccert.certify import EnsembleTrial
+from speccert.sampling import box_sequence, random_hermitian, random_symmetric
+
+from conicality_reference import reference_conicality
+
+
+def _random_family(rng, n: int, m: int, box_halfwidth: float) -> ControlHamiltonian:
+    """Unit-norm operators, real symmetric for m = 2 and complex Hermitian for m = 3."""
+    draw = random_symmetric if m == 2 else random_hermitian
+    ops = [HermitianOperator(draw(rng, n)) for _ in range(m + 1)]
+    box = np.array([[-box_halfwidth, box_halfwidth]] * m)
+    return ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=box)
+
+
+def _perturbed(H: ControlHamiltonian, rng, rel_size: float) -> ControlHamiltonian:
+    """H with each operator bumped by noise of ``_random_family``'s kind for H.m."""
+    draw = random_symmetric if H.m == 2 else random_hermitian
+    scales = rel_size * np.maximum(H._norms, 1e-300)
+    ops = [HermitianOperator(op + s * draw(rng, H.dim)) for op, s in zip(H._stack, scales)]
+    return ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=H.box)
 
 
 def reference_trials(
@@ -33,7 +60,7 @@ def reference_trials(
                 continue
             located += 1
             try:
-                result = test_conicality(H, u_star, j, tau_deg=tau, rng_seed=rng_seed)
+                result = reference_conicality(H, u_star, j, tau_deg=tau, rng_seed=rng_seed)
             except SpeccertError:
                 continue
             if not result.conical:

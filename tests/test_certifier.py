@@ -24,10 +24,10 @@ from speccert import (
     test_conicality,
     track,
 )
-from speccert.certify import _perturbed, _random_family
+from speccert.certify import _perturbed_stacks
 from speccert.sampling import random_hermitian, random_symmetric
 from conftest import SIGMA_X, SIGMA_Z, make_family, scaled
-from ensemble_reference import reference_trials
+from ensemble_reference import _random_family, reference_trials
 
 
 def _evidence(H):
@@ -180,6 +180,12 @@ class TestEnsemble:
         summary = ensemble_genericity(n=n, m=m, trials=12, rng_seed=rng_seed)
         assert summary.per_trial == reference_trials(n, m, 12, rng_seed)
 
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 2), (6, 2), (3, 3), (5, 3)])
+    def test_per_trial_counts_match_the_per_level_loop_across_sizes(self, n, m):
+        for rng_seed in range(3):
+            summary = ensemble_genericity(n=n, m=m, trials=6, rng_seed=rng_seed)
+            assert summary.per_trial == reference_trials(n, m, 6, rng_seed)
+
     def test_trials_do_not_depend_on_the_trial_count(self):
         few = ensemble_genericity(n=3, m=2, trials=3, rng_seed=5)
         many = ensemble_genericity(n=3, m=2, trials=9, rng_seed=5)
@@ -193,12 +199,11 @@ class TestEnsemble:
             drift=H.drift, controlled=(*H.controlled[:-1], HermitianOperator(np.zeros((4, 4)))),
             box=H.box,
         )
-        got = _perturbed(H, np.random.default_rng(7), 1e-3)
+        got = _perturbed_stacks(H._stack[None], [np.random.default_rng(7)], 1e-3)[0]
         rng = np.random.default_rng(7)
-        for op, bumped in zip([H.drift, *H.controlled], [got.drift, *got.controlled]):
+        for op, bumped in zip([H.drift, *H.controlled], got):
             scale = 1e-3 * max(float(np.max(np.abs(np.linalg.eigvalsh(op.matrix)))), 1e-300)
-            assert np.array_equal(bumped.matrix, op.matrix + scale * draw(rng, 4))
-        assert np.array_equal(got.box, H.box)
+            assert np.array_equal(bumped, op.matrix + scale * draw(rng, 4))
 
     def test_invalid_n_rejected(self):
         with pytest.raises(SpeccertError, match="n must be at least 2"):

@@ -12,11 +12,17 @@ from speccert import (
     locate_intersection,
     test_conicality,
 )
-from speccert.certify import _perturbed, _random_family
-from speccert import ControlHamiltonian, HermitianOperator, conical
-from speccert.conical import INTERIOR_REL_MARGIN, _locate_groups
+from speccert import ControlHamiltonian, HermitianOperator, SpeccertError, conical
+from speccert.conical import (
+    INTERIOR_REL_MARGIN,
+    ConicalityResult,
+    _conicality_rows,
+    _locate_groups,
+)
 from speccert.sampling import box_sequence, random_hermitian, random_symmetric
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
+from conicality_reference import reference_conicality
+from ensemble_reference import _perturbed, _random_family
 
 
 @pytest.fixture
@@ -78,9 +84,10 @@ def _in_company(H, level, seeds):
     """The answer for (H, level, seeds) from one solve shared with another family's levels."""
     other = _drawn_family(0, H.dim, H.m)
     company = [
-        (other, j, box_sequence(other.box, 5, j), degeneracy_tol(other)) for j in range(1, H.dim)
+        (other._stack, other.box, j, box_sequence(other.box, 5, j), degeneracy_tol(other))
+        for j in range(1, H.dim)
     ]
-    group = (H, level, np.array(seeds, dtype=float), degeneracy_tol(H))
+    group = (H._stack, H.box, level, np.array(seeds, dtype=float), degeneracy_tol(H))
     return _locate_groups(company[:1] + [group] + company[1:])[1]
 
 
@@ -276,7 +283,8 @@ class TestBatchedLocator:
             H = families[f]
             seeds = box_sequence(H.box, count, seed + len(groups))
             groups.append((H, 1 + (level - 1) % (n - 1), seeds, degeneracy_tol(H)))
-        for (H, level, seeds, tau), u in zip(groups, _locate_groups(groups)):
+        solved = _locate_groups([(H._stack, H.box, *rest) for H, *rest in groups])
+        for (H, level, seeds, tau), u in zip(groups, solved):
             alone = locate_intersection(H, level, seeds, tau_deg=tau)
             assert (u is None and alone is None) or np.array_equal(u, alone)
 
@@ -296,7 +304,7 @@ class TestBatchedLocator:
                     drift=ops[0], controlled=tuple(ops[1:]), box=np.array([[-3.0, 3.0]] * 2)
                 )
                 seeds = box_sequence(H.box, 8, 0)
-                groups += [(H, j, seeds, degeneracy_tol(H)) for j in (1, 2)]
+                groups += [(H._stack, H.box, j, seeds, degeneracy_tol(H)) for j in (1, 2)]
             located[draw] = sum(u is not None for u in _locate_groups(groups))
         assert located[random_hermitian] == 0
         assert located[random_symmetric] >= 60
@@ -383,6 +391,136 @@ class TestConicality:
         assert all(e <= 0.05 * 2.0 for e in errs)
         assert errs[1] <= errs[0] + 1e-9
         assert errs[2] <= errs[1] + 1e-9
+
+
+def _certify_random_families(count: int) -> list:
+    """The certify_random benchmark's first families of seed 0: unit-norm real
+    symmetric operators, m = 2, box [-3, 3]^2, n cycling 3, 4, 8."""
+    families = []
+    for k, child in enumerate(np.random.SeedSequence(0).spawn(count)):
+        rng = np.random.default_rng(child)
+        ops = [HermitianOperator(random_symmetric(rng, (3, 4, 8)[k % 3])) for _ in range(3)]
+        families.append(
+            ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=[[-3.0, 3.0]] * 2)
+        )
+    return families
+
+
+def _located_points(H, seeds: int = 8) -> list:
+    """(H, level, point) for every level the locator finds from ``certify``'s default seeds."""
+    tau = degeneracy_tol(H)
+    U = box_sequence(H.box, seeds, 0)
+    located = _locate_groups([(H._stack, H.box, j, U, tau) for j in range(1, H.dim)])
+    return [(H, j, u) for j, u in enumerate(located, start=1) if u is not None]
+
+
+def _assert_matches_reference(got, H, u, level, **kwargs):
+    """``got`` is bitwise the reference test's result at (H, u, level), or its error."""
+    try:
+        want = reference_conicality(H, u, level, **kwargs)
+    except SpeccertError as exc:
+        assert type(got) is type(exc)
+        assert str(got) == str(exc)
+        return
+    assert isinstance(got, ConicalityResult)
+    assert (got.conical, got.reason) == (want.conical, want.reason)
+    for field in ("slopes", "fit_residuals", "directions"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    if want.certificate is None:
+        assert got.certificate is None
+        return
+    a, b = got.certificate, want.certificate
+    assert np.array_equal(a.u_star, b.u_star)
+    assert np.array_equal(a.direction_slopes, b.direction_slopes)
+    for field in ("level", "c_hat", "residual_gap", "others_simple", "t0", "n_directions"):
+        assert getattr(a, field) == getattr(b, field)
+    assert a.to_json_dict() == b.to_json_dict()
+
+
+def _assert_rows_match_reference(points, **kwargs):
+    """One kernel call over ``points`` (H, level, u), and ``test_conicality`` per point,
+    both bitwise the reference test per point."""
+    rows = [(H._stack, H.box, j, u, degeneracy_tol(H), H.energy_scale) for H, j, u in points]
+    for (H, j, u), got in zip(points, _conicality_rows(rows, **kwargs)):
+        _assert_matches_reference(got, H, u, j, **kwargs)
+        try:
+            alone = test_conicality(H, u, j, **kwargs)
+        except SpeccertError as exc:
+            alone = exc
+        _assert_matches_reference(alone, H, u, j, **kwargs)
+
+
+class TestConicalityKernel:
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_certify_random_points_match_the_reference(self, n, three_level_chain):
+        families = [H for H in _certify_random_families(60) if H.dim == n]
+        if n == 3:
+            families.append(three_level_chain)
+        points = [p for H in families for p in _located_points(H)]
+        assert len(points) >= 20
+        _assert_rows_match_reference(points)
+
+    def test_chain_points_match_the_reference(self, three_level_chain):
+        points = _located_points(three_level_chain, seeds=12)
+        assert [j for _, j, _ in points] == [1, 2]
+        _assert_rows_match_reference(points)
+        _assert_rows_match_reference(points, t0=1e-2, c_min=0.5, rng_seed=3, n_directions=5)
+
+    def test_mixed_batch_keeps_each_rows_outcome(self, three_level_chain):
+        # rows that each fail differently, between rows that certify
+        edge = make_family(
+            np.diag([0.0, 0.0, 3.0]),
+            [np.diag([1.0, -1.0, 0.0]), [[0, 1, 0], [1, 0, 0], [0, 0, 0]]],
+            [[-1, 1], [0, 1]],
+        )
+        triple = make_family(np.zeros((3, 3)), [np.eye(3), np.diag([0.0, 0.0, 1.0])], [[-1, 1]] * 2)
+        # a cone whose smallest slope, 2e-3, clears the default c_min only by a factor 3e3
+        shallow = make_family(
+            np.diag([0.0, 0.0, 3.0]),
+            [np.diag([1.0, -1.0, 0.0]), [[0, 1e-3, 0], [1e-3, 0, 0], [0, 0, 0]]],
+            [[-1, 1]] * 2,
+        )
+        chain = _located_points(three_level_chain, seeds=12)
+        random = _located_points(_certify_random_families(1)[0])
+        near = chain[0][2] + [3e-7, 0.0]  # a few degeneracy thresholds off the cone
+        points = [
+            chain[0],
+            (three_level_chain, 1, np.array([0.3, 0.3])),  # not degenerate
+            random[0],
+            (edge, 1, np.array([0.0, 0.0])),  # degenerate on the box edge
+            chain[1],
+            (triple, 1, np.array([0.5, 0.0])),  # all three levels meet
+            (shallow, 1, np.array([0.0, 0.0])),
+            (three_level_chain, 1, near),  # just not degenerate
+            *random[1:],
+        ]
+        rows = [(H._stack, H.box, j, u, degeneracy_tol(H), H.energy_scale) for H, j, u in points]
+        outcomes = _conicality_rows(rows)
+        assert "not degenerate" in str(outcomes[1])
+        assert "interior to the box" in str(outcomes[3])
+        assert "multiplicity" in outcomes[5].reason
+        assert outcomes[6].certificate.c_hat == pytest.approx(2e-3, rel=1e-3)
+        assert "not degenerate" in str(outcomes[7])
+        gap = decompose(three_level_chain, near).gap(1)
+        assert degeneracy_tol(three_level_chain) < gap < 100 * degeneracy_tol(three_level_chain)
+        assert [o.conical for o in outcomes[:1] + outcomes[2:3] + outcomes[4:5]] == [True] * 3
+        _assert_rows_match_reference(points)
+
+    def test_probe_blocks_do_not_change_the_outcome(self, monkeypatch, three_level_chain):
+        points = [p for H in _certify_random_families(9) for p in _located_points(H) if H.dim == 3]
+        points += _located_points(three_level_chain, seeds=12)
+        rows = [(H._stack, H.box, j, u, degeneracy_tol(H), H.energy_scale) for H, j, u in points]
+        whole = _conicality_rows(rows)
+        # one point per block, then three (36 directions, 3 radii, n = 3)
+        for entries in (1, 3 * (3 * 36 * 9)):
+            monkeypatch.setattr(conical, "PROBE_BLOCK_ENTRIES", entries)
+            for a, b in zip(whole, _conicality_rows(rows), strict=True):
+                assert np.array_equal(a.slopes, b.slopes)
+                assert np.array_equal(a.fit_residuals, b.fit_residuals)
+                assert a.reason == b.reason
+
+    def test_no_rows_no_outcomes(self):
+        assert _conicality_rows([]) == []
 
 
 class TestCertifyConnectedness:

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from speccert import (
+    PreconditionError,
     StructuralError,
     classify_transitive,
     closure,
@@ -171,6 +172,12 @@ class TestClassifyTransitive:
         verdict = classify_transitive(result, 2)
         assert verdict.controllable_on_group
         assert verdict.controllable_on_sphere
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_n_other_than_the_generators_rejected(self, n):
+        # su(2) read as an algebra on C^3 would claim control of U(3)
+        with pytest.raises(PreconditionError, match="2 x 2"):
+            classify_transitive(closure([1j * SIGMA_X, 1j * SIGMA_Z]), n)
 
     def test_small_abelian_controls_nothing(self):
         gens = [1j * np.diag([0.0, 1.0, 2.0]), 1j * np.diag([1.0, 1.0, 0.0])]

@@ -15,7 +15,7 @@ from speccert import (
     load_hamiltonian,
     validate,
 )
-from speccert.certify import _perturbed
+from speccert.certify import _perturbed_stacks
 from speccert.operators import _affine_stack
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
@@ -289,7 +289,8 @@ class TestNorms:
         H.norm_bound([0.1, -0.2])
         H.control_norms()
         assert calls == [((3, 3, 3), "c")]
-        # the only eigensolves left in a perturbation scale its real noise draws
-        _perturbed(H, np.random.default_rng(0), 1e-3)
-        _perturbed(H, np.random.default_rng(1), 1e-3)
-        assert calls[1:] == [((3, 3), "f")] * 6
+        # the ensemble perturbs many stacks with one eigensolve scaling all their
+        # real noise draws and one for all their norms
+        rngs = np.random.default_rng(0).spawn(2)
+        _perturbed_stacks(np.stack([H._stack, H._stack]), rngs, 1e-3)
+        assert calls[1:] == [((2, 3, 3, 3), "f"), ((2, 3, 3, 3), "c")]

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,11 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 import speccert
 from speccert.conical import RESTART_SEED
-from speccert.sampling import _halton_unit, box_sequence, sphere_directions
+from speccert.sampling import (
+    _gaussian_stack,
+    _halton_unit,
+    _ndtri,
+    _unit_norm,
+    box_sequence,
+    random_hermitian,
+    random_symmetric,
+    sphere_directions,
+)
 
 
 def _fresh_halton(count: int, m: int, seed: int) -> np.ndarray:
@@ -23,9 +34,30 @@ def test_halton_table_matches_scipy(m, seed):
         assert np.array_equal(_halton_unit(count, m, seed), _fresh_halton(count, m, seed))
 
 
+def test_ndtri_matches_scipy():
+    rng = np.random.default_rng(0)
+    edges = [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32)]
+    y = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 20000),
+            np.logspace(-300, -1, 5000),  # the lower tail, through both far branches
+            1 - np.logspace(-16, -1, 2000),  # the upper tail
+            # branch edges; the last edge's neighbourhood also crosses 1, out of the domain
+            np.outer(edges, 1 + np.linspace(-1e-12, 1e-12, 201)).ravel(),
+            [0.0, 0.5, 1.0, 5e-324, 1e-12, 1 - 1e-12, -0.5, 1.5],
+        ]
+    )
+    got = np.array([_ndtri(v) for v in y.tolist()])
+    assert np.array_equal(got, ndtri(y), equal_nan=True)
+
+
 def test_import_leaves_scipy_stats_out():
+    # and every other scipy module: the package imports numpy alone
     src = Path(speccert.__file__).resolve().parents[1]
-    code = "import sys, speccert; print(sorted(k for k in sys.modules if 'scipy.stats' in k))"
+    code = (
+        "import sys, speccert; "
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -62,3 +94,31 @@ def test_cached_tables_are_read_only():
     points = box_sequence(box, 4, 0)
     points[0, 0] = 5.0
     assert box_sequence(box, 4, 0)[0, 0] != 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_draws_match_successive_single_draws(n):
+    # the per-matrix draws as written before they were stacked
+    def symmetric(rng):
+        a = rng.standard_normal((n, n))
+        s = (a + a.T) / 2
+        return s / float(np.max(np.abs(np.linalg.eigvalsh(s))))
+
+    def hermitian(rng):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (a + a.conj().T) / 2
+        return h / float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+    kinds = ((True, symmetric, random_symmetric), (False, hermitian, random_hermitian))
+    for real, single, public in kinds:
+        rng = np.random.default_rng(n)
+        stack = _unit_norm(np.stack([_gaussian_stack(rng, (3, n, n), real) for _ in range(4)]))
+        rng = np.random.default_rng(n)
+        assert np.array_equal(stack, [[single(rng) for _ in range(3)] for _ in range(4)])
+        rng = np.random.default_rng(n)
+        assert np.array_equal(stack[0], [public(rng, n) for _ in range(3)])
+
+
+def test_unit_norm_leaves_a_zero_matrix():
+    h = np.stack([np.zeros((2, 2)), np.diag([2.0, -4.0])])
+    assert np.array_equal(_unit_norm(h), [np.zeros((2, 2)), np.diag([0.5, -1.0])])
