@@ -36,7 +36,7 @@ from .lie_closure import (
 from .operators import ControlHamiltonian, _checked_box, _checked_hermitian, _energy_scales
 from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _gaussian_stack, _unit_norm, box_sequence
-from .spectrum import DEGENERACY_REL, decompose
+from .spectrum import DEGENERACY_REL, _check_tolerance, decompose
 
 SCHEMA_VERSION = "speccert-certificate/1"
 
@@ -45,13 +45,21 @@ VERDICT_NOT_CERTIFIED = "not-certified"
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Tunable budgets, seeds, and tolerance overrides for the full pipeline."""
+    """Tunable budgets, seeds, and tolerance overrides for the full pipeline.
+
+    A tolerance override must be None or a finite number > 0
+    (``PreconditionError`` otherwise).
+    """
 
     rng_seed: int = 0
     seed_budget: int = 8
     resonance_budget: int = 200
     tol_deg: float | None = None
     tol_res: float | None = None
+
+    def __post_init__(self):
+        _check_tolerance("tol_deg", self.tol_deg)
+        _check_tolerance("tol_res", self.tol_res)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +310,10 @@ def ensemble_genericity(
     their energy scales by one stacked eigensolve each; one lockstep locator
     solve serves every (trial, level) pair, one conicality call every
     located point, and one more locator solve every persistence relocation.
+    In each locator solve, every seed's restarts run alongside its first
+    run (one stacked eigensolve per iteration for all of them), so a solve
+    lasts about as long as its slowest run, not its slowest seed's runs in
+    turn.
 
     Fractions are None when no intersection was located (vacuous statistics).
     """

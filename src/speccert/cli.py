@@ -19,7 +19,7 @@ import numpy as np
 
 from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
-from .conical import certify_connectedness, degeneracy_tol, locate_intersection, test_conicality
+from .conical import certify_connectedness, locate_intersection, test_conicality
 from .errors import SpeccertError
 from .operators import load_hamiltonian
 from .sampling import box_sequence
@@ -120,12 +120,11 @@ def _cmd_synthesize(args) -> int:
     H = load_hamiltonian(args.input)
     out = _outdir(args)
     seeds = box_sequence(H.box, args.budget, args.seed)
-    tau = args.tol_deg if args.tol_deg is not None else degeneracy_tol(H)
-    u_star = locate_intersection(H, args.level, seeds, tau_deg=tau)
+    u_star = locate_intersection(H, args.level, seeds, tau_deg=args.tol_deg)
     if u_star is None:
         print(f"no interior intersection found for level {args.level}")
         return EXIT_NEGATIVE
-    result = test_conicality(H, u_star, args.level, tau_deg=tau, rng_seed=args.seed)
+    result = test_conicality(H, u_star, args.level, tau_deg=args.tol_deg, rng_seed=args.seed)
     if not result.conical:
         print(f"intersection at {u_star.tolist()} is not conical: {result.reason}")
         return EXIT_NEGATIVE

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PreconditionError, SpeccertError, StructuralError
 from .operators import ControlHamiltonian, _affine_stack, _box_diameters
 from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
-from .spectrum import _decompose_stack, _failed_rows, degeneracy_tol
+from .spectrum import _check_tolerance, _decompose_stack, _failed_rows, degeneracy_tol
 
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
@@ -65,15 +65,21 @@ def locate_intersection(
     than ``FAR_STEP`` box diagonals long (the gap has a positive minimum
     nearby, an avoided crossing), or after ``MAX_ITERATIONS``. A run that ends
     anywhere but at an interior hit restarts from the seed's next point of a
-    fixed low-discrepancy sequence, up to ``RESTARTS`` times per seed. All
-    seeds run in lockstep, one stacked eigensolve per iteration, and no seed's
-    path depends on which other seeds share the batch.
+    fixed low-discrepancy sequence, up to ``RESTARTS`` times per seed.
+
+    Every run of every seed advances in lockstep, one stacked eigensolve per
+    iteration. A seed's next run starts as soon as its current run first
+    rejects a step, alongside it, and a rejection streak tries its next
+    shrunken caps several at a time, so the schedule is shorter than the
+    runs one after another; each run still takes exactly the steps it would
+    take alone, and no run's path depends on which other seeds share the
+    batch.
 
     Returns the point reached by the first seed, in seed order, whose runs end
-    at an interior point with gap <= tau_deg, or None when no seed does. Since
-    each seed's outcome depends on that seed and its position alone, the
-    result is prefix-stable: appending seeds never changes a point already
-    found.
+    at an interior point with gap <= tau_deg (its first such run), or None
+    when no seed does. Since each seed's outcome depends on that seed and its
+    position alone, the result is prefix-stable: appending seeds never
+    changes a point already found.
 
     Parameters
     ----------
@@ -81,8 +87,17 @@ def locate_intersection(
         1-based index j of the lower level of the pair (1 <= j <= n-1).
     seeds : iterable of control points
         Start points for the multistart search; must lie inside the box.
+    tau_deg : float, optional
+        Degeneracy threshold, finite and > 0; ``degeneracy_tol(H)`` when None.
+
+    Raises
+    ------
+    PreconditionError
+        For a bad level, a seed outside the box or of the wrong length, or a
+        ``tau_deg`` that is not finite and positive.
     """
     _check_level(H, level)
+    _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     U = _seed_array(H, seeds)
@@ -120,22 +135,41 @@ def _locate_groups(groups) -> list:
     A group is (stack, box, level, seeds, tau): a family's (m + 1, n, n)
     operator stack and (m, 2) box, the lower level of the pair, a non-empty
     (k, m) array of checked seeds and the degeneracy threshold. All groups
-    share n and m. Every slot (one seed of one group) carries its
-    group's index, and the group's operators, box, step caps, threshold and
-    first hit are gathered per slot, so one stacked eigensolve per iteration
-    serves every family, level and seed. A slot's path depends on its own
-    group, seed and position only (``_affine_stack``, stacked ``eigh`` and
-    ``pinv`` work row by row), so each group's answer is bitwise the one a
-    solve of that group alone returns. Returns one point or None per group.
+    share n and m.
+
+    Every run of every seed is a slot of its own, keyed
+    position * (RESTARTS + 1) + run within its group: run 0 starts at the
+    seed, run r >= 1 at the seed's restart point r. A restart resets the step
+    cap, the iteration count and the far test, so a run's path depends on its
+    start point alone, and a group's answer is the point of its lowest-keyed
+    slot that ends at an interior hit: the run a seed-by-seed, run-by-run
+    search reaches first. Slots keyed at or above it are dropped. Run r + 1
+    is released at run r's first rejected step or when run r ends without a
+    hit, since runs that hit rarely reject a step.
+
+    A rejected step leaves the point, gap and pair frame as they were, so the
+    next trial depends on the shrunken cap alone. After s straight
+    rejections a slot evaluates its next 2^s trials at once, a ladder of
+    rungs whose caps fall by SHRINK each (exact, SHRINK being a power of
+    two), stopping where the cap falls to roundoff or the iterations run
+    out, and takes its first rung that lowers the gap. Each iteration
+    evaluates every rung and every released start point in one stacked
+    eigensolve, each row with its group's operators. A slot's path depends
+    on its own group, seed and run only (``_affine_stack``, stacked ``eigh``
+    and ``pinv`` work row by row), so each group's answer is bitwise the one
+    a solve of that group alone returns. Returns one point or None per group.
     """
     if not groups:
         return []
+    restarts = RESTARTS
+    runs = restarts + 1
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
     counts = np.array([len(U) for U in seed_sets])
-    start = np.cumsum(counts) - counts
-    grp = np.repeat(np.arange(len(groups)), counts)
-    pos = np.arange(len(grp)) - start[grp]  # a slot's position in its group's seed order
-    U = np.concatenate(seed_sets, dtype=float)
+    # slots lie group by group in key order, so a run's successor is the next slot
+    grp = np.repeat(np.arange(len(groups)), counts * runs)
+    start = (np.cumsum(counts) - counts) * runs
+    key = np.arange(len(grp)) - start[grp]
+    pos, run = np.divmod(key, runs)
     ops = np.stack(stacks)
     box = np.stack(boxes)
     n, m = ops.shape[-1], box.shape[1]
@@ -148,72 +182,98 @@ def _locate_groups(groups) -> list:
     far_step = FAR_STEP * diameter[grp]
     level = np.array(levels)[grp]
     tau = np.array(taus, dtype=float)[grp]
-    # slot i of a group restarts from points i*RESTARTS ... of one prefix-stable
-    # sequence, scaled to the group's box as box_sequence scales it
-    unit = _halton_unit(int(counts.max()) * RESTARTS, m, RESTART_SEED)
-
-    def pair_at(idx, points):
-        lam, vecs = np.linalg.eigh(_affine_stack(ops[grp[idx]], points))
-        j, rows = level[idx], np.arange(len(idx))
-        gap = lam[rows, j] - lam[rows, j - 1]
-        return gap, np.take_along_axis(vecs, (j - 1)[:, None, None] + np.arange(2), axis=2)
+    # run r >= 1 of seed i starts from point i*RESTARTS + r - 1 of one
+    # prefix-stable sequence, scaled to the group's box as box_sequence scales it
+    unit = _halton_unit(int(counts.max()) * restarts, m, RESTART_SEED)
+    U = np.empty((len(grp), m))
+    U[run == 0] = np.concatenate(seed_sets, dtype=float)
+    r = np.nonzero(run)[0]
+    U[r] = lo[r] + unit[pos[r] * restarts + run[r] - 1] * (hi[r] - lo[r])
 
     k = len(grp)
     gap = np.empty(k)
     pair = np.empty((k, n, 2), dtype=complex)
     cap = np.empty(k)
     iterations = np.zeros(k, dtype=int)
-    runs = np.zeros(k, dtype=int)
-    far = np.zeros(k, dtype=bool)
+    streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
+    step = np.empty((k, m))
+    length = np.empty(k)
     live = np.zeros(k, dtype=bool)
-    fresh = np.ones(k, dtype=bool)  # slots whose run starts at U
-    first = counts.copy()  # per group, the position of the first slot that ended at an interior hit
+    released = run == 0
+    # per group, the key of its lowest-keyed slot that ended at an interior hit
+    first = counts * runs
+    new = np.nonzero(released)[0]  # slots whose runs start at this iteration's eigensolve
+    # this iteration's ladders: their slots, rung counts and first rows, and per
+    # rung (row) its slot, index, cap and trial point
+    a = rungs = offsets = rs = rung = rc = np.empty(0, dtype=int)
+    trial = np.empty((0, m))
     while True:
-        if fresh.any():
-            f = np.nonzero(fresh)[0]
-            gap[f], pair[f] = pair_at(f, U[f])
-            cap[f], iterations[f], far[f] = cap_max[f], 0, False
-            live |= fresh
+        idx = np.concatenate([rs, new])
+        lam, vecs = np.linalg.eigh(_affine_stack(ops[grp[idx]], np.concatenate([trial, U[new]])))
+        rows, j = np.arange(len(idx)), level[idx]
+        row_gap = lam[rows, j] - lam[rows, j - 1]
+        # columns j - 1 and j of each row's eigenvectors, as (rows, n, 2)
+        row_pair = vecs[rows[:, None], :, j[:, None] + (-1, 0)].transpose(0, 2, 1)
+        t = len(rs)
+        gap[new], pair[new] = row_gap[t:], row_pair[t:]
+        cap[new], iterations[new], streak[new] = cap_max[new], 0, 0
+        live[new] = True
+        moved = new  # slots at a new point, which solve for their next step
+        rejects = np.zeros(k, dtype=bool)  # slots whose ladder is a rejection after a kept step
+        if t:
+            accepted = np.minimum.reduceat(np.where(row_gap[:t] < gap[rs], rung, t), offsets)
+            kept = accepted < t
+            last = offsets + np.where(kept, accepted, rungs - 1)
+            s, row = a[kept], last[kept]
+            U[s], gap[s], pair[s] = trial[row], row_gap[row], row_pair[row]
+            cap[s] = np.minimum(2.0 * rc[row], cap_max[s])
+            iterations[s] += accepted[kept] + 1
+            streak[s] = 0
+            moved = np.concatenate([new, s])
+            s, row = a[~kept], last[~kept]
+            rejects[s[streak[s] == 0]] = True
+            cap[s] = SHRINK * np.minimum(rc[row], length[s])
+            iterations[s] += rungs[~kept]
+            streak[s] += rungs[~kept]
         ended = live & (gap <= tau)
         hits = ended & np.all((U > inner_lo) & (U < inner_hi), axis=1)
-        np.minimum.at(first, grp[hits], pos[hits])
-        # slots after their group's first hit cannot change its answer
-        useful = pos < first[grp]
-        over = live & (ended | far | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
-        live &= ~over & useful
-        # a run that ends without a hit restarts its slot from the slot's next point
-        fresh = over & ~hits & (runs < RESTARTS) & useful
-        f = np.nonzero(fresh)[0]
-        U[f] = lo[f] + unit[pos[f] * RESTARTS + runs[f]] * (hi[f] - lo[f])
-        runs[f] += 1
-        if not live.any():
-            if fresh.any():
-                continue
-            break
-        a = np.nonzero(live)[0]
-        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a], 1:], pair[a])
+        np.minimum.at(first, grp[hits], key[hits])
+        # slots keyed after their group's first hit cannot change its answer
+        useful = key < first[grp]
+        over = live & (ended | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
+        d = moved[~over[moved] & useful[moved]]
+        B = np.einsum("kia,klij,kjb->klab", pair[d].conj(), ops[grp[d], 1:], pair[d])
         J = np.stack(
             [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
             axis=1,
         )
-        step = -(gap[a] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
-        length = np.linalg.norm(step, axis=1)
+        step[d] = -(gap[d] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
+        length[d] = np.linalg.norm(step[d], axis=1)
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive minimum
-        near = length <= far_step[a]
-        far[a[~near]] = True
-        a, step, length = a[near], step[near], length[near]
-        step *= np.minimum(1.0, cap[a] / np.maximum(length, np.finfo(float).tiny))[:, None]
-        trial = np.clip(U[a] + step, lo[a], hi[a])
-        trial_gap, trial_pair = pair_at(a, trial)
-        better = trial_gap < gap[a]
-        keep = a[better]
-        U[keep], gap[keep], pair[keep] = trial[better], trial_gap[better], trial_pair[better]
-        cap[a] = np.where(
-            better, np.minimum(2.0 * cap[a], cap_max[a]), SHRINK * np.minimum(cap[a], length)
-        )
-        iterations[a] += 1
-    return [None if first[g] == counts[g] else U[start[g] + first[g]] for g in range(len(groups))]
+        over[d[~(length[d] <= far_step[d])]] = True
+        live &= ~over & useful
+        # a run's successor is released when the run ends without a hit or first rejects a step
+        new = np.nonzero(((over & ~hits) | rejects) & (run < restarts))[0] + 1
+        new = new[~released[new] & useful[new]]
+        released[new] = True
+        a = np.nonzero(live)[0]
+        if not (len(a) or len(new)):
+            break
+        # after s straight rejections, the next 2^s caps, as far as the cap's
+        # roundoff floor and the iteration limit reach
+        rungs = np.minimum(np.exp2(streak[a]), MAX_ITERATIONS - iterations[a]).astype(int)
+        rs = np.repeat(a, rungs)
+        rung = np.arange(len(rs)) - np.repeat(np.cumsum(rungs) - rungs, rungs)
+        rc = cap[rs] * SHRINK**rung
+        within = rc > cap_min[rs]
+        if len(a):
+            rungs = np.add.reduceat(within, np.cumsum(rungs) - rungs, dtype=int)
+        offsets = np.cumsum(rungs) - rungs
+        rs, rung, rc = rs[within], rung[within], rc[within]
+        clipped = np.minimum(1.0, rc / np.maximum(length[rs], np.finfo(float).tiny))
+        trial = np.clip(U[rs] + step[rs] * clipped[:, None], lo[rs], hi[rs])
+    return [None if f == c * runs else U[s + f] for f, c, s in zip(first, counts, start)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +343,9 @@ def test_conicality(
     Raises
     ------
     PreconditionError
-        If ``t0`` is not finite and positive, the point is not degenerate at
-        ``tau_deg``, or the ball of radius t0 around it leaves the box.
+        If ``t0`` or a given ``tau_deg`` is not finite and positive, the point
+        is not degenerate at ``tau_deg``, or the ball of radius t0 around it
+        leaves the box.
     StructuralError
         If ``u_star`` is not a control point of length m.
     NumericalError
@@ -294,6 +355,7 @@ def test_conicality(
     _check_level(H, level)
     if u_star.shape != (H.m,):
         raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
+    _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     (outcome,) = _conicality_rows(
@@ -482,9 +544,11 @@ def certify_connectedness(
     call, each level's outcome the one ``test_conicality`` gives. Status is
     "certified" iff every level has a conical certificate with all other
     levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
+    A given ``tau_deg`` must be finite and positive (``PreconditionError``).
     """
     if seed_budget < 1:
         raise PreconditionError("seed_budget must be at least 1")
+    _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     seeds = list(box_sequence(H.box, seed_budget, rng_seed))

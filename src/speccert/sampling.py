@@ -14,26 +14,42 @@ _TABLES = 256
 
 
 @lru_cache(maxsize=_TABLES)
+def _halton_digits(count: int, base: int) -> tuple:
+    """The seed-free parts of one scrambled Halton axis in ``base``, read-only.
+
+    The (depth, base) table of unpermuted digit rows, one per digit of a
+    54-bit fraction; the (count, depth) flat indices into that table of the
+    digits of 0 .. count - 1, least significant first; and the digit scales
+    1/b, 1/b/b, ..., as divided out left to right. Built once per (count, base).
+    """
+    depth = math.ceil(54 / math.log2(base)) - 1
+    rows = np.tile(np.arange(base), (depth, 1))
+    at = np.arange(count)[:, None] // base ** np.arange(depth) % base + base * np.arange(depth)
+    scales = np.divide.accumulate(np.r_[1.0, np.full(depth, float(base))])[1:]
+    for a in (rows, at, scales):
+        a.setflags(write=False)
+    return rows, at, scales
+
+
+@lru_cache(maxsize=_TABLES)
 def _halton_unit(count: int, m: int, seed: int) -> np.ndarray:
     """First ``count`` points of the scrambled Halton sequence in [0, 1)^m, read-only.
 
     Bitwise those of ``scipy.stats.qmc.Halton(d=m, scramble=True, seed=seed)``:
     axis k is the van der Corput sequence in the k-th prime base b, each of its
     54-bit digits permuted at random (Owen's randomised Halton). Built once per
-    (count, m, seed). Prefix-stable: the first k points are the same for every
-    count >= k.
+    (count, m, seed), from digits and scales built once per (count, b).
+    Prefix-stable: the first k points are the same for every count >= k.
     """
     rng = np.random.default_rng(seed)
     primes = (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
     pts = np.empty((count, m))
     for axis, base in zip(range(m), primes):
-        depth = math.ceil(54 / math.log2(base)) - 1
+        rows, at, scales = _halton_digits(count, base)
         # row j permutes digit j; rows are shuffled in order, as one shuffle per row would
-        perms = rng.permuted(np.tile(np.arange(base), (depth, 1)), axis=1)
-        digits = np.arange(count)[:, None] // base ** np.arange(depth) % base
-        # 1/b, 1/b/b, ... and the digit sum, left to right as the reference adds them
-        scales = np.divide.accumulate(np.r_[1.0, np.full(depth, float(base))])[1:]
-        pts[:, axis] = np.add.accumulate(perms[np.arange(depth), digits] * scales, axis=1)[:, -1]
+        perms = rng.permuted(rows, axis=1)
+        # the digit sum, left to right as the reference adds it
+        pts[:, axis] = np.add.accumulate(perms.ravel()[at] * scales, axis=1)[:, -1]
     pts.setflags(write=False)
     return pts
 

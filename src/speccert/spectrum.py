@@ -162,6 +162,16 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
     return DEGENERACY_REL * H.energy_scale
 
 
+def _check_tolerance(name: str, value) -> None:
+    """Reject a tolerance that is given but not a finite number > 0.
+
+    A nan threshold fails every comparison and an infinite or non-positive
+    one makes every or no gap count, so each would turn a verdict silently.
+    """
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise PreconditionError(f"{name} must be finite and positive, got {value}")
+
+
 def gap(sp: SpectralPoint, j: int) -> float:
     """Adjacent spectral gap at a decomposed point (1-based level index)."""
     return sp.gap(j)

@@ -1,0 +1,118 @@
+"""Reference locator: the lockstep solve that ``conical._locate_groups`` ran
+before its restarts became concurrent slots and its rejection streaks
+ladders, kept as the oracle whose points the scheduled solve must reproduce
+bitwise, group by group.
+
+Each seed runs its restarts one after another, and every iteration takes one
+trial step per live seed. ``reasons``, when given, is a dict that counts how
+the runs ended: "hit" (an interior degeneracy), "edge" (a degeneracy outside
+the interior margin), "far" (the full step left the box by ``FAR_STEP``
+diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run
+reached ``MAX_ITERATIONS``). ``eigh_rows``, when given, is a list that gets
+the row count of every stacked eigensolve. The step and restart constants
+are read from ``conical`` at call time, as the scheduled solve reads them.
+"""
+
+import numpy as np
+
+from speccert import conical
+from speccert.conical import INTERIOR_REL_MARGIN, RESTART_SEED
+from speccert.operators import _affine_stack, _box_diameters
+from speccert.sampling import _halton_unit
+
+
+def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
+    """Per group, the first interior hit in seed order, or None."""
+    if not groups:
+        return []
+    restarts = conical.RESTARTS
+    max_iterations, shrink = conical.MAX_ITERATIONS, conical.SHRINK
+    stacks, boxes, levels, seed_sets, taus = zip(*groups)
+    counts = np.array([len(U) for U in seed_sets])
+    start = np.cumsum(counts) - counts
+    grp = np.repeat(np.arange(len(groups)), counts)
+    pos = np.arange(len(grp)) - start[grp]
+    U = np.concatenate(seed_sets, dtype=float)
+    ops = np.stack(stacks)
+    box = np.stack(boxes)
+    n, m = ops.shape[-1], box.shape[1]
+    lo, hi = box[grp, :, 0], box[grp, :, 1]
+    margin = INTERIOR_REL_MARGIN * (hi - lo)
+    inner_lo, inner_hi = lo + margin, hi - margin
+    diameter = _box_diameters(box)
+    cap_max = conical.STEP_FRACTION * diameter[grp]
+    cap_min = (np.finfo(float).eps * (diameter + np.max(np.abs(box), axis=(1, 2))))[grp]
+    far_step = conical.FAR_STEP * diameter[grp]
+    level = np.array(levels)[grp]
+    tau = np.array(taus, dtype=float)[grp]
+    unit = _halton_unit(int(counts.max()) * restarts, m, RESTART_SEED)
+
+    def pair_at(idx, points):
+        if eigh_rows is not None:
+            eigh_rows.append(len(idx))
+        lam, vecs = np.linalg.eigh(_affine_stack(ops[grp[idx]], points))
+        j, rows = level[idx], np.arange(len(idx))
+        gap = lam[rows, j] - lam[rows, j - 1]
+        return gap, np.take_along_axis(vecs, (j - 1)[:, None, None] + np.arange(2), axis=2)
+
+    def tally(name, mask):
+        if reasons is not None:
+            reasons[name] = reasons.get(name, 0) + int(np.count_nonzero(mask))
+
+    k = len(grp)
+    gap = np.empty(k)
+    pair = np.empty((k, n, 2), dtype=complex)
+    cap = np.empty(k)
+    iterations = np.zeros(k, dtype=int)
+    runs = np.zeros(k, dtype=int)
+    far = np.zeros(k, dtype=bool)
+    live = np.zeros(k, dtype=bool)
+    fresh = np.ones(k, dtype=bool)
+    first = counts.copy()
+    while True:
+        if fresh.any():
+            f = np.nonzero(fresh)[0]
+            gap[f], pair[f] = pair_at(f, U[f])
+            cap[f], iterations[f], far[f] = cap_max[f], 0, False
+            live |= fresh
+        ended = live & (gap <= tau)
+        hits = ended & np.all((U > inner_lo) & (U < inner_hi), axis=1)
+        np.minimum.at(first, grp[hits], pos[hits])
+        useful = pos < first[grp]
+        over = live & (ended | far | (cap <= cap_min) | (iterations >= max_iterations))
+        tally("hit", hits)
+        tally("edge", ended & ~hits)
+        tally("far", over & ~ended & far)
+        tally("cap", over & ~ended & ~far & (cap <= cap_min))
+        tally("iterations", over & ~ended & ~far & (cap > cap_min))
+        live &= ~over & useful
+        fresh = over & ~hits & (runs < restarts) & useful
+        f = np.nonzero(fresh)[0]
+        U[f] = lo[f] + unit[pos[f] * restarts + runs[f]] * (hi[f] - lo[f])
+        runs[f] += 1
+        if not live.any():
+            if fresh.any():
+                continue
+            break
+        a = np.nonzero(live)[0]
+        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a], 1:], pair[a])
+        J = np.stack(
+            [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
+            axis=1,
+        )
+        step = -(gap[a] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
+        length = np.linalg.norm(step, axis=1)
+        near = length <= far_step[a]
+        far[a[~near]] = True
+        a, step, length = a[near], step[near], length[near]
+        step *= np.minimum(1.0, cap[a] / np.maximum(length, np.finfo(float).tiny))[:, None]
+        trial = np.clip(U[a] + step, lo[a], hi[a])
+        trial_gap, trial_pair = pair_at(a, trial)
+        better = trial_gap < gap[a]
+        keep = a[better]
+        U[keep], gap[keep], pair[keep] = trial[better], trial_gap[better], trial_pair[better]
+        cap[a] = np.where(
+            better, np.minimum(2.0 * cap[a], cap_max[a]), shrink * np.minimum(cap[a], length)
+        )
+        iterations[a] += 1
+    return [None if first[g] == counts[g] else U[start[g] + first[g]] for g in range(len(groups))]

@@ -11,6 +11,7 @@ from speccert import (
     ControlHamiltonian,
     GapTable,
     HermitianOperator,
+    PreconditionError,
     SpeccertError,
     certify,
     certify_connectedness,
@@ -122,6 +123,17 @@ class TestCertify:
         assert cert.connectedness.certified
         assert cert.resonance.found
         assert cert.graph_connected
+
+    @pytest.mark.parametrize("field", ["tol_deg", "tol_res"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_hostile_tolerance_rejected(self, field, value):
+        # tol_res = nan made the spectral pipeline predict False without a word
+        with pytest.raises(PreconditionError, match=f"{field} must be finite and positive"):
+            CertifyConfig(**{field: value})
+
+    def test_tolerance_overrides_accepted(self):
+        cfg = CertifyConfig(tol_deg=1e-9, tol_res=1e-6)
+        assert (cfg.tol_deg, cfg.tol_res) == (1e-9, 1e-6)
 
 
 class TestEnergyUnit:

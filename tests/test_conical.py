@@ -1,3 +1,6 @@
+import functools
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +26,7 @@ from speccert.sampling import box_sequence, random_hermitian, random_symmetric
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 from conicality_reference import reference_conicality
 from ensemble_reference import _perturbed, _random_family
+from locator_reference import reference_locate
 
 
 @pytest.fixture
@@ -109,6 +113,10 @@ def quadratic_contact_family():
     h1 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
     h2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
     return make_family(np.diag([0.0, 0.0, 2.0]), [h1, h2], [[-1, 1], [-1, 1]])
+
+
+# thresholds that are not a finite number > 0
+HOSTILE_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0]
 
 
 class TestLocateIntersection:
@@ -261,6 +269,12 @@ class TestLocateIntersection:
         with pytest.raises(PreconditionError):
             locate_intersection(two_level_cone, 2, [[0.1, 0.1]])
 
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, two_level_cone, tau):
+        # nan and negative thresholds found nothing, and inf returned the seed itself
+        with pytest.raises(PreconditionError, match="tau_deg must be finite and positive"):
+            locate_intersection(two_level_cone, 1, [[0.5, 0.5]], tau_deg=tau)
+
 
 class TestBatchedLocator:
     @settings(max_examples=25, deadline=None)
@@ -287,6 +301,8 @@ class TestBatchedLocator:
         for (H, level, seeds, tau), u in zip(groups, solved):
             alone = locate_intersection(H, level, seeds, tau_deg=tau)
             assert (u is None and alone is None) or np.array_equal(u, alone)
+            # and the run-by-run reference solve of the group alone agrees
+            assert _same_answers([alone], reference_locate([(H._stack, H.box, level, seeds, tau)]))
 
     def test_no_groups_no_answers(self):
         assert _locate_groups([]) == []
@@ -308,6 +324,179 @@ class TestBatchedLocator:
             located[draw] = sum(u is not None for u in _locate_groups(groups))
         assert located[random_hermitian] == 0
         assert located[random_symmetric] >= 60
+
+
+def _same_answers(got, want) -> bool:
+    """Per group, both None or bitwise the same point."""
+    return len(got) == len(want) and all(
+        (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+        for a, b in zip(got, want)
+    )
+
+
+def _ensemble_solves(rng_seed: int) -> list:
+    """The group lists of the two locator solves of ``ensemble_genericity(3, 2, 50, rng_seed)``:
+    every (trial, level) pair from box seeds, then every relocation from u_star."""
+    module = importlib.import_module("speccert.certify")
+    solves = []
+
+    def recorded(groups):
+        solves.append(groups)
+        return _locate_groups(groups)
+
+    module._locate_groups = recorded
+    try:
+        module.ensemble_genericity(3, 2, 50, rng_seed)
+    finally:
+        module._locate_groups = _locate_groups
+    assert len(solves) == 2
+    return solves
+
+
+def _chain_solves() -> list:
+    """``certify_connectedness``'s solve of the criterion-5 chain at report seeds 0-11."""
+    H = make_family(
+        np.diag([0.0, 0.0, 1.5]),
+        [np.diag([1.0, 0.0, -1.0]), [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]],
+        [[-0.6, 1.35], [-0.75, 0.75]],
+    )
+    tau = degeneracy_tol(H)
+    return [
+        [(H._stack, H.box, j, box_sequence(H.box, 12, s), tau) for j in (1, 2)] for s in range(12)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(source: str) -> tuple:
+    """(solves, the reference's answers per solve, its end-reason counts, its
+    eigensolve count) for one part of the equivalence set, each solve a group
+    list as one call receives it."""
+    if source == "certify":
+        solves = []
+        for H in _certify_random_families(60):
+            U = box_sequence(H.box, 8, 0)
+            solves.append([(H._stack, H.box, j, U, degeneracy_tol(H)) for j in range(1, H.dim)])
+    elif source == "thresholds":
+        # a coarse threshold ends each run at the first point of its path below it,
+        # so these answers sample the runs' paths, not only their ends
+        solves = []
+        for H in _certify_random_families(15):
+            U = box_sequence(H.box, 8, 0)
+            for scale in (1e7, 1e5, 1e3):
+                tau = scale * degeneracy_tol(H)
+                solves.append([(H._stack, H.box, j, U, tau) for j in range(1, H.dim)])
+    elif source == "chain":
+        solves = _chain_solves()
+    else:
+        solves = _ensemble_solves(int(source))
+    reasons, eigh_rows = {}, []
+    answers = [reference_locate(groups, reasons, eigh_rows) for groups in solves]
+    return solves, answers, reasons, len(eigh_rows)
+
+
+def _planted_solves(*families) -> list:
+    """One solve per planted family and level, from box seeds and from hand-picked ones."""
+    solves = []
+    for H in families:
+        seed_sets = [box_sequence(H.box, k, s) for k, s in ((1, 0), (4, 1), (9, 2))]
+        seed_sets += [np.array([H.box.mean(axis=1)])]
+        for j in range(1, H.dim):
+            solves += [[(H._stack, H.box, j, U, degeneracy_tol(H))] for U in seed_sets]
+    return solves
+
+
+SOURCES = ["certify", "thresholds", "chain", "11", "22", "33"]
+END_REASONS = {"hit", "edge", "far", "cap", "iterations"}
+
+
+class TestLocatorOracle:
+    """The scheduled solve against the run-by-run reference, point for point."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_matches_the_reference(self, source):
+        solves, answers, _, _ = _oracle(source)
+        for groups, want in zip(solves, answers):
+            assert _same_answers(_locate_groups(groups), want)
+
+    def test_planted_families_match_the_reference(
+        self,
+        two_level_cone,
+        shifted_cone,
+        diag_family,
+        boundary_pair_family,
+        double_cone_family,
+        quadratic_contact_family,
+        flat_gap_family,
+        scalar_family,
+    ):
+        families = [
+            two_level_cone,
+            shifted_cone,
+            diag_family,
+            boundary_pair_family,
+            double_cone_family,
+            quadratic_contact_family,
+            flat_gap_family,
+            scalar_family,
+            planted_cone(np.array([0.3, -0.2, 0.1])),
+            planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3),
+        ]
+        solves = _planted_solves(*families)
+        # the run from (0.9, 0.05) ends at the edge cone (1, 0) and restarts
+        H = boundary_pair_family
+        solves.append([(H._stack, H.box, 2, np.array([[0.9, 0.05]]), degeneracy_tol(H))])
+        # all planted solves in one batch, too
+        solves.append([g for groups in solves for g in groups if g[0].shape == (3, 3, 3)])
+        reasons = {}
+        for groups in solves:
+            assert _same_answers(_locate_groups(groups), reference_locate(groups, reasons))
+        for source in SOURCES:
+            for reason, count in _oracle(source)[2].items():
+                reasons[reason] = reasons.get(reason, 0) + count
+        # the equivalence set is not vacuous: its runs end in every way a run can end
+        assert {r for r, count in reasons.items() if count} == END_REASONS
+
+    @pytest.mark.parametrize("limit", [3, 12])
+    def test_matches_the_reference_under_short_iteration_limits(self, monkeypatch, limit):
+        # a short limit cuts ladders short and ends many runs by their iteration count
+        monkeypatch.setattr(conical, "MAX_ITERATIONS", limit)
+        for groups in _oracle("thresholds")[0]:
+            assert _same_answers(_locate_groups(groups), reference_locate(groups))
+
+    def test_restarts_are_read_at_call_time(self, monkeypatch, boundary_pair_family):
+        H = boundary_pair_family
+        groups = [(H._stack, H.box, 2, np.array([[0.9, 0.05]]), degeneracy_tol(H))]
+        for restarts in (0, 1, 3):
+            monkeypatch.setattr(conical, "RESTARTS", restarts)
+            assert _same_answers(_locate_groups(groups), reference_locate(groups))
+        assert _locate_groups(groups)[0] is not None  # a restart finds the interior cone
+
+
+class TestLocatorSchedule:
+    def test_at_most_half_the_reference_eigensolves(self, monkeypatch):
+        solves, _, _, reference_calls = _oracle("certify")
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        for groups in solves:
+            _locate_groups(groups)
+        assert len(calls) <= reference_calls / 2
+
+    def test_one_eigensolve_per_lockstep_iteration(self, monkeypatch):
+        # each iteration solves its slots' Gauss-Newton steps (one pinv) and then
+        # evaluates every rung and released start in one eigh; the solve opens with
+        # one eigh of the first runs' starts and closes on the pass that ends them
+        events = []
+        for name in ("eigh", "pinv"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, f=f, name=name: events.append(name) or f(a)
+            )
+        for groups in _oracle("chain")[0][:4] + _oracle("certify")[0][:12]:
+            events.clear()
+            _locate_groups(groups)
+            assert len(events) >= 4
+            assert events == ["eigh", "pinv"] * (len(events) // 2)
 
 
 class TestConicality:
@@ -353,6 +542,11 @@ class TestConicality:
         # at t0 = 0 every probe sits at u_star, and each slope is 0/0
         with pytest.raises(PreconditionError, match="finite and positive"):
             test_conicality(flat_gap_family, [0.0, 0.0], 1, t0=t0)
+
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, two_level_cone, tau):
+        with pytest.raises(PreconditionError, match="tau_deg must be finite and positive"):
+            test_conicality(two_level_cone, [0.0, 0.0], 1, tau_deg=tau)
 
     def test_certificate_json_schema(self, two_level_cone):
         result = test_conicality(two_level_cone, [0.0, 0.0], 1)
@@ -534,6 +728,12 @@ class TestCertifyConnectedness:
         # the hint and the box seeds together are ragged
         with pytest.raises(PreconditionError):
             certify_connectedness(two_level_cone, 4, hints=[[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, three_level_chain, tau):
+        # nan or -1 reported "no interior intersection located" for every level
+        with pytest.raises(PreconditionError, match="tau_deg must be finite and positive"):
+            certify_connectedness(three_level_chain, 8, tau_deg=tau)
 
     def test_diag_family_incomplete(self, diag_family):
         report = certify_connectedness(diag_family, 6, rng_seed=3)
