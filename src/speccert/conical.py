@@ -347,7 +347,7 @@ def test_conicality(
         is not degenerate at ``tau_deg``, or the ball of radius t0 around it
         leaves the box.
     StructuralError
-        If ``u_star`` is not a control point of length m.
+        If ``u_star`` is not a finite control point of length m.
     NumericalError
         If the eigendecomposition at ``u_star`` fails ``decompose``'s checks.
     """
@@ -355,6 +355,8 @@ def test_conicality(
     _check_level(H, level)
     if u_star.shape != (H.m,):
         raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
+    if not np.all(np.isfinite(u_star)):
+        raise StructuralError(f"control point has non-finite entries: {u_star.tolist()}")
     _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)

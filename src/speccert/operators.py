@@ -303,10 +303,17 @@ class ControlHamiltonian:
 
         Row k is bitwise the same whichever other rows share the call
         (``_affine_stack``).
+
+        Raises
+        ------
+        StructuralError
+            If U is not of shape (N, m) or has a non-finite entry.
         """
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.m:
             raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
+        if not np.all(np.isfinite(U)):
+            raise StructuralError("control points have non-finite entries")
         return _affine_stack(self._stack, U)
 
     def norm_bound(self, u) -> float:

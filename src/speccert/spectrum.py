@@ -127,6 +127,8 @@ def decompose_many(H: ControlHamiltonian, U) -> list:
 
     Raises
     ------
+    StructuralError
+        If U is not of shape (N, m) or has a non-finite entry.
     NumericalError
         If the eigensolver fails to converge or, at some row, the residual /
         orthonormality / trace invariants exceed their tolerances (carries the
@@ -144,6 +146,8 @@ def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
 
     Raises
     ------
+    StructuralError
+        If u is not a finite point of length m.
     NumericalError
         If the eigensolver fails to converge or the residual / orthonormality /
         trace invariants exceed their tolerances (carries the residual).
@@ -163,10 +167,11 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
 
 
 def _check_tolerance(name: str, value) -> None:
-    """Reject a tolerance that is given but not a finite number > 0.
+    """Reject a tolerance, radius or speed that is given but not a finite number > 0.
 
     A nan threshold fails every comparison and an infinite or non-positive
-    one makes every or no gap count, so each would turn a verdict silently.
+    one makes every or no gap count, so each would turn a verdict silently;
+    a nan or negative detour radius would likewise never detour a climb.
     """
     if value is not None and not (np.isfinite(value) and value > 0):
         raise PreconditionError(f"{name} must be finite and positive, got {value}")
@@ -254,12 +259,16 @@ def track(
 
     Raises
     ------
+    StructuralError
+        If the path is empty or a point is not a finite point of length m.
     RefinementNeededError
         If two consecutive path points are farther apart than ``step_bound``.
     """
     U = np.array(list(path), dtype=float)
     if not len(U):
         raise StructuralError("path must contain at least one point")
+    # formed first, so a non-finite point is rejected before the step lengths
+    mats = H.matrices_at(U)
     if step_bound is None:
         step_bound = 0.05 * H.box_diameter()
     steps = np.linalg.norm(np.diff(U, axis=0), axis=1)
@@ -272,7 +281,7 @@ def track(
     tol = degeneracy_tol(H)
     # relative to H, like lip, so the check bites in every energy unit
     margin = tol + 1e-7 * lip
-    lam, frames = _decompose_stack(H.matrices_at(U), U)
+    lam, frames = _decompose_stack(mats, U)
     labels, _ = continue_branches(lam, frames, tol)
     # Lipschitz sanity per labeled branch; a gross violation means the
     # matching lost a branch, which refinement would have prevented.

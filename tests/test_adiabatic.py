@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from speccert import (
@@ -21,12 +25,14 @@ from speccert import (
 )
 from speccert import adiabatic
 from speccert.adiabatic import (
+    BLOCK_MAX_DIM,
     DEFAULT_STEP_LIMIT,
     STEP_CHUNK_ELEMS,
     StateTrajectory,
     _route,
     _segment_clearance,
 )
+from speccert.sampling import random_hermitian, random_symmetric
 from speccert.spectrum import degeneracy_tol
 from branch_reference import reference_labels, reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
@@ -262,6 +268,110 @@ class TestChunkedPropagation:
             assert np.allclose(traj.populations[k, traj.labels[k] - 1], pops, rtol=0, atol=1e-14)
 
 
+def record_chunks(mp):
+    """Patch propagate's block products to record each chunk's (lam, vecs, h, b)."""
+    chunks = []
+    block_products = adiabatic._block_products
+
+    def recording(lam, vecs, h, b):
+        chunks.append((lam, vecs, h, b))
+        return block_products(lam, vecs, h, b)
+
+    mp.setattr(adiabatic, "_block_products", recording)
+    return chunks
+
+
+def sequential_states(chunks, psi0):
+    """The state after every step, one step at a time, from the recorded chunks' step unitaries."""
+    psi = np.asarray(psi0, dtype=complex)
+    states = []
+    for lam, vecs, h, _ in chunks:
+        unitaries = (vecs * np.exp(-1j * h * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+        for step in unitaries:
+            psi = step @ psi
+            states.append(psi)
+    return np.array(states)
+
+
+def path_of_lengths(H, waypoints, lengths, step_limit=DEFAULT_STEP_LIMIT):
+    """A path through the waypoints whose segments take the given numbers of propagate steps."""
+    durations = [
+        (count - 0.5) * step_limit / max(H.norm_bound(a), H.norm_bound(b))
+        for a, b, count in zip(waypoints, waypoints[1:], lengths)
+    ]
+    return ControlPath(waypoints=tuple(waypoints), durations=np.array(durations), epsilon=1.0)
+
+
+def blocked_run(n, real, seed, lengths, mp):
+    """Run ``propagate`` on a random family along segments of the given step counts.
+
+    Returns the trajectory, every chunk's recorded (lam, vecs, h, b) and the initial state.
+    """
+    rng = np.random.default_rng(seed)
+    draw = random_symmetric if real else random_hermitian
+    H = make_family(draw(rng, n), [draw(rng, n), draw(rng, n)], [[-2, 2], [-2, 2]])
+    waypoints = list(rng.uniform(-1.5, 1.5, size=(len(lengths) + 1, 2)))
+    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi0 /= np.linalg.norm(psi0)
+    chunks = record_chunks(mp)
+    traj = propagate(H, path_of_lengths(H, waypoints, lengths), psi0, max_records=10**6)
+    assert traj.states.shape[0] == sum(lengths) + 1
+    return traj, chunks, psi0
+
+
+class TestBlockedAdvance:
+    """``propagate`` advances its state a block of steps per Python iteration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        real=st.booleans(),
+        seed=st.integers(0, 2**16),
+        lengths=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    )
+    # n = 3: 300 steps make blocks of 17 and a last block of 11, between single
+    # steps; n = 8 (256-step chunks): 300 and 257 steps carry the state across
+    # chunks, into a 44-step chunk (blocks of 6, the last of 2) and a 1-step one
+    @example(n=2, real=True, seed=0, lengths=[1])
+    @example(n=3, real=False, seed=1, lengths=[1, 300, 1])
+    @example(n=8, real=False, seed=2, lengths=[300, 257, 2])
+    def test_matches_the_sequential_product(self, n, real, seed, lengths):
+        with pytest.MonkeyPatch.context() as mp:
+            traj, chunks, psi0 = blocked_run(n, real, seed, lengths, mp)
+        for lam, _, _, b in chunks:
+            assert b == (math.isqrt(len(lam)) if n <= BLOCK_MAX_DIM else 1)
+        reference = sequential_states(chunks, psi0)
+        assert np.max(np.abs(traj.states[1:] - reference)) <= 1e-13
+        assert np.max(traj.norm_defect) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, max_dim", [(3, 0), (BLOCK_MAX_DIM + 1, BLOCK_MAX_DIM), (32, BLOCK_MAX_DIM)]
+    )
+    def test_blocks_of_one_are_the_per_step_loop_bitwise(self, n, max_dim):
+        # the 150-step segment spans two chunks at n = 13 (96 steps each), the
+        # 40-step one three at n = 32 (16 each)
+        lengths = [1, 70, 150] if n < 32 else [1, 40, 3]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adiabatic, "BLOCK_MAX_DIM", max_dim)
+            traj, chunks, psi0 = blocked_run(n, False, n, lengths, mp)
+        assert {b for *_, b in chunks} == {1}
+        assert np.array_equal(traj.states[1:], sequential_states(chunks, psi0))
+
+    def test_block_products_are_in_block_prefix_order(self):
+        rng = np.random.default_rng(7)
+        lam, vecs = np.linalg.eigh(np.stack([random_hermitian(rng, 3) for _ in range(11)]))
+        unitaries = (vecs * np.exp(-0.3j * lam)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+        assert np.array_equal(adiabatic._block_products(lam, vecs, 0.3, 1)[:, 0], unitaries)
+        prods = adiabatic._block_products(lam, vecs, 0.3, 4)
+        assert prods.shape == (3, 4, 3, 3)
+        for k in range(11):
+            block, row = divmod(k, 4)
+            expected = np.eye(3)
+            for step in unitaries[4 * block : k + 1]:
+                expected = step @ expected
+            assert np.allclose(prods[block, row], expected, rtol=0, atol=1e-14)
+
+
 class TestLazyRecords:
     """Populations and labels are decomposed on first read, bitwise as the eager pass did."""
 
@@ -372,6 +482,14 @@ class TestPlanPassage:
         assert traj.final_population_sorted(2) >= 0.9
 
 
+def chain_report(H):
+    """A certified report of the chain's intersections at (0, 0) and (0.75, 0)."""
+    certs = {
+        j: test_conicality(H, u, j).certificate for j, u in ((1, [0.0, 0.0]), (2, [0.75, 0.0]))
+    }
+    return ConnectednessReport(certificates=certs, failures={}, status="certified", metadata={})
+
+
 class TestClimb:
     def test_two_level_climb(self, two_level_cone):
         report = certify_connectedness(two_level_cone, 6, rng_seed=3)
@@ -388,14 +506,7 @@ class TestClimb:
     def test_passages_do_not_overlap(self, three_level_chain):
         # (0, 0) and (0.75, 0) are 0.75 apart but 0.6 from the box edge, so a
         # radius from the box clearance alone would overlap the two passages
-        certs = {
-            j: test_conicality(three_level_chain, u, j).certificate
-            for j, u in ((1, [0.0, 0.0]), (2, [0.75, 0.0]))
-        }
-        report = ConnectednessReport(
-            certificates=certs, failures={}, status="certified", metadata={}
-        )
-        result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2)
+        result = climb(three_level_chain, chain_report(three_level_chain), [-0.3, 0.55], epsilon=1e-2)
         waypoints = np.array(result.path.waypoints)
         start = int(np.argmin(np.linalg.norm(waypoints - [0.0, 0.0], axis=1)))
         # from the first intersection on, the path only moves toward the second
@@ -422,6 +533,22 @@ class TestClimb:
             assert true_error / 4 <= result.error_estimate <= 4 * true_error
         else:
             assert result.error_estimate <= 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["epsilon", "rho", "delta"])
+    def test_hostile_radius_or_speed_rejected_before_any_eigensolve(
+        self, monkeypatch, three_level_chain, name, value
+    ):
+        report = chain_report(three_level_chain)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran before the arguments were checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        arguments = {"epsilon": 1e-2, name: value}
+        with pytest.raises(PreconditionError, match=name):
+            climb(three_level_chain, report, [-0.3, 0.55], **arguments)
 
     def test_uncertified_report_rejected(self, diag_family):
         report = certify_connectedness(diag_family, 4, rng_seed=3)

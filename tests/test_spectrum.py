@@ -12,12 +12,14 @@ from speccert import (
     PreconditionError,
     RefinementNeededError,
     StructuralError,
+    check_nonresonant,
     decompose,
     decompose_many,
     degeneracy_tol,
     gap,
     save_track_csv,
     spectral_diameter_estimate,
+    test_conicality,
     track,
 )
 from speccert.sampling import random_hermitian, random_symmetric
@@ -264,6 +266,34 @@ class TestTrack:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "step,u_1,u_2,lambda_1,lambda_2,branch_1,branch_2"
         assert len(lines) == 6
+
+
+class TestNonFinitePoints:
+    """A control point with a nan or an infinity is malformed input, rejected before any eigensolve."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_point_entry_rejects_it(self, monkeypatch, three_level_chain, bad):
+        H = three_level_chain
+        point = [bad, 0.5]
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran on a non-finite point")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        calls = [
+            lambda: H.matrix_at(point),
+            lambda: H.matrices_at([[0.1, 0.2], point]),
+            lambda: decompose(H, point),
+            lambda: decompose_many(H, [[0.1, 0.2], point]),
+            lambda: check_nonresonant(H, point),
+            lambda: test_conicality(H, point, 1),
+            lambda: track(H, [[0.1, 0.5], point]),
+            lambda: track(H, [point, [0.1, 0.5]]),
+        ]
+        for call in calls:
+            with pytest.raises(StructuralError, match="non-finite"):
+                call()
 
 
 def planted_cone_family(seed: int, n: int, real: bool, level: int, apex) -> ControlHamiltonian:
