@@ -10,12 +10,9 @@ against instantaneous eigenframes; relative phases are not controlled.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +23,15 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .operators import ControlHamiltonian, _affine_stack, _finite_array, read_json
+from .operators import (
+    ControlHamiltonian,
+    _affine_stack,
+    _columns,
+    _finite_array,
+    _write_csv,
+    _write_json,
+    read_json,
+)
 from .resonance import check_nonresonant
 from .spectrum import (
     _check_tolerance,
@@ -109,7 +114,7 @@ class ControlPath:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2))
+        _write_json(self.to_json_dict(), path)
 
 
 def load_path(path) -> ControlPath:
@@ -206,19 +211,10 @@ class StateTrajectory:
         return float(self.populations[-1, branch - 1])
 
     def save_csv(self, path) -> None:
-        m = self.controls.shape[1]
-        n = self.populations.shape[1]
-        header = (
-            ["t"]
-            + [f"u_{l + 1}" for l in range(m)]
-            + [f"pop_{b + 1}" for b in range(n)]
-            + ["norm_defect"]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            table = np.column_stack((self.times, self.controls, self.populations, self.norm_defect))
-            writer.writerows([repr(float(x)) for x in row] for row in table)
+        m, n = self.controls.shape[1], self.populations.shape[1]
+        header = ["t", *_columns("u", m), *_columns("pop", n), "norm_defect"]
+        table = np.column_stack((self.times, self.controls, self.populations, self.norm_defect))
+        _write_csv(path, header, table.tolist())
 
 
 def branch_populations(frame: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -376,13 +372,16 @@ def plan_passage(
 
     Raises
     ------
+    PreconditionError
+        If rho or epsilon is not a finite number > 0.
+    StructuralError
+        If ``direction`` is not m finite numbers.
     GeometryError
-        If the ball of radius rho around the intersection leaves the box.
+        If ``direction`` is zero or the ball of radius rho around the
+        intersection leaves the box.
     """
-    if rho <= 0:
-        raise GeometryError("rho must be positive")
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
+    _check_tolerance("rho", rho)
+    _check_tolerance("epsilon", epsilon)
     u_star = np.asarray(cert.u_star, dtype=float)
     if not H.contains(u_star, margin=rho):
         raise GeometryError(
@@ -392,7 +391,9 @@ def plan_passage(
         d = np.zeros(H.m)
         d[0] = 1.0
     else:
-        d = np.asarray(direction, dtype=float)
+        d = _finite_array(direction, "passage direction").astype(float)
+        if d.shape != (H.m,):
+            raise StructuralError(f"passage direction must have length {H.m}, got shape {d.shape}")
         nd = float(np.linalg.norm(d))
         if nd == 0:
             raise GeometryError("passage direction must be nonzero")

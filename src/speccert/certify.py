@@ -8,9 +8,7 @@ a connected graph at a non-resonant point predicts a full closure.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +31,15 @@ from .lie_closure import (
     closure,
     generators_from,
 )
-from .operators import ControlHamiltonian, _checked_box, _checked_hermitian, _energy_scales
+from .operators import (
+    ControlHamiltonian,
+    _checked_box,
+    _checked_hermitian,
+    _energy_scales,
+    _json_text,
+    _write_csv,
+    _write_json,
+)
 from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _gaussian_stack, _unit_norm, box_sequence
 from .spectrum import DEGENERACY_REL, _check_tolerance, decompose
@@ -88,18 +94,12 @@ class ControllabilityCertificate:
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "m": self.m,
-            "connectedness": None
-            if self.connectedness is None
-            else self.connectedness.to_json_dict(),
-            "resonance": None if self.resonance is None else self.resonance.to_json_dict(),
-            "graph": None if self.graph is None else self.graph.to_json_dict(),
+            "connectedness": _stage_json(self.connectedness),
+            "resonance": _stage_json(self.resonance),
+            "graph": _stage_json(self.graph),
             "graph_connected": self.graph_connected,
-            "closure": None
-            if self.closure_result is None
-            else self.closure_result.to_json_dict(include_basis=include_basis),
-            "transitivity": None
-            if self.transitivity is None
-            else self.transitivity.to_json_dict(),
+            "closure": _stage_json(self.closure_result, include_basis=include_basis),
+            "transitivity": _stage_json(self.transitivity),
             "verdict": self.verdict,
             "agreement": self.agreement,
             "provenance": self.provenance,
@@ -107,13 +107,15 @@ class ControllabilityCertificate:
         }
 
     def to_json(self, include_basis: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_basis=include_basis), sort_keys=True)
+        return _json_text(self.to_json_dict(include_basis=include_basis))
 
     def save(self, path, include_basis: bool = False) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                self.to_json_dict(include_basis=include_basis), fh, sort_keys=True, indent=2
-            )
+        _write_json(self.to_json_dict(include_basis=include_basis), path)
+
+
+def _stage_json(record, **options):
+    """The JSON document of a pipeline stage's record, or None for a stage that did not run."""
+    return None if record is None else record.to_json_dict(**options)
 
 
 def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> ControllabilityCertificate:
@@ -225,39 +227,14 @@ class EnsembleSummary:
     per_trial: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "rng_seed": self.rng_seed,
-            "located_total": self.located_total,
-            "conical_total": self.conical_total,
-            "conical_fraction": self.conical_fraction,
-            "persistence_attempts": self.persistence_attempts,
-            "persistence_successes": self.persistence_successes,
-            "persistence_fraction": self.persistence_fraction,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
+        _write_json(self.to_json_dict(), path)
 
     def save_trials_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["trial", "located", "conical", "persistence_attempts", "persistence_successes"]
-            )
-            for row in self.per_trial:
-                writer.writerow(
-                    [
-                        row.trial,
-                        row.located,
-                        row.conical,
-                        row.persistence_attempts,
-                        row.persistence_successes,
-                    ]
-                )
+        header = [f.name for f in fields(EnsembleTrial)]
+        _write_csv(path, header, map(astuple, self.per_trial))
 
 
 def _draw_operators(rngs, n: int, m: int) -> np.ndarray:

@@ -10,8 +10,6 @@ command requires --seed so that all outputs are deterministic functions of
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, locate_intersection, test_conicality
 from .errors import SpeccertError
-from .operators import load_hamiltonian
+from .operators import _columns, _write_csv, _write_json, load_hamiltonian
 from .sampling import box_sequence
 from .spectrum import _decompose_stack, decompose
 
@@ -68,21 +66,19 @@ def _cmd_spectrum(args) -> int:
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
-    target = out / "spectrum.csv"
-    with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step"]
-            + [f"u_{l + 1}" for l in range(H.m)]
-            + [f"lambda_{j + 1}" for j in range(H.dim)]
-        )
+    header = ["step", *_columns("u", H.m), *_columns("lambda", H.dim)]
+
+    def rows():
         # decomposed in blocks of bounded size, never as one stack over the grid
         block = max(1, STEP_CHUNK_ELEMS // H.dim**2)
         for start in range(0, len(points), block):
             U = points[start : start + block]
             lam, _ = _decompose_stack(H.matrices_at(U), U)
-            for k, row in enumerate(np.hstack((U, lam)), start):
-                writer.writerow([k] + [repr(float(x)) for x in row])
+            for k, row in enumerate(np.hstack((U, lam)).tolist(), start):
+                yield [k, *row]
+
+    target = out / "spectrum.csv"
+    _write_csv(target, header, rows())
     print(f"wrote {points.shape[0]} rows to {target}")
     return EXIT_OK
 
@@ -131,9 +127,7 @@ def _cmd_synthesize(args) -> int:
     path = plan_passage(H, result.certificate, args.rho, args.epsilon)
     path_file = out / "path.json"
     path.save(path_file)
-    cert_file = out / "conical_certificate.json"
-    with open(cert_file, "w") as fh:
-        json.dump(result.certificate.to_json_dict(), fh, sort_keys=True, indent=2)
+    _write_json(result.certificate.to_json_dict(), out / "conical_certificate.json")
     print(f"passage planned through {u_star.tolist()}; path at {path_file}")
     return EXIT_OK
 

@@ -9,13 +9,12 @@ origin, and certify from the worst sampled direction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, SpeccertError, StructuralError
-from .operators import ControlHamiltonian, _affine_stack, _box_diameters
+from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
 from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
 from .spectrum import _check_tolerance, _decompose_stack, _failed_rows, degeneracy_tol
 
@@ -525,8 +524,7 @@ class ConnectednessReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
+        _write_json(self.to_json_dict(), path)
 
 
 def certify_connectedness(

@@ -19,7 +19,7 @@ from .spectrum import SpectralPoint, degeneracy_tol
 EDGE_TOL_SCALE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingGraph:
     """Undirected level-coupling graph with the maximizing coupling magnitudes."""
 

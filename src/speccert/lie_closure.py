@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,9 @@ SKEW_TOL = 1e-12
 LEAF_ROWS = 8
 # fewest rows the extension projects in one piece; fewer make its products memory-bound
 _PIECE_ROWS = 64
+# share of its norm below which a leaf projects a row's residual off the whole span once
+# more: two passes off the recent rows leave it orthogonal to older ones to eps / share
+_REPROJECT_BELOW = 1e-4
 
 CLASS_FULL = "u(n)"
 CLASS_TRACELESS = "su(n)"
@@ -141,6 +144,10 @@ class _SpanBasis:
                 v = v - (q @ v) @ q
                 v = v - (q @ v) @ q
             resid = math.sqrt(v @ v)
+            if rel_tol * norm0 < resid < _REPROJECT_BELOW * norm0:
+                # v kept its rounding error off vectors[:start] while it shrank: remove it
+                v = v - (self.vectors[: self.dim] @ v) @ self.vectors[: self.dim]
+                resid = math.sqrt(v @ v)
             if resid > rel_tol * norm0:
                 self.vectors[self.dim] = v / resid
                 self.dim += 1
@@ -313,10 +320,7 @@ class TransitivityVerdict:
     controllable_on_group: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "controllable_on_sphere": self.controllable_on_sphere,
-            "controllable_on_group": self.controllable_on_group,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict:

@@ -6,6 +6,7 @@ axis-aligned box given per axis as a closed interval [lo_l, hi_l].
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import NumericalError, StructuralError
 
 # Absolute per-entry tolerance for accepting a matrix as Hermitian.
 HERMITICITY_TOL = 1e-12
@@ -343,7 +344,36 @@ class ControlHamiltonian:
         return cls(drift=drift, controlled=controlled, box=box)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True))
+        _write_json(self.to_json_dict(), path)
+
+
+def _json_text(doc, indent=None) -> str:
+    """``doc`` as strict JSON with sorted keys, compact or indented by ``indent``; a nan
+    or inf, which RFC 8259 JSON cannot carry, raises ``NumericalError``. Every output
+    document is encoded here. Compact text keeps json's C encoder, which an indent gives up."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"document is not strict JSON: {exc}") from exc
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as strict JSON indented by 2, encoded in full before the file opens."""
+    Path(path).write_text(_json_text(doc, indent=2))
+
+
+def _columns(prefix: str, count: int) -> list:
+    """CSV column names prefix_1 .. prefix_count."""
+    return [f"{prefix}_{i}" for i in range(1, count + 1)]
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and the iterable ``rows`` of Python numbers as CSV; csv writes
+    a float as its repr, so it reads back bitwise."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json(path):

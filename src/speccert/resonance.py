@@ -35,9 +35,11 @@ class ResonanceReport:
         return self.simple and self.min_gap_separation >= self.tau_res
 
     def to_json_dict(self) -> dict:
+        # inf at n = 2, where no two gaps are there to separate; strict JSON has no inf
+        separation = self.min_gap_separation
         return {
             "u_bar": [float(x) for x in self.u_bar],
-            "min_gap_separation": self.min_gap_separation,
+            "min_gap_separation": separation if np.isfinite(separation) else None,
             "simple": self.simple,
             "tau_res": self.tau_res,
             "passed": self.passed,

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, RefinementNeededError, StructuralError
-from .operators import ControlHamiltonian
+from .operators import ControlHamiltonian, _columns, _write_csv
 
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -299,14 +298,7 @@ def track(
 def save_track_csv(tracked: TrackedSpectrum, path) -> None:
     """Write tracked spectra as CSV: step, u_1..u_m, lambda_1..lambda_n, branch labels."""
     U, lam = tracked._controls, tracked._eigenvalues
-    header = (
-        ["step"]
-        + [f"u_{l + 1}" for l in range(U.shape[1])]
-        + [f"lambda_{j + 1}" for j in range(lam.shape[1])]
-        + [f"branch_{j + 1}" for j in range(lam.shape[1])]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, (row, labels) in enumerate(zip(np.hstack((U, lam)), tracked.labels)):
-            writer.writerow([k] + [repr(float(x)) for x in row] + [int(x) for x in labels])
+    n = lam.shape[1]
+    header = ["step", *_columns("u", U.shape[1]), *_columns("lambda", n), *_columns("branch", n)]
+    rows = zip(np.hstack((U, lam)).tolist(), tracked.labels.tolist())
+    _write_csv(path, header, ([k, *row, *labels] for k, (row, labels) in enumerate(rows)))

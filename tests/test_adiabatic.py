@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -163,6 +164,16 @@ class TestPropagate:
         assert lines[0] == "t,u_1,u_2,pop_1,pop_2,norm_defect"
         defects = [float(row.split(",")[-1]) for row in lines[1:]]
         assert max(defects) <= 1e-9
+
+    def test_csv_floats_read_back_bitwise(self, tmp_path, three_level_chain):
+        psi0 = decompose(three_level_chain, [0.4, 0.3]).frame[:, 0]
+        traj = propagate(three_level_chain, line([0.4, 0.3], [-0.3, 0.1], 3.0), psi0)
+        target = tmp_path / "traj.csv"
+        traj.save_csv(target)
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        table = np.column_stack((traj.times, traj.controls, traj.populations, traj.norm_defect))
+        assert [[float(cell) for cell in row] for row in rows] == table.tolist()
 
 
 def reference_states(H, path, psi0, step_limit=0.1):
@@ -473,6 +484,32 @@ class TestPlanPassage:
         cert = self._certificate(two_level_cone)
         with pytest.raises(GeometryError):
             plan_passage(two_level_cone, cert, rho=1.5, epsilon=0.01)
+
+    @pytest.mark.parametrize("name", ["rho", "epsilon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_rho_and_epsilon_must_be_finite_and_positive(self, two_level_cone, name, value):
+        cert = self._certificate(two_level_cone)
+        args = {"rho": 0.5, "epsilon": 0.01, name: value}
+        with pytest.raises(PreconditionError, match=name):
+            plan_passage(two_level_cone, cert, **args)
+
+    @pytest.mark.parametrize(
+        "direction", [[1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]], [np.inf, 1.0], [np.nan, 1.0], ["a", "b"]]
+    )
+    def test_malformed_direction_raises_structural_error(self, two_level_cone, direction):
+        cert = self._certificate(two_level_cone)
+        with pytest.raises(StructuralError, match="passage direction"):
+            plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=direction)
+
+    def test_zero_direction_raises_geometry_error(self, two_level_cone):
+        cert = self._certificate(two_level_cone)
+        with pytest.raises(GeometryError):
+            plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=[0.0, 0.0])
+
+    def test_direction_is_normalised(self, two_level_cone):
+        cert = self._certificate(two_level_cone)
+        path = plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=[3.0, 4.0])
+        assert np.allclose(path.waypoints[0] - path.waypoints[1], [0.3, 0.4])
 
     def test_passage_transfers_population(self, two_level_cone):
         cert = self._certificate(two_level_cone)

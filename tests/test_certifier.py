@@ -1,5 +1,6 @@
 import functools
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from speccert import (
     HermitianOperator,
     PreconditionError,
     SpeccertError,
+    build_graph,
     certify,
     certify_connectedness,
     check_nonresonant,
@@ -270,6 +272,7 @@ def _records():
         "TrackedSpectrum": track(H, [u, 1.1 * u]),
         "ResonanceReport": check_nonresonant(H, u),
         "NonresonantSample": sample_nonresonant(H, 5, rng_seed=0),
+        "CouplingGraph": build_graph(H, sp),
     }
 
 
@@ -283,8 +286,9 @@ def _record_pairs():
 class TestRecordIdentity:
     @pytest.mark.parametrize("kind", [
         "ClimbResult", "ConicalCertificate", "ConicalityResult", "ConnectednessReport",
-        "ControlPath", "ControllabilityCertificate", "GapTable", "NonresonantSample",
-        "ResonanceReport", "SpectralPoint", "StateTrajectory", "TrackedSpectrum",
+        "ControlPath", "ControllabilityCertificate", "CouplingGraph", "GapTable",
+        "NonresonantSample", "ResonanceReport", "SpectralPoint", "StateTrajectory",
+        "TrackedSpectrum",
     ])
     def test_equality_and_hashing_are_by_identity(self, kind):
         a, b = _record_pairs()[kind]
@@ -293,3 +297,45 @@ class TestRecordIdentity:
         assert not (a == b)
         assert a != b
         assert len({a, b, a}) == 2
+
+
+def strict_json(text: str):
+    """The JSON document ``text``, read by a parser that rejects NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictDocuments:
+    def test_two_level_certificate_is_strict_json(self, two_level_cone):
+        # n = 2 has one gap and so no two gaps to separate: the separation is
+        # inf in memory and null in the document
+        cert = certify(two_level_cone)
+        assert cert.resonance.report.min_gap_separation == np.inf
+        assert cert.resonance.report.passed
+        doc = strict_json(cert.to_json())
+        assert doc["resonance"]["report"]["min_gap_separation"] is None
+        assert doc["resonance"]["report"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "kind", ["ConnectednessReport", "ControlPath", "ControllabilityCertificate",
+                 "ControlHamiltonian", "EnsembleSummary"],
+    )
+    def test_saved_document_is_its_json_dict(self, kind, tmp_path, two_level_cone):
+        if kind == "ControlHamiltonian":
+            record = two_level_cone
+        elif kind == "EnsembleSummary":
+            record = ensemble_genericity(n=3, m=2, trials=2, rng_seed=3)
+        else:
+            record = _record_pairs()[kind][0]
+        target = tmp_path / "record.json"
+        record.save(target)
+        assert strict_json(target.read_text()) == record.to_json_dict()
+
+    def test_certificate_text_is_compact_and_sorted(self, two_level_cone):
+        cert = certify(two_level_cone, CertifyConfig(seed_budget=2, resonance_budget=5))
+        text = cert.to_json()
+        assert "\n" not in text
+        assert text == json.dumps(strict_json(text), sort_keys=True)

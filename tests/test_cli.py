@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from speccert import StateTrajectory, decompose, load_hamiltonian, load_path, propagate
+from speccert import (
+    ConnectednessReport,
+    StateTrajectory,
+    decompose,
+    decompose_many,
+    load_hamiltonian,
+    load_path,
+    propagate,
+)
 from speccert.cli import main
 from branch_reference import reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family
@@ -49,6 +57,23 @@ class TestSpectrumCommand:
         assert gaps[center] < 1e-12
         assert float(rows[center]["u_1"]) == pytest.approx(0.0)
         assert float(rows[center]["u_2"]) == pytest.approx(0.0)
+
+    def test_csv_floats_read_back_bitwise(self, tmp_path):
+        H = make_family(
+            np.diag([0.0, 0.3, 1.1]), [np.diag([1.0, -0.2, 0.0]), np.ones((3, 3))], [[-1, 1], [-2, 1]]
+        )
+        source = tmp_path / "family.json"
+        H.save(source)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--input", str(source), "--out", str(out), "--grid", "7"]) == 0
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        grid = np.array([[float(cell) for cell in row[1:3]] for row in rows])
+        assert [int(row[0]) for row in rows] == list(range(49))
+        assert sorted(set(grid[:, 0])) == np.linspace(-1, 1, 7).tolist()
+        assert sorted(set(grid[:, 1])) == np.linspace(-2, 1, 7).tolist()
+        lam = [[float(cell) for cell in row[3:]] for row in rows]
+        assert lam == [sp.eigenvalues.tolist() for sp in decompose_many(H, grid)]
 
     def test_degenerate_grid_single_corner_row(self, cone_file, tmp_path):
         out = tmp_path / "out"
@@ -133,6 +158,17 @@ class TestCertifyCommand:
         assert code == 0
         doc = json.loads((out / "certificate.json").read_text())
         assert doc["verdict"] == "exactly-controllable-SU(2)"
+
+    def test_certificate_file_is_strict_json(self, cone_file, tmp_path):
+        # at n = 2 the gap separation is inf; the file carries null, not Infinity
+        out = tmp_path / "out"
+        assert main(["certify", "--input", str(cone_file), "--out", str(out), "--seed", "1"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((out / "certificate.json").read_text(), parse_constant=reject)
+        assert doc["resonance"]["report"]["min_gap_separation"] is None
 
     def test_diag_counterexample_exit_1(self, diag_file, tmp_path):
         out = tmp_path / "out"
@@ -241,6 +277,18 @@ class TestFindIntersectionsCommand:
         doc = json.loads((out / "connectedness.json").read_text())
         assert doc["status"] == "certified"
         assert np.linalg.norm(doc["certificates"]["1"]["u_star"]) < 1e-6
+
+    def test_non_finite_report_exit_2_without_a_file(
+        self, cone_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(ConnectednessReport, "to_json_dict", lambda self: {"c_hat": np.nan})
+        out = tmp_path / "out"
+        code = main(
+            ["find-intersections", "--input", str(cone_file), "--out", str(out), "--seed", "2"]
+        )
+        assert code == 2
+        assert "not strict JSON" in capsys.readouterr().err
+        assert not (out / "connectedness.json").exists()
 
     def test_diag_incomplete_exit_1(self, diag_file, tmp_path):
         code = main(

@@ -102,3 +102,44 @@ def test_only_operators_splits_drift_from_controls():
         if isinstance(node, ast.Attribute) and node.attr in split
     )
     assert found == []
+
+
+def file_writes(source: str) -> list:
+    """Line numbers in ``source`` that encode JSON, write CSV or text, or open a file."""
+    writes = {"dump", "dumps", "writer", "write_text"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr in writes)
+        or (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+        )
+    )
+
+
+def test_write_checker_flags_every_writer():
+    source = (
+        "import csv, json\n"
+        "json.dump(d, fh)\n"
+        "text = json.dumps(d)\n"
+        "w = csv.writer(fh)\n"
+        "Path(p).write_text(text)\n"
+        "with open(p) as fh:\n"
+        "    pass\n"
+        "Path(p).open()\n"
+        "json.loads(text)\n"
+    )
+    assert file_writes(source) == [2, 3, 4, 5, 6, 8]
+
+
+def test_only_operators_writes_documents():
+    # one writer decides key order, indentation, non-finite numbers and float
+    # format for every JSON and CSV file the package writes
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "operators.py"
+        for line in file_writes(path.read_text())
+    ]
+    assert found == []

@@ -342,6 +342,18 @@ class TestAgainstReference:
         assert (result.dimension, result.classification) == reference_closure(gens)
         assert_closed_under_brackets(result)
 
+    @pytest.mark.parametrize("seed", [3412, 26460])
+    def test_basis_stays_orthonormal_when_brackets_nearly_lie_in_the_span(self, seed):
+        # these n = 8 chains bracket to rows whose residual off the span is
+        # 1e-6 of their norm or less; a leaf that projected them off only the
+        # rows added since its block left them visibly oblique to the older
+        # ones, and the basis drifted from orthonormal by up to 0.85
+        result = closure(structured_generators("chain", 8, seed))
+        basis = np.array(result.basis)
+        q = np.concatenate([basis.real, basis.imag], axis=-1).reshape(len(basis), -1)
+        assert np.max(np.abs(q @ q.T - np.eye(len(q)))) < 1e-10
+        assert_closed_under_brackets(result)
+
 
 class TestGeneratorScale:
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from speccert import (
     ControlHamiltonian,
     HermitianOperator,
+    NumericalError,
     StructuralError,
     closure,
     evaluate,
@@ -16,7 +17,7 @@ from speccert import (
     validate,
 )
 from speccert.certify import _perturbed_stacks
-from speccert.operators import _affine_stack
+from speccert.operators import _affine_stack, _write_json
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
@@ -142,6 +143,28 @@ class TestControlHamiltonian:
         assert set(doc) == {"dim", "drift", "controlled", "box"}
         assert set(doc["drift"]) == {"re", "im"}
         assert len(doc["drift"]["re"]) == 2
+
+
+class TestDocumentWriter:
+    def test_keys_sorted_and_indented(self, tmp_path):
+        doc = {"b": [0.1, 1e-300], "a": {"d": None, "c": True}}
+        target = tmp_path / "doc.json"
+        _write_json(doc, target)
+        assert target.read_text() == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_number_raises_and_writes_nothing(self, tmp_path, value):
+        target = tmp_path / "doc.json"
+        with pytest.raises(NumericalError):
+            _write_json({"ok": 1.0, "rows": [{"bad": value}]}, target)
+        assert not target.exists()
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_text("old")
+        with pytest.raises(NumericalError):
+            _write_json({"bad": np.nan}, target)
+        assert target.read_text() == "old"
 
 
 def _equal_pair(kind):

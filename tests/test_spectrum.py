@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -266,6 +267,19 @@ class TestTrack:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "step,u_1,u_2,lambda_1,lambda_2,branch_1,branch_2"
         assert len(lines) == 6
+
+    def test_csv_floats_read_back_bitwise(self, tmp_path, three_level_chain):
+        path = [np.array([x, 0.3 * x - 0.1]) for x in np.linspace(-0.3, 1.1, 40)]
+        tracked = track(three_level_chain, path)
+        target = tmp_path / "track.csv"
+        save_track_csv(tracked, target)
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == list(range(len(path)))
+        assert [[float(cell) for cell in row[1:6]] for row in rows] == [
+            [*sp.u.tolist(), *sp.eigenvalues.tolist()] for sp in tracked.points
+        ]
+        assert [[int(cell) for cell in row[6:]] for row in rows] == tracked.labels.tolist()
 
 
 class TestNonFinitePoints:
