@@ -394,10 +394,11 @@ def plan_passage(
         d = _finite_array(direction, "passage direction").astype(float)
         if d.shape != (H.m,):
             raise StructuralError(f"passage direction must have length {H.m}, got shape {d.shape}")
-        nd = float(np.linalg.norm(d))
-        if nd == 0:
+        scale = float(np.max(np.abs(d)))
+        if scale == 0:
             raise GeometryError("passage direction must be nonzero")
-        d = d / nd
+        d = d / scale  # so that d @ d neither overflows nor underflows
+        d = d / float(np.linalg.norm(d))
     waypoints = (u_star + rho * d, u_star, u_star - rho * d)
     durations = np.array([rho / epsilon, rho / epsilon])
     return ControlPath(waypoints=waypoints, durations=durations, epsilon=epsilon)

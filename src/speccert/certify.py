@@ -283,10 +283,12 @@ def ensemble_genericity(
     t of ``np.random.SeedSequence(rng_seed)``: first its family, then one
     perturbation per conical level in level order. So no trial depends on
     another's outcome, and the work is stacked across trials: the families
-    are one (trials, m + 1, n, n) operator stack, drawn, scaled and given
-    their energy scales by one stacked eigensolve each; one lockstep locator
-    solve serves every (trial, level) pair, one conicality call every
-    located point, and one more locator solve every persistence relocation.
+    are one (trials, m + 1, n, n) operator stack (float64 for m = 2, so the
+    locator and the conicality test run in real arithmetic), drawn, scaled
+    and given their energy scales by one stacked eigensolve each; one
+    lockstep locator solve serves every (trial, level) pair, one conicality
+    call every located point, and one more locator solve every persistence
+    relocation.
     In each locator solve, every seed's restarts run alongside its first
     run (one stacked eigensolve per iteration for all of them), so a solve
     lasts about as long as its slowest run, not its slowest seed's runs in
@@ -302,7 +304,7 @@ def ensemble_genericity(
         raise SpeccertError(f"n must be at least 2, got {n}")
     box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
-    stacks = _checked_hermitian(_draw_operators(rngs, n, m).astype(complex))
+    stacks = _checked_hermitian(_draw_operators(rngs, n, m))
     scales = _energy_scales(stacks, box)
     taus = DEGENERACY_REL * scales
     seeds = [box_sequence(box, seeds_per_level, rng_seed + 1000 + t) for t in range(trials)]

@@ -37,6 +37,10 @@ RESTART_SEED = 0x5EED
 # most this many matrix entries, so its memory does not grow with the points
 # that share a call (512 KB of complex entries)
 PROBE_BLOCK_ENTRIES = 2**15
+# a square Gauss-Newton Jacobian is solved in closed form (adjugate over
+# determinant) when its Hadamard ratio |det J| / prod ||row_i|| exceeds this,
+# and by pinv otherwise, as at a decoupled (block-diagonal) pair
+STEP_HADAMARD_MIN = 1e-8
 
 
 def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
@@ -56,8 +60,11 @@ def locate_intersection(
     H(u), restricted to the crossing pair's eigenframe P, to zero. With
     B_l = P^dagger H_l P, the residual is r = (gap/2, 0, 0) and the Jacobian
     rows are ((B_l)_11 - (B_l)_00)/2, Re (B_l)_01 and Im (B_l)_01 (first-order
-    eigenvalue perturbation, so a cone is reached quadratically). Each step is
-    the minimum-norm least-squares solution of J step = -r, capped in length
+    eigenvalue perturbation, so a cone is reached quadratically); a real
+    family runs in real arithmetic, where the last row is identically zero
+    and dropped. Each step is the minimum-norm least-squares solution of
+    J step = -r, in closed form for a square J that is far from singular
+    (``STEP_HADAMARD_MIN``) and by ``pinv`` otherwise, capped in length
     and clipped to the box; it is kept only if the gap falls, and the cap
     widens after a kept step and shrinks after a rejected one. A seed ends at
     gap <= tau_deg, when its cap falls to roundoff, when its full step is more
@@ -128,6 +135,76 @@ def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
     return U
 
 
+def _field_stack(stacks) -> tuple:
+    """(ops, real): the call's operator stacks as one (N, m + 1, n, n) array in
+    one field, and per stack whether every imaginary part is exactly zero.
+
+    ``ops`` is float64 when every stack is real, complex when none is, and
+    None when the call mixes the two, which ``_by_field`` then splits.
+    """
+    ops = np.stack(stacks)
+    if not np.iscomplexobj(ops):
+        return ops, np.ones(len(ops), dtype=bool)
+    real = ~np.any(ops.imag, axis=(1, 2, 3))
+    if real.all():
+        return ops.real.copy(), real
+    return (None if real.any() else ops), real
+
+
+def _by_field(solve, items, real, **kwargs) -> list:
+    """``solve`` over the real items and over the complex ones, as two calls,
+    with the results put back in item order."""
+    out = [None] * len(items)
+    for part in (np.nonzero(real)[0], np.nonzero(~real)[0]):
+        for i, result in zip(part, solve([items[i] for i in part], **kwargs)):
+            out[i] = result
+    return out
+
+
+def _gauss_newton_steps(pair: np.ndarray, controls: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Minimum-norm Gauss-Newton steps (k, m) that close the crossing pairs' gaps.
+
+    ``pair`` (k, n, 2) holds each pair's eigenframe P, ``controls``
+    (k, m, n, n) the control operators H_l and ``gap`` (k,) the pair's gap.
+    With B_l = P^dagger (H_l P), the Jacobian rows are
+    ((B_l)_11 - (B_l)_00)/2, Re (B_l)_01 and, for a complex frame only,
+    Im (B_l)_01 (identically zero in a real one). Returns
+    -(gap/2) times the first column of J's (pseudo-)inverse, row by row.
+    """
+    B = np.swapaxes(pair.conj(), 1, 2)[:, None] @ (controls @ pair[:, None])
+    rows = [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real]
+    if np.iscomplexobj(B):
+        rows.append(B[..., 0, 1].imag)
+    return -(gap / 2)[:, None] * _inverse_first_column(np.stack(rows, axis=1))
+
+
+def _inverse_first_column(J: np.ndarray) -> np.ndarray:
+    """First column (k, m) of the pseudo-inverse of each (d, m) Jacobian in J (k, d, m).
+
+    A square J (real m = 2, complex m = 3) whose Hadamard ratio
+    |det J| / prod ||row_i|| exceeds ``STEP_HADAMARD_MIN`` takes the first
+    column of its adjugate over its determinant; every other row, and every
+    non-square J, takes ``np.linalg.pinv(J)[:, :, 0]``.
+    """
+    k, d, m = J.shape
+    if d != m:
+        return np.linalg.pinv(J)[:, :, 0]
+    # the cofactors of J's first row: the adjugate's first column
+    if d == 2:
+        adj = np.stack([J[:, 1, 1], -J[:, 1, 0]], axis=1)
+    else:
+        r, s = J[:, 1], J[:, 2]
+        adj = r[:, [1, 2, 0]] * s[:, [2, 0, 1]] - r[:, [2, 0, 1]] * s[:, [1, 2, 0]]
+    det = np.sum(J[:, 0] * adj, axis=1)
+    # a nan determinant fails the test too, and pinv then raises as it always did
+    closed = np.abs(det) > STEP_HADAMARD_MIN * np.prod(np.linalg.norm(J, axis=2), axis=1)
+    col = np.empty((k, m))
+    col[closed] = adj[closed] / det[closed, None]
+    if not closed.all():
+        col[~closed] = np.linalg.pinv(J[~closed])[:, :, 0]
+    return col
+
+
 def _locate_groups(groups) -> list:
     """``locate_intersection`` for many groups in one lockstep solve.
 
@@ -153,23 +230,34 @@ def _locate_groups(groups) -> list:
     two), stopping where the cap falls to roundoff or the iterations run
     out, and takes its first rung that lowers the gap. Each iteration
     evaluates every rung and every released start point in one stacked
-    eigensolve, each row with its group's operators. A slot's path depends
-    on its own group, seed and run only (``_affine_stack``, stacked ``eigh``
-    and ``pinv`` work row by row), so each group's answer is bitwise the one
-    a solve of that group alone returns. Returns one point or None per group.
+    eigensolve, each row with its group's operators.
+
+    The field is decided once per call (``_field_stack``): when every
+    imaginary part of every stack is exactly zero, the stacks, matrices,
+    eigensolves and pair frames are float64, else complex, and a call that
+    mixes the two solves its real and its complex groups as two calls. Each
+    step comes from ``_gauss_newton_steps``: stacked products for the
+    Jacobian, then a closed-form solve for a square one or ``pinv``. A slot's
+    path depends on its own group, seed and run only (``_affine_stack``,
+    stacked ``eigh`` and ``matmul`` and the step solve work row by row, and a
+    group alone decides the same field), so each group's answer is bitwise
+    the one a solve of that group alone returns. Returns one point or None
+    per group.
     """
     if not groups:
         return []
+    stacks, boxes, levels, seed_sets, taus = zip(*groups)
+    ops, real = _field_stack(stacks)
+    if ops is None:
+        return _by_field(_locate_groups, groups, real)
     restarts = RESTARTS
     runs = restarts + 1
-    stacks, boxes, levels, seed_sets, taus = zip(*groups)
     counts = np.array([len(U) for U in seed_sets])
     # slots lie group by group in key order, so a run's successor is the next slot
     grp = np.repeat(np.arange(len(groups)), counts * runs)
     start = (np.cumsum(counts) - counts) * runs
     key = np.arange(len(grp)) - start[grp]
     pos, run = np.divmod(key, runs)
-    ops = np.stack(stacks)
     box = np.stack(boxes)
     n, m = ops.shape[-1], box.shape[1]
     lo, hi = box[grp, :, 0], box[grp, :, 1]
@@ -191,7 +279,7 @@ def _locate_groups(groups) -> list:
 
     k = len(grp)
     gap = np.empty(k)
-    pair = np.empty((k, n, 2), dtype=complex)
+    pair = np.empty((k, n, 2), dtype=ops.dtype)
     cap = np.empty(k)
     iterations = np.zeros(k, dtype=int)
     streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
@@ -241,12 +329,7 @@ def _locate_groups(groups) -> list:
         useful = key < first[grp]
         over = live & (ended | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
         d = moved[~over[moved] & useful[moved]]
-        B = np.einsum("kia,klij,kjb->klab", pair[d].conj(), ops[grp[d], 1:], pair[d])
-        J = np.stack(
-            [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
-            axis=1,
-        )
-        step[d] = -(gap[d] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
+        step[d] = _gauss_newton_steps(pair[d], ops[grp[d], 1:], gap[d])
         length[d] = np.linalg.norm(step[d], axis=1)
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive minimum
@@ -390,16 +473,30 @@ def _conicality_rows(
     eigensolve at the points, judged row by row, decides each row's
     preconditions; one eigensolve over the probes of every row that meets
     them, taken in blocks of at most ``PROBE_BLOCK_ENTRIES`` matrix entries,
-    and array fits give the slopes. Every step works row by row
-    (``_affine_stack``, stacked ``eigh``/``eigvalsh`` and batched products),
-    so each row's outcome is bitwise what ``test_conicality`` returns for it
-    alone: per row, a ConicalityResult or the SpeccertError the test raises.
-    The results of one call share one read-only array of directions.
+    and array fits give the slopes. The field is decided once per call, as
+    ``_locate_groups`` decides it: float64 matrices and eigensolves when
+    every stack is real, complex ones when none is, and two calls when the
+    rows mix the two. Every step works row by row (``_affine_stack``,
+    stacked ``eigh``/``eigvalsh`` and batched products), so each row's
+    outcome is bitwise what ``test_conicality`` returns for it alone: per
+    row, a ConicalityResult or the SpeccertError the test raises. The results
+    of one call in one field share one read-only array of directions.
     """
     if not rows:
         return []
     stacks, boxes, levels, points, taus, scales = zip(*rows)
-    ops = np.stack(stacks)
+    ops, real = _field_stack(stacks)
+    if ops is None:
+        return _by_field(
+            _conicality_rows,
+            rows,
+            real,
+            t0=t0,
+            n_directions=n_directions,
+            c_min=c_min,
+            residual_max=residual_max,
+            rng_seed=rng_seed,
+        )
     box = np.stack(boxes)
     level = np.array(levels)
     U = np.array(points, dtype=float)

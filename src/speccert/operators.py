@@ -58,7 +58,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_hermitian(a: np.ndarray) -> np.ndarray:
-    """The complex stack ``a`` (..., n, n), read-only, once each of its matrices is Hermitian.
+    """The stack ``a`` (..., n, n), read-only, once each of its matrices is Hermitian.
 
     Raises
     ------

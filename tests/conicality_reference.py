@@ -1,18 +1,21 @@
 """Reference conicality test: the one-point body that ``conical.test_conicality``
 ran before its work moved into a kernel shared by many points, kept as the
 oracle whose slopes, residuals, reasons and certificates the kernel must
-reproduce bitwise, point by point."""
+reproduce bitwise, point by point. The family's field is decided by
+``conical._field_stack``, read at call time as the kernel reads it."""
 
 import numpy as np
 
-from speccert import ControlHamiltonian, PreconditionError, decompose, degeneracy_tol
+from speccert import ControlHamiltonian, PreconditionError, conical, degeneracy_tol
 from speccert.conical import (
     DEFAULT_DIRECTIONS,
     RESIDUAL_MAX,
     ConicalCertificate,
     ConicalityResult,
 )
+from speccert.operators import _affine_stack
 from speccert.sampling import axis_directions, sphere_directions
+from speccert.spectrum import _decompose_stack
 
 
 def reference_conicality(
@@ -39,8 +42,14 @@ def reference_conicality(
         raise PreconditionError(f"probe radius t0 must be finite and positive, got {t0}")
     if c_min is None:
         c_min = 1e-6 * H.energy_scale / H.box_diameter()
-    sp = decompose(H, u_star)
-    residual_gap = sp.gap(level)
+    # the family's operators in the kernel's field, and its checked spectrum at u_star
+    stack = conical._field_stack([H._stack])[0][0]
+    lam0 = _decompose_stack(_affine_stack(stack, u_star[None]), u_star[None])[0][0]
+
+    def gap(j):
+        return float(lam0[j] - lam0[j - 1])
+
+    residual_gap = gap(level)
     if residual_gap > tau_deg:
         raise PreconditionError(
             f"point is not degenerate at level {level}: gap {residual_gap:.3e} > tau {tau_deg:.3e}"
@@ -52,15 +61,16 @@ def reference_conicality(
     # multiplicity must be exactly two: both flanking adjacent gaps clear 10*tau
     flank_ok = True
     for adj in (level - 1, level + 1):
-        if 1 <= adj <= n - 1 and sp.gap(adj) < 10.0 * tau_deg:
+        if 1 <= adj <= n - 1 and gap(adj) < 10.0 * tau_deg:
             flank_ok = False
     others_simple = flank_ok and all(
-        sp.gap(l) >= 10.0 * tau_deg for l in range(1, n) if l != level
+        gap(l) >= 10.0 * tau_deg for l in range(1, n) if l != level
     )
     directions = np.vstack([axis_directions(H.m), sphere_directions(H.m, n_directions, rng_seed)])
     radii = np.array([t0, t0 / 2, t0 / 4])
     probes = u_star + radii[None, :, None] * directions[:, None, :]
-    lam = np.linalg.eigvalsh(H.matrices_at(probes.reshape(-1, H.m))).reshape(*probes.shape[:2], n)
+    lam = np.linalg.eigvalsh(_affine_stack(stack, probes.reshape(-1, H.m)))
+    lam = lam.reshape(*probes.shape[:2], n)
     g = lam[:, :, level] - lam[:, :, level - 1]
     slopes = g @ radii / (radii @ radii)
     misfit = g - slopes[:, None] * radii

@@ -9,8 +9,11 @@ the runs ended: "hit" (an interior degeneracy), "edge" (a degeneracy outside
 the interior margin), "far" (the full step left the box by ``FAR_STEP``
 diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run
 reached ``MAX_ITERATIONS``). ``eigh_rows``, when given, is a list that gets
-the row count of every stacked eigensolve. The step and restart constants
-are read from ``conical`` at call time, as the scheduled solve reads them.
+the row count of every stacked eigensolve. The step and restart constants,
+the field decision (``_field_stack``, ``_by_field``) and the Gauss-Newton step
+solve (``_gauss_newton_steps``) are read from ``conical`` at call time, as the
+scheduled solve reads them, so the two share their arithmetic and the
+comparison checks the schedule alone.
 """
 
 import numpy as np
@@ -28,12 +31,16 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
     restarts = conical.RESTARTS
     max_iterations, shrink = conical.MAX_ITERATIONS, conical.SHRINK
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
+    ops, real = conical._field_stack(stacks)
+    if ops is None:
+        return conical._by_field(
+            reference_locate, groups, real, reasons=reasons, eigh_rows=eigh_rows
+        )
     counts = np.array([len(U) for U in seed_sets])
     start = np.cumsum(counts) - counts
     grp = np.repeat(np.arange(len(groups)), counts)
     pos = np.arange(len(grp)) - start[grp]
     U = np.concatenate(seed_sets, dtype=float)
-    ops = np.stack(stacks)
     box = np.stack(boxes)
     n, m = ops.shape[-1], box.shape[1]
     lo, hi = box[grp, :, 0], box[grp, :, 1]
@@ -61,7 +68,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
 
     k = len(grp)
     gap = np.empty(k)
-    pair = np.empty((k, n, 2), dtype=complex)
+    pair = np.empty((k, n, 2), dtype=ops.dtype)
     cap = np.empty(k)
     iterations = np.zeros(k, dtype=int)
     runs = np.zeros(k, dtype=int)
@@ -95,12 +102,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
                 continue
             break
         a = np.nonzero(live)[0]
-        B = np.einsum("kia,klij,kjb->klab", pair[a].conj(), ops[grp[a], 1:], pair[a])
-        J = np.stack(
-            [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real, B[..., 0, 1].imag],
-            axis=1,
-        )
-        step = -(gap[a] / 2)[:, None] * np.linalg.pinv(J)[:, :, 0]
+        step = conical._gauss_newton_steps(pair[a], ops[grp[a], 1:], gap[a])
         length = np.linalg.norm(step, axis=1)
         near = length <= far_step[a]
         far[a[~near]] = True

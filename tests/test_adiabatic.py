@@ -511,6 +511,31 @@ class TestPlanPassage:
         path = plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=[3.0, 4.0])
         assert np.allclose(path.waypoints[0] - path.waypoints[1], [0.3, 0.4])
 
+    @pytest.mark.parametrize(
+        "direction, unit",
+        [
+            ([1e308, 1e308], [2**-0.5, 2**-0.5]),  # d @ d overflows
+            ([-1e200, 0.0], [-1.0, 0.0]),
+            ([1e-320, 0.0], [1.0, 0.0]),  # subnormal, and d @ d underflows to 0
+            ([3e-170, -4e-170], [0.6, -0.8]),
+        ],
+    )
+    def test_extreme_directions_are_normalised(self, two_level_cone, direction, unit):
+        cert = self._certificate(two_level_cone)
+        path = plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=direction)
+        assert np.allclose(path.waypoints[0] - path.waypoints[1], 0.5 * np.array(unit), atol=1e-15)
+        assert np.allclose(path.waypoints[2] - path.waypoints[1], -0.5 * np.array(unit), atol=1e-15)
+
+    @pytest.mark.parametrize("direction", [[3.0, 4.0], [0.3, -0.7], [1e-150, 2e-150], [-5e149, 1.0]])
+    def test_ordinary_direction_waypoints_unchanged(self, two_level_cone, direction):
+        # scaling by max|d| before the norm moves an ordinary direction by rounding only
+        cert = self._certificate(two_level_cone)
+        path = plan_passage(two_level_cone, cert, rho=0.5, epsilon=0.01, direction=direction)
+        d = np.array(direction) / np.linalg.norm(direction)
+        u = np.asarray(cert.u_star, dtype=float)
+        for got, want in zip(path.waypoints, (u + 0.5 * d, u, u - 0.5 * d), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
     def test_passage_transfers_population(self, two_level_cone):
         cert = self._certificate(two_level_cone)
         path = plan_passage(two_level_cone, cert, rho=0.5, epsilon=1e-2)

@@ -1,9 +1,10 @@
 import functools
 import importlib
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -12,6 +13,7 @@ from speccert import (
     certify_connectedness,
     decompose,
     degeneracy_tol,
+    ensemble_genericity,
     locate_intersection,
     test_conicality,
 )
@@ -405,6 +407,39 @@ def _planted_solves(*families) -> list:
     return solves
 
 
+@pytest.fixture
+def planted_set(
+    two_level_cone,
+    shifted_cone,
+    diag_family,
+    boundary_pair_family,
+    double_cone_family,
+    quadratic_contact_family,
+    flat_gap_family,
+    scalar_family,
+) -> list:
+    """The planted part of the locator's equivalence set, as solves."""
+    families = [
+        two_level_cone,
+        shifted_cone,
+        diag_family,
+        boundary_pair_family,
+        double_cone_family,
+        quadratic_contact_family,
+        flat_gap_family,
+        scalar_family,
+        planted_cone(np.array([0.3, -0.2, 0.1])),
+        planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3),
+    ]
+    solves = _planted_solves(*families)
+    # the run from (0.9, 0.05) ends at the edge cone (1, 0) and restarts
+    H = boundary_pair_family
+    solves.append([(H._stack, H.box, 2, np.array([[0.9, 0.05]]), degeneracy_tol(H))])
+    # all planted solves in one batch, too
+    solves.append([g for groups in solves for g in groups if g[0].shape == (3, 3, 3)])
+    return solves
+
+
 SOURCES = ["certify", "thresholds", "chain", "11", "22", "33"]
 END_REASONS = {"hit", "edge", "far", "cap", "iterations"}
 
@@ -418,37 +453,9 @@ class TestLocatorOracle:
         for groups, want in zip(solves, answers):
             assert _same_answers(_locate_groups(groups), want)
 
-    def test_planted_families_match_the_reference(
-        self,
-        two_level_cone,
-        shifted_cone,
-        diag_family,
-        boundary_pair_family,
-        double_cone_family,
-        quadratic_contact_family,
-        flat_gap_family,
-        scalar_family,
-    ):
-        families = [
-            two_level_cone,
-            shifted_cone,
-            diag_family,
-            boundary_pair_family,
-            double_cone_family,
-            quadratic_contact_family,
-            flat_gap_family,
-            scalar_family,
-            planted_cone(np.array([0.3, -0.2, 0.1])),
-            planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3),
-        ]
-        solves = _planted_solves(*families)
-        # the run from (0.9, 0.05) ends at the edge cone (1, 0) and restarts
-        H = boundary_pair_family
-        solves.append([(H._stack, H.box, 2, np.array([[0.9, 0.05]]), degeneracy_tol(H))])
-        # all planted solves in one batch, too
-        solves.append([g for groups in solves for g in groups if g[0].shape == (3, 3, 3)])
+    def test_planted_families_match_the_reference(self, planted_set):
         reasons = {}
-        for groups in solves:
+        for groups in planted_set:
             assert _same_answers(_locate_groups(groups), reference_locate(groups, reasons))
         for source in SOURCES:
             for reason, count in _oracle(source)[2].items():
@@ -483,20 +490,256 @@ class TestLocatorSchedule:
         assert len(calls) <= reference_calls / 2
 
     def test_one_eigensolve_per_lockstep_iteration(self, monkeypatch):
-        # each iteration solves its slots' Gauss-Newton steps (one pinv) and then
-        # evaluates every rung and released start in one eigh; the solve opens with
-        # one eigh of the first runs' starts and closes on the pass that ends them
+        # each iteration solves its slots' Gauss-Newton steps (one stacked step
+        # solve) and then evaluates every rung and released start in one eigh; the
+        # solve opens with one eigh of the first runs' starts and closes on the
+        # pass that ends them
         events = []
-        for name in ("eigh", "pinv"):
-            f = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, f=f, name=name: events.append(name) or f(a)
-            )
+        eigh, steps = np.linalg.eigh, conical._gauss_newton_steps
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: events.append("eigh") or eigh(a))
+        monkeypatch.setattr(
+            conical, "_gauss_newton_steps", lambda *a: events.append("step") or steps(*a)
+        )
         for groups in _oracle("chain")[0][:4] + _oracle("certify")[0][:12]:
             events.clear()
             _locate_groups(groups)
             assert len(events) >= 4
-            assert events == ["eigh", "pinv"] * (len(events) // 2)
+            assert events == ["eigh", "step"] * (len(events) // 2)
+
+
+def _complex_field(stacks) -> tuple:
+    """The field decision before real families ran in real arithmetic: all complex."""
+    ops = np.stack(stacks).astype(complex)
+    return ops, np.zeros(len(ops), dtype=bool)
+
+
+def _einsum_jacobian(pair, controls) -> np.ndarray:
+    """J as the locator formed it before: B from one 3-operand einsum, and the Im
+    row for a complex frame."""
+    B = np.einsum("kia,klij,kjb->klab", pair.conj(), controls, pair)
+    rows = [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real]
+    if np.iscomplexobj(B):
+        rows.append(B[..., 0, 1].imag)
+    return np.stack(rows, axis=1)
+
+
+def _pinv_steps(pair, controls, gap):
+    """The step solve before the closed form: every J, with its Im row, by pinv."""
+    return -(gap / 2)[:, None] * np.linalg.pinv(_einsum_jacobian(pair, controls))[:, :, 0]
+
+
+def _in_old_arithmetic(monkeypatch, solve, *args):
+    """``solve(*args)`` with complex stacks and pinv steps, as the locator and the
+    conicality kernel ran every family before."""
+    with monkeypatch.context() as patch:
+        patch.setattr(conical, "_field_stack", _complex_field)
+        patch.setattr(conical, "_gauss_newton_steps", _pinv_steps)
+        return solve(*args)
+
+
+def _jacobians(rng, k: int, n: int, real: bool, m: int) -> np.ndarray:
+    """k Gauss-Newton Jacobians (k, 2 or 3, m) as the locator forms them: a random
+    orthonormal pair frame, real or complex, and m random control operators of its
+    field, in a random energy unit."""
+    draw = random_symmetric if real else random_hermitian
+    controls = np.stack([[draw(rng, n) for _ in range(m)] for _ in range(k)])
+    frames = rng.standard_normal((k, n, 2))
+    if not real:
+        frames = frames + 1j * rng.standard_normal((k, n, 2))
+    pair = np.linalg.qr(frames)[0]
+    return _einsum_jacobian(pair, controls) * 10.0 ** rng.uniform(-6, 6)
+
+
+def _hadamard_ratio_above(J: np.ndarray, limit: float) -> np.ndarray:
+    """Per square J, whether |det J| > limit * prod ||row_i||."""
+    return np.abs(np.linalg.det(J)) > limit * np.prod(np.linalg.norm(J, axis=2), axis=1)
+
+
+def _gauged(H, seed: int):
+    """H conjugated by a random diagonal unitary: the same spectra, on complex operators."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, H.dim))
+    gauge = d[:, None] * d.conj()[None, :]
+    return make_family(gauge * H.drift.matrix, [gauge * h.matrix for h in H.controlled], H.box)
+
+
+class TestRealArithmetic:
+    """Real families in real arithmetic with closed-form steps, against the arithmetic
+    they replaced: complex stacks, and pinv for every step."""
+
+    @pytest.mark.parametrize("source", ["certify", "chain", "planted"])
+    def test_points_match_the_old_arithmetic(self, monkeypatch, request, source):
+        if source == "planted":
+            solves = request.getfixturevalue("planted_set")
+        else:
+            solves = _oracle(source)[0]
+        located = 0
+        for groups in solves:
+            old = _in_old_arithmetic(monkeypatch, reference_locate, groups)
+            for (_, box, *_), a, b in zip(groups, old, _locate_groups(groups), strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    located += 1
+                    diagonal = np.linalg.norm(box[:, 1] - box[:, 0])
+                    assert np.max(np.abs(a - b)) <= 1e-12 * diagonal
+        assert located >= {"certify": 100, "chain": 24, "planted": 40}[source]
+
+    def test_certificates_match_the_old_arithmetic(self, monkeypatch):
+        certified = 0
+        for n in (3, 4, 8):
+            families = [H for H in _certify_random_families(30) if H.dim == n]
+            points = [p for H in families for p in _located_points(H)]
+            rows = [
+                (H._stack, H.box, j, u, degeneracy_tol(H), H.energy_scale) for H, j, u in points
+            ]
+            old = _in_old_arithmetic(monkeypatch, _conicality_rows, rows)
+            for a, b in zip(old, _conicality_rows(rows), strict=True):
+                assert type(a) is type(b)
+                assert a.conical == b.conical
+                if a.conical:
+                    certified += 1
+                    assert a.certificate.others_simple == b.certificate.others_simple
+                    assert b.certificate.c_hat == pytest.approx(a.certificate.c_hat, rel=1e-10)
+        assert certified >= 80
+
+    def test_real_frames_drop_the_imaginary_row(self):
+        # the real step is the complex-typed step of the same frame and operators
+        rng = np.random.default_rng(3)
+        controls = np.stack([[random_symmetric(rng, 4) for _ in range(2)] for _ in range(20)])
+        pair = np.linalg.qr(rng.standard_normal((20, 4, 2)))[0]
+        gap = rng.uniform(0.1, 1.0, 20)
+        real = conical._gauss_newton_steps(pair, controls, gap)
+        old = _pinv_steps(pair.astype(complex), controls.astype(complex), gap)
+        assert real.dtype == np.float64
+        assert np.all(np.linalg.norm(real - old, axis=1) <= 1e-12 * np.linalg.norm(old, axis=1))
+
+
+class TestStepSolve:
+    """``conical._inverse_first_column``: the closed form where J is square and far
+    from singular, ``pinv`` everywhere else."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), n=st.integers(2, 6))
+    def test_closed_form_matches_pinv(self, seed, real, n):
+        # real m = 2 gives a 2 x 2 J, complex m = 3 a 3 x 3 one
+        J = _jacobians(np.random.default_rng(seed), 16, n, real, 2 if real else 3)
+        J = J[_hadamard_ratio_above(J, 1e-3)]
+        assume(len(J))
+        got = conical._inverse_first_column(J)
+        want = np.linalg.pinv(J)[:, :, 0]
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_near_singular_take_pinv_bitwise(self, real):
+        J = _jacobians(np.random.default_rng(5), 12, 4, real, 2 if real else 3)
+        J[1::3, 1] = 0.0  # a pair no control couples: rank deficient
+        J[2::3, -1] = J[2::3, 0] * (1 + 1e-10)  # two rows all but parallel
+        bad = ~_hadamard_ratio_above(J, conical.STEP_HADAMARD_MIN)
+        assert bad.tolist() == [i % 3 != 0 for i in range(12)]
+        got = conical._inverse_first_column(J)
+        want = np.linalg.pinv(J)[:, :, 0]
+        assert np.array_equal(got[bad], want[bad])
+        assert np.allclose(got[~bad], want[~bad], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("real, m", [(False, 2), (True, 3)])
+    def test_non_square_jacobians_take_pinv_bitwise(self, real, m):
+        J = _jacobians(np.random.default_rng(7), 9, 4, real, m)
+        assert J.shape[1] != J.shape[2]
+        assert np.array_equal(conical._inverse_first_column(J), np.linalg.pinv(J)[:, :, 0])
+
+
+class TestMixedFieldCalls:
+    """Calls whose families mix real and complex operators solve each field apart."""
+
+    @staticmethod
+    def _families(three_level_chain):
+        real = [H for H in _certify_random_families(12) if H.dim == 3] + [three_level_chain]
+        rng = np.random.default_rng(0)
+        complex_ = [_gauged(H, k) for k, H in enumerate(real)]
+        drift, *controls = (random_hermitian(rng, 3) for _ in range(3))
+        complex_.append(make_family(drift, controls, [[-3, 3]] * 2))
+        return real, complex_
+
+    def test_each_group_matches_its_standalone_solve(self, three_level_chain):
+        real, complex_ = self._families(three_level_chain)
+        groups = []
+        for k, H in enumerate([f for pair in zip(real, complex_) for f in pair] + complex_[-1:]):
+            # a real family's stack as the package stores it, or as float64
+            stack = H._stack.real.copy() if k % 4 == 2 else H._stack
+            U = box_sequence(H.box, 8, 0)
+            groups += [(stack, H.box, j, U, degeneracy_tol(H)) for j in (1, 2)]
+        solved = _locate_groups(groups)
+        for g, u in zip(groups, solved, strict=True):
+            assert _same_answers([u], _locate_groups([g]))
+        assert _same_answers(solved, reference_locate(groups))
+        # a gauged family is the real one in complex arithmetic: the same points
+        for k, H in enumerate(real):
+            for a, b in zip(solved[4 * k : 4 * k + 2], solved[4 * k + 2 : 4 * k + 4]):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.max(np.abs(a - b)) <= 1e-12 * H.box_diameter()
+        assert sum(u is not None for u in solved[2::4]) >= 3
+
+    def test_each_row_matches_its_standalone_test(self, three_level_chain):
+        real, complex_ = self._families(three_level_chain)
+        points = []
+        for H in real + complex_[:-1]:
+            points += _located_points(H)
+        assert {H._stack.imag.any() for H, _, _ in points} == {False, True}
+        _assert_rows_match_reference(points)
+
+
+class TestFieldGuard:
+    """The dtypes that reach ``eigh``/``eigvalsh`` inside the locator and the
+    conicality kernel: float64 for real families, complex128 for complex ones."""
+
+    KERNELS = ("_locate_groups", "_conicality_rows")
+
+    @classmethod
+    def _dtypes(cls, monkeypatch, run) -> dict:
+        codes = {getattr(conical, name).__code__: name for name in cls.KERNELS}
+        seen = {}
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def recorded(a, *args, solve=solve, **kwargs):
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code not in codes:
+                    frame = frame.f_back
+                if frame is not None:
+                    seen.setdefault(codes[frame.f_code], set()).add(np.asarray(a).dtype)
+                return solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        run()
+        return seen
+
+    def test_real_family_sends_float64(self, monkeypatch):
+        H = _certify_random_families(1)[0]
+        report = None
+
+        def run():
+            nonlocal report
+            report = certify_connectedness(H, 8)
+
+        seen = self._dtypes(monkeypatch, run)
+        assert report.certificates
+        assert seen == {name: {np.dtype(np.float64)} for name in self.KERNELS}
+
+    def test_real_ensemble_sends_float64(self, monkeypatch):
+        seen = self._dtypes(monkeypatch, lambda: ensemble_genericity(3, 2, 5, 11))
+        assert seen == {name: {np.dtype(np.float64)} for name in self.KERNELS}
+
+    def test_complex_family_sends_complex128(self, monkeypatch):
+        H = planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3)
+        report = None
+
+        def run():
+            nonlocal report
+            report = certify_connectedness(H, 8)
+
+        seen = self._dtypes(monkeypatch, run)
+        assert report.certificates
+        assert seen == {name: {np.dtype(np.complex128)} for name in self.KERNELS}
 
 
 class TestConicality:
