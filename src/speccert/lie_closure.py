@@ -90,29 +90,28 @@ class _SpanBasis:
         self.dim = 0
         self.vectors = np.zeros((n * n, n * n))
 
-    def extend(
-        self, candidates: np.ndarray, rel_tol: float = RANK_TOL, floor: float = 0.0
-    ) -> bool:
+    def extend(self, candidates: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
         """Add each candidate row's component orthogonal to the span, in order, if independent.
 
-        The decisions are those of taking the rows one at a time: a row of
-        norm above ``floor`` is added when its residual against the span,
-        including the rows added before it, exceeds ``rel_tol`` times its
-        norm. Stops once the span is all of u(n). Returns whether any row clears ``floor``.
+        The decisions are those of taking the rows one at a time: a nonzero
+        row is added when its residual against the span, including the rows
+        added before it, exceeds ``rel_tol`` times its norm. Stops once the
+        span is all of u(n). Returns the indices of the rows added, in order.
         """
         norms = np.sqrt((candidates * candidates).sum(axis=1))
-        keep = norms > floor
-        rows, norms = candidates[keep], norms[keep]
+        index = np.flatnonzero(norms > 0.0)
+        rows, norms = candidates[index], norms[index]
+        added = []
         # pieces of about as many rows as there is room left, so that a block
         # that fills the space is not projected far beyond the row that fills it
         while len(rows) and self.dim < len(self.vectors):
             take = max(len(self.vectors) - self.dim, _PIECE_ROWS)
-            self._accept(rows[:take], norms[:take], rel_tol, 0)
-            rows, norms = rows[take:], norms[take:]
-        return bool(keep.any())
+            self._accept(rows[:take], norms[:take], index[:take], rel_tol, 0, added)
+            rows, norms, index = rows[take:], norms[take:], index[take:]
+        return np.array(added, dtype=int)
 
-    def _accept(self, rows: np.ndarray, norms: np.ndarray, rel_tol: float, start: int) -> None:
-        """``extend`` for rows already orthogonal to ``vectors[:start]``.
+    def _accept(self, rows, norms, index, rel_tol: float, start: int, added: list) -> None:
+        """``extend`` for rows already orthogonal to ``vectors[:start]``; appends to ``added``.
 
         A block of more than ``LEAF_ROWS`` rows is projected off
         ``vectors[start:dim]`` in two matrix-product passes, which keep
@@ -129,14 +128,14 @@ class _SpanBasis:
             for _ in range(2):
                 rows = rows - (rows @ q.T) @ q
                 keep = np.sqrt((rows * rows).sum(axis=1)) > rel_tol * norms
-                rows, norms = rows[keep], norms[keep]
+                rows, norms, index = rows[keep], norms[keep], index[keep]
             start = self.dim
         if len(rows) > LEAF_ROWS:
             half = len(rows) // 2
-            self._accept(rows[:half], norms[:half], rel_tol, start)
-            self._accept(rows[half:], norms[half:], rel_tol, start)
+            self._accept(rows[:half], norms[:half], index[:half], rel_tol, start, added)
+            self._accept(rows[half:], norms[half:], index[half:], rel_tol, start, added)
             return
-        for v, norm0 in zip(rows, norms.tolist()):
+        for v, norm0, i in zip(rows, norms.tolist(), index.tolist()):
             if self.dim == len(self.vectors):
                 return
             if self.dim > start:
@@ -151,6 +150,7 @@ class _SpanBasis:
             if resid > rel_tol * norm0:
                 self.vectors[self.dim] = v / resid
                 self.dim += 1
+                added.append(i)
 
     def matrices(self, start: int = 0) -> np.ndarray:
         """Basis elements from ``start`` on as a stack of skew-Hermitian matrices."""
@@ -213,18 +213,30 @@ def _classify(dim: int, n: int, abelian: bool) -> str:
     return CLASS_OTHER
 
 
+def _words(rows: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
+    """The rows a basis added, scaled to unit norm, as skew-Hermitian matrices."""
+    rows = rows[added]
+    return _unvec(rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True)), n)
+
+
 def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     """Close a generating set of skew-Hermitian matrices under commutators.
 
-    Breadth-first: every sweep brackets the elements the last sweep added with
-    the orthonormalised generator span, keeps genuinely new directions
-    (relative rank tolerance ``rank_tol``), and stops when none remain or the
-    span is all of u(n). That is the whole closure: the Lie algebra generated
-    by X is spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]]
-    with every x_i in X, and each is ad_x of a shorter one for some x in X.
-    Brackets of these unit-norm elements with norm at most 1e-12 count as
-    zero; the algebra is abelian when no sweep has a nonzero bracket (only the
-    first, over all pairs of generator directions, can lack one). Only the
+    Breadth-first over words: every sweep brackets the generators with the
+    brackets the last sweep added to the span (the first sweep with the
+    generators themselves), keeps genuinely new directions (relative rank
+    tolerance ``rank_tol``), and stops when none remain or the span is all of
+    u(n). That is the whole closure: the Lie algebra generated by X is spanned
+    by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]] with every x_i
+    in X, and each is ad_x of a shorter one for some x in X. A bracket that
+    is not added lies in the span of words already bracketed. Each word is
+    scaled to unit norm but never orthogonalised: a basis element that
+    cancels one word against another carries rounding error of relative size
+    eps / (its norm), and bracketing it would turn that error into a new
+    direction (an energy offset c I, cancelled out of x + c I, gave u(n) for
+    c near 1e-6). Brackets of these unit-norm words with norm at most 1e-12
+    count as zero; the algebra is abelian when no sweep has a nonzero bracket
+    (only the first, over all pairs of generators, can lack one). Only the
     skew-Hermitian part of each generator enters, so a Hermitian part small
     enough to pass the skew check adds no direction. ``traceless_generators``
     is reported only; the class follows from the dimension.
@@ -245,20 +257,18 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     trace = np.abs(coords[:, :n].sum(axis=1))
     traceless = bool(np.all(trace <= rank_tol * np.linalg.norm(coords, axis=1)))
     basis = _SpanBasis(n)
-    basis.extend(coords, rel_tol=rank_tol)
-    span = basis.matrices()
-    start = 0
-    nonzero = []
-    while start < basis.dim < n * n:
-        frontier = basis.matrices(start)[:, None]
-        start = basis.dim
+    gens = _words(coords, basis.extend(coords, rel_tol=rank_tol), n)
+    frontier, abelian = gens, True
+    while len(frontier) and basis.dim < n * n:
         # for skew-Hermitian a, b: b a = (a b)^dagger, so [a, b] is twice the skew part of a b
-        brackets = 2.0 * _vec(frontier @ span).reshape(-1, n * n)
-        nonzero.append(basis.extend(brackets, rel_tol=rank_tol, floor=BRACKET_ZERO_TOL))
+        brackets = 2.0 * _vec(frontier[:, None] @ gens).reshape(-1, n * n)
+        brackets = brackets[np.sqrt((brackets * brackets).sum(axis=1)) > BRACKET_ZERO_TOL]
+        abelian = abelian and not len(brackets)
+        frontier = _words(brackets, basis.extend(brackets, rel_tol=rank_tol), n)
     return LieClosureResult(
         dimension=basis.dim,
         basis=tuple(basis.matrices()),
-        classification=_classify(basis.dim, n, abelian=not any(nonzero)),
+        classification=_classify(basis.dim, n, abelian),
         traceless_generators=traceless,
         n=n,
     )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from speccert import (
     PreconditionError,
     StructuralError,
+    certify,
     classify_transitive,
     closure,
     generators_from,
@@ -223,6 +224,31 @@ class TestClassifyTransitive:
         verdict = classify_transitive(result, 4)
         assert verdict.controllable_on_sphere is None
         assert not verdict.controllable_on_group
+
+
+class TestEnergyOffset:
+    """sp(k) + u(1): a quaternionic family whose drift carries an energy offset c I."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 3), seed=st.integers(0, 2**16), log_c=st.floats(-12, 0))
+    @example(k=2, seed=0, log_c=-6)
+    def test_dimension_never_exceeds_sp_plus_centre(self, k, seed, log_c):
+        # a basis element that cancels x0 + c I against x0 carries roundoff of
+        # relative size eps / c; its brackets are that roundoff alone and must
+        # not count as new directions
+        rng = np.random.default_rng(seed)
+        gens = [sp_element(rng, k) for _ in range(3)]
+        gens[0] = gens[0] + 1j * 10.0**log_c * np.eye(2 * k)
+        assert closure(gens).dimension <= k * (2 * k + 1) + 1
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6])
+    def test_offset_family_is_not_certified_for_the_group(self, c):
+        rng = np.random.default_rng(0)
+        xs = [sp_element(rng, 2) for _ in range(3)]
+        H = make_family(-1j * xs[0] + c * np.eye(4), [-1j * x for x in xs[1:]], [[-2, 2], [-2, 2]])
+        cert = certify(H)
+        assert cert.verdict == "not-certified"
+        assert not cert.transitivity.controllable_on_group
 
 
 class TestJacobi:
@@ -479,10 +505,12 @@ class TestSpanBasisExtend:
         reference = np.zeros((0, n * n))
         accepted = []
         for block in blocks:
-            basis.extend(block)
+            added = basis.extend(block)
+            before = len(accepted)
             reference = reference_extend(reference, block, accepted=accepted)
             vectors = basis.vectors[: basis.dim]
             assert basis.dim == len(reference)
+            assert np.array_equal(block[added], np.reshape(accepted[before:], (-1, n * n)))
             if accepted:
                 projector_gap = np.abs(vectors.T @ vectors - reference.T @ reference)
                 assert np.max(projector_gap) <= projector_gap_bound(accepted)
