@@ -483,7 +483,8 @@ def climb(
     path traverses the certified intersections of levels (1,2), ..., (n-1,n)
     in order. Each passage is straight through its intersection, aimed at the
     next one; connectors between passages detour by a perpendicular offset
-    whenever they would come within ``delta`` of another located intersection.
+    whenever they would come within ``delta`` of any located intersection,
+    the one they lead to included.
     By default ``rho`` is 0.8 times the smallest of the intersections' box
     clearances and half their pairwise distances (at most a quarter of the box
     diagonal), so the passage balls lie in the box and do not overlap, and
@@ -556,8 +557,9 @@ def climb(
             raise GeometryError(
                 f"passage of radius {rho:.3g} at {p.tolist()} leaves the control box"
             )
-        obstacles = [q for q in points if q is not p]
-        waypoints += _route(waypoints[-1], entry, obstacles, delta, box)
+        # the connector must also stay clear of p itself: an anchor or previous
+        # exit beyond p would otherwise take it through p before the passage
+        waypoints += _route(waypoints[-1], entry, points, delta, box)
         waypoints += [entry, p, exitp]
     deduped = [waypoints[0]]
     scale = max(H.box_diameter(), 1.0)

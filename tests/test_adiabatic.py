@@ -10,11 +10,14 @@ from scipy.linalg import expm
 from speccert import (
     BudgetError,
     ConnectednessReport,
+    ControlHamiltonian,
     ControlPath,
     GeometryError,
+    HermitianOperator,
     PreconditionError,
     StructuralError,
     branch_populations,
+    certify,
     certify_connectedness,
     climb,
     decompose,
@@ -595,6 +598,17 @@ class TestClimb:
             assert true_error / 4 <= result.error_estimate <= 4 * true_error
         else:
             assert result.error_estimate <= 1e-10
+
+    def test_connector_stays_clear_of_the_intersection_it_leads_to(self):
+        # the anchor lies beyond u*_1 as seen from the first passage's entry, so
+        # a connector that avoided only the other intersections ran through u*_1
+        # and the population split there before the planned passage (0.918)
+        rng = np.random.default_rng(123)
+        ops = [HermitianOperator(random_symmetric(rng, 3)) for _ in range(3)]
+        H = ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=np.array([[-3.0, 3.0]] * 2))
+        cert = certify(H)
+        result = climb(H, cert.connectedness, cert.resonance.report.u_bar, epsilon=1e-4)
+        assert result.p_target >= 0.99
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["epsilon", "rho", "delta"])
