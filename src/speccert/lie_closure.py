@@ -1,8 +1,10 @@
 """Real Lie algebra generated by skew-Hermitian matrices under iterated brackets.
 
 The closure is grown breadth-first on an orthonormal basis of the span (real
-inner product Re tr(A^dagger B), in n^2 real coordinates), bracketing new
-directions with the generators only (see ``closure``). Classification is by
+inner product Re tr(A^dagger B), in n^2 real coordinates), bracketing the
+words it added with the generators only (see ``closure``). A set of real and
+imaginary generators, such as i H for real H, closes in its so(n) and
+i sym(n) parts separately, in real arithmetic. Classification is by
 dimension: u(n) has n^2, su(n) n^2 - 1, and for even n the quaternionic
 candidate n(n+1)/2, resolved by an explicit antiunitary-structure witness
 search; an algebra is abelian when no bracket of the first sweep is nonzero.
@@ -11,6 +13,7 @@ search; an algebra is abelian when no bracket of the first sweep is nonzero.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -38,57 +41,71 @@ CLASS_OTHER = "other"
 
 
 @functools.lru_cache(maxsize=None)
-def _coordinates(n: int) -> tuple:
-    """Where the n^2 real coordinates of an n x n skew-Hermitian matrix are stored.
+def _coordinates(n: int, grade: int | None) -> tuple:
+    """Where the real coordinates of an n x n matrix's part in ``grade`` are stored.
 
-    The coordinates are ``[Im diag, sqrt2 Re upper, sqrt2 Im upper]``, upper
-    meaning the strict upper triangle: an isometry from the skew-Hermitian
-    matrices under Re tr(A^dagger B) onto R^(n^2). On the float view of a flat
-    complex matrix (entry k at 2k and 2k + 1), coordinate c is stored at
-    ``upper[c]`` divided by ``scale[c]`` and mirrored at ``lower[c]``, the
-    same part of the transposed entry, times ``sign[c]``: a skew-Hermitian
-    matrix negates the real part of its mirror.
+    Grade 0 is so(n), the antisymmetric part X of a real matrix, with
+    coordinates ``sqrt2 X`` over the strict upper triangle: n(n-1)/2 of them.
+    Grade 1 is i sym(n), held by the symmetric part Y of a real matrix, with
+    ``[diag Y, sqrt2 Y upper]``: n(n+1)/2. Grade None is u(n), the
+    skew-Hermitian part X + iY of a complex matrix, with both: ``[X | Y]``.
+    Each is an isometry for Re tr(A^dagger B). On a flat matrix (for grade
+    None its float view, entry k at 2k and 2k + 1), coordinate c is stored at
+    ``upper[c]`` divided by ``scale[c]`` and mirrored at ``lower[c]`` times
+    ``sign[c]``.
     """
-    i, j = np.triu_indices(n, 1)
-    diag, up, low = np.arange(n) * (n + 1), i * n + j, j * n + i
-    k = len(up)
-    out = (
-        np.concatenate([2 * diag + 1, 2 * up, 2 * up + 1]),
-        np.concatenate([2 * diag + 1, 2 * low, 2 * low + 1]),
-        np.concatenate([np.ones(n), -np.ones(k), np.ones(k)]),
-        np.concatenate([np.ones(n), np.full(2 * k, np.sqrt(2.0))]),
-    )
+    if grade is None:
+        # X is read from the real parts of the entries, Y from their imaginary parts
+        x, y = _coordinates(n, 0), _coordinates(n, 1)
+        out = (
+            np.concatenate([2 * x[0], 2 * y[0] + 1]),
+            np.concatenate([2 * x[1], 2 * y[1] + 1]),
+            np.concatenate([x[2], y[2]]),
+            np.concatenate([x[3], y[3]]),
+        )
+    else:
+        i, j = np.triu_indices(n, 1)
+        diag = np.arange(n) * (n + 1) if grade else np.arange(0)
+        out = (
+            np.concatenate([diag, i * n + j]),
+            np.concatenate([diag, j * n + i]),
+            np.concatenate([np.ones(len(diag)), np.full(len(i), np.sqrt(2.0))]),
+            np.full(len(diag) + len(i), 2.0 * grade - 1.0),
+        )
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    """Coordinates (..., n^2) of the skew-Hermitian part (a - a^dagger)/2 of each matrix."""
+def _vec(a: np.ndarray, grade: int | None = None) -> np.ndarray:
+    """Coordinates (..., size) of each matrix's part in ``grade`` (see ``_coordinates``)."""
     n = a.shape[-1]
-    upper, lower, sign, scale = _coordinates(n)
-    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1, n * n).view(np.float64)
+    upper, lower, scale, sign = _coordinates(n, grade)
+    flat = a.reshape(-1, n * n)
+    if grade is None:
+        flat = np.ascontiguousarray(flat, dtype=complex).view(np.float64)
     v = (flat.take(upper, axis=1) + sign * flat.take(lower, axis=1)) * (scale / 2)
-    return v.reshape(*a.shape[:-2], n * n)
+    return v.reshape(*a.shape[:-2], len(upper))
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    """The exactly skew-Hermitian matrices with coordinates ``v`` (..., n^2)."""
-    upper, lower, sign, scale = _coordinates(n)
-    w = v.reshape(-1, n * n) / scale
-    out = np.zeros((len(w), 2 * n * n))
+def _unvec(v: np.ndarray, n: int, grade: int | None = None) -> np.ndarray:
+    """The exactly skew-Hermitian (grade None), antisymmetric (0) or symmetric (1) matrices with coordinates ``v``."""
+    upper, lower, scale, sign = _coordinates(n, grade)
+    w = v.reshape(math.prod(v.shape[:-1]), len(upper)) / scale
+    out = np.zeros((len(w), n * n if grade is not None else 2 * n * n))
     out[:, upper] = w
     out[:, lower] = sign * w
-    return out.view(complex).reshape(*v.shape[:-1], n, n)
+    return (out if grade is not None else out.view(complex)).reshape(*v.shape[:-1], n, n)
 
 
 class _SpanBasis:
-    """Orthonormal basis (rows ``vectors[:dim]``) of a growing space of skew-Hermitian matrices."""
+    """Orthonormal basis (rows ``vectors[:dim]``) of a growing subspace of u(n), or of one ``grade`` of it."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, grade: int | None = None):
+        self.n, self.grade = n, grade
         self.dim = 0
-        self.vectors = np.zeros((n * n, n * n))
+        size = len(_coordinates(n, grade)[0])
+        self.vectors = np.zeros((size, size))
 
     def extend(self, candidates: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
         """Add each candidate row's component orthogonal to the span, in order, if independent.
@@ -96,7 +113,7 @@ class _SpanBasis:
         The decisions are those of taking the rows one at a time: a nonzero
         row is added when its residual against the span, including the rows
         added before it, exceeds ``rel_tol`` times its norm. Stops once the
-        span is all of u(n). Returns the indices of the rows added, in order.
+        space is full. Returns the indices of the rows added, in order.
         """
         norms = np.sqrt((candidates * candidates).sum(axis=1))
         index = np.flatnonzero(norms > 0.0)
@@ -152,9 +169,17 @@ class _SpanBasis:
                 self.dim += 1
                 added.append(i)
 
-    def matrices(self, start: int = 0) -> np.ndarray:
-        """Basis elements from ``start`` on as a stack of skew-Hermitian matrices."""
-        return _unvec(self.vectors[start: self.dim], self.n)
+    def matrices(self) -> np.ndarray:
+        """The basis as a stack of skew-Hermitian matrices: X, iY or X + iY by grade."""
+        mats = _unvec(self.vectors[: self.dim], self.n, self.grade)
+        return mats if self.grade is None else mats * 1j**self.grade
+
+    def words(self, rows: np.ndarray, added: np.ndarray) -> np.ndarray:
+        """The rows that ``extend`` added, scaled to unit norm, as matrices of this grade."""
+        if not len(added):
+            return np.empty((0, self.n, self.n))
+        rows = rows[added]
+        return _unvec(rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True)), self.n, self.grade)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,12 +238,6 @@ def _classify(dim: int, n: int, abelian: bool) -> str:
     return CLASS_OTHER
 
 
-def _words(rows: np.ndarray, added: np.ndarray, n: int) -> np.ndarray:
-    """The rows a basis added, scaled to unit norm, as skew-Hermitian matrices."""
-    rows = rows[added]
-    return _unvec(rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True)), n)
-
-
 def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     """Close a generating set of skew-Hermitian matrices under commutators.
 
@@ -233,13 +252,22 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     scaled to unit norm but never orthogonalised: a basis element that
     cancels one word against another carries rounding error of relative size
     eps / (its norm), and bracketing it would turn that error into a new
-    direction (an energy offset c I, cancelled out of x + c I, gave u(n) for
-    c near 1e-6). Brackets of these unit-norm words with norm at most 1e-12
-    count as zero; the algebra is abelian when no sweep has a nonzero bracket
-    (only the first, over all pairs of generators, can lack one). Only the
-    skew-Hermitian part of each generator enters, so a Hermitian part small
-    enough to pass the skew check adds no direction. ``traceless_generators``
-    is reported only; the class follows from the dimension.
+    direction (an energy offset c I, cancelled out of x + c I, would read as
+    u(n) for c near 1e-6). Brackets of these unit-norm words with norm at most
+    1e-12 count as zero; the algebra is abelian when no sweep has a nonzero
+    bracket (only the first, over all pairs of generators, can lack one). Only
+    the skew-Hermitian part X + iY of each generator enters, so a Hermitian
+    part small enough to pass the skew check adds no direction.
+    ``traceless_generators`` is reported only; the class follows from the
+    dimension.
+
+    When every generator is homogeneous, X = 0 or Y = 0 exactly (i H for real
+    symmetric H is), the grading u(n) = so(n) + i sym(n) is preserved:
+    [so, so] and [i sym, i sym] lie in so(n), [so, i sym] in i sym(n). Each
+    part then has its own basis, of n(n-1)/2 and n(n+1)/2 coordinates, and
+    every word is one real matrix. Any other set closes on one basis of u(n).
+    The result's basis lists the generators' and then each sweep's additions,
+    so(n) part first.
 
     Raises
     ------
@@ -253,22 +281,45 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     n = gens[0].shape[0]
     if any(g.shape[0] != n for g in gens):
         raise StructuralError("generators must share a common dimension")
+    k = n * (n - 1) // 2
     coords = _vec(np.array(gens))
-    trace = np.abs(coords[:, :n].sum(axis=1))
+    trace = np.abs(coords[:, k: k + n].sum(axis=1))
     traceless = bool(np.all(trace <= rank_tol * np.linalg.norm(coords, axis=1)))
-    basis = _SpanBasis(n)
-    gens = _words(coords, basis.extend(coords, rel_tol=rank_tol), n)
-    frontier, abelian = gens, True
-    while len(frontier) and basis.dim < n * n:
-        # for skew-Hermitian a, b: b a = (a b)^dagger, so [a, b] is twice the skew part of a b
-        brackets = 2.0 * _vec(frontier[:, None] @ gens).reshape(-1, n * n)
-        brackets = brackets[np.sqrt((brackets * brackets).sum(axis=1)) > BRACKET_ZERO_TOL]
-        abelian = abelian and not len(brackets)
-        frontier = _words(brackets, basis.extend(brackets, rel_tol=rank_tol), n)
+    x, y = coords[:, :k], coords[:, k:]
+    if np.any(x.any(axis=1) & y.any(axis=1)):
+        grades, rows = (None,), [coords]
+    else:
+        grades, rows = (0, 1), [x, y]
+    bases = [_SpanBasis(n, g) for g in grades]
+    segments = []  # (part, rows added), in the order the rows were added
+
+    def grow(t: int, block: np.ndarray) -> np.ndarray:
+        added = bases[t].extend(block, rel_tol=rank_tol)
+        segments.append((t, len(added)))
+        return bases[t].words(block, added)
+
+    gens = frontier = [grow(t, r) for t, r in enumerate(rows)]
+    abelian = True
+    while any(map(len, frontier)) and sum(b.dim for b in bases) < n * n:
+        words = [[np.empty((0, n, n))] for _ in grades]
+        for (p, f), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
+            if len(f) and len(g):
+                # [i^p F, i^q G] = i^(p+q) [F, G]. G F is (F G)^T when F and G share
+                # a grade and -(F G)^T when not, (F G)^dagger in u(n): so [F, G] is
+                # twice the part of F G in grade (p + q) mod 2, or its skew-Hermitian part
+                t = (p + q) % len(grades)
+                c = _vec(f[:, None] @ g, grades[t]).reshape(len(f) * len(g), -1)
+                c = (-2.0 if p + q == 2 else 2.0) * c
+                c = c[np.sqrt((c * c).sum(axis=1)) > BRACKET_ZERO_TOL]
+                abelian = abelian and not len(c)
+                words[t].append(grow(t, c))
+        frontier = [np.concatenate(w) for w in words]
+    dim = sum(b.dim for b in bases)
+    mats = [iter(b.matrices()) for b in bases]
     return LieClosureResult(
-        dimension=basis.dim,
-        basis=tuple(basis.matrices()),
-        classification=_classify(basis.dim, n, abelian),
+        dimension=dim,
+        basis=tuple(next(mats[t]) for t, count in segments for _ in range(count)),
+        classification=_classify(dim, n, abelian),
         traceless_generators=traceless,
         n=n,
     )

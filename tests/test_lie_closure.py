@@ -11,6 +11,7 @@ from speccert import (
     closure,
     generators_from,
 )
+from speccert import lie_closure
 from speccert.lie_closure import (
     CLASS_ABELIAN,
     CLASS_FULL,
@@ -22,6 +23,8 @@ from speccert.lie_closure import (
     _classify,
     _sp_witness,
     _SpanBasis,
+    _unvec,
+    _vec,
 )
 from speccert.sampling import random_symmetric
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
@@ -50,6 +53,12 @@ class TestClosure:
         result = closure([1j * SIGMA_X, 1j * SIGMA_Z, 1j * np.eye(2)])
         assert result.dimension == 4
         assert result.classification == CLASS_FULL
+
+    @pytest.mark.parametrize("phase", [1j, 0.0])
+    def test_one_by_one_generators(self, phase):
+        # so(1) has no coordinates at all
+        result = closure([phase * np.eye(1)])
+        assert result.dimension == int(phase != 0)
 
     def test_all_zero_generators(self):
         result = closure([np.zeros((3, 3), dtype=complex)] * 3)
@@ -267,16 +276,151 @@ def comm(a, b):
     return a @ b - b @ a
 
 
+def real_generators(kind, n, m, seed):
+    """i H_l for a real-symmetric family of m controls: generic, block-diagonal, commuting, traceless or offset."""
+    rng = np.random.default_rng(seed)
+    ops = [random_symmetric(rng, n) for _ in range(m + 1)]
+    if kind == "block":
+        k = n // 2
+        for h in ops:
+            h[:k, k:] = h[k:, :k] = 0.0
+    elif kind == "commuting":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ops = [q @ np.diag(rng.standard_normal(n)) @ q.T for _ in range(m + 1)]
+        ops = [(h + h.T) / 2 for h in ops]
+    elif kind in ("traceless", "offset"):
+        ops = [h - np.trace(h) / n * np.eye(n) for h in ops]
+        if kind == "offset":
+            ops[0] = ops[0] + 0.5 * np.eye(n)
+    return [1j * h for h in ops]
+
+
+def is_graded(result):
+    """Every basis element is purely real (in so(n)) or purely imaginary (in i sym(n))."""
+    return all(not b.real.any() or not b.imag.any() for b in result.basis)
+
+
 class TestConjugationInvariance:
-    def test_dimension_stable_under_unitary_conjugation(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            gens = [random_skew(rng, 3) for _ in range(2)]
-            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            q, _ = np.linalg.qr(z)
-            rotated = [q @ g @ q.conj().T for g in gens]
-            rotated = [(g - g.conj().T) / 2 for g in rotated]  # fold roundoff
-            assert closure(rotated).dimension == closure(gens).dimension
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["complex", "generic", "block", "commuting", "traceless", "offset"]),
+        n=st.integers(2, 8),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="complex", n=3, m=1, seed=13)
+    @example(kind="block", n=8, m=2, seed=0)
+    def test_dimension_stable_under_unitary_conjugation(self, kind, n, m, seed):
+        # a real family closes in its so(n) and i sym(n) parts; conjugated by a
+        # complex unitary, its generators are no longer homogeneous and close in
+        # all of u(n) at once: the two routes must agree
+        rng = np.random.default_rng(seed)
+        if kind == "complex":
+            gens = [random_skew(rng, n) for _ in range(m + 1)]
+        else:
+            gens = real_generators(kind, n, m, seed)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(z)
+        rotated = [q @ g @ q.conj().T for g in gens]
+        rotated = [(g - g.conj().T) / 2 for g in rotated]  # fold roundoff
+        result, reference = closure(gens), closure(rotated)
+        assert (result.dimension, result.classification) == (
+            reference.dimension,
+            reference.classification,
+        )
+        assert not is_graded(reference)
+        if kind != "complex":
+            assert is_graded(result)
+            assert_closed_under_brackets(result)
+            basis = np.array(result.basis)
+            q = np.concatenate([basis.real, basis.imag], axis=-1).reshape(len(basis), -1)
+            assert np.max(np.abs(q @ q.T - np.eye(len(q))), initial=0.0) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "gens, grades",
+        [
+            (real_generators("generic", 4, 2, 0), [0, 1]),
+            ([np.array([[0.0, 1.0], [-1.0, 0.0]]), 1j * SIGMA_Z], [0, 1]),
+            ([1j * SIGMA_X, 1j * SIGMA_Z + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])], [None]),
+            ([random_skew(np.random.default_rng(0), 3)], [None]),
+        ],
+    )
+    def test_homogeneous_generators_close_in_two_parts(self, monkeypatch, gens, grades):
+        made = []
+
+        class Spy(_SpanBasis):
+            def __init__(self, n, grade=None):
+                made.append(grade)
+                super().__init__(n, grade)
+
+        monkeypatch.setattr(lie_closure, "_SpanBasis", Spy)
+        closure(gens)
+        assert made == grades
+
+
+class TestCoordinateMaps:
+    """``_vec`` and ``_unvec`` on so(n) (grade 0), i sym(n) (grade 1) and all of u(n) (None)."""
+
+    @staticmethod
+    def draw(rng, n, grade, count=20):
+        """Exactly antisymmetric (0), symmetric (1) or skew-Hermitian (None) matrices at random scales."""
+        a, b = rng.standard_normal((2, count, n, n)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+        x, y = a - a.transpose(0, 2, 1), b + b.transpose(0, 2, 1)
+        return {0: x, 1: y, None: x + 1j * y}[grade]
+
+    @pytest.mark.parametrize("grade", [0, 1, None])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_isometry_for_the_frobenius_inner_product(self, n, grade):
+        rng = np.random.default_rng(n)
+        a = self.draw(rng, n, grade)
+        a = a / np.linalg.norm(a, axis=(1, 2), keepdims=True).clip(min=1e-300)
+        v = _vec(a, grade)
+        assert v.shape[-1] == {0: n * (n - 1) // 2, 1: n * (n + 1) // 2, None: n * n}[grade]
+        inner = np.einsum("aij,bij->ab", a.conj(), a).real
+        assert np.max(np.abs(v @ v.T - inner)) <= 1e-15
+
+    @pytest.mark.parametrize("grade", [0, 1, None])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_round_trip(self, n, grade):
+        # sqrt2 X rounds: no map could invert it on every double, so a matrix
+        # returns to within one rounding, and exactly once it has been mapped
+        rng = np.random.default_rng(n)
+        a = self.draw(rng, n, grade)
+        back = _unvec(_vec(a, grade), n, grade)
+        assert np.all(np.abs(back - a) <= 2.0**-52 * np.abs(a))
+        assert np.array_equal(np.diagonal(back, axis1=1, axis2=2), np.diagonal(a, axis1=1, axis2=2))
+        assert np.array_equal(_unvec(_vec(back, grade), n, grade), back)
+
+    @pytest.mark.parametrize("grade", [0, 1, None])
+    def test_output_is_exactly_of_its_grade(self, grade):
+        n = 6
+        size = {0: 15, 1: 21, None: 36}[grade]
+        mats = _unvec(np.random.default_rng(1).standard_normal((10, size)), n, grade)
+        expected = {0: -mats, 1: mats, None: -mats.conj()}[grade]
+        assert np.array_equal(mats.transpose(0, 2, 1), expected)
+
+    def test_closure_basis_is_exactly_skew_hermitian(self):
+        for gens in (real_generators("generic", 5, 2, 3), [random_skew(np.random.default_rng(3), 5)] * 2):
+            for b in closure(gens).basis:
+                assert np.array_equal(b.conj().T, -b)
+
+    @pytest.mark.parametrize("kind", ["complex", "generic", "traceless", "offset", "commuting"])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_traceless_generators_read_the_skew_hermitian_trace(self, kind, n):
+        if kind == "complex":
+            rng = np.random.default_rng(n)
+            gens = [random_skew(rng, n), random_skew(rng, n)]
+            gens[1] = gens[1] - np.trace(gens[1]) / n * np.eye(n)
+            sets = [gens, gens[1:]]
+        else:
+            sets = [real_generators(kind, n, 2, n)]
+        for gens in sets:
+            skew = [(g - g.conj().T) / 2 for g in gens]
+            expected = all(
+                abs(np.trace(g).imag) <= RANK_TOL * np.linalg.norm(g) for g in skew
+            )
+            assert closure(gens).traceless_generators == expected
 
 
 def reference_closure(generators, rank_tol=1e-9):
