@@ -2,7 +2,7 @@
 
 The closure is grown breadth-first on an orthonormal basis of the span (real
 inner product Re tr(A^dagger B), in n^2 real coordinates), bracketing the
-words it added with the generators only (see ``closure``). A set of real and
+new part of each bracket it added with the generators only (see ``closure``). A set of real and
 imaginary generators, such as i H for real H, closes in its so(n) and
 i sym(n) parts separately, in real arithmetic. Classification is by
 dimension: u(n) has n^2, su(n) n^2 - 1, and for even n the quaternionic
@@ -107,28 +107,31 @@ class _SpanBasis:
         size = len(_coordinates(n, grade)[0])
         self.vectors = np.zeros((size, size))
 
-    def extend(self, candidates: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
+    def extend(self, candidates: np.ndarray, rel_tol: float = RANK_TOL, floor=0.0) -> tuple:
         """Add each candidate row's component orthogonal to the span, in order, if independent.
 
-        The decisions are those of taking the rows one at a time: a nonzero
-        row is added when its residual against the span, including the rows
-        added before it, exceeds ``rel_tol`` times its norm. Stops once the
-        space is full. Returns the indices of the rows added, in order.
+        The decisions are those of taking the rows one at a time: a row is
+        added when its residual against the span, including the rows added
+        before it, exceeds both ``rel_tol`` times its norm and its ``floor``
+        (a scalar or one value per row). Stops once the space is full.
+        Returns the indices of the rows added, in order, and their residuals.
         """
         norms = np.sqrt((candidates * candidates).sum(axis=1))
-        index = np.flatnonzero(norms > 0.0)
-        rows, norms = candidates[index], norms[index]
+        bounds = np.maximum(rel_tol * norms, floor)
+        index = np.flatnonzero(norms > bounds)
+        rows, norms, bounds = candidates[index], norms[index], bounds[index]
         added = []
         # pieces of about as many rows as there is room left, so that a block
         # that fills the space is not projected far beyond the row that fills it
         while len(rows) and self.dim < len(self.vectors):
             take = max(len(self.vectors) - self.dim, _PIECE_ROWS)
-            self._accept(rows[:take], norms[:take], index[:take], rel_tol, 0, added)
-            rows, norms, index = rows[take:], norms[take:], index[take:]
-        return np.array(added, dtype=int)
+            self._accept(rows[:take], norms[:take], bounds[:take], index[:take], 0, added)
+            rows, norms, bounds, index = rows[take:], norms[take:], bounds[take:], index[take:]
+        added = np.array(added).reshape(-1, 2)
+        return added[:, 0].astype(int), added[:, 1]
 
-    def _accept(self, rows, norms, index, rel_tol: float, start: int, added: list) -> None:
-        """``extend`` for rows already orthogonal to ``vectors[:start]``; appends to ``added``.
+    def _accept(self, rows, norms, bounds, index, start: int, added: list) -> None:
+        """``extend`` for rows already orthogonal to ``vectors[:start]``; appends (index, residual) to ``added``.
 
         A block of more than ``LEAF_ROWS`` rows is projected off
         ``vectors[start:dim]`` in two matrix-product passes, which keep
@@ -144,15 +147,15 @@ class _SpanBasis:
             q = self.vectors[start: self.dim]
             for _ in range(2):
                 rows = rows - (rows @ q.T) @ q
-                keep = np.sqrt((rows * rows).sum(axis=1)) > rel_tol * norms
-                rows, norms, index = rows[keep], norms[keep], index[keep]
+                keep = np.sqrt((rows * rows).sum(axis=1)) > bounds
+                rows, norms, bounds, index = rows[keep], norms[keep], bounds[keep], index[keep]
             start = self.dim
         if len(rows) > LEAF_ROWS:
             half = len(rows) // 2
-            self._accept(rows[:half], norms[:half], index[:half], rel_tol, start, added)
-            self._accept(rows[half:], norms[half:], index[half:], rel_tol, start, added)
+            self._accept(rows[:half], norms[:half], bounds[:half], index[:half], start, added)
+            self._accept(rows[half:], norms[half:], bounds[half:], index[half:], start, added)
             return
-        for v, norm0, i in zip(rows, norms.tolist(), index.tolist()):
+        for v, norm0, bound, i in zip(rows, norms.tolist(), bounds.tolist(), index.tolist()):
             if self.dim == len(self.vectors):
                 return
             if self.dim > start:
@@ -160,26 +163,19 @@ class _SpanBasis:
                 v = v - (q @ v) @ q
                 v = v - (q @ v) @ q
             resid = math.sqrt(v @ v)
-            if rel_tol * norm0 < resid < _REPROJECT_BELOW * norm0:
+            if bound < resid < _REPROJECT_BELOW * norm0:
                 # v kept its rounding error off vectors[:start] while it shrank: remove it
                 v = v - (self.vectors[: self.dim] @ v) @ self.vectors[: self.dim]
                 resid = math.sqrt(v @ v)
-            if resid > rel_tol * norm0:
+            if resid > bound:
                 self.vectors[self.dim] = v / resid
                 self.dim += 1
-                added.append(i)
+                added.append((i, resid))
 
     def matrices(self) -> np.ndarray:
         """The basis as a stack of skew-Hermitian matrices: X, iY or X + iY by grade."""
         mats = _unvec(self.vectors[: self.dim], self.n, self.grade)
         return mats if self.grade is None else mats * 1j**self.grade
-
-    def words(self, rows: np.ndarray, added: np.ndarray) -> np.ndarray:
-        """The rows that ``extend`` added, scaled to unit norm, as matrices of this grade."""
-        if not len(added):
-            return np.empty((0, self.n, self.n))
-        rows = rows[added]
-        return _unvec(rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True)), self.n, self.grade)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,23 +237,31 @@ def _classify(dim: int, n: int, abelian: bool) -> str:
 def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     """Close a generating set of skew-Hermitian matrices under commutators.
 
-    Breadth-first over words: every sweep brackets the generators with the
-    brackets the last sweep added to the span (the first sweep with the
-    generators themselves), keeps genuinely new directions (relative rank
-    tolerance ``rank_tol``), and stops when none remain or the span is all of
-    u(n). That is the whole closure: the Lie algebra generated by X is spanned
-    by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]] with every x_i
-    in X, and each is ad_x of a shorter one for some x in X. A bracket that
-    is not added lies in the span of words already bracketed. Each word is
-    scaled to unit norm but never orthogonalised: a basis element that
-    cancels one word against another carries rounding error of relative size
-    eps / (its norm), and bracketing it would turn that error into a new
-    direction (an energy offset c I, cancelled out of x + c I, would read as
-    u(n) for c near 1e-6). Brackets of these unit-norm words with norm at most
-    1e-12 count as zero; the algebra is abelian when no sweep has a nonzero
-    bracket (only the first, over all pairs of generators, can lack one). Only
-    the skew-Hermitian part X + iY of each generator enters, so a Hermitian
-    part small enough to pass the skew check adds no direction.
+    Breadth-first: every sweep brackets the generators, scaled to unit norm,
+    with the new part of each bracket the last sweep added (the first sweep
+    with that of each generator), keeps genuinely new directions (relative
+    rank tolerance ``rank_tol``), and stops when none remain or the span is
+    all of u(n). That is the whole closure: the Lie algebra generated by X is
+    spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]] with
+    every x_i in X, and each is ad_x of a shorter one for some x in X.
+
+    A bracket's new part is the bracket scaled to unit norm less its
+    projection on the span before it, kept at that size: a direction found
+    only by cancellation, such as c I from x + c I against x, is small and so
+    are its brackets, which are zero in exact arithmetic. Each element
+    carries an estimate of its rounding error, n eps for a generator; a
+    bracket [F, G] carries twice F's plus 2 n eps times |F|, and the new part
+    of a bracket that is added carries the bracket's, over its norm, plus
+    n eps. A bracket counts as zero, and a direction as new, only beyond
+    twice that estimate, and a bracket is zero at norm 1e-12 or below
+    whatever its error. Bracketing unit basis elements instead, the rounding
+    error of c I became new directions (u(n) for an offset c near 1e-6);
+    bracketing unit brackets, never orthogonalised, the new parts of a weakly
+    coupled chain shrank from word to word until one fell under the rank
+    tolerance (su(n) for u(n)). The algebra is abelian when no sweep has a
+    nonzero bracket (only the first, over all pairs of generators, can lack
+    one). Only the skew-Hermitian part X + iY of each generator enters, so a
+    Hermitian part small enough to pass the skew check adds no direction.
     ``traceless_generators`` is reported only; the class follows from the
     dimension.
 
@@ -265,7 +269,7 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     symmetric H is), the grading u(n) = so(n) + i sym(n) is preserved:
     [so, so] and [i sym, i sym] lie in so(n), [so, i sym] in i sym(n). Each
     part then has its own basis, of n(n-1)/2 and n(n+1)/2 coordinates, and
-    every word is one real matrix. Any other set closes on one basis of u(n).
+    every element is one real matrix. Any other set closes on one basis of u(n).
     The result's basis lists the generators' and then each sweep's additions,
     so(n) part first.
 
@@ -290,19 +294,30 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
         grades, rows = (None,), [coords]
     else:
         grades, rows = (0, 1), [x, y]
+    eps = np.finfo(float).eps
     bases = [_SpanBasis(n, g) for g in grades]
     segments = []  # (part, rows added), in the order the rows were added
 
-    def grow(t: int, block: np.ndarray) -> np.ndarray:
-        added = bases[t].extend(block, rel_tol=rank_tol)
+    def grow(t: int, block: np.ndarray, error: np.ndarray) -> tuple:
+        # the new part of each row added: the row, scaled to unit norm, less its
+        # projection on the span before it; with its norm and its rounding error
+        if not len(block):
+            return np.empty((0, n, n)), error, error
+        norms = np.sqrt((block * block).sum(axis=1))
+        added, resid = bases[t].extend(block, rel_tol=rank_tol, floor=2.0 * error)
         segments.append((t, len(added)))
-        return bases[t].words(block, added)
+        size = resid / norms[added]
+        new = bases[t].vectors[bases[t].dim - len(added): bases[t].dim]
+        return _unvec(size[:, None] * new, n, grades[t]), size, error[added] / norms[added] + n * eps
 
-    gens = frontier = [grow(t, r) for t, r in enumerate(rows)]
+    rows = [r[r.any(axis=1)] for r in rows]
+    units = [r / np.sqrt((r * r).sum(axis=1, keepdims=True)) for r in rows]
+    gens = [_unvec(u, n, g) for u, g in zip(units, grades)]
+    frontier = [grow(t, u, np.full(len(u), n * eps)) for t, u in enumerate(units)]
     abelian = True
-    while any(map(len, frontier)) and sum(b.dim for b in bases) < n * n:
-        words = [[np.empty((0, n, n))] for _ in grades]
-        for (p, f), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
+    while any(len(f[0]) for f in frontier) and sum(b.dim for b in bases) < n * n:
+        found = [[(np.empty((0, n, n)), np.empty(0), np.empty(0))] for _ in grades]
+        for (p, (f, size, error)), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
             if len(f) and len(g):
                 # [i^p F, i^q G] = i^(p+q) [F, G]. G F is (F G)^T when F and G share
                 # a grade and -(F G)^T when not, (F G)^dagger in u(n): so [F, G] is
@@ -310,10 +325,13 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
                 t = (p + q) % len(grades)
                 c = _vec(f[:, None] @ g, grades[t]).reshape(len(f) * len(g), -1)
                 c = (-2.0 if p + q == 2 else 2.0) * c
-                c = c[np.sqrt((c * c).sum(axis=1)) > BRACKET_ZERO_TOL]
-                abelian = abelian and not len(c)
-                words[t].append(grow(t, c))
-        frontier = [np.concatenate(w) for w in words]
+                # the rounding error of [F, G] for a unit G that carries n eps: twice
+                # F's own, and n eps of F for G's and for the product
+                error = np.repeat(2.0 * (error + 2 * n * eps * size), len(g))
+                keep = np.sqrt((c * c).sum(axis=1)) > np.maximum(BRACKET_ZERO_TOL, 2.0 * error)
+                abelian = abelian and not keep.any()
+                found[t].append(grow(t, c[keep], error[keep]))
+        frontier = [tuple(map(np.concatenate, zip(*f))) for f in found]
     dim = sum(b.dim for b in bases)
     mats = [iter(b.matrices()) for b in bases]
     return LieClosureResult(
