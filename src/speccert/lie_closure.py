@@ -298,25 +298,26 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     bases = [_SpanBasis(n, g) for g in grades]
     segments = []  # (part, rows added), in the order the rows were added
 
-    def grow(t: int, block: np.ndarray, error: np.ndarray) -> tuple:
+    def grow(t: int, block: np.ndarray, norms: np.ndarray, error: np.ndarray) -> tuple:
         # the new part of each row added: the row, scaled to unit norm, less its
         # projection on the span before it; with its norm and its rounding error
-        if not len(block):
-            return np.empty((0, n, n)), error, error
-        norms = np.sqrt((block * block).sum(axis=1))
         added, resid = bases[t].extend(block, rel_tol=rank_tol, floor=2.0 * error)
         segments.append((t, len(added)))
         size = resid / norms[added]
         new = bases[t].vectors[bases[t].dim - len(added): bases[t].dim]
         return _unvec(size[:, None] * new, n, grades[t]), size, error[added] / norms[added] + n * eps
 
-    rows = [r[r.any(axis=1)] for r in rows]
-    units = [r / np.sqrt((r * r).sum(axis=1, keepdims=True)) for r in rows]
+    none = (np.empty((0, n, n)), np.empty(0), np.empty(0))
+    norms = [np.sqrt((r * r).sum(axis=1)) for r in rows]
+    units = [r[m > 0] / m[m > 0, None] for r, m in zip(rows, norms)]
     gens = [_unvec(u, n, g) for u, g in zip(units, grades)]
-    frontier = [grow(t, u, np.full(len(u), n * eps)) for t, u in enumerate(units)]
+    frontier = [
+        grow(t, u, np.ones(len(u)), np.full(len(u), n * eps)) if len(u) else none
+        for t, u in enumerate(units)
+    ]
     abelian = True
     while any(len(f[0]) for f in frontier) and sum(b.dim for b in bases) < n * n:
-        found = [[(np.empty((0, n, n)), np.empty(0), np.empty(0))] for _ in grades]
+        found = [[] for _ in grades]
         for (p, (f, size, error)), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
             if len(f) and len(g):
                 # [i^p F, i^q G] = i^(p+q) [F, G]. G F is (F G)^T when F and G share
@@ -327,11 +328,13 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
                 c = (-2.0 if p + q == 2 else 2.0) * c
                 # the rounding error of [F, G] for a unit G that carries n eps: twice
                 # F's own, and n eps of F for G's and for the product
-                error = np.repeat(2.0 * (error + 2 * n * eps * size), len(g))
-                keep = np.sqrt((c * c).sum(axis=1)) > np.maximum(BRACKET_ZERO_TOL, 2.0 * error)
-                abelian = abelian and not keep.any()
-                found[t].append(grow(t, c[keep], error[keep]))
-        frontier = [tuple(map(np.concatenate, zip(*f))) for f in found]
+                err = np.repeat(2.0 * (error + 2 * n * eps * size), len(g))
+                norm = np.sqrt((c * c).sum(axis=1))
+                keep = norm > np.maximum(BRACKET_ZERO_TOL, 2.0 * err)
+                if keep.any():
+                    abelian = False
+                    found[t].append(grow(t, c[keep], norm[keep], err[keep]))
+        frontier = [tuple(map(np.concatenate, zip(*f))) if f else none for f in found]
     dim = sum(b.dim for b in bases)
     mats = [iter(b.matrices()) for b in bases]
     return LieClosureResult(
