@@ -119,7 +119,8 @@ class _SpanBasis:
         norms = np.sqrt((candidates * candidates).sum(axis=1))
         bounds = np.maximum(rel_tol * norms, floor)
         index = np.flatnonzero(norms > bounds)
-        rows, norms, bounds = candidates[index], norms[index], bounds[index]
+        rows = candidates if len(index) == len(candidates) else candidates[index]
+        norms, bounds = norms[index], bounds[index]
         added = []
         # pieces of about as many rows as there is room left, so that a block
         # that fills the space is not projected far beyond the row that fills it
@@ -333,7 +334,9 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
                 keep = norm > np.maximum(BRACKET_ZERO_TOL, 2.0 * err)
                 if keep.any():
                     abelian = False
-                    found[t].append(grow(t, c[keep], norm[keep], err[keep]))
+                    if not keep.all():
+                        c, norm, err = c[keep], norm[keep], err[keep]
+                    found[t].append(grow(t, c, norm, err))
         frontier = [tuple(map(np.concatenate, zip(*f))) if f else none for f in found]
     dim = sum(b.dim for b in bases)
     mats = [iter(b.matrices()) for b in bases]
