@@ -248,20 +248,17 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
 
     A bracket's new part is the bracket scaled to unit norm less its
     projection on the span before it, kept at that size: a direction found
-    only by cancellation, such as c I from x + c I against x, is small and so
-    are its brackets, which are zero in exact arithmetic. Each element
-    carries an estimate of its rounding error, n eps for a generator; a
-    bracket [F, G] carries twice F's plus 2 n eps times |F|, and the new part
-    of a bracket that is added carries the bracket's, over its norm, plus
-    n eps. A bracket counts as zero, and a direction as new, only beyond
-    twice that estimate, and a bracket is zero at norm 1e-12 or below
-    whatever its error. Bracketing unit basis elements instead, the rounding
-    error of c I became new directions (u(n) for an offset c near 1e-6);
-    bracketing unit brackets, never orthogonalised, the new parts of a weakly
-    coupled chain shrank from word to word until one fell under the rank
-    tolerance (su(n) for u(n)). The algebra is abelian when no sweep has a
-    nonzero bracket (only the first, over all pairs of generators, can lack
-    one). Only the skew-Hermitian part X + iY of each generator enters, so a
+    only by cancellation, such as c I from x + c I against x, is small, and
+    so are its brackets, which are zero in exact arithmetic (normalised, its
+    rounding error would read as new directions; unit brackets never
+    orthogonalised would instead lose the weak directions of a chain). Each
+    element carries an estimate of its rounding error: n eps for a
+    generator, twice F's plus 2 n eps |F| for [F, G], and for an added new
+    part its bracket's over the bracket's norm, plus n eps. A bracket counts
+    as nonzero, and a direction as new, only beyond twice that estimate, and
+    a bracket of norm 1e-12 or less is zero. The algebra is abelian when no
+    sweep has a nonzero bracket (only the first, over all pairs of
+    generators, can lack one). Only the skew-Hermitian part X + iY of each generator enters, so a
     Hermitian part small enough to pass the skew check adds no direction.
     ``traceless_generators`` is reported only; the class follows from the
     dimension.
