@@ -175,27 +175,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_required):
+    def add_common(p, searches):
         p.add_argument("--input", required=True, help="Hamiltonian JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        if seed_required:
+        if searches:
+            # a command that searches for intersections is seeded and reads the threshold
             p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-        p.add_argument(
-            "--tol-deg", type=_positive_float, default=None, help="degeneracy gap threshold"
-        )
+            p.add_argument(
+                "--tol-deg", type=_positive_float, default=None, help="degeneracy gap threshold"
+            )
 
     p = sub.add_parser("spectrum", help="eigenvalue sweep over the control box")
-    add_common(p, seed_required=False)
+    add_common(p, searches=False)
     p.add_argument("--grid", type=_positive_int, default=51, help="grid resolution per axis")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("find-intersections", help="search for conical intersections")
-    add_common(p, seed_required=True)
+    add_common(p, searches=True)
     p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
     p.set_defaults(func=_cmd_find_intersections)
 
     p = sub.add_parser("certify", help="run the full controllability pipeline")
-    add_common(p, seed_required=True)
+    add_common(p, searches=True)
     p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
     p.add_argument(
         "--resonance-budget", type=_positive_int, default=200, help="non-resonance samples"
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("synthesize", help="plan a passage through one intersection")
-    add_common(p, seed_required=True)
+    add_common(p, searches=True)
     p.add_argument("--level", type=int, required=True, help="lower level of the pair")
     p.add_argument("--rho", type=_positive_float, required=True, help="entry/exit radius")
     p.add_argument("--epsilon", type=_positive_float, required=True, help="slowness parameter")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="propagate a state along a control path")
-    add_common(p, seed_required=False)
+    add_common(p, searches=False)
     p.add_argument("--path", required=True, help="control path JSON file")
     p.add_argument("--init-level", type=int, default=1, help="initial eigenstate (1-based)")
     p.set_defaults(func=_cmd_simulate)

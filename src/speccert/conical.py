@@ -135,30 +135,15 @@ def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
     return U
 
 
-def _field_stack(stacks) -> tuple:
-    """(ops, real): the call's operator stacks as one (N, m + 1, n, n) array in
-    one field, and per stack whether every imaginary part is exactly zero.
-
-    ``ops`` is float64 when every stack is real, complex when none is, and
-    None when the call mixes the two, which ``_by_field`` then splits.
-    """
+def _field_stack(stacks) -> np.ndarray:
+    """The call's operator stacks as one (N, m + 1, n, n) array in one field:
+    float64 when no stack has a nonzero imaginary part, complex otherwise, so
+    a call that mixes real and complex families runs every one of them in
+    complex arithmetic."""
     ops = np.stack(stacks)
-    if not np.iscomplexobj(ops):
-        return ops, np.ones(len(ops), dtype=bool)
-    real = ~np.any(ops.imag, axis=(1, 2, 3))
-    if real.all():
-        return ops.real.copy(), real
-    return (None if real.any() else ops), real
-
-
-def _by_field(solve, items, real, **kwargs) -> list:
-    """``solve`` over the real items and over the complex ones, as two calls,
-    with the results put back in item order."""
-    out = [None] * len(items)
-    for part in (np.nonzero(real)[0], np.nonzero(~real)[0]):
-        for i, result in zip(part, solve([items[i] for i in part], **kwargs)):
-            out[i] = result
-    return out
+    if np.iscomplexobj(ops) and not np.any(ops.imag):
+        return ops.real.copy()
+    return ops
 
 
 def _gauss_newton_steps(pair: np.ndarray, controls: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -234,22 +219,20 @@ def _locate_groups(groups) -> list:
 
     The field is decided once per call (``_field_stack``): when every
     imaginary part of every stack is exactly zero, the stacks, matrices,
-    eigensolves and pair frames are float64, else complex, and a call that
-    mixes the two solves its real and its complex groups as two calls. Each
-    step comes from ``_gauss_newton_steps``: stacked products for the
+    eigensolves and pair frames are float64, else complex for every group.
+    Each step comes from ``_gauss_newton_steps``: stacked products for the
     Jacobian, then a closed-form solve for a square one or ``pinv``. A slot's
-    path depends on its own group, seed and run only (``_affine_stack``,
-    stacked ``eigh`` and ``matmul`` and the step solve work row by row, and a
-    group alone decides the same field), so each group's answer is bitwise
-    the one a solve of that group alone returns. Returns one point or None
-    per group.
+    path depends on its own group, seed and run and on the call's field only
+    (``_affine_stack``, stacked ``eigh`` and ``matmul`` and the step solve
+    work row by row), so in a call of one field each group's answer is
+    bitwise the one a solve of that group alone returns; a real group in a
+    call with complex ones is solved in complex arithmetic, to rounding the
+    same. Returns one point or None per group.
     """
     if not groups:
         return []
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
-    ops, real = _field_stack(stacks)
-    if ops is None:
-        return _by_field(_locate_groups, groups, real)
+    ops = _field_stack(stacks)
     restarts = RESTARTS
     runs = restarts + 1
     counts = np.array([len(U) for U in seed_sets])
@@ -475,28 +458,17 @@ def _conicality_rows(
     them, taken in blocks of at most ``PROBE_BLOCK_ENTRIES`` matrix entries,
     and array fits give the slopes. The field is decided once per call, as
     ``_locate_groups`` decides it: float64 matrices and eigensolves when
-    every stack is real, complex ones when none is, and two calls when the
-    rows mix the two. Every step works row by row (``_affine_stack``,
-    stacked ``eigh``/``eigvalsh`` and batched products), so each row's
-    outcome is bitwise what ``test_conicality`` returns for it alone: per
-    row, a ConicalityResult or the SpeccertError the test raises. The results
-    of one call in one field share one read-only array of directions.
+    every stack is real, complex ones otherwise. Every step works row by row
+    (``_affine_stack``, stacked ``eigh``/``eigvalsh`` and batched products),
+    so in a call of one field each row's outcome is bitwise what
+    ``test_conicality`` returns for it alone: per row, a ConicalityResult or
+    the SpeccertError the test raises. The results of one call share one
+    read-only array of directions.
     """
     if not rows:
         return []
     stacks, boxes, levels, points, taus, scales = zip(*rows)
-    ops, real = _field_stack(stacks)
-    if ops is None:
-        return _by_field(
-            _conicality_rows,
-            rows,
-            real,
-            t0=t0,
-            n_directions=n_directions,
-            c_min=c_min,
-            residual_max=residual_max,
-            rng_seed=rng_seed,
-        )
+    ops = _field_stack(stacks)
     box = np.stack(boxes)
     level = np.array(levels)
     U = np.array(points, dtype=float)

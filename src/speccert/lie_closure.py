@@ -20,11 +20,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .operators import ControlHamiltonian
+from .operators import ControlHamiltonian, _within_hermiticity_tol
 
 RANK_TOL = 1e-9
 BRACKET_ZERO_TOL = 1e-12
-SKEW_TOL = 1e-12
 # rows a leaf of the blocked basis extension takes one at a time
 LEAF_ROWS = 8
 # fewest rows the extension projects in one piece; fewer make its products memory-bound
@@ -211,8 +210,7 @@ def _check_skew(mats) -> list:
             raise StructuralError(f"generator must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise StructuralError("generator has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a + a.conj().T))) > SKEW_TOL * scale:
+        if not _within_hermiticity_tol(a, np.max(np.abs(a + a.conj().T))):
             raise StructuralError("generator is not skew-Hermitian")
         out.append(a)
     return out

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NumericalError, StructuralError
 
-# Absolute per-entry tolerance for accepting a matrix as Hermitian.
+# Per-entry tolerance for accepting a matrix as Hermitian, absolute for entries
+# up to 1 and relative to the largest entry above (``_within_hermiticity_tol``).
 HERMITICITY_TOL = 1e-12
 
 
@@ -34,11 +35,26 @@ class ValidityReport:
     accepted: bool
 
 
+def _within_hermiticity_tol(a: np.ndarray, defect):
+    """Per matrix of the stack ``a`` (..., n, n), whether its Hermiticity defect
+    ``defect`` (...) is at most ``HERMITICITY_TOL * max(1, max|a|)``.
+
+    The rule does not depend on the energy unit once entries exceed 1; it also
+    judges skew-Hermiticity, whose defect |a + a^dagger| is that of i a. The
+    largest entries are read only when some defect exceeds the absolute
+    tolerance, so accepting a matrix within it costs nothing more.
+    """
+    ok = np.asarray(defect) <= HERMITICITY_TOL
+    if ok.all():
+        return ok
+    return ok | (defect <= HERMITICITY_TOL * np.max(np.abs(a), axis=(-2, -1)))
+
+
 def validate(matrix) -> ValidityReport:
     """Check a square matrix for Hermiticity.
 
     Accepts a raw array or a HermitianOperator. The report accepts the
-    matrix iff its Hermiticity defect is at most ``HERMITICITY_TOL``.
+    matrix iff its Hermiticity defect is within ``_within_hermiticity_tol``.
 
     Raises
     ------
@@ -49,7 +65,8 @@ def validate(matrix) -> ValidityReport:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
-    return ValidityReport(dim=a.shape[0], defect=defect, accepted=defect <= HERMITICITY_TOL)
+    accepted = bool(_within_hermiticity_tol(a, defect))
+    return ValidityReport(dim=a.shape[0], defect=defect, accepted=accepted)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,14 +80,18 @@ def _checked_hermitian(a: np.ndarray) -> np.ndarray:
     Raises
     ------
     StructuralError
-        If some matrix has a Hermiticity defect above ``HERMITICITY_TOL``.
+        If some matrix fails ``_within_hermiticity_tol``.
     """
-    defect = float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))))
-    if defect > HERMITICITY_TOL:
-        raise StructuralError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e}); "
-            "use HermitianOperator.from_array(..., symmetrize=True) to fold it explicitly"
-        )
+    diff = np.abs(a - np.swapaxes(a.conj(), -1, -2))
+    if float(np.max(diff)) > HERMITICITY_TOL:
+        defect = np.max(diff, axis=(-2, -1))
+        bad = ~_within_hermiticity_tol(a, defect)
+        if bad.any():
+            raise StructuralError(
+                f"matrix is not Hermitian (defect {float(np.max(defect[bad])):.3e} > "
+                f"{HERMITICITY_TOL:.0e} x max(1, largest entry)); "
+                "use HermitianOperator.from_array(..., symmetrize=True) to fold it explicitly"
+            )
     return _freeze(a)
 
 

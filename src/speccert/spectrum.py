@@ -253,16 +253,19 @@ def track(
     H : ControlHamiltonian
     path : sequence of control points
     step_bound : float, optional
-        Maximum allowed Euclidean distance between consecutive points;
-        defaults to 5% of the box diameter.
+        Maximum allowed Euclidean distance between consecutive points, finite
+        and > 0; defaults to 5% of the box diameter.
 
     Raises
     ------
+    PreconditionError
+        If a given ``step_bound`` is not finite and positive.
     StructuralError
         If the path is empty or a point is not a finite point of length m.
     RefinementNeededError
         If two consecutive path points are farther apart than ``step_bound``.
     """
+    _check_tolerance("step_bound", step_bound)
     U = np.array(list(path), dtype=float)
     if not len(U):
         raise StructuralError("path must contain at least one point")

@@ -1,8 +1,9 @@
 """Reference conicality test: the one-point body that ``conical.test_conicality``
 ran before its work moved into a kernel shared by many points, kept as the
 oracle whose slopes, residuals, reasons and certificates the kernel must
-reproduce bitwise, point by point. The family's field is decided by
-``conical._field_stack``, read at call time as the kernel reads it."""
+reproduce bitwise, point by point, in a kernel call of one field. The
+family's field is decided by ``conical._field_stack``, read at call time as
+the kernel reads it, over this family alone."""
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def reference_conicality(
     if c_min is None:
         c_min = 1e-6 * H.energy_scale / H.box_diameter()
     # the family's operators in the kernel's field, and its checked spectrum at u_star
-    stack = conical._field_stack([H._stack])[0][0]
+    stack = conical._field_stack([H._stack])[0]
     lam0 = _decompose_stack(_affine_stack(stack, u_star[None]), u_star[None])[0][0]
 
     def gap(j):

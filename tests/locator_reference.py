@@ -10,10 +10,10 @@ the interior margin), "far" (the full step left the box by ``FAR_STEP``
 diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run
 reached ``MAX_ITERATIONS``). ``eigh_rows``, when given, is a list that gets
 the row count of every stacked eigensolve. The step and restart constants,
-the field decision (``_field_stack``, ``_by_field``) and the Gauss-Newton step
-solve (``_gauss_newton_steps``) are read from ``conical`` at call time, as the
-scheduled solve reads them, so the two share their arithmetic and the
-comparison checks the schedule alone.
+the field decision (``_field_stack``, one field for the whole call) and the
+Gauss-Newton step solve (``_gauss_newton_steps``) are read from ``conical`` at
+call time, as the scheduled solve reads them, so the two share their
+arithmetic and the comparison checks the schedule alone.
 """
 
 import numpy as np
@@ -31,11 +31,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
     restarts = conical.RESTARTS
     max_iterations, shrink = conical.MAX_ITERATIONS, conical.SHRINK
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
-    ops, real = conical._field_stack(stacks)
-    if ops is None:
-        return conical._by_field(
-            reference_locate, groups, real, reasons=reasons, eigh_rows=eigh_rows
-        )
+    ops = conical._field_stack(stacks)
     counts = np.array([len(U) for U in seed_sets])
     start = np.cumsum(counts) - counts
     grp = np.repeat(np.arange(len(groups)), counts)

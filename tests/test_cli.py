@@ -1,5 +1,8 @@
+import argparse
 import csv
+import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -15,7 +18,8 @@ from speccert import (
     load_path,
     propagate,
 )
-from speccert.cli import main
+from speccert import cli
+from speccert.cli import build_parser, main
 from branch_reference import reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family
 
@@ -43,6 +47,22 @@ def diag_file(tmp_path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+class TestParser:
+    def test_every_declared_option_is_read(self):
+        # read as args.<dest> by the subcommand's handler or by a helper it passes args to,
+        # so no flag is accepted and then ignored
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for name, sub in commands.choices.items():
+            source = inspect.getsource(sub.get_default("func"))
+            helpers = re.findall(r"(\w+)\(args\)", source)
+            source += "".join(inspect.getsource(getattr(cli, h)) for h in helpers)
+            read = set(re.findall(r"\bargs\.(\w+)", source))
+            declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+            assert declared <= read, f"{name} ignores {sorted(declared - read)}"
 
 
 class TestSpectrumCommand:

@@ -25,7 +25,7 @@ from speccert.conical import (
     _locate_groups,
 )
 from speccert.sampling import box_sequence, random_hermitian, random_symmetric
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 from conicality_reference import reference_conicality
 from ensemble_reference import _perturbed, _random_family
 from locator_reference import reference_locate
@@ -115,10 +115,6 @@ def quadratic_contact_family():
     h1 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
     h2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
     return make_family(np.diag([0.0, 0.0, 2.0]), [h1, h2], [[-1, 1], [-1, 1]])
-
-
-# thresholds that are not a finite number > 0
-HOSTILE_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0]
 
 
 class TestLocateIntersection:
@@ -507,10 +503,9 @@ class TestLocatorSchedule:
             assert events == ["eigh", "step"] * (len(events) // 2)
 
 
-def _complex_field(stacks) -> tuple:
+def _complex_field(stacks) -> np.ndarray:
     """The field decision before real families ran in real arithmetic: all complex."""
-    ops = np.stack(stacks).astype(complex)
-    return ops, np.zeros(len(ops), dtype=bool)
+    return np.stack(stacks).astype(complex)
 
 
 def _einsum_jacobian(pair, controls) -> np.ndarray:
@@ -648,7 +643,8 @@ class TestStepSolve:
 
 
 class TestMixedFieldCalls:
-    """Calls whose families mix real and complex operators solve each field apart."""
+    """A call whose families mix real and complex operators runs every family in
+    complex arithmetic, so a real family's answers there are its own to rounding."""
 
     @staticmethod
     def _families(three_level_chain):
@@ -659,6 +655,13 @@ class TestMixedFieldCalls:
         complex_.append(make_family(drift, controls, [[-3, 3]] * 2))
         return real, complex_
 
+    @staticmethod
+    def _assert_close(got, want, diameter):
+        """Both None, or within 1e-12 box diagonals of each other."""
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.max(np.abs(got - want)) <= 1e-12 * diameter
+
     def test_each_group_matches_its_standalone_solve(self, three_level_chain):
         real, complex_ = self._families(three_level_chain)
         groups = []
@@ -668,23 +671,47 @@ class TestMixedFieldCalls:
             U = box_sequence(H.box, 8, 0)
             groups += [(stack, H.box, j, U, degeneracy_tol(H)) for j in (1, 2)]
         solved = _locate_groups(groups)
-        for g, u in zip(groups, solved, strict=True):
-            assert _same_answers([u], _locate_groups([g]))
         assert _same_answers(solved, reference_locate(groups))
+        for g, u in zip(groups, solved, strict=True):
+            (alone,) = _locate_groups([g])
+            self._assert_close(u, alone, np.linalg.norm(g[1][:, 1] - g[1][:, 0]))
+        assert sum(u is not None for u in solved[0::4]) >= 3
+
+    def test_gauged_family_gives_its_real_familys_points(self, three_level_chain):
         # a gauged family is the real one in complex arithmetic: the same points
-        for k, H in enumerate(real):
-            for a, b in zip(solved[4 * k : 4 * k + 2], solved[4 * k + 2 : 4 * k + 4]):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert np.max(np.abs(a - b)) <= 1e-12 * H.box_diameter()
-        assert sum(u is not None for u in solved[2::4]) >= 3
+        real, complex_ = self._families(three_level_chain)
+        located = 0
+        for H, G in zip(real, complex_):
+            U = box_sequence(H.box, 8, 0)
+            a, b = (
+                _locate_groups([(F._stack, F.box, j, U, degeneracy_tol(H)) for j in (1, 2)])
+                for F in (H, G)
+            )
+            for u, v in zip(a, b, strict=True):
+                self._assert_close(v, u, H.box_diameter())
+                located += u is not None
+        assert located >= 3
 
     def test_each_row_matches_its_standalone_test(self, three_level_chain):
         real, complex_ = self._families(three_level_chain)
-        points = []
-        for H in real + complex_[:-1]:
-            points += _located_points(H)
+        points = [p for H in real + complex_ for p in _located_points(H)]
         assert {H._stack.imag.any() for H, _, _ in points} == {False, True}
+        rows = [(H._stack, H.box, j, u, degeneracy_tol(H), H.energy_scale) for H, j, u in points]
+        certified = 0
+        for row, got in zip(rows, _conicality_rows(rows), strict=True):
+            (alone,) = _conicality_rows([row])
+            assert type(got) is type(alone)
+            if isinstance(alone, ConicalityResult):
+                assert got.conical == alone.conical
+                spread = np.max(np.abs(got.slopes - alone.slopes))
+                assert spread <= 1e-10 * np.max(np.abs(alone.slopes))
+                certified += alone.conical
+        assert certified >= 10
+
+    def test_complex_rows_match_the_reference(self, three_level_chain):
+        _, complex_ = self._families(three_level_chain)
+        points = [p for H in complex_ for p in _located_points(H)]
+        assert points and all(H._stack.imag.any() for H, _, _ in points)
         _assert_rows_match_reference(points)
 
 
@@ -728,6 +755,25 @@ class TestFieldGuard:
     def test_real_ensemble_sends_float64(self, monkeypatch):
         seen = self._dtypes(monkeypatch, lambda: ensemble_genericity(3, 2, 5, 11))
         assert seen == {name: {np.dtype(np.float64)} for name in self.KERNELS}
+
+    def test_mixed_call_sends_complex128(self, monkeypatch, three_level_chain):
+        families = (three_level_chain, _gauged(three_level_chain, 0))
+        outcomes = []
+
+        def run():
+            groups = [
+                (F._stack, F.box, 1, box_sequence(F.box, 12, 0), degeneracy_tol(F))
+                for F in families
+            ]
+            rows = [
+                (F._stack, F.box, 1, u, degeneracy_tol(F), F.energy_scale)
+                for F, u in zip(families, _locate_groups(groups), strict=True)
+            ]
+            outcomes.extend(_conicality_rows(rows))
+
+        seen = self._dtypes(monkeypatch, run)
+        assert [o.conical for o in outcomes] == [True, True]
+        assert seen == {name: {np.dtype(np.complex128)} for name in self.KERNELS}
 
     def test_complex_family_sends_complex128(self, monkeypatch):
         H = planted_cone(np.array([0.3, -0.2, 0.1]), coupling=0.3)

@@ -17,7 +17,7 @@ from speccert import (
     validate,
 )
 from speccert.certify import _perturbed_stacks
-from speccert.operators import _affine_stack, _write_json
+from speccert.operators import _affine_stack, _checked_hermitian, _write_json
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
 
@@ -66,6 +66,47 @@ class TestHermitianOperator:
         op = HermitianOperator(SIGMA_Z)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+
+class TestHermiticityRule:
+    """One acceptance rule for Hermitian inputs and skew-Hermitian closure generators:
+    1e-12 per entry, times the largest entry when that exceeds 1."""
+
+    SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+    @staticmethod
+    def _rounded(s: float) -> np.ndarray:
+        """V diag(s d) V^T with V orthogonal: Hermitian up to the rounding of its products."""
+        rng = np.random.default_rng(4)
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        return V @ np.diag(s * rng.uniform(-1, 1, 6)) @ V.T
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_rounding_is_accepted_in_every_energy_unit(self, s):
+        a = self._rounded(s)
+        assert validate(a).accepted
+        HermitianOperator(a)
+        closure([1j * a])
+
+    def test_largest_unit_exceeds_the_absolute_tolerance(self):
+        # the rule is relative there, not only at the unit scale
+        assert validate(self._rounded(1e6)).defect > 1e-12
+
+    @pytest.mark.parametrize("s", SCALES[2:])
+    def test_relative_defect_is_rejected_above_unit_entries(self, s):
+        a = s * np.array([[1.0, 1.0 + 1e-9], [1.0, -1.0]])
+        assert not validate(a).accepted
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            HermitianOperator(a)
+        with pytest.raises(StructuralError, match="skew-Hermitian"):
+            closure([1j * a])
+
+    def test_stacks_are_judged_matrix_by_matrix(self):
+        # a defect of 1e-11 passes beside entries of 100, but not beside entries of 1,
+        # whatever the other matrices of the stack hold
+        _checked_hermitian(np.stack([1e6 * SIGMA_Z, [[0.0, 100.0 + 1e-11], [100.0, 0.0]]]))
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            _checked_hermitian(np.stack([1e6 * SIGMA_Z, [[0.0, 1.0 + 1e-11], [1.0, 0.0]]]))
 
 
 class TestEvaluate:

@@ -26,7 +26,7 @@ from speccert import (
 from speccert.sampling import random_hermitian, random_symmetric
 from speccert.spectrum import DEGENERACY_REL, continue_branches
 from branch_reference import _greedy_match, reference_labels
-from conftest import SIGMA_X, SIGMA_Z, make_family, random_family, scaled
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 
 
 class TestDecompose:
@@ -216,6 +216,15 @@ class TestTrack:
     def test_step_bound_violation(self, two_level_cone):
         with pytest.raises(RefinementNeededError):
             track(two_level_cone, [np.array([-0.9, 0.0]), np.array([0.9, 0.0])])
+
+    @pytest.mark.parametrize("bound", HOSTILE_TOLERANCES)
+    def test_hostile_step_bound_rejected(self, three_level_chain, bound):
+        # nan and inf turned the refinement guard off, labelling across a step of 2.16
+        path = [np.array([-0.5, -0.5]), np.array([1.3, 0.7])]
+        with pytest.raises(RefinementNeededError):
+            track(three_level_chain, path)
+        with pytest.raises(PreconditionError, match="step_bound"):
+            track(three_level_chain, path, step_bound=bound)
 
     def test_branch_lipschitz_bound(self, three_level_chain):
         rng = np.random.default_rng(3)
