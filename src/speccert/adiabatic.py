@@ -34,6 +34,7 @@ from .operators import (
 )
 from .resonance import check_nonresonant
 from .spectrum import (
+    _block_rows,
     _check_tolerance,
     _decompose_stack,
     continue_branches,
@@ -49,9 +50,6 @@ CLIMB_START_LIMIT = 1.6
 CLIMB_TOLERANCE = 1e-6
 MAX_TOTAL_STEPS = 10**8
 DEFAULT_MAX_RECORDS = 1200
-# matrix entries per stacked eigensolve of step Hamiltonians, so a chunk holds
-# STEP_CHUNK_ELEMS // n**2 steps (1820 at n=3) and its memory does not grow with n
-STEP_CHUNK_ELEMS = 2**14
 # the largest n at which propagate advances its state a block of steps at a
 # time: up to n = 12 a stacked n x n step product costs less than a Python
 # iteration of the per-step loop (measured on one BLAS thread); above it the
@@ -177,7 +175,7 @@ class StateTrajectory:
     def _records(self) -> tuple:
         H = self._family
         n = H.dim
-        chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+        chunk = _block_rows(n**2)
         count = self.times.shape[0]
         populations = np.empty((count, n))
         labels = np.empty((count, n), dtype=int)
@@ -265,8 +263,9 @@ def propagate(
     fourth-order accurate, exactly unitary per step, and costs one eigensolve
     per step. Step sizes are chosen so that ||H|| * h <= step_limit on every
     segment. Since H is affine in u, K is too: each segment's corrected
-    operators are built once, and the step exponentials are evaluated in
-    stacked chunks of up to ``STEP_CHUNK_ELEMS // n**2`` steps,
+    operators are built once, complex for a real family too through their
+    Magnus term, and the step exponentials are evaluated in stacked chunks
+    of ``_block_rows(n**2)`` steps (1820 at n = 3),
     V diag(exp(-i h lambda)) V^dagger from one stacked eigensolve of the
     chunk's K, so memory does not grow with the number of steps. For
     n <= ``BLOCK_MAX_DIM`` a chunk of L steps is advanced in blocks of
@@ -296,8 +295,7 @@ def propagate(
         If the required number of steps exceeds 1e8; slower paths should use
         a larger epsilon.
     """
-    if not (math.isfinite(step_limit) and step_limit > 0):
-        raise PreconditionError(f"step_limit must be finite and positive, got {step_limit}")
+    _check_tolerance("step_limit", step_limit)
     if not (isinstance(max_records, (int, np.integer)) and max_records >= 1):
         raise PreconditionError(f"max_records must be a positive integer, got {max_records}")
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -324,7 +322,7 @@ def propagate(
         )
     stride = -(-total_steps // max_records)
     n = H.dim
-    chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+    chunk = _block_rows(n**2)
     times = np.zeros(1)
     records = [(times, segs[0][0][None], psi[None])]
     offsets = np.cumsum([0] + steps_per_seg)

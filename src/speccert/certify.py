@@ -295,6 +295,8 @@ def ensemble_genericity(
     turn.
 
     Fractions are None when no intersection was located (vacuous statistics).
+    ``seeds_per_level`` must be at least 1 (``SpeccertError``) and
+    ``perturbation`` finite and positive (``PreconditionError``).
     """
     if m not in (2, 3):
         raise SpeccertError("ensemble experiments are defined for m in {2, 3}")
@@ -302,6 +304,9 @@ def ensemble_genericity(
         raise SpeccertError("trials must be at least 1")
     if n < 2:
         raise SpeccertError(f"n must be at least 2, got {n}")
+    if seeds_per_level < 1:
+        raise SpeccertError(f"seeds_per_level must be at least 1, got {seeds_per_level}")
+    _check_tolerance("perturbation", perturbation)
     box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
     stacks = _checked_hermitian(_draw_operators(rngs, n, m))

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adiabatic import STEP_CHUNK_ELEMS, load_path, plan_passage, propagate
+from .adiabatic import load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, locate_intersection, test_conicality
 from .errors import SpeccertError
 from .operators import _columns, _write_csv, _write_json, load_hamiltonian
 from .sampling import box_sequence
-from .spectrum import _decompose_stack, decompose
+from .spectrum import _block_rows, _decompose_stack, decompose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -70,7 +70,7 @@ def _cmd_spectrum(args) -> int:
 
     def rows():
         # decomposed in blocks of bounded size, never as one stack over the grid
-        block = max(1, STEP_CHUNK_ELEMS // H.dim**2)
+        block = _block_rows(H.dim**2)
         for start in range(0, len(points), block):
             U = points[start : start + block]
             lam, _ = _decompose_stack(H.matrices_at(U), U)

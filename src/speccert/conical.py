@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PreconditionError, SpeccertError, StructuralError
 from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
 from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
-from .spectrum import _check_tolerance, _decompose_stack, _failed_rows, degeneracy_tol
+from .spectrum import _block_rows, _check_tolerance, _decompose_stack, _failed_rows, degeneracy_tol
 
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
@@ -33,10 +33,6 @@ FAR_STEP = 10.0
 # RESTARTS times per seed, drawn from a sequence scrambled with RESTART_SEED
 RESTARTS = 2
 RESTART_SEED = 0x5EED
-# the conicality test evaluates its probe matrices for blocks of points of at
-# most this many matrix entries, so its memory does not grow with the points
-# that share a call (512 KB of complex entries)
-PROBE_BLOCK_ENTRIES = 2**15
 # a square Gauss-Newton Jacobian is solved in closed form (adjugate over
 # determinant) when its Hadamard ratio |det J| / prod ||row_i|| exceeds this,
 # and by pinv otherwise, as at a decoupled (block-diagonal) pair
@@ -135,17 +131,6 @@ def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
     return U
 
 
-def _field_stack(stacks) -> np.ndarray:
-    """The call's operator stacks as one (N, m + 1, n, n) array in one field:
-    float64 when no stack has a nonzero imaginary part, complex otherwise, so
-    a call that mixes real and complex families runs every one of them in
-    complex arithmetic."""
-    ops = np.stack(stacks)
-    if np.iscomplexobj(ops) and not np.any(ops.imag):
-        return ops.real.copy()
-    return ops
-
-
 def _gauss_newton_steps(pair: np.ndarray, controls: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """Minimum-norm Gauss-Newton steps (k, m) that close the crossing pairs' gaps.
 
@@ -217,22 +202,22 @@ def _locate_groups(groups) -> list:
     evaluates every rung and every released start point in one stacked
     eigensolve, each row with its group's operators.
 
-    The field is decided once per call (``_field_stack``): when every
-    imaginary part of every stack is exactly zero, the stacks, matrices,
-    eigensolves and pair frames are float64, else complex for every group.
-    Each step comes from ``_gauss_newton_steps``: stacked products for the
-    Jacobian, then a closed-form solve for a square one or ``pinv``. A slot's
-    path depends on its own group, seed and run and on the call's field only
-    (``_affine_stack``, stacked ``eigh`` and ``matmul`` and the step solve
-    work row by row), so in a call of one field each group's answer is
-    bitwise the one a solve of that group alone returns; a real group in a
-    call with complex ones is solved in complex arithmetic, to rounding the
-    same. Returns one point or None per group.
+    The matrices, eigensolves and pair frames are in the field of the
+    stacks as ``np.stack`` joins them: float64 when every stack is, else
+    complex for every group. Each step comes from ``_gauss_newton_steps``:
+    stacked products for the Jacobian, then a closed-form solve for a
+    square one or ``pinv``. A
+    slot's path depends on its own group, seed and run and on the call's
+    field only (``_affine_stack``, stacked ``eigh`` and ``matmul`` and the
+    step solve work row by row), so in a call of one field each group's
+    answer is bitwise the one a solve of that group alone returns; a real
+    group in a call with complex ones is solved in complex arithmetic, to
+    rounding the same. Returns one point or None per group.
     """
     if not groups:
         return []
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
-    ops = _field_stack(stacks)
+    ops = np.stack(stacks)
     restarts = RESTARTS
     runs = restarts + 1
     counts = np.array([len(U) for U in seed_sets])
@@ -408,9 +393,9 @@ def test_conicality(
     Raises
     ------
     PreconditionError
-        If ``t0`` or a given ``tau_deg`` is not finite and positive, the point
-        is not degenerate at ``tau_deg``, or the ball of radius t0 around it
-        leaves the box.
+        If ``t0``, ``residual_max`` or a given ``c_min`` or ``tau_deg`` is not
+        finite and positive, the point is not degenerate at ``tau_deg``, or
+        the ball of radius t0 around it leaves the box.
     StructuralError
         If ``u_star`` is not a finite control point of length m.
     NumericalError
@@ -422,7 +407,8 @@ def test_conicality(
         raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
     if not np.all(np.isfinite(u_star)):
         raise StructuralError(f"control point has non-finite entries: {u_star.tolist()}")
-    _check_tolerance("tau_deg", tau_deg)
+    for name, value in (("c_min", c_min), ("residual_max", residual_max), ("tau_deg", tau_deg)):
+        _check_tolerance(name, value)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     (outcome,) = _conicality_rows(
@@ -455,10 +441,10 @@ def _conicality_rows(
     when None, default per row as ``test_conicality`` sets them. One checked
     eigensolve at the points, judged row by row, decides each row's
     preconditions; one eigensolve over the probes of every row that meets
-    them, taken in blocks of at most ``PROBE_BLOCK_ENTRIES`` matrix entries,
-    and array fits give the slopes. The field is decided once per call, as
-    ``_locate_groups`` decides it: float64 matrices and eigensolves when
-    every stack is real, complex ones otherwise. Every step works row by row
+    them, taken in blocks of at most ``BLOCK_ENTRIES`` matrix entries
+    (``_block_rows``), and array fits give the slopes. As in
+    ``_locate_groups``, the matrices and eigensolves are float64 when every
+    stack is, complex otherwise. Every step works row by row
     (``_affine_stack``, stacked ``eigh``/``eigvalsh`` and batched products),
     so in a call of one field each row's outcome is bitwise what
     ``test_conicality`` returns for it alone: per row, a ConicalityResult or
@@ -468,7 +454,7 @@ def _conicality_rows(
     if not rows:
         return []
     stacks, boxes, levels, points, taus, scales = zip(*rows)
-    ops = _field_stack(stacks)
+    ops = np.stack(stacks)
     box = np.stack(boxes)
     level = np.array(levels)
     U = np.array(points, dtype=float)
@@ -512,7 +498,7 @@ def _conicality_rows(
     directions.setflags(write=False)
     radii = np.stack([t0s, t0s / 2, t0s / 4], axis=1)
     probed = [k for k in range(N) if outcomes[k] is None]
-    per_block = max(1, PROBE_BLOCK_ENTRIES // (3 * len(directions) * n * n))
+    per_block = _block_rows(3 * len(directions) * n * n)
     for first in range(0, len(probed), per_block):
         b = np.array(probed[first : first + per_block])
         r = radii[b]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint, degeneracy_tol
+from .spectrum import SpectralPoint, _check_tolerance, degeneracy_tol
 
 EDGE_TOL_SCALE = 1e-9
 
@@ -51,10 +51,13 @@ def build_graph(
 
     Raises
     ------
+    PreconditionError
+        If a given ``tau_edge`` is not finite and positive.
     StructuralError
         If the spectrum at ``sp`` is degenerate (the frame, and hence the
         edge set, would be ill-defined).
     """
+    _check_tolerance("tau_edge", tau_edge)
     n = sp.dim
     tol = degeneracy_tol(H)
     if not all(sp.gap(j) > tol for j in range(1, n)):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .operators import ControlHamiltonian, _within_hermiticity_tol
+from .spectrum import _check_tolerance
 
 RANK_TOL = 1e-9
 BRACKET_ZERO_TOL = 1e-12
@@ -271,10 +272,13 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
 
     Raises
     ------
+    PreconditionError
+        If ``rank_tol`` is not finite and positive.
     StructuralError
         On an empty generator list, mismatched dimensions, or a generator
         that is not skew-Hermitian.
     """
+    _check_tolerance("rank_tol", rank_tol)
     gens = _check_skew(generators)
     if not gens:
         raise StructuralError("at least one generator is required")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NumericalError, StructuralError
 
-# Per-entry tolerance for accepting a matrix as Hermitian, absolute for entries
-# up to 1 and relative to the largest entry above (``_within_hermiticity_tol``).
+# Per-entry tolerance for accepting a matrix as Hermitian, relative to its
+# largest entry (``_within_hermiticity_tol``).
 HERMITICITY_TOL = 1e-12
 
 
@@ -37,14 +37,14 @@ class ValidityReport:
 
 def _within_hermiticity_tol(a: np.ndarray, defect):
     """Per matrix of the stack ``a`` (..., n, n), whether its Hermiticity defect
-    ``defect`` (...) is at most ``HERMITICITY_TOL * max(1, max|a|)``.
+    ``defect`` (...) is at most ``HERMITICITY_TOL * max|a|``.
 
-    The rule does not depend on the energy unit once entries exceed 1; it also
-    judges skew-Hermiticity, whose defect |a + a^dagger| is that of i a. The
-    largest entries are read only when some defect exceeds the absolute
-    tolerance, so accepting a matrix within it costs nothing more.
+    The rule does not depend on the energy unit; it also judges
+    skew-Hermiticity, whose defect |a + a^dagger| is that of i a. The largest
+    entries are read only when some defect is nonzero, so accepting an
+    exactly Hermitian matrix costs nothing more.
     """
-    ok = np.asarray(defect) <= HERMITICITY_TOL
+    ok = np.asarray(defect) == 0
     if ok.all():
         return ok
     return ok | (defect <= HERMITICITY_TOL * np.max(np.abs(a), axis=(-2, -1)))
@@ -83,13 +83,13 @@ def _checked_hermitian(a: np.ndarray) -> np.ndarray:
         If some matrix fails ``_within_hermiticity_tol``.
     """
     diff = np.abs(a - np.swapaxes(a.conj(), -1, -2))
-    if float(np.max(diff)) > HERMITICITY_TOL:
+    if diff.any():
         defect = np.max(diff, axis=(-2, -1))
         bad = ~_within_hermiticity_tol(a, defect)
         if bad.any():
             raise StructuralError(
                 f"matrix is not Hermitian (defect {float(np.max(defect[bad])):.3e} > "
-                f"{HERMITICITY_TOL:.0e} x max(1, largest entry)); "
+                f"{HERMITICITY_TOL:.0e} x largest entry); "
                 "use HermitianOperator.from_array(..., symmetrize=True) to fold it explicitly"
             )
     return _freeze(a)
@@ -157,12 +157,18 @@ def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """An n x n Hermitian matrix, n >= 2, immutable after construction."""
+    """An n x n Hermitian matrix, n >= 2, immutable after construction.
+
+    The matrix is stored as float64 when no entry has a nonzero imaginary part
+    and as complex128 otherwise; this is the one place a family's field is
+    decided, and every stage that reads its operators runs in that field.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _finite_array(self.matrix, "operator matrix", kinds="iufc").astype(complex)
+        a = _finite_array(self.matrix, "operator matrix", kinds="iufc")
+        a = a.astype(complex) if np.iscomplexobj(a) and a.imag.any() else a.real.astype(float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 2:
@@ -238,10 +244,11 @@ class ControlHamiltonian:
     """Affine family H(u) = drift + sum_l u_l * controlled[l] over a box.
 
     The family stores its operators once, as the read-only (m + 1, n, n)
-    operator stack ``_stack`` built at construction, drift in row 0;
-    ``drift`` and ``controlled`` are operators over views of its rows. The
-    rest of the package reads a family only through that stack and its
-    spectral norms ``_norms``, computed once.
+    operator stack ``_stack`` built at construction, drift in row 0: float64
+    when every operator is, else complex128, so every stage that reads it runs
+    a real family in real arithmetic. ``drift`` and ``controlled`` are
+    operators over views of its rows. The rest of the package reads a family
+    only through that stack and its spectral norms ``_norms``, computed once.
 
     Parameters
     ----------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .operators import ControlHamiltonian
-from .spectrum import _decompose_stack, decompose, degeneracy_tol
+from .spectrum import _check_tolerance, _decompose_stack, decompose, degeneracy_tol
 
 RES_TOL_SCALE = 1e-6
 
@@ -80,8 +80,10 @@ def check_nonresonant(
     The point passes when the spectrum is simple and the smallest difference
     between two distinct unordered gaps is at least tau_res (default
     1e-6 times the local spectral diameter). Frame-independent and
-    deterministic.
+    deterministic. A given ``tau_res`` must be finite and positive
+    (``PreconditionError``).
     """
+    _check_tolerance("tau_res", tau_res)
     sp = decompose(H, u)
     return _report(sp.u, _gap_stats(H, sp.eigenvalues[None, :], tau_res), 0)
 
@@ -118,10 +120,12 @@ def sample_nonresonant(
     Non-resonant points are generically dense, so random search succeeds on
     well-behaved families; exhausting the budget signals a resonant family
     (e.g. a spectrum frozen by zero-acting controls). The acceptance rate over
-    all evaluated candidates is recorded either way.
+    all evaluated candidates is recorded either way. A given ``tau_res`` must
+    be finite and positive (``PreconditionError``).
     """
     if budget < 1:
         raise PreconditionError("budget must be at least 1")
+    _check_tolerance("tau_res", tau_res)
     rng = np.random.default_rng(rng_seed)
     lo, hi = H.box[:, 0], H.box[:, 1]
     # all candidates are drawn up front so the result is the first pass by

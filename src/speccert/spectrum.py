@@ -15,6 +15,10 @@ ORTHONORMALITY_TOL = 1e-10
 # two adjacent levels are degenerate when their gap is at most DEGENERACY_REL
 # times the family's spectral scale; the one degeneracy threshold of the package
 DEGENERACY_REL = 1e-8
+# matrix entries per block of a stacked eigensolve taken a block of rows at a
+# time (``_block_rows``), so its memory does not grow with the rows that share
+# a call (256 KB of complex entries)
+BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +68,12 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # the largest entry of a unit column has magnitude >= 1/sqrt(n) > 0
     z = np.take_along_axis(vecs, idx[..., None, :], axis=-2)
     return vecs * (np.conj(z) / np.abs(z))
+
+
+def _block_rows(row_entries: int) -> int:
+    """Rows per block, at least one, of a blocked eigensolve whose rows hold
+    ``row_entries`` matrix entries each."""
+    return max(1, BLOCK_ENTRIES // row_entries)
 
 
 def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):

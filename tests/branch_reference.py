@@ -7,8 +7,7 @@ kept as the oracle for those lazy records."""
 import numpy as np
 
 from speccert import branch_populations
-from speccert.adiabatic import STEP_CHUNK_ELEMS
-from speccert.spectrum import _decompose_stack, continue_branches, degeneracy_tol
+from speccert.spectrum import BLOCK_ENTRIES, _decompose_stack, continue_branches, degeneracy_tol
 
 
 def _greedy_match(frame_old: np.ndarray, frame_new: np.ndarray) -> np.ndarray:
@@ -72,7 +71,7 @@ def reference_records(H, traj) -> tuple:
     """(populations, labels) of a trajectory of H, decomposed eagerly in blocks
     of the step chunk with ``continue_branches``'s reference carried across."""
     n = H.dim
-    chunk = max(1, STEP_CHUNK_ELEMS // n**2)
+    chunk = max(1, BLOCK_ENTRIES // n**2)
     times, controls, states = traj.times, traj.controls, traj.states
     populations = np.empty((times.shape[0], n))
     labels = np.empty((times.shape[0], n), dtype=int)

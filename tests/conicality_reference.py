@@ -1,13 +1,12 @@
 """Reference conicality test: the one-point body that ``conical.test_conicality``
 ran before its work moved into a kernel shared by many points, kept as the
 oracle whose slopes, residuals, reasons and certificates the kernel must
-reproduce bitwise, point by point, in a kernel call of one field. The
-family's field is decided by ``conical._field_stack``, read at call time as
-the kernel reads it, over this family alone."""
+reproduce bitwise, point by point, in a kernel call of one field: that of
+the family's operator stack as it is stored."""
 
 import numpy as np
 
-from speccert import ControlHamiltonian, PreconditionError, conical, degeneracy_tol
+from speccert import ControlHamiltonian, PreconditionError, degeneracy_tol
 from speccert.conical import (
     DEFAULT_DIRECTIONS,
     RESIDUAL_MAX,
@@ -43,9 +42,8 @@ def reference_conicality(
         raise PreconditionError(f"probe radius t0 must be finite and positive, got {t0}")
     if c_min is None:
         c_min = 1e-6 * H.energy_scale / H.box_diameter()
-    # the family's operators in the kernel's field, and its checked spectrum at u_star
-    stack = conical._field_stack([H._stack])[0]
-    lam0 = _decompose_stack(_affine_stack(stack, u_star[None]), u_star[None])[0][0]
+    # the family's checked spectrum at u_star, in the field of its stored operators
+    lam0 = _decompose_stack(_affine_stack(H._stack, u_star[None]), u_star[None])[0][0]
 
     def gap(j):
         return float(lam0[j] - lam0[j - 1])
@@ -70,7 +68,7 @@ def reference_conicality(
     directions = np.vstack([axis_directions(H.m), sphere_directions(H.m, n_directions, rng_seed)])
     radii = np.array([t0, t0 / 2, t0 / 4])
     probes = u_star + radii[None, :, None] * directions[:, None, :]
-    lam = np.linalg.eigvalsh(_affine_stack(stack, probes.reshape(-1, H.m)))
+    lam = np.linalg.eigvalsh(_affine_stack(H._stack, probes.reshape(-1, H.m)))
     lam = lam.reshape(*probes.shape[:2], n)
     g = lam[:, :, level] - lam[:, :, level - 1]
     slopes = g @ radii / (radii @ radii)

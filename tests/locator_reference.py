@@ -9,11 +9,12 @@ the runs ended: "hit" (an interior degeneracy), "edge" (a degeneracy outside
 the interior margin), "far" (the full step left the box by ``FAR_STEP``
 diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run
 reached ``MAX_ITERATIONS``). ``eigh_rows``, when given, is a list that gets
-the row count of every stacked eigensolve. The step and restart constants,
-the field decision (``_field_stack``, one field for the whole call) and the
-Gauss-Newton step solve (``_gauss_newton_steps``) are read from ``conical`` at
-call time, as the scheduled solve reads them, so the two share their
-arithmetic and the comparison checks the schedule alone.
+the row count of every stacked eigensolve. The operator stacks are stacked
+as given, so the call runs in their field, as the scheduled solve does; the
+step and restart constants and the Gauss-Newton step solve
+(``_gauss_newton_steps``) are read from ``conical`` at call time, as the
+scheduled solve reads them, so the two share their arithmetic and the
+comparison checks the schedule alone.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
     restarts = conical.RESTARTS
     max_iterations, shrink = conical.MAX_ITERATIONS, conical.SHRINK
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
-    ops = conical._field_stack(stacks)
+    ops = np.stack(stacks)
     counts = np.array([len(U) for U in seed_sets])
     start = np.cumsum(counts) - counts
     grp = np.repeat(np.arange(len(groups)), counts)

@@ -31,13 +31,12 @@ from speccert import adiabatic
 from speccert.adiabatic import (
     BLOCK_MAX_DIM,
     DEFAULT_STEP_LIMIT,
-    STEP_CHUNK_ELEMS,
     StateTrajectory,
     _route,
     _segment_clearance,
 )
 from speccert.sampling import random_hermitian, random_symmetric
-from speccert.spectrum import degeneracy_tol
+from speccert.spectrum import BLOCK_ENTRIES, degeneracy_tol
 from branch_reference import reference_labels, reference_records
 from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
 
@@ -204,7 +203,7 @@ class TestChunkedPropagation:
         psi0 = decompose(H, waypoints[0]).frame[:, 0]
         reference = reference_states(H, path, psi0)
         bound = max(H.norm_bound(waypoints[0]), H.norm_bound(waypoints[1]))
-        assert 90.0 * bound / 0.1 > STEP_CHUNK_ELEMS // 4**2
+        assert 90.0 * bound / 0.1 > BLOCK_ENTRIES // 4**2
         traj = propagate(H, path, psi0, max_records=len(reference))
         assert traj.states.shape[0] == len(reference) + 1
         assert np.max(np.abs(traj.states[1:] - reference)) <= 1e-12
@@ -216,7 +215,7 @@ class TestChunkedPropagation:
         psi0 = decompose(H, [-1.5, -1.5]).frame[:, 0]
         reference = reference_states(H, path, psi0)
         total = len(reference)
-        assert total > 2 * (STEP_CHUNK_ELEMS // 4**2)
+        assert total > 2 * (BLOCK_ENTRIES // 4**2)
         traj = propagate(H, path, psi0, max_records=50)
         stride = total // 50
         recorded = [k for k in range(1, total + 1) if k % stride == 0 or k == total]
@@ -249,7 +248,7 @@ class TestChunkedPropagation:
         H = make_family(np.zeros((2, 2)), [SIGMA_Z, SIGMA_X], [[-2, 2], [-2, 2]])
         path = line([-1.5, 0.0], [0.7, 0.0], 300.0)
         traj = propagate(H, path, np.array([1.0, 0.0]), max_records=10**6)
-        block = STEP_CHUNK_ELEMS // 2**2
+        block = BLOCK_ENTRIES // 2**2
         crossing = int(np.argmax(traj.controls[:, 0] > 0.0))
         assert 0 < crossing < block < traj.times.shape[0]
         assert np.array_equal(traj.labels[0], [1, 2])
@@ -270,7 +269,7 @@ class TestChunkedPropagation:
         )
         psi0 = decompose(H, a).frame[:, 0]
         traj = propagate(H, path, psi0, max_records=10**6)
-        block = STEP_CHUNK_ELEMS // 2**2
+        block = BLOCK_ENTRIES // 2**2
         held = np.flatnonzero(np.all(traj.controls == apex, axis=1))
         assert held[0] < block - 1 and block < held[-1] < traj.times.shape[0] - 1
         points = decompose_many(H, traj.controls)
@@ -408,7 +407,7 @@ class TestLazyRecords:
         psi0 = decompose(H, path.waypoints[0]).frame[:, 0]
         traj = propagate(H, path, psi0, max_records=max_records)
         if max_records > 1200:
-            assert traj.times.shape[0] > STEP_CHUNK_ELEMS // H.dim**2
+            assert traj.times.shape[0] > BLOCK_ENTRIES // H.dim**2
         populations, labels = reference_records(H, traj)
         assert np.array_equal(traj.populations, populations)
         assert np.array_equal(traj.labels, labels)

@@ -29,7 +29,7 @@ from speccert import (
 )
 from speccert.certify import _perturbed_stacks
 from speccert.sampling import random_hermitian, random_symmetric
-from conftest import SIGMA_X, SIGMA_Z, make_family, scaled
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 from ensemble_reference import _random_family, reference_trials
 
 
@@ -138,6 +138,38 @@ class TestCertify:
         assert (cfg.tol_deg, cfg.tol_res) == (1e-9, 1e-6)
 
 
+class TestArithmeticField:
+    """The dtypes ``certify`` sends to ``eigh`` and ``eigvalsh`` in every stage: float64
+    for a real family, complex128 for a complex one."""
+
+    @staticmethod
+    def _certify_recording_dtypes(monkeypatch, H):
+        seen = set()
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def recorded(a, *args, solve=solve, **kwargs):
+                seen.add(np.asarray(a).dtype)
+                return solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        return certify(H), seen
+
+    def test_real_family_sends_float64(self, monkeypatch):
+        # the family the benchmark's certify_random draws from this generator at n = 4
+        H = _random_family(np.random.default_rng(3), 4, 2, 3.0)
+        cert, seen = self._certify_recording_dtypes(monkeypatch, H)
+        assert cert.connectedness.certificates and cert.graph is not None
+        assert seen == {np.dtype(np.float64)}
+
+    def test_complex_family_sends_complex128(self, monkeypatch):
+        # three controls, since a complex family's crossings have codimension 3
+        H = random_family(3, 4, 3)
+        cert, seen = self._certify_recording_dtypes(monkeypatch, H)
+        assert cert.connectedness.certificates and cert.graph is not None
+        assert seen == {np.dtype(np.complex128)}
+
+
 class TestEnergyUnit:
     @settings(
         max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -199,6 +231,19 @@ class TestEnsemble:
         for rng_seed in range(3):
             summary = ensemble_genericity(n=n, m=m, trials=6, rng_seed=rng_seed)
             assert summary.per_trial == reference_trials(n, m, 6, rng_seed)
+
+    @pytest.mark.parametrize("perturbation", HOSTILE_TOLERANCES)
+    def test_hostile_perturbation_rejected(self, perturbation):
+        # -1e-3 reported no intersection as persisting, 0 every one, and nan let
+        # a LinAlgError escape
+        with pytest.raises(PreconditionError, match="perturbation must be finite and positive"):
+            ensemble_genericity(3, 2, 5, 11, perturbation=perturbation)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_seeds_per_level_must_be_positive(self, count):
+        # 0 located nothing, and -2 raised a bare ValueError
+        with pytest.raises(SpeccertError, match="seeds_per_level must be at least 1"):
+            ensemble_genericity(3, 2, 5, 11, seeds_per_level=count)
 
     def test_trials_do_not_depend_on_the_trial_count(self):
         few = ensemble_genericity(n=3, m=2, trials=3, rng_seed=5)

@@ -17,7 +17,7 @@ from speccert import (
     locate_intersection,
     test_conicality,
 )
-from speccert import ControlHamiltonian, HermitianOperator, SpeccertError, conical
+from speccert import ControlHamiltonian, HermitianOperator, SpeccertError, conical, spectrum
 from speccert.conical import (
     INTERIOR_REL_MARGIN,
     ConicalityResult,
@@ -503,11 +503,6 @@ class TestLocatorSchedule:
             assert events == ["eigh", "step"] * (len(events) // 2)
 
 
-def _complex_field(stacks) -> np.ndarray:
-    """The field decision before real families ran in real arithmetic: all complex."""
-    return np.stack(stacks).astype(complex)
-
-
 def _einsum_jacobian(pair, controls) -> np.ndarray:
     """J as the locator formed it before: B from one 3-operand einsum, and the Im
     row for a complex frame."""
@@ -523,13 +518,12 @@ def _pinv_steps(pair, controls, gap):
     return -(gap / 2)[:, None] * np.linalg.pinv(_einsum_jacobian(pair, controls))[:, :, 0]
 
 
-def _in_old_arithmetic(monkeypatch, solve, *args):
-    """``solve(*args)`` with complex stacks and pinv steps, as the locator and the
-    conicality kernel ran every family before."""
+def _in_old_arithmetic(monkeypatch, solve, items):
+    """``solve(items)`` for groups or rows with their operator stacks cast to complex,
+    and with pinv steps, as the locator and the conicality kernel ran every family before."""
     with monkeypatch.context() as patch:
-        patch.setattr(conical, "_field_stack", _complex_field)
         patch.setattr(conical, "_gauss_newton_steps", _pinv_steps)
-        return solve(*args)
+        return solve([(stack.astype(complex), *rest) for stack, *rest in items])
 
 
 def _jacobians(rng, k: int, n: int, real: bool, m: int) -> np.ndarray:
@@ -666,8 +660,8 @@ class TestMixedFieldCalls:
         real, complex_ = self._families(three_level_chain)
         groups = []
         for k, H in enumerate([f for pair in zip(real, complex_) for f in pair] + complex_[-1:]):
-            # a real family's stack as the package stores it, or as float64
-            stack = H._stack.real.copy() if k % 4 == 2 else H._stack
+            # a real family's stack as the package stores it, or cast to complex
+            stack = H._stack.astype(complex) if k % 4 == 2 else H._stack
             U = box_sequence(H.box, 8, 0)
             groups += [(stack, H.box, j, U, degeneracy_tol(H)) for j in (1, 2)]
         solved = _locate_groups(groups)
@@ -837,6 +831,18 @@ class TestConicality:
         with pytest.raises(PreconditionError, match="tau_deg must be finite and positive"):
             test_conicality(two_level_cone, [0.0, 0.0], 1, tau_deg=tau)
 
+    @pytest.mark.parametrize("value", HOSTILE_TOLERANCES)
+    @pytest.mark.parametrize("name", ["c_min", "residual_max"])
+    def test_hostile_verdict_threshold_rejected(
+        self, flat_gap_family, quadratic_contact_family, name, value
+    ):
+        # a nan residual_max passed every fit and a negative c_min every slope, so
+        # each certified the family here that its own test rejects
+        H = {"c_min": flat_gap_family, "residual_max": quadratic_contact_family}[name]
+        assert not test_conicality(H, [0.0, 0.0], 1).conical
+        with pytest.raises(PreconditionError, match=f"{name} must be finite and positive"):
+            test_conicality(H, [0.0, 0.0], 1, **{name: value})
+
     def test_certificate_json_schema(self, two_level_cone):
         result = test_conicality(two_level_cone, [0.0, 0.0], 1)
         doc = result.certificate.to_json_dict()
@@ -996,7 +1002,7 @@ class TestConicalityKernel:
         whole = _conicality_rows(rows)
         # one point per block, then three (36 directions, 3 radii, n = 3)
         for entries in (1, 3 * (3 * 36 * 9)):
-            monkeypatch.setattr(conical, "PROBE_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(spectrum, "BLOCK_ENTRIES", entries)
             for a, b in zip(whole, _conicality_rows(rows), strict=True):
                 assert np.array_equal(a.slopes, b.slopes)
                 assert np.array_equal(a.fit_residuals, b.fit_residuals)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from speccert import StructuralError, build_graph, decompose, is_connected
+from speccert import PreconditionError, StructuralError, build_graph, decompose, is_connected
 from speccert.coupling import CouplingGraph
 from speccert.spectrum import SpectralPoint
-from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family
 
 
 def graph_for(drift, controlled, u=(0.0, 0.0), box=((-1, 1), (-1, 1))):
@@ -34,6 +34,15 @@ class TestBuildGraph:
         sp = decompose(H, [0.0, 0.0])
         with pytest.raises(StructuralError):
             build_graph(H, sp)
+
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, tau):
+        # nan and inf gave no edges, 0 and -1 every edge
+        H = random_family(0, 4, 2)
+        sp = decompose(H, [0.3, -0.7])
+        assert 0 < len(build_graph(H, sp, tau_edge=0.2).edges) < 6
+        with pytest.raises(PreconditionError, match="tau_edge must be finite and positive"):
+            build_graph(H, sp, tau_edge=tau)
 
     def test_weights_take_maximum_over_controls(self):
         h1 = 0.2 * SIGMA_X

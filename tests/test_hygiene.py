@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports, and
-every private name it defines is referenced."""
+"""Source hygiene: every module of the package uses each name it imports,
+every private name it defines is referenced, and every public function checks
+the thresholds it takes."""
 
 import ast
 from pathlib import Path
@@ -143,3 +144,92 @@ def test_only_operators_writes_documents():
         for line in file_writes(path.read_text())
     ]
     assert found == []
+
+
+# parameters that set a threshold, radius or speed: a nan, infinite or
+# non-positive value would turn a verdict silently
+THRESHOLDS = {
+    "tau_deg", "tau_res", "tau_edge", "rank_tol", "c_min", "residual_max",
+    "step_bound", "step_limit", "rho", "epsilon", "delta", "perturbation",
+}
+
+
+def _tolerance_checks(node: ast.AST) -> list:
+    """The ``_check_tolerance`` calls in ``node``."""
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_tolerance"
+    ]
+
+
+def _labels(label: ast.AST, value: ast.AST) -> bool:
+    """Whether ``label`` is the string naming the variable ``value``."""
+    return isinstance(label, ast.Constant) and label.value == getattr(value, "id", None)
+
+
+def _checked_names(fn: ast.FunctionDef) -> set:
+    """Names ``fn`` passes to ``_check_tolerance`` with their own name as the label, one
+    at a time or in a loop ``for name, value in (("a", a), ...)`` around the call."""
+    checked = {call.args[1].id for call in _tolerance_checks(fn) if _labels(*call.args[:2])}
+    for loop in ast.walk(fn):
+        if not (isinstance(loop, ast.For) and isinstance(loop.iter, (ast.Tuple, ast.List))):
+            continue
+        target = [getattr(t, "id", None) for t in getattr(loop.target, "elts", ())]
+        calls = _tolerance_checks(loop)
+        if any([getattr(a, "id", None) for a in call.args[:2]] == target for call in calls):
+            checked.update(
+                pair.elts[1].id
+                for pair in loop.iter.elts
+                if len(getattr(pair, "elts", ())) == 2 and _labels(*pair.elts)
+            )
+    return checked
+
+
+def unchecked_thresholds(source: str) -> list:
+    """``function:parameter`` for each threshold parameter of a public module-level
+    function in ``source`` that the function does not pass to ``_check_tolerance``."""
+    return sorted(
+        f"{fn.name}:{param}"
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        for param in {a.arg for a in fn.args.args + fn.args.kwonlyargs} & THRESHOLDS
+        if param not in _checked_names(fn)
+    )
+
+
+def test_threshold_checker_flags_unchecked_parameters():
+    source = (
+        "def one(tau_res=None):\n"
+        "    _check_tolerance('tau_res', tau_res)\n"
+        "def looped(rho, delta, epsilon):\n"
+        "    for name, value in (('rho', rho), ('delta', delta)):\n"
+        "        _check_tolerance(name, value)\n"
+        "def mislabelled(tau_edge, c_min):\n"
+        "    _check_tolerance('c_min', tau_edge)\n"
+        "def compared(step_limit):\n"
+        "    if not step_limit > 0:\n"
+        "        raise ValueError\n"
+        "def _private(rank_tol):\n"
+        "    pass\n"
+    )
+    assert unchecked_thresholds(source) == [
+        "compared:step_limit", "looped:epsilon", "mislabelled:c_min", "mislabelled:tau_edge",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_check_their_thresholds(path):
+    assert unchecked_thresholds(path.read_text()) == []
+
+
+def test_every_threshold_is_a_public_parameter():
+    # a name no public function takes would be checked nowhere
+    taken = {
+        a.arg
+        for path in MODULES
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        for a in fn.args.args + fn.args.kwonlyargs
+    }
+    assert THRESHOLDS <= taken

@@ -27,7 +27,7 @@ from speccert.lie_closure import (
     _vec,
 )
 from speccert.sampling import random_symmetric
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
 
 
 def random_skew(rng, n):
@@ -134,10 +134,10 @@ class TestClosure:
 
     @pytest.mark.parametrize("hermitian", [SIGMA_Z, SIGMA_X, np.eye(2)])
     def test_only_the_skew_hermitian_part_counts(self, hermitian):
-        # a Hermitian part below the absolute input floor passes the skew check,
-        # but it is no direction of the algebra at any generator scale
-        for scale in (1e-20, 1.0):
-            gens = [scale * 1j * SIGMA_X, scale * 1j * SIGMA_Z + 1e-13 * hermitian]
+        # a Hermitian part within the relative input tolerance passes the skew
+        # check, but it is no direction of the algebra at any generator scale
+        for scale in (1e-20, 1.0, 1e6):
+            gens = [scale * 1j * SIGMA_X, scale * (1j * SIGMA_Z + 1e-13 * hermitian)]
             result = closure(gens)
             assert (result.dimension, result.classification) == (3, CLASS_TRACELESS)
 
@@ -145,8 +145,21 @@ class TestClosure:
         result = closure([1j * SIGMA_X, 1j * SIGMA_Z], rank_tol=1e-10)
         assert result.dimension == 3
 
+    @pytest.mark.parametrize("tol", HOSTILE_TOLERANCES)
+    def test_hostile_rank_tolerance_rejected(self, tol):
+        # nan kept no direction: dimension 0, abelian-or-small
+        with pytest.raises(PreconditionError, match="rank_tol must be finite and positive"):
+            closure([1j * SIGMA_X, 1j * SIGMA_Z], rank_tol=tol)
+
 
 class TestGeneratorsFrom:
+    def test_real_stack_gives_its_complex_copys_generators_bitwise(self, three_level_chain):
+        H = three_level_chain
+        assert H._stack.dtype == np.float64
+        for got, want in zip(generators_from(H), 1j * H._stack.astype(complex), strict=True):
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
     def test_two_level_cone(self, two_level_cone):
         gens = generators_from(two_level_cone)
         assert len(gens) == 3

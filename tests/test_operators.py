@@ -18,7 +18,8 @@ from speccert import (
 )
 from speccert.certify import _perturbed_stacks
 from speccert.operators import _affine_stack, _checked_hermitian, _write_json
-from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
+from speccert.sampling import random_symmetric
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, make_family, random_family
 
 
 class TestValidate:
@@ -70,7 +71,7 @@ class TestHermitianOperator:
 
 class TestHermiticityRule:
     """One acceptance rule for Hermitian inputs and skew-Hermitian closure generators:
-    1e-12 per entry, times the largest entry when that exceeds 1."""
+    1e-12 per entry, times the largest entry."""
 
     SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
 
@@ -92,8 +93,9 @@ class TestHermiticityRule:
         # the rule is relative there, not only at the unit scale
         assert validate(self._rounded(1e6)).defect > 1e-12
 
-    @pytest.mark.parametrize("s", SCALES[2:])
-    def test_relative_defect_is_rejected_above_unit_entries(self, s):
+    @pytest.mark.parametrize("s", SCALES)
+    def test_relative_defect_is_rejected_in_every_energy_unit(self, s):
+        # below unit entries the rule was absolute and accepted s = 1e-6 and 1e-3
         a = s * np.array([[1.0, 1.0 + 1e-9], [1.0, -1.0]])
         assert not validate(a).accepted
         with pytest.raises(StructuralError, match="not Hermitian"):
@@ -107,6 +109,55 @@ class TestHermiticityRule:
         _checked_hermitian(np.stack([1e6 * SIGMA_Z, [[0.0, 100.0 + 1e-11], [100.0, 0.0]]]))
         with pytest.raises(StructuralError, match="not Hermitian"):
             _checked_hermitian(np.stack([1e6 * SIGMA_Z, [[0.0, 1.0 + 1e-11], [1.0, 0.0]]]))
+
+
+class TestStoredField:
+    """A HermitianOperator is float64 when no entry has a nonzero imaginary part,
+    else complex128; a family's operator stack follows its operators."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 2], [2, -1]],
+            np.array([[1.0, 2.0], [2.0, -1.0]], dtype=np.float32),
+            np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex),
+            np.array([[1.0, complex(2.0, -0.0)], [complex(2.0, -0.0), -1.0]]),
+        ],
+        ids=["int", "float32", "complex", "negative-zero-imaginary"],
+    )
+    def test_real_entries_are_stored_as_float64(self, matrix):
+        op = HermitianOperator(matrix)
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, [[1.0, 2.0], [2.0, -1.0]])
+
+    @pytest.mark.parametrize("imaginary", [1.0, 1e-300])
+    def test_a_nonzero_imaginary_part_is_stored_as_complex128(self, imaginary):
+        op = HermitianOperator([[1.0, 2.0 + imaginary * 1j], [2.0 - imaginary * 1j, -1.0]])
+        assert op.matrix.dtype == np.complex128
+        assert op.matrix[0, 1].imag == imaginary
+
+    def test_stack_is_float64_exactly_when_every_operator_is(self):
+        real = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
+        assert real._stack.dtype == np.float64
+        mixed = make_family(SIGMA_Z, [SIGMA_X, SIGMA_Y], [[-1, 1], [-1, 1]])
+        assert mixed._stack.dtype == np.complex128
+        assert mixed.drift.matrix.dtype == np.complex128
+        assert np.array_equal(mixed._stack[:2], real._stack[:2])
+
+    def test_save_does_not_depend_on_the_input_dtype(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mats = [random_symmetric(rng, 4) for _ in range(3)]
+        box = np.array([[-1.0, 1.0], [-2.0, 0.5]])
+        texts = []
+        for dtype in (float, complex):
+            H = ControlHamiltonian(
+                drift=HermitianOperator(mats[0].astype(dtype)),
+                controlled=tuple(HermitianOperator(a.astype(dtype)) for a in mats[1:]),
+                box=box,
+            )
+            H.save(tmp_path / "model.json")
+            texts.append((tmp_path / "model.json").read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestEvaluate:

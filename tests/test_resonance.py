@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speccert import HermitianOperator, check_nonresonant, decompose, sample_nonresonant
+from speccert import (
+    HermitianOperator,
+    PreconditionError,
+    check_nonresonant,
+    decompose,
+    sample_nonresonant,
+)
 from speccert.operators import ControlHamiltonian
-from conftest import make_family
+from conftest import HOSTILE_TOLERANCES, make_family
+from ensemble_reference import _random_family
 
 
 def family_with_fixed_spectrum(diag_entries):
@@ -53,6 +60,13 @@ class TestCheckNonresonant:
             [[-1, 1], [-1, 1]],
         )
         assert check_nonresonant(H, [0.0, 0.0]).passed
+
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, tau):
+        # nan and inf called every point resonant, 0 and -1 every point non-resonant
+        H = _random_family(np.random.default_rng(0), 4, 2, 3.0)
+        with pytest.raises(PreconditionError, match="tau_res must be finite and positive"):
+            check_nonresonant(H, [0.5, -1.0], tau_res=tau)
 
     def test_frame_independent(self, three_level_chain):
         # the decision uses eigenvalues only; recomputing must agree exactly
@@ -122,6 +136,13 @@ class TestSampleNonresonant:
         assert not out.found
         assert out.acceptance_rate == 0.0
         assert out.tried == 30
+
+    @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
+    def test_hostile_threshold_rejected(self, tau):
+        # nan and inf gave an acceptance rate of 0.0, 0 and -1 one of 1.0 on any family
+        H = _random_family(np.random.default_rng(0), 4, 2, 3.0)
+        with pytest.raises(PreconditionError, match="tau_res must be finite and positive"):
+            sample_nonresonant(H, budget=50, rng_seed=1, tau_res=tau)
 
     def test_deterministic_for_fixed_seed(self, three_level_chain):
         a = sample_nonresonant(three_level_chain, budget=25, rng_seed=7)
