@@ -35,6 +35,7 @@ from .operators import (
 from .resonance import check_nonresonant
 from .spectrum import (
     _block_rows,
+    _check_integer,
     _check_tolerance,
     _decompose_stack,
     continue_branches,
@@ -288,16 +289,15 @@ def propagate(
         not have length ``H.dim``.
     PreconditionError
         If ``psi0`` is not a unit vector, ``step_limit`` is not finite and
-        positive, or ``max_records`` is not a positive integer.
+        positive, or ``max_records`` is not an integer >= 1.
     GeometryError
         If a waypoint lies outside the control box.
     BudgetError
         If the required number of steps exceeds 1e8; slower paths should use
         a larger epsilon.
     """
-    _check_tolerance("step_limit", step_limit)
-    if not (isinstance(max_records, (int, np.integer)) and max_records >= 1):
-        raise PreconditionError(f"max_records must be a positive integer, got {max_records}")
+    _check_tolerance("step_limit", step_limit, optional=False)
+    _check_integer("max_records", max_records, 1)
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (H.dim,):
         raise StructuralError(f"initial state has shape {psi.shape}, the family has n = {H.dim}")
@@ -378,8 +378,8 @@ def plan_passage(
         If ``direction`` is zero or the ball of radius rho around the
         intersection leaves the box.
     """
-    _check_tolerance("rho", rho)
-    _check_tolerance("epsilon", epsilon)
+    _check_tolerance("rho", rho, optional=False)
+    _check_tolerance("epsilon", epsilon, optional=False)
     u_star = np.asarray(cert.u_star, dtype=float)
     if not H.contains(u_star, margin=rho):
         raise GeometryError(
@@ -505,7 +505,8 @@ def climb(
         If ``epsilon``, or a given ``rho`` or ``delta``, is not finite and
         positive, the report is not certified or the anchor is resonant.
     """
-    for name, value in (("epsilon", epsilon), ("rho", rho), ("delta", delta)):
+    _check_tolerance("epsilon", epsilon, optional=False)
+    for name, value in (("rho", rho), ("delta", delta)):
         _check_tolerance(name, value)
     if not report.certified:
         raise PreconditionError("climb requires a certified connectedness report")

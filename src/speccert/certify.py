@@ -41,7 +41,7 @@ from .operators import (
     _write_json,
 )
 from .resonance import NonresonantSample, sample_nonresonant
-from .sampling import _gaussian_stack, _unit_norm, box_sequence
+from .sampling import _box_sequences, _gaussian_stack, _unit_norm
 from .spectrum import DEGENERACY_REL, _check_tolerance, decompose
 
 SCHEMA_VERSION = "speccert-certificate/1"
@@ -306,13 +306,14 @@ def ensemble_genericity(
         raise SpeccertError(f"n must be at least 2, got {n}")
     if seeds_per_level < 1:
         raise SpeccertError(f"seeds_per_level must be at least 1, got {seeds_per_level}")
-    _check_tolerance("perturbation", perturbation)
+    _check_tolerance("perturbation", perturbation, optional=False)
     box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
     stacks = _checked_hermitian(_draw_operators(rngs, n, m))
     scales = _energy_scales(stacks, box)
     taus = DEGENERACY_REL * scales
-    seeds = [box_sequence(box, seeds_per_level, rng_seed + 1000 + t) for t in range(trials)]
+    # trial t's seeds are box_sequence(box, seeds_per_level, rng_seed + 1000 + t)
+    seeds = _box_sequences(box, seeds_per_level, range(rng_seed + 1000, rng_seed + 1000 + trials))
     pairs = [(t, j) for t in range(trials) for j in range(1, n)]
     located = _locate_groups([(stacks[t], box, j, seeds[t], taus[t]) for t, j in pairs])
     found = [(t, j, u) for (t, j), u in zip(pairs, located) if u is not None]

@@ -16,7 +16,14 @@ import numpy as np
 from .errors import PreconditionError, SpeccertError, StructuralError
 from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
 from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
-from .spectrum import _block_rows, _check_tolerance, _decompose_stack, _failed_rows, degeneracy_tol
+from .spectrum import (
+    _block_rows,
+    _check_integer,
+    _check_tolerance,
+    _decompose_stack,
+    _failed_rows,
+    degeneracy_tol,
+)
 
 DEFAULT_DIRECTIONS = 32
 RESIDUAL_MAX = 0.1
@@ -95,8 +102,9 @@ def locate_intersection(
     Raises
     ------
     PreconditionError
-        For a bad level, a seed outside the box or of the wrong length, or a
-        ``tau_deg`` that is not finite and positive.
+        For a level that is not an integer in 1..n-1, a seed outside the box
+        or of the wrong length, or a ``tau_deg`` that is not finite and
+        positive.
     """
     _check_level(H, level)
     _check_tolerance("tau_deg", tau_deg)
@@ -109,8 +117,7 @@ def locate_intersection(
 
 
 def _check_level(H: ControlHamiltonian, level: int) -> None:
-    if not 1 <= level <= H.dim - 1:
-        raise PreconditionError(f"level must be in 1..{H.dim - 1}, got {level}")
+    _check_integer("level", level, 1, H.dim - 1)
 
 
 def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
@@ -141,7 +148,7 @@ def _gauss_newton_steps(pair: np.ndarray, controls: np.ndarray, gap: np.ndarray)
     Im (B_l)_01 (identically zero in a real one). Returns
     -(gap/2) times the first column of J's (pseudo-)inverse, row by row.
     """
-    B = np.swapaxes(pair.conj(), 1, 2)[:, None] @ (controls @ pair[:, None])
+    B = pair.conj().swapaxes(1, 2)[:, None] @ (controls @ pair[:, None])
     rows = [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real]
     if np.iscomplexobj(B):
         rows.append(B[..., 0, 1].imag)
@@ -161,15 +168,17 @@ def _inverse_first_column(J: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(J)[:, :, 0]
     # the cofactors of J's first row: the adjugate's first column
     if d == 2:
-        adj = np.stack([J[:, 1, 1], -J[:, 1, 0]], axis=1)
+        adj = J[:, 1, ::-1] * (1.0, -1.0)
     else:
         r, s = J[:, 1], J[:, 2]
         adj = r[:, [1, 2, 0]] * s[:, [2, 0, 1]] - r[:, [2, 0, 1]] * s[:, [1, 2, 0]]
-    det = np.sum(J[:, 0] * adj, axis=1)
+    # the determinant and the product of the row norms, as np.sum, np.prod and
+    # np.linalg.norm reduce them
+    det = np.add.reduce(J[:, 0] * adj, axis=1)
+    scale = np.multiply.reduce(np.sqrt(np.add.reduce(J * J, axis=2)), axis=1)
     # a nan determinant fails the test too, and pinv then raises as it always did
-    closed = np.abs(det) > STEP_HADAMARD_MIN * np.prod(np.linalg.norm(J, axis=2), axis=1)
-    col = np.empty((k, m))
-    col[closed] = adj[closed] / det[closed, None]
+    closed = np.abs(det) > STEP_HADAMARD_MIN * scale
+    col = np.divide(adj, det[:, None], out=np.empty((k, m)), where=closed[:, None])
     if not closed.all():
         col[~closed] = np.linalg.pinv(J[~closed])[:, :, 0]
     return col
@@ -200,7 +209,11 @@ def _locate_groups(groups) -> list:
     two), stopping where the cap falls to roundoff or the iterations run
     out, and takes its first rung that lowers the gap. Each iteration
     evaluates every rung and every released start point in one stacked
-    eigensolve, each row with its group's operators.
+    eigensolve, each row with its group's operators. A live slot's cap is
+    above its roundoff floor and its iteration count below the limit, so it
+    has at least one rung: every live slot is evaluated in every iteration,
+    and an iteration judges only the slots it evaluated, so its work grows
+    with its rows, not with the call's slots.
 
     The matrices, eigensolves and pair frames are in the field of the
     stacks as ``np.stack`` joins them: float64 when every stack is, else
@@ -218,6 +231,7 @@ def _locate_groups(groups) -> list:
         return []
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
     ops = np.stack(stacks)
+    controls = ops[:, 1:]
     restarts = RESTARTS
     runs = restarts + 1
     counts = np.array([len(U) for U in seed_sets])
@@ -253,76 +267,90 @@ def _locate_groups(groups) -> list:
     streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
     step = np.empty((k, m))
     length = np.empty(k)
-    live = np.zeros(k, dtype=bool)
     released = run == 0
     # per group, the key of its lowest-keyed slot that ended at an interior hit
     first = counts * runs
+    tiny = np.finfo(float).tiny
     new = np.nonzero(released)[0]  # slots whose runs start at this iteration's eigensolve
-    # this iteration's ladders: their slots, rung counts and first rows, and per
-    # rung (row) its slot, index, cap and trial point
+    # the live slots, and this iteration's ladders: their rung counts and first
+    # rows, and per rung (row) its slot, index, cap and trial point
     a = rungs = offsets = rs = rung = rc = np.empty(0, dtype=int)
     trial = np.empty((0, m))
     while True:
-        idx = np.concatenate([rs, new])
-        lam, vecs = np.linalg.eigh(_affine_stack(ops[grp[idx]], np.concatenate([trial, U[new]])))
+        idx, points = rs, trial
+        if len(new):
+            idx, points = np.concatenate([rs, new]), np.concatenate([trial, U.take(new, 0)])
+        lam, vecs = np.linalg.eigh(_affine_stack(ops.take(grp[idx], 0), points))
         rows, j = np.arange(len(idx)), level[idx]
         row_gap = lam[rows, j] - lam[rows, j - 1]
         # columns j - 1 and j of each row's eigenvectors, as (rows, n, 2)
         row_pair = vecs[rows[:, None], :, j[:, None] + (-1, 0)].transpose(0, 2, 1)
         t = len(rs)
-        gap[new], pair[new] = row_gap[t:], row_pair[t:]
-        cap[new], iterations[new], streak[new] = cap_max[new], 0, 0
-        live[new] = True
-        moved = new  # slots at a new point, which solve for their next step
-        rejects = np.zeros(k, dtype=bool)  # slots whose ladder is a rejection after a kept step
+        # the evaluated slots, released starts first
+        ev = a
+        if len(new):
+            gap[new], pair[new] = row_gap[t:], row_pair[t:]
+            cap[new], iterations[new], streak[new] = cap_max[new], 0, 0
+            ev = np.concatenate([new, a])
+        # which slots stayed at their point, and which had rejected no step
+        # since their last kept one
+        unmoved = np.zeros(len(ev), dtype=bool)
+        fresh = streak[ev] == 0
         if t:
             accepted = np.minimum.reduceat(np.where(row_gap[:t] < gap[rs], rung, t), offsets)
             kept = accepted < t
             last = offsets + np.where(kept, accepted, rungs - 1)
             s, row = a[kept], last[kept]
-            U[s], gap[s], pair[s] = trial[row], row_gap[row], row_pair[row]
-            cap[s] = np.minimum(2.0 * rc[row], cap_max[s])
-            iterations[s] += accepted[kept] + 1
-            streak[s] = 0
-            moved = np.concatenate([new, s])
-            s, row = a[~kept], last[~kept]
-            rejects[s[streak[s] == 0]] = True
-            cap[s] = SHRINK * np.minimum(rc[row], length[s])
-            iterations[s] += rungs[~kept]
-            streak[s] += rungs[~kept]
-        ended = live & (gap <= tau)
-        hits = ended & np.all((U > inner_lo) & (U < inner_hi), axis=1)
-        np.minimum.at(first, grp[hits], key[hits])
-        # slots keyed after their group's first hit cannot change its answer
-        useful = key < first[grp]
-        over = live & (ended | (cap <= cap_min) | (iterations >= MAX_ITERATIONS))
-        d = moved[~over[moved] & useful[moved]]
-        step[d] = _gauss_newton_steps(pair[d], ops[grp[d], 1:], gap[d])
-        length[d] = np.linalg.norm(step[d], axis=1)
+            U[s], gap[s], pair[s] = trial.take(row, 0), row_gap[row], row_pair.take(row, 0)
+            # a kept rung doubles its cap, a rejected ladder shrinks its last one
+            last_cap = rc[last]
+            grown = np.minimum(2.0 * last_cap, cap_max[a])
+            cap[a] = np.where(kept, grown, SHRINK * np.minimum(last_cap, length[a]))
+            iterations[a] += np.where(kept, accepted + 1, rungs)
+            streak[a] = np.where(kept, 0, streak[a] + rungs)
+            unmoved[len(new) :] = ~kept
+        ended = gap[ev] <= tau[ev]
+        over = ended | (cap[ev] <= cap_min[ev]) | (iterations[ev] >= MAX_ITERATIONS)
+        # every evaluated slot is keyed below its group's first hit until a hit
+        # lowers that key; slots keyed after it cannot change the group's answer
+        hits, useful = ended, True
+        if ended.any():
+            u = U.take(ev, 0)
+            inside = (u > inner_lo.take(ev, 0)) & (u < inner_hi.take(ev, 0))
+            hits = ended & np.logical_and.reduce(inside, axis=1)
+            np.minimum.at(first, grp[ev[hits]], key[ev[hits]])
+            useful = key[ev] < first[grp[ev]]
+        solve = ~(unmoved | over) & useful
+        d = ev[solve]
+        step[d] = sd = _gauss_newton_steps(pair.take(d, 0), controls.take(grp[d], 0), gap[d])
+        length[d] = np.sqrt(np.add.reduce(sd * sd, axis=1))
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive minimum
-        over[d[~(length[d] <= far_step[d])]] = True
-        live &= ~over & useful
-        # a run's successor is released when the run ends without a hit or first rejects a step
-        new = np.nonzero(((over & ~hits) | rejects) & (run < restarts))[0] + 1
-        new = new[~released[new] & useful[new]]
+        over[solve] = ~(length[d] <= far_step[d])
+        a = ev[~over & useful]
+        # a run's successor is released when the run ends without a hit or first
+        # rejects a step; a useful run's successor is keyed at most at its
+        # group's first hit, and that slot was released when it started
+        succeed = ((over & ~hits) | (unmoved & fresh)) & (run[ev] < restarts) & useful
+        new = ev[succeed] + 1
+        new = new[~released[new]]
         released[new] = True
-        a = np.nonzero(live)[0]
         if not (len(a) or len(new)):
             break
         # after s straight rejections, the next 2^s caps, as far as the cap's
         # roundoff floor and the iteration limit reach
         rungs = np.minimum(np.exp2(streak[a]), MAX_ITERATIONS - iterations[a]).astype(int)
-        rs = np.repeat(a, rungs)
-        rung = np.arange(len(rs)) - np.repeat(np.cumsum(rungs) - rungs, rungs)
+        rs, starts = a.repeat(rungs), rungs.cumsum() - rungs
+        rung = np.arange(len(rs)) - starts.repeat(rungs)
         rc = cap[rs] * SHRINK**rung
         within = rc > cap_min[rs]
         if len(a):
-            rungs = np.add.reduceat(within, np.cumsum(rungs) - rungs, dtype=int)
-        offsets = np.cumsum(rungs) - rungs
+            rungs = np.add.reduceat(within, starts, dtype=int)
+        offsets = rungs.cumsum() - rungs
         rs, rung, rc = rs[within], rung[within], rc[within]
-        clipped = np.minimum(1.0, rc / np.maximum(length[rs], np.finfo(float).tiny))
-        trial = np.clip(U[rs] + step[rs] * clipped[:, None], lo[rs], hi[rs])
+        clipped = np.minimum(1.0, rc / np.maximum(length[rs], tiny))
+        trial = U.take(rs, 0) + step.take(rs, 0) * clipped[:, None]
+        trial = np.minimum(np.maximum(trial, lo.take(rs, 0)), hi.take(rs, 0))
     return [None if f == c * runs else U[s + f] for f, c, s in zip(first, counts, start)]
 
 
@@ -393,9 +421,11 @@ def test_conicality(
     Raises
     ------
     PreconditionError
-        If ``t0``, ``residual_max`` or a given ``c_min`` or ``tau_deg`` is not
-        finite and positive, the point is not degenerate at ``tau_deg``, or
-        the ball of radius t0 around it leaves the box.
+        If ``level`` is not an integer in 1..n-1, ``n_directions`` or
+        ``rng_seed`` is not an integer >= 0, ``t0``, ``residual_max`` or a
+        given ``c_min`` or ``tau_deg`` is not finite and positive, the point
+        is not degenerate at ``tau_deg``, or the ball of radius t0 around it
+        leaves the box.
     StructuralError
         If ``u_star`` is not a finite control point of length m.
     NumericalError
@@ -403,12 +433,15 @@ def test_conicality(
     """
     u_star = np.asarray(u_star, dtype=float)
     _check_level(H, level)
+    _check_integer("n_directions", n_directions, 0)
+    _check_integer("rng_seed", rng_seed, 0)
     if u_star.shape != (H.m,):
         raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
     if not np.all(np.isfinite(u_star)):
         raise StructuralError(f"control point has non-finite entries: {u_star.tolist()}")
-    for name, value in (("c_min", c_min), ("residual_max", residual_max), ("tau_deg", tau_deg)):
+    for name, value in (("c_min", c_min), ("tau_deg", tau_deg)):
         _check_tolerance(name, value)
+    _check_tolerance("residual_max", residual_max, optional=False)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     (outcome,) = _conicality_rows(
@@ -599,10 +632,11 @@ def certify_connectedness(
     call, each level's outcome the one ``test_conicality`` gives. Status is
     "certified" iff every level has a conical certificate with all other
     levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
-    A given ``tau_deg`` must be finite and positive (``PreconditionError``).
+    ``seed_budget`` must be an integer >= 1, ``rng_seed`` one >= 0 and a
+    given ``tau_deg`` finite and positive (``PreconditionError``).
     """
-    if seed_budget < 1:
-        raise PreconditionError("seed_budget must be at least 1")
+    _check_integer("seed_budget", seed_budget, 1)
+    _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)

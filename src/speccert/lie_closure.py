@@ -278,7 +278,7 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
         On an empty generator list, mismatched dimensions, or a generator
         that is not skew-Hermitian.
     """
-    _check_tolerance("rank_tol", rank_tol)
+    _check_tolerance("rank_tol", rank_tol, optional=False)
     gens = _check_skew(generators)
     if not gens:
         raise StructuralError("at least one generator is required")

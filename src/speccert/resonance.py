@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
 from .operators import ControlHamiltonian
-from .spectrum import _check_tolerance, _decompose_stack, decompose, degeneracy_tol
+from .spectrum import _check_integer, _check_tolerance, _decompose_stack, decompose, degeneracy_tol
 
 RES_TOL_SCALE = 1e-6
 
@@ -120,11 +119,11 @@ def sample_nonresonant(
     Non-resonant points are generically dense, so random search succeeds on
     well-behaved families; exhausting the budget signals a resonant family
     (e.g. a spectrum frozen by zero-acting controls). The acceptance rate over
-    all evaluated candidates is recorded either way. A given ``tau_res`` must
-    be finite and positive (``PreconditionError``).
+    all evaluated candidates is recorded either way. ``budget`` must be an
+    integer >= 1 and a given ``tau_res`` finite and positive
+    (``PreconditionError``).
     """
-    if budget < 1:
-        raise PreconditionError("budget must be at least 1")
+    _check_integer("budget", budget, 1)
     _check_tolerance("tau_res", tau_res)
     rng = np.random.default_rng(rng_seed)
     lo, hi = H.box[:, 0], H.box[:, 1]

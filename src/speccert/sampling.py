@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# tables kept per (count, dimension, seed); a call of the genericity ensemble
-# touches one box-sequence table per trial, so the bound keeps a few calls' worth
+# tables kept per (count, dimension, seed) and per (count, base); the genericity
+# ensemble's one-off per-trial tables bypass the cache (``_halton_units``)
 _TABLES = 256
 
 
@@ -41,16 +41,27 @@ def _halton_unit(count: int, m: int, seed: int) -> np.ndarray:
     (count, m, seed), from digits and scales built once per (count, b).
     Prefix-stable: the first k points are the same for every count >= k.
     """
-    rng = np.random.default_rng(seed)
+    pts = _halton_units(count, m, (seed,))[0]
+    pts.setflags(write=False)
+    return pts
+
+
+def _halton_units(count: int, m: int, seeds) -> np.ndarray:
+    """``_halton_unit(count, m, seed)`` for every seed, stacked (len(seeds), count, m).
+
+    Not cached: each call builds its tables. Every seed's digit permutations
+    come from its own generator, axis by axis, and the digit sums of all
+    seeds are one stacked gather and accumulation per axis.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     primes = (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
-    pts = np.empty((count, m))
+    pts = np.empty((len(rngs), count, m))
     for axis, base in zip(range(m), primes):
         rows, at, scales = _halton_digits(count, base)
         # row j permutes digit j; rows are shuffled in order, as one shuffle per row would
-        perms = rng.permuted(rows, axis=1)
+        perms = np.stack([rng.permuted(rows, axis=1) for rng in rngs]).reshape(len(rngs), -1)
         # the digit sum, left to right as the reference adds it
-        pts[:, axis] = np.add.accumulate(perms.ravel()[at] * scales, axis=1)[:, -1]
-    pts.setflags(write=False)
+        pts[..., axis] = np.add.accumulate(perms[:, at] * scales, axis=2)[..., -1]
     return pts
 
 
@@ -63,6 +74,12 @@ def box_sequence(box: np.ndarray, count: int, seed: int) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     pts = _halton_unit(count, box.shape[0], seed)
     return box[:, 0] + pts * (box[:, 1] - box[:, 0])
+
+
+def _box_sequences(box: np.ndarray, count: int, seeds) -> np.ndarray:
+    """``box_sequence(box, count, seed)`` for every seed, stacked (len(seeds), count, m),
+    from tables built for this call alone and left out of the cache."""
+    return box[:, 0] + _halton_units(count, box.shape[0], seeds) * (box[:, 1] - box[:, 0])
 
 
 # Cephes ndtri: the rational approximations of the standard normal quantile,

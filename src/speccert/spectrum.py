@@ -175,15 +175,33 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
     return DEGENERACY_REL * H.energy_scale
 
 
-def _check_tolerance(name: str, value) -> None:
-    """Reject a tolerance, radius or speed that is given but not a finite number > 0.
+def _check_tolerance(name: str, value, optional: bool = True) -> None:
+    """Reject a tolerance, radius or speed that is not a finite number > 0.
 
+    None stands for a default the caller computes, and passes when
+    ``optional``; a parameter whose default is a number, or that has no
+    default, is checked with ``optional=False``, so None is refused there too.
     A nan threshold fails every comparison and an infinite or non-positive
     one makes every or no gap count, so each would turn a verdict silently;
     a nan or negative detour radius would likewise never detour a climb.
     """
-    if value is not None and not (np.isfinite(value) and value > 0):
+    if value is None and optional:
+        return
+    if value is None or not (np.isfinite(value) and value > 0):
         raise PreconditionError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject a count or index that is not an integer in low..high (no upper end when None).
+
+    A bool or a float, integral or not, is refused: a level of 1.5 would
+    index between levels, a nan budget would compare false with every bound,
+    and True would pass for 1 silently.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise PreconditionError(f"{name} must be an integer {span}, got {value}")
 
 
 def gap(sp: SpectralPoint, j: int) -> float:

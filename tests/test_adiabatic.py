@@ -148,6 +148,8 @@ class TestPropagate:
             {"max_records": 0},
             {"max_records": -3},
             {"max_records": 2.5},
+            {"step_limit": None},
+            {"max_records": True},
         ],
     )
     def test_step_and_record_options_rejected(self, two_level_cone, options):

@@ -28,7 +28,7 @@ from speccert import (
     track,
 )
 from speccert.certify import _perturbed_stacks
-from speccert.sampling import random_hermitian, random_symmetric
+from speccert.sampling import _halton_unit, box_sequence, random_hermitian, random_symmetric
 from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 from ensemble_reference import _random_family, reference_trials
 
@@ -244,6 +244,25 @@ class TestEnsemble:
         # 0 located nothing, and -2 raised a bare ValueError
         with pytest.raises(SpeccertError, match="seeds_per_level must be at least 1"):
             ensemble_genericity(3, 2, 5, 11, seeds_per_level=count)
+
+    def test_trial_seeds_are_each_trials_box_sequence(self, monkeypatch):
+        module = importlib.import_module("speccert.certify")
+        calls = []
+        locate = module._locate_groups
+        monkeypatch.setattr(module, "_locate_groups", lambda g: calls.append(g) or locate(g))
+        ensemble_genericity(n=4, m=2, trials=7, rng_seed=41, seeds_per_level=5)
+        box = np.array([[-3.0, 3.0]] * 2)
+        groups = calls[0]  # the cold solve: three levels per trial, trial by trial
+        assert len(groups) == 21
+        for i, (_, _, level, seeds, _) in enumerate(groups):
+            assert level == i % 3 + 1
+            assert np.array_equal(seeds, box_sequence(box, 5, 41 + 1000 + i // 3))
+
+    def test_trial_tables_stay_out_of_the_halton_cache(self):
+        # each trial's seed table was built once and cached, and never hit again
+        _halton_unit.cache_clear()
+        ensemble_genericity(n=3, m=2, trials=30, rng_seed=8)
+        assert _halton_unit.cache_info().currsize < 30
 
     def test_trials_do_not_depend_on_the_trial_count(self):
         few = ensemble_genericity(n=3, m=2, trials=3, rng_seed=5)

@@ -268,6 +268,16 @@ class TestLocateIntersection:
         with pytest.raises(PreconditionError):
             locate_intersection(two_level_cone, 2, [[0.1, 0.1]])
 
+    @pytest.mark.parametrize("level", [1.5, 1.0, True, np.nan, "1"])
+    def test_level_must_be_an_integer(self, two_level_cone, level):
+        # 1.5 raised a bare IndexError
+        with pytest.raises(PreconditionError, match="level must be an integer in 1..1"):
+            locate_intersection(two_level_cone, level, [[0.1, 0.1]])
+
+    def test_numpy_integer_level_accepted(self, two_level_cone):
+        u = locate_intersection(two_level_cone, np.int64(1), [[0.5, 0.5]])
+        assert u is not None
+
     @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
     def test_hostile_threshold_rejected(self, two_level_cone, tau):
         # nan and negative thresholds found nothing, and inf returned the seed itself
@@ -866,6 +876,27 @@ class TestConicality:
         with pytest.raises(PreconditionError, match=f"{name} must be finite and positive"):
             test_conicality(H, [0.0, 0.0], 1, **{name: value})
 
+    def test_none_residual_max_rejected(self, two_level_cone):
+        # its default is a number, and None raised a bare TypeError at the fit
+        with pytest.raises(PreconditionError, match="residual_max must be finite and positive"):
+            test_conicality(two_level_cone, [0.0, 0.0], 1, residual_max=None)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_directions", -3), ("n_directions", 2.5), ("n_directions", True), ("rng_seed", -1),
+         ("rng_seed", 0.5), ("level", 1.5)],
+    )
+    def test_integer_arguments_must_be_integers(self, two_level_cone, name, value):
+        # n_directions -3 raised a bare ValueError and 2.5 a TypeError
+        options = {"level": 1, "n_directions": 4, "rng_seed": 0, name: value}
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            test_conicality(two_level_cone, [0.0, 0.0], **options)
+
+    def test_no_sampled_directions_leaves_the_axes(self, two_level_cone):
+        result = test_conicality(two_level_cone, [0.0, 0.0], 1, n_directions=0)
+        assert result.conical
+        assert len(result.directions) == 4
+
     def test_certificate_json_schema(self, two_level_cone):
         result = test_conicality(two_level_cone, [0.0, 0.0], 1)
         doc = result.certificate.to_json_dict()
@@ -1046,6 +1077,21 @@ class TestCertifyConnectedness:
         # the hint and the box seeds together are ragged
         with pytest.raises(PreconditionError):
             certify_connectedness(two_level_cone, 4, hints=[[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("budget", [2.5, np.nan, True, 0, -1, "4"])
+    def test_seed_budget_must_be_a_positive_integer(self, two_level_cone, budget):
+        # 2.5, nan and True raised a bare TypeError
+        with pytest.raises(PreconditionError, match="seed_budget must be an integer >= 1"):
+            certify_connectedness(two_level_cone, budget)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, False])
+    def test_rng_seed_must_be_a_non_negative_integer(self, two_level_cone, seed):
+        with pytest.raises(PreconditionError, match="rng_seed must be an integer >= 0"):
+            certify_connectedness(two_level_cone, 4, rng_seed=seed)
+
+    def test_numpy_integer_arguments_accepted(self, two_level_cone):
+        report = certify_connectedness(two_level_cone, np.int32(6), rng_seed=np.uint8(3))
+        assert report.to_json_dict() == certify_connectedness(two_level_cone, 6, 3).to_json_dict()
 
     @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
     def test_hostile_threshold_rejected(self, three_level_chain, tau):

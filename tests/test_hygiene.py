@@ -5,7 +5,21 @@ the thresholds it takes."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from speccert import (
+    ControlPath,
+    PreconditionError,
+    certify_connectedness,
+    climb,
+    closure,
+    ensemble_genericity,
+    generators_from,
+    plan_passage,
+    propagate,
+    test_conicality,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "speccert"
 # __init__.py imports names only to re-export them
@@ -233,3 +247,122 @@ def test_every_threshold_is_a_public_parameter():
         for a in fn.args.args + fn.args.kwonlyargs
     }
     assert THRESHOLDS <= taken
+
+
+def _refusing_none(fn: ast.FunctionDef) -> set:
+    """Names ``fn`` passes to ``_check_tolerance`` with their own name as the label
+    and ``optional=False``, so that None is refused."""
+    return {
+        call.args[1].id
+        for call in _tolerance_checks(fn)
+        if _labels(*call.args[:2])
+        and any(
+            k.arg == "optional" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in call.keywords
+        )
+    }
+
+
+def _without_none_default(fn: ast.FunctionDef) -> list:
+    """Threshold parameters of ``fn`` whose default is not None: a number, or none at all."""
+    args = fn.args
+    defaults = [None] * (len(args.args) - len(args.defaults)) + args.defaults
+    pairs = [*zip(args.args, defaults), *zip(args.kwonlyargs, args.kw_defaults)]
+    return [
+        a.arg
+        for a, default in pairs
+        if a.arg in THRESHOLDS and not (isinstance(default, ast.Constant) and default.value is None)
+    ]
+
+
+def thresholds_without_none_default(source: str) -> list:
+    """``function:parameter`` for each threshold of a public module-level function in
+    ``source`` whose default is a number or that has no default, so None has no meaning."""
+    return sorted(
+        f"{fn.name}:{param}"
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        for param in _without_none_default(fn)
+    )
+
+
+def none_admitting_thresholds(source: str) -> list:
+    """The entries of ``thresholds_without_none_default`` whose function does not check
+    them with ``optional=False``, so None would reach arithmetic as a bare TypeError."""
+    functions = {fn.name: fn for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    return [
+        entry
+        for entry in thresholds_without_none_default(source)
+        if entry.split(":")[1] not in _refusing_none(functions[entry.split(":")[0]])
+    ]
+
+
+def test_none_checker_flags_numeric_defaults_that_admit_none():
+    source = (
+        "def numeric(step_limit=0.5, rho=None):\n"
+        "    _check_tolerance('step_limit', step_limit)\n"
+        "    _check_tolerance('rho', rho)\n"
+        "def required(epsilon, delta=1.0):\n"
+        "    _check_tolerance('epsilon', epsilon, optional=False)\n"
+        "    _check_tolerance('delta', delta, optional=True)\n"
+        "def keyword(*, rank_tol=1e-9):\n"
+        "    _check_tolerance('rank_tol', rank_tol, optional=False)\n"
+    )
+    assert thresholds_without_none_default(source) == [
+        "keyword:rank_tol", "numeric:step_limit", "required:delta", "required:epsilon",
+    ]
+    assert none_admitting_thresholds(source) == ["numeric:step_limit", "required:delta"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_thresholds_without_none_default_refuse_none(path):
+    assert none_admitting_thresholds(path.read_text()) == []
+
+
+def _certificate(H):
+    return test_conicality(H, [0.0, 0.0], 1).certificate
+
+
+# per module:function:parameter of ``thresholds_without_none_default``, a call on the
+# two-level cone that passes None for that parameter and valid values otherwise
+NONE_CALLS = {
+    "adiabatic.py:climb:epsilon": lambda H: climb(
+        H, certify_connectedness(H, 4), [0.5, 0.5], epsilon=None
+    ),
+    "adiabatic.py:plan_passage:epsilon": lambda H: plan_passage(
+        H, _certificate(H), rho=0.1, epsilon=None
+    ),
+    "adiabatic.py:plan_passage:rho": lambda H: plan_passage(
+        H, _certificate(H), rho=None, epsilon=0.1
+    ),
+    "adiabatic.py:propagate:step_limit": lambda H: propagate(
+        H,
+        ControlPath(waypoints=(np.array([0.1, 0.1]),), durations=np.array([1.0]), epsilon=1.0),
+        np.array([1.0, 0.0]),
+        step_limit=None,
+    ),
+    "certify.py:ensemble_genericity:perturbation": lambda H: ensemble_genericity(
+        3, 2, 2, 11, perturbation=None
+    ),
+    "conical.py:test_conicality:residual_max": lambda H: test_conicality(
+        H, [0.0, 0.0], 1, residual_max=None
+    ),
+    "lie_closure.py:closure:rank_tol": lambda H: closure(generators_from(H), rank_tol=None),
+}
+
+
+def test_every_threshold_without_none_default_has_a_none_call():
+    listed = {
+        f"{path.name}:{entry}"
+        for path in MODULES
+        for entry in thresholds_without_none_default(path.read_text())
+    }
+    assert listed == set(NONE_CALLS)
+
+
+@pytest.mark.parametrize("entry", sorted(NONE_CALLS))
+def test_none_is_refused_where_the_default_is_not_none(two_level_cone, entry):
+    # step_limit and residual_max raised a bare TypeError on None
+    name = entry.rsplit(":", 1)[1]
+    with pytest.raises(PreconditionError, match=f"{name} must be finite and positive, got None"):
+        NONE_CALLS[entry](two_level_cone)

@@ -144,6 +144,12 @@ class TestSampleNonresonant:
         with pytest.raises(PreconditionError, match="tau_res must be finite and positive"):
             sample_nonresonant(H, budget=50, rng_seed=1, tau_res=tau)
 
+    @pytest.mark.parametrize("budget", [0, 2.5, True])
+    def test_budget_must_be_a_positive_integer(self, three_level_chain, budget):
+        # 2.5 raised a bare TypeError from the draw
+        with pytest.raises(PreconditionError, match="budget must be an integer >= 1"):
+            sample_nonresonant(three_level_chain, budget=budget, rng_seed=7)
+
     def test_deterministic_for_fixed_seed(self, three_level_chain):
         a = sample_nonresonant(three_level_chain, budget=25, rng_seed=7)
         b = sample_nonresonant(three_level_chain, budget=25, rng_seed=7)

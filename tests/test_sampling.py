@@ -12,6 +12,7 @@ from scipy.stats import norm, qmc
 import speccert
 from speccert.conical import RESTART_SEED
 from speccert.sampling import (
+    _box_sequences,
     _gaussian_stack,
     _halton_unit,
     _ndtri,
@@ -32,6 +33,23 @@ def _fresh_halton(count: int, m: int, seed: int) -> np.ndarray:
 def test_halton_table_matches_scipy(m, seed):
     for count in (1, 2, 3, 17, 100, 1000):
         assert np.array_equal(_halton_unit(count, m, seed), _fresh_halton(count, m, seed))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_box_sequences_match_one_table_per_seed(m):
+    box = np.array([[-3.0, 3.0], [-1.0, 2.5], [0.0, 5.0]])[:m]
+    seeds = range(1011, 1020)
+    for count in (1, 6, 17):
+        stacked = _box_sequences(box, count, seeds)
+        assert stacked.shape == (len(seeds), count, m)
+        for points, seed in zip(stacked, seeds, strict=True):
+            assert np.array_equal(points, box_sequence(box, count, seed))
+
+
+def test_stacked_tables_stay_out_of_the_cache():
+    _halton_unit.cache_clear()
+    _box_sequences(np.array([[0.0, 1.0], [0.0, 1.0]]), 6, range(40))
+    assert _halton_unit.cache_info().currsize == 0
 
 
 def test_ndtri_matches_scipy():
