@@ -205,7 +205,8 @@ class StateTrajectory:
         return self.states[-1]
 
     def final_population_sorted(self, level: int) -> float:
-        """Population of the sorted level (1-based) at the final control point."""
+        """Population of the sorted level (1-based, in 1..n) at the final control point."""
+        _check_integer("level", level, 1, self.states.shape[1])
         branch = int(self.labels[-1, level - 1])
         return float(self.populations[-1, branch - 1])
 

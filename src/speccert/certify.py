@@ -42,7 +42,7 @@ from .operators import (
 )
 from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _box_sequences, _gaussian_stack, _unit_norm
-from .spectrum import DEGENERACY_REL, _check_tolerance, decompose
+from .spectrum import DEGENERACY_REL, _check_integer, _check_tolerance, decompose
 
 SCHEMA_VERSION = "speccert-certificate/1"
 
@@ -53,8 +53,8 @@ VERDICT_NOT_CERTIFIED = "not-certified"
 class CertifyConfig:
     """Tunable budgets, seeds, and tolerance overrides for the full pipeline.
 
-    A tolerance override must be None or a finite number > 0
-    (``PreconditionError`` otherwise).
+    ``rng_seed`` must be an integer >= 0, each budget one >= 1 and a tolerance
+    override None or a finite number > 0 (``PreconditionError`` otherwise).
     """
 
     rng_seed: int = 0
@@ -64,6 +64,9 @@ class CertifyConfig:
     tol_res: float | None = None
 
     def __post_init__(self):
+        _check_integer("rng_seed", self.rng_seed, 0)
+        _check_integer("seed_budget", self.seed_budget, 1)
+        _check_integer("resonance_budget", self.resonance_budget, 1)
         _check_tolerance("tol_deg", self.tol_deg)
         _check_tolerance("tol_res", self.tol_res)
 
@@ -295,17 +298,15 @@ def ensemble_genericity(
     turn.
 
     Fractions are None when no intersection was located (vacuous statistics).
-    ``seeds_per_level`` must be at least 1 (``SpeccertError``) and
+    ``n`` must be an integer >= 2, ``m`` 2 or 3, ``trials`` and
+    ``seeds_per_level`` integers >= 1, ``rng_seed`` one >= 0 and
     ``perturbation`` finite and positive (``PreconditionError``).
     """
-    if m not in (2, 3):
-        raise SpeccertError("ensemble experiments are defined for m in {2, 3}")
-    if trials < 1:
-        raise SpeccertError("trials must be at least 1")
-    if n < 2:
-        raise SpeccertError(f"n must be at least 2, got {n}")
-    if seeds_per_level < 1:
-        raise SpeccertError(f"seeds_per_level must be at least 1, got {seeds_per_level}")
+    _check_integer("n", n, 2)
+    _check_integer("m", m, 2, 3)
+    _check_integer("trials", trials, 1)
+    _check_integer("rng_seed", rng_seed, 0)
+    _check_integer("seeds_per_level", seeds_per_level, 1)
     _check_tolerance("perturbation", perturbation, optional=False)
     box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]

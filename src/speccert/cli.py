@@ -18,36 +18,32 @@ import numpy as np
 from .adiabatic import load_path, plan_passage, propagate
 from .certify import CertifyConfig, certify, ensemble_genericity
 from .conical import certify_connectedness, locate_intersection, test_conicality
-from .errors import SpeccertError
+from .errors import PreconditionError, SpeccertError
 from .operators import _columns, _write_csv, _write_json, load_hamiltonian
 from .sampling import box_sequence
-from .spectrum import _block_rows, _decompose_stack, decompose
+from .spectrum import _block_rows, _check_integer, _check_tolerance, _decompose_stack, decompose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a flag whose value must be a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _checked(convert, check, *bounds):
+    """argparse type: the flag's text read by ``convert`` and judged by the library's
+    ``check``, which also refuses, in its own words, text that does not convert."""
 
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            check("value", value, *bounds)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
 
-def _positive_int(text: str) -> int:
-    """argparse type of a flag whose value must be an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+    return parse
 
 
 def _outdir(args) -> Path:
@@ -137,8 +133,7 @@ def _cmd_simulate(args) -> int:
     out = _outdir(args)
     path = load_path(args.path)
     sp = decompose(H, path.waypoints[0])
-    if not 1 <= args.init_level <= H.dim:
-        raise SpeccertError(f"--init-level must be in 1..{H.dim}")
+    _check_integer("--init-level", args.init_level, 1, H.dim)
     psi0 = sp.frame[:, args.init_level - 1]
     trajectory = propagate(H, path, psi0)
     target = out / "trajectory.csv"
@@ -174,56 +169,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify controllability of control-affine quantum systems from spectral data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, seed = _checked(int, _check_integer, 1), _checked(int, _check_integer, 0)
+    positive = _checked(float, _check_tolerance)
 
     def add_common(p, searches):
         p.add_argument("--input", required=True, help="Hamiltonian JSON file")
         p.add_argument("--out", default=".", help="output directory")
         if searches:
             # a command that searches for intersections is seeded and reads the threshold
-            p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+            p.add_argument("--seed", type=seed, required=True, help="RNG seed (mandatory)")
             p.add_argument(
-                "--tol-deg", type=_positive_float, default=None, help="degeneracy gap threshold"
+                "--tol-deg", type=positive, default=None, help="degeneracy gap threshold"
             )
 
     p = sub.add_parser("spectrum", help="eigenvalue sweep over the control box")
     add_common(p, searches=False)
-    p.add_argument("--grid", type=_positive_int, default=51, help="grid resolution per axis")
+    p.add_argument("--grid", type=count, default=51, help="grid resolution per axis")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("find-intersections", help="search for conical intersections")
     add_common(p, searches=True)
-    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
+    p.add_argument("--budget", type=count, default=8, help="search seeds per level")
     p.set_defaults(func=_cmd_find_intersections)
 
     p = sub.add_parser("certify", help="run the full controllability pipeline")
     add_common(p, searches=True)
-    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds per level")
-    p.add_argument(
-        "--resonance-budget", type=_positive_int, default=200, help="non-resonance samples"
-    )
-    p.add_argument("--tol-res", type=_positive_float, default=None, help="gap-separation threshold")
+    p.add_argument("--budget", type=count, default=8, help="search seeds per level")
+    p.add_argument("--resonance-budget", type=count, default=200, help="non-resonance samples")
+    p.add_argument("--tol-res", type=positive, default=None, help="gap-separation threshold")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("synthesize", help="plan a passage through one intersection")
     add_common(p, searches=True)
-    p.add_argument("--level", type=int, required=True, help="lower level of the pair")
-    p.add_argument("--rho", type=_positive_float, required=True, help="entry/exit radius")
-    p.add_argument("--epsilon", type=_positive_float, required=True, help="slowness parameter")
-    p.add_argument("--budget", type=_positive_int, default=8, help="search seeds")
+    p.add_argument("--level", type=count, required=True, help="lower level of the pair")
+    p.add_argument("--rho", type=positive, required=True, help="entry/exit radius")
+    p.add_argument("--epsilon", type=positive, required=True, help="slowness parameter")
+    p.add_argument("--budget", type=count, default=8, help="search seeds")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="propagate a state along a control path")
     add_common(p, searches=False)
     p.add_argument("--path", required=True, help="control path JSON file")
-    p.add_argument("--init-level", type=int, default=1, help="initial eigenstate (1-based)")
+    p.add_argument("--init-level", type=count, default=1, help="initial eigenstate (1-based)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("ensemble", help="random-ensemble genericity experiment")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-    p.add_argument("--n", type=int, required=True, help="Hilbert space dimension")
-    p.add_argument("--m", type=int, required=True, help="number of controls (2 or 3)")
-    p.add_argument("--trials", type=int, required=True, help="number of random instances")
+    p.add_argument("--seed", type=seed, required=True, help="RNG seed (mandatory)")
+    dimension, controls = _checked(int, _check_integer, 2), _checked(int, _check_integer, 2, 3)
+    p.add_argument("--n", type=dimension, required=True, help="Hilbert space dimension")
+    p.add_argument("--m", type=controls, required=True, help="number of controls (2 or 3)")
+    p.add_argument("--trials", type=count, required=True, help="number of random instances")
     p.set_defaults(func=_cmd_ensemble)
 
     return parser

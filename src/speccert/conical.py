@@ -106,7 +106,7 @@ def locate_intersection(
         or of the wrong length, or a ``tau_deg`` that is not finite and
         positive.
     """
-    _check_level(H, level)
+    _check_integer("level", level, 1, H.dim - 1)
     _check_tolerance("tau_deg", tau_deg)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
@@ -114,10 +114,6 @@ def locate_intersection(
     if U.size == 0:
         return None
     return _locate_groups([(H._stack, H.box, level, U, tau_deg)])[0]
-
-
-def _check_level(H: ControlHamiltonian, level: int) -> None:
-    _check_integer("level", level, 1, H.dim - 1)
 
 
 def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
@@ -432,7 +428,7 @@ def test_conicality(
         If the eigendecomposition at ``u_star`` fails ``decompose``'s checks.
     """
     u_star = np.asarray(u_star, dtype=float)
-    _check_level(H, level)
+    _check_integer("level", level, 1, H.dim - 1)
     _check_integer("n_directions", n_directions, 0)
     _check_integer("rng_seed", rng_seed, 0)
     if u_star.shape != (H.m,):

@@ -120,10 +120,11 @@ def sample_nonresonant(
     well-behaved families; exhausting the budget signals a resonant family
     (e.g. a spectrum frozen by zero-acting controls). The acceptance rate over
     all evaluated candidates is recorded either way. ``budget`` must be an
-    integer >= 1 and a given ``tau_res`` finite and positive
-    (``PreconditionError``).
+    integer >= 1, ``rng_seed`` one >= 0 and a given ``tau_res`` finite and
+    positive (``PreconditionError``).
     """
     _check_integer("budget", budget, 1)
+    _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_res", tau_res)
     rng = np.random.default_rng(rng_seed)
     lo, hi = H.box[:, 0], H.box[:, 1]

@@ -39,8 +39,7 @@ class SpectralPoint:
 
     def gap(self, j: int) -> float:
         """Adjacent gap lambda_{j+1} - lambda_j for 1 <= j <= n-1."""
-        if not 1 <= j <= self.dim - 1:
-            raise PreconditionError(f"level index must be in 1..{self.dim - 1}, got {j}")
+        _check_integer("j", j, 1, self.dim - 1)
         return float(self.eigenvalues[j] - self.eigenvalues[j - 1])
 
     def diameter(self) -> float:
@@ -59,6 +58,9 @@ class GapTable:
         return cls(gaps=lam[:, None] - lam[None, :])
 
     def __call__(self, j: int, k: int) -> float:
+        """lambda_j - lambda_k for 1-based levels j and k in 1..n."""
+        for name, value in (("j", j), ("k", k)):
+            _check_integer(name, value, 1, len(self.gaps))
         return float(self.gaps[j - 1, k - 1])
 
 
@@ -176,7 +178,7 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
 
 
 def _check_tolerance(name: str, value, optional: bool = True) -> None:
-    """Reject a tolerance, radius or speed that is not a finite number > 0.
+    """Reject a tolerance, radius or speed that is not a finite real number > 0.
 
     None stands for a default the caller computes, and passes when
     ``optional``; a parameter whose default is a number, or that has no
@@ -184,10 +186,12 @@ def _check_tolerance(name: str, value, optional: bool = True) -> None:
     A nan threshold fails every comparison and an infinite or non-positive
     one makes every or no gap count, so each would turn a verdict silently;
     a nan or negative detour radius would likewise never detour a climb.
+    A bool, a string or a sequence is refused too, not left to raise a TypeError.
     """
     if value is None and optional:
         return
-    if value is None or not (np.isfinite(value) and value > 0):
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value < np.inf):
         raise PreconditionError(f"{name} must be finite and positive, got {value}")
 
 
@@ -263,9 +267,8 @@ class TrackedSpectrum:
         return tuple(_points(self._controls, self._eigenvalues, self._frames))
 
     def branch_values(self, label: int) -> np.ndarray:
-        """Eigenvalue series of one labeled branch."""
-        if not 1 <= label <= self.labels.shape[1]:
-            raise PreconditionError(f"no branch carries label {label}")
+        """Eigenvalue series of one labeled branch (label in 1..n)."""
+        _check_integer("label", label, 1, self.labels.shape[1])
         return self._eigenvalues[self.labels == label]
 
 

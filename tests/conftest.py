@@ -8,8 +8,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# thresholds that are not a finite number > 0
-HOSTILE_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0]
+# thresholds that are not a finite number > 0, or not a number at all
+HOSTILE_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0, "1e-8", [1e-8]]
 
 
 def make_family(drift, controlled, box) -> ControlHamiltonian:

@@ -563,6 +563,14 @@ class TestClimb:
         assert result.target_level == 2
         assert result.p_target >= 0.9
 
+    def test_final_population_level_outside_1_to_n_rejected(self, two_level_cone):
+        # the README's climb: level 0 read the top level's population, wrapped from index -1
+        report = certify_connectedness(two_level_cone, seed_budget=8, rng_seed=1)
+        traj = climb(two_level_cone, report, [0.3, 0.4], epsilon=1e-2).trajectory
+        for level in (0, 3, True, 2.0):
+            with pytest.raises(PreconditionError, match="level must be an integer in 1..2"):
+                traj.final_population_sorted(level)
+
     def test_three_level_chain_climb(self, three_level_chain):
         report = certify_connectedness(three_level_chain, 12, rng_seed=5)
         result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2)

@@ -13,7 +13,6 @@ from speccert import (
     GapTable,
     HermitianOperator,
     PreconditionError,
-    SpeccertError,
     build_graph,
     certify,
     certify_connectedness,
@@ -137,6 +136,19 @@ class TestCertify:
         cfg = CertifyConfig(tol_deg=1e-9, tol_res=1e-6)
         assert (cfg.tol_deg, cfg.tol_res) == (1e-9, 1e-6)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rng_seed", -1), ("rng_seed", 1.0), ("seed_budget", 0), ("seed_budget", True),
+            ("resonance_budget", 0), ("resonance_budget", 2.5),
+        ],
+    )
+    def test_malformed_seed_or_budget_rejected(self, field, value):
+        # seed_budget = 0 certified the two-level cone, its refusal kept only as a stage
+        # error, and rng_seed = -1 escaped certify as numpy's ValueError
+        with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
+            CertifyConfig(**{field: value})
+
 
 class TestArithmeticField:
     """The dtypes ``certify`` sends to ``eigh`` and ``eigvalsh`` in every stage: float64
@@ -242,7 +254,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("count", [0, -2])
     def test_seeds_per_level_must_be_positive(self, count):
         # 0 located nothing, and -2 raised a bare ValueError
-        with pytest.raises(SpeccertError, match="seeds_per_level must be at least 1"):
+        with pytest.raises(PreconditionError, match="seeds_per_level must be an integer >= 1"):
             ensemble_genericity(3, 2, 5, 11, seeds_per_level=count)
 
     def test_trial_seeds_are_each_trials_box_sequence(self, monkeypatch):
@@ -283,8 +295,24 @@ class TestEnsemble:
             scale = 1e-3 * max(float(np.max(np.abs(np.linalg.eigvalsh(op.matrix)))), 1e-300)
             assert np.array_equal(bumped, op.matrix + scale * draw(rng, 4))
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((3, 2, 2.5, 1), {}, "trials"),
+            ((3, 2, True, 1), {}, "trials"),
+            ((3, 2, 2, -1), {}, "rng_seed"),
+            ((3.0, 2, 2, 1), {}, "n"),
+            ((3, 4, 2, 1), {}, "m"),
+            ((3, 2, 2, 1), {"seeds_per_level": 2.5}, "seeds_per_level"),
+        ],
+    )
+    def test_malformed_count_or_seed_rejected(self, args, kwargs, name):
+        # trials = 2.5 raised a bare TypeError and rng_seed = -1 numpy's ValueError
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            ensemble_genericity(*args, **kwargs)
+
     def test_invalid_n_rejected(self):
-        with pytest.raises(SpeccertError, match="n must be at least 2"):
+        with pytest.raises(PreconditionError, match="n must be an integer >= 2"):
             ensemble_genericity(n=1, m=2, trials=1, rng_seed=0)
 
     def test_hermitian_ensemble_runs(self):

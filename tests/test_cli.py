@@ -246,7 +246,7 @@ class TestCertifyCommand:
             main([command, "--input", str(cone_file), "--out", str(out), "--seed", "1",
                   flag, value])
         assert excinfo.value.code == 2
-        assert "finite number > 0" in capsys.readouterr().err
+        assert "must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -430,14 +430,59 @@ class TestEnsembleCommand:
 
     @pytest.mark.parametrize("n", ["0", "-2", "1"])
     def test_dimension_below_two_exit_2(self, tmp_path, capsys, n):
-        # a usage error raised by ensemble_genericity, returned by main, not by argparse
+        # refused while parsing, by the check ensemble_genericity applies to n
         out = tmp_path / "out"
-        code = main(
-            ["ensemble", "--out", str(out), "--seed", "7", "--n", n, "--m", "2", "--trials", "2"]
-        )
-        assert code == 2
-        assert f"n must be at least 2, got {n}" in capsys.readouterr().err
+        argv = ["ensemble", "--out", str(out), "--seed", "7", "--n", n, "--m", "2", "--trials", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument --n: value must be an integer >= 2, got {n}" in capsys.readouterr().err
         assert not (out / "ensemble_summary.json").exists()
+
+
+class TestNumericFlags:
+    PASSAGE = ["--level", "1", "--rho", "0.1", "--epsilon", "0.01"]
+    ENSEMBLE = ["--n", "3", "--m", "2", "--trials", "2"]
+
+    @pytest.mark.parametrize(
+        "command, flags, refusal",
+        [
+            ("certify", ["--seed", "-1"], "an integer >= 0, got -1"),
+            ("find-intersections", ["--seed", "-1"], "an integer >= 0, got -1"),
+            ("synthesize", [*PASSAGE, "--seed", "-1"], "an integer >= 0, got -1"),
+            ("ensemble", [*ENSEMBLE, "--seed", "-1"], "an integer >= 0, got -1"),
+            ("certify", ["--seed", "1.5"], "an integer >= 0, got 1.5"),
+            ("certify", ["--seed", "1", "--budget", "2.5"], "an integer >= 1, got 2.5"),
+            ("certify", ["--seed", "1", "--tol-deg", "abc"], "finite and positive, got abc"),
+            ("synthesize", ["--seed", "1", *PASSAGE, "--level", "0"], "an integer >= 1, got 0"),
+            ("ensemble", ["--seed", "1", *ENSEMBLE, "--m", "4"], "an integer in 2..3, got 4"),
+            ("ensemble", ["--seed", "1", *ENSEMBLE, "--trials", "2.5"], "an integer >= 1, got 2.5"),
+            ("ensemble", ["--seed", "1", *ENSEMBLE, "--n", "x"], "an integer >= 2, got x"),
+        ],
+    )
+    def test_malformed_number_exit_2(self, cone_file, tmp_path, capsys, command, flags, refusal):
+        # the last flag is refused; a seed of -1 escaped certify, synthesize and
+        # ensemble as numpy's ValueError
+        out = tmp_path / "out"
+        inputs = [] if command == "ensemble" else ["--input", str(cone_file)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *inputs, "--out", str(out), *flags])
+        assert excinfo.value.code == 2
+        assert f"argument {flags[-2]}: value must be {refusal}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level, code", [("2", 0), ("3", 2)])
+    def test_init_level_is_checked_against_the_family(
+        self, cone_file, tmp_path, capsys, level, code
+    ):
+        path_file = tmp_path / "hold.json"
+        path_file.write_text('{"waypoints": [[0.3, 0.4]], "durations": [1.0], "epsilon": 1.0}')
+        out = tmp_path / "out"
+        argv = ["simulate", "--input", str(cone_file), "--path", str(path_file), "--out", str(out)]
+        assert main([*argv, "--init-level", level]) == code
+        if code:
+            assert "--init-level must be an integer in 1..2, got 3" in capsys.readouterr().err
+            assert not (out / "trajectory.csv").exists()
 
 
 class TestConsoleEntry:

@@ -1,6 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
 every private name it defines is referenced, and every public function checks
-the thresholds it takes."""
+the thresholds, counts, seeds and indices it takes."""
 
 import ast
 from pathlib import Path
@@ -166,14 +166,20 @@ THRESHOLDS = {
     "tau_deg", "tau_res", "tau_edge", "rank_tol", "c_min", "residual_max",
     "step_bound", "step_limit", "rho", "epsilon", "delta", "perturbation",
 }
+# parameters that count, seed or index: a float, a bool or a value out of
+# range would index between levels, wrap round, or reach numpy as a bare error
+INTEGERS = {
+    "level", "rng_seed", "seed_budget", "budget", "n_directions", "max_records", "trials",
+    "seeds_per_level",
+}
 
 
-def _tolerance_checks(node: ast.AST) -> list:
-    """The ``_check_tolerance`` calls in ``node``."""
+def _check_calls(node: ast.AST, check: str) -> list:
+    """The calls of the function named ``check`` in ``node``."""
     return [
         call
         for call in ast.walk(node)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_tolerance"
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == check
     ]
 
 
@@ -182,15 +188,15 @@ def _labels(label: ast.AST, value: ast.AST) -> bool:
     return isinstance(label, ast.Constant) and label.value == getattr(value, "id", None)
 
 
-def _checked_names(fn: ast.FunctionDef) -> set:
-    """Names ``fn`` passes to ``_check_tolerance`` with their own name as the label, one
-    at a time or in a loop ``for name, value in (("a", a), ...)`` around the call."""
-    checked = {call.args[1].id for call in _tolerance_checks(fn) if _labels(*call.args[:2])}
+def _checked_names(fn: ast.FunctionDef, check: str) -> set:
+    """Names ``fn`` passes to ``check`` with their own name as the label, one at a
+    time or in a loop ``for name, value in (("a", a), ...)`` around the call."""
+    checked = {call.args[1].id for call in _check_calls(fn, check) if _labels(*call.args[:2])}
     for loop in ast.walk(fn):
         if not (isinstance(loop, ast.For) and isinstance(loop.iter, (ast.Tuple, ast.List))):
             continue
         target = [getattr(t, "id", None) for t in getattr(loop.target, "elts", ())]
-        calls = _tolerance_checks(loop)
+        calls = _check_calls(loop, check)
         if any([getattr(a, "id", None) for a in call.args[:2]] == target for call in calls):
             checked.update(
                 pair.elts[1].id
@@ -200,15 +206,15 @@ def _checked_names(fn: ast.FunctionDef) -> set:
     return checked
 
 
-def unchecked_thresholds(source: str) -> list:
-    """``function:parameter`` for each threshold parameter of a public module-level
-    function in ``source`` that the function does not pass to ``_check_tolerance``."""
+def unchecked_parameters(source: str, params: set, check: str) -> list:
+    """``function:parameter`` for each of ``params`` that a public module-level
+    function in ``source`` takes and does not pass to ``check``."""
     return sorted(
         f"{fn.name}:{param}"
         for fn in ast.parse(source).body
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-        for param in {a.arg for a in fn.args.args + fn.args.kwonlyargs} & THRESHOLDS
-        if param not in _checked_names(fn)
+        for param in {a.arg for a in fn.args.args + fn.args.kwonlyargs} & params
+        if param not in _checked_names(fn, check)
     )
 
 
@@ -227,14 +233,38 @@ def test_threshold_checker_flags_unchecked_parameters():
         "def _private(rank_tol):\n"
         "    pass\n"
     )
-    assert unchecked_thresholds(source) == [
+    assert unchecked_parameters(source, THRESHOLDS, "_check_tolerance") == [
         "compared:step_limit", "looped:epsilon", "mislabelled:c_min", "mislabelled:tau_edge",
+    ]
+
+
+def test_integer_checker_flags_unchecked_parameters():
+    source = (
+        "def one(budget, rng_seed=0):\n"
+        "    _check_integer('budget', budget, 1)\n"
+        "    _check_integer('rng_seed', rng_seed, 0)\n"
+        "def wrong_check(level, trials):\n"
+        "    _check_tolerance('level', level)\n"
+        "    _check_integer('trials', trials, 1)\n"
+        "def compared(seed_budget, n_directions=3):\n"
+        "    if seed_budget < 1:\n"
+        "        raise ValueError\n"
+        "def _private(max_records):\n"
+        "    pass\n"
+    )
+    assert unchecked_parameters(source, INTEGERS, "_check_integer") == [
+        "compared:n_directions", "compared:seed_budget", "wrong_check:level",
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_functions_check_their_thresholds(path):
-    assert unchecked_thresholds(path.read_text()) == []
+    assert unchecked_parameters(path.read_text(), THRESHOLDS, "_check_tolerance") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_check_their_integers(path):
+    assert unchecked_parameters(path.read_text(), INTEGERS, "_check_integer") == []
 
 
 def test_every_threshold_is_a_public_parameter():
@@ -246,7 +276,7 @@ def test_every_threshold_is_a_public_parameter():
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
         for a in fn.args.args + fn.args.kwonlyargs
     }
-    assert THRESHOLDS <= taken
+    assert THRESHOLDS | INTEGERS <= taken
 
 
 def _refusing_none(fn: ast.FunctionDef) -> set:
@@ -254,7 +284,7 @@ def _refusing_none(fn: ast.FunctionDef) -> set:
     and ``optional=False``, so that None is refused."""
     return {
         call.args[1].id
-        for call in _tolerance_checks(fn)
+        for call in _check_calls(fn, "_check_tolerance")
         if _labels(*call.args[:2])
         and any(
             k.arg == "optional" and isinstance(k.value, ast.Constant) and k.value.value is False

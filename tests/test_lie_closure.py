@@ -323,6 +323,9 @@ class TestConjugationInvariance:
     )
     @example(kind="complex", n=3, m=1, seed=13)
     @example(kind="block", n=8, m=2, seed=0)
+    # a row kept 1.5e-4 of its norm off the recent rows and was not projected off
+    # the older ones; the basis ended 2.4e-12 from orthonormal
+    @example(kind="block", n=7, m=3, seed=16972)
     def test_dimension_stable_under_unitary_conjugation(self, kind, n, m, seed):
         # a real family closes in its so(n) and i sym(n) parts; conjugated by a
         # complex unitary, its generators are no longer homogeneous and close in

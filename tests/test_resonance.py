@@ -150,6 +150,12 @@ class TestSampleNonresonant:
         with pytest.raises(PreconditionError, match="budget must be an integer >= 1"):
             sample_nonresonant(three_level_chain, budget=budget, rng_seed=7)
 
+    @pytest.mark.parametrize("rng_seed", [-1, 7.0, True])
+    def test_seed_must_be_a_non_negative_integer(self, three_level_chain, rng_seed):
+        # -1 raised numpy's ValueError from the generator
+        with pytest.raises(PreconditionError, match="rng_seed must be an integer >= 0"):
+            sample_nonresonant(three_level_chain, budget=5, rng_seed=rng_seed)
+
     def test_deterministic_for_fixed_seed(self, three_level_chain):
         a = sample_nonresonant(three_level_chain, budget=25, rng_seed=7)
         b = sample_nonresonant(three_level_chain, budget=25, rng_seed=7)

@@ -184,6 +184,20 @@ class TestGap:
         with pytest.raises(Exception):
             gap(sp, 2)
 
+    @pytest.mark.parametrize("j", [0, 2, True, 1.0])
+    def test_level_outside_1_to_n_minus_1_rejected(self, two_level_cone, j):
+        # True passed the range test and then raised a bare TypeError
+        sp = decompose(two_level_cone, [0.3, 0.0])
+        with pytest.raises(PreconditionError, match="j must be an integer in 1..1"):
+            sp.gap(j)
+
+    @pytest.mark.parametrize("j, k", [(0, 1), (1, 0), (4, 1), (1, 2.0)])
+    def test_gap_table_level_outside_1_to_n_rejected(self, three_level_chain, j, k):
+        # (0, 1) wrapped round to the (n, 1) gap
+        table = GapTable.from_point(decompose(three_level_chain, [0.2, 0.3]))
+        with pytest.raises(PreconditionError, match="must be an integer in 1..3"):
+            table(j, k)
+
     def test_gap_table_antisymmetric(self, three_level_chain):
         sp = decompose(three_level_chain, [0.2, 0.3])
         table = GapTable.from_point(sp)
@@ -267,6 +281,12 @@ class TestTrack:
         tracked = track(two_level_cone, [np.array([0.5, 0.3])])
         with pytest.raises(PreconditionError):
             tracked.branch_values(3)
+
+    @pytest.mark.parametrize("label", [0, True, 1.5])
+    def test_branch_label_must_be_an_integer_label(self, two_level_cone, label):
+        tracked = track(two_level_cone, [np.array([0.5, 0.3])])
+        with pytest.raises(PreconditionError, match="label must be an integer in 1..2"):
+            tracked.branch_values(label)
 
     def test_csv_export(self, tmp_path, two_level_cone):
         path = [np.array([x, 0.0]) for x in np.linspace(-0.2, 0.2, 5)]
