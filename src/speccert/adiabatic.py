@@ -289,7 +289,7 @@ def propagate(
         If the path's waypoints do not have length ``H.m``, or ``psi0`` does
         not have length ``H.dim``.
     PreconditionError
-        If ``psi0`` is not a unit vector, ``step_limit`` is not finite and
+        If ``psi0`` is not a finite unit vector, ``step_limit`` is not finite and
         positive, or ``max_records`` is not an integer >= 1.
     GeometryError
         If a waypoint lies outside the control box.
@@ -302,8 +302,9 @@ def propagate(
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (H.dim,):
         raise StructuralError(f"initial state has shape {psi.shape}, the family has n = {H.dim}")
-    if abs(float(np.linalg.norm(psi)) - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError("initial state must have unit norm")
+    # written so that a nan norm fails it
+    if not abs(float(np.linalg.norm(psi)) - 1.0) <= UNIT_NORM_TOL:
+        raise PreconditionError("initial state must be finite with unit norm")
     if path.waypoints[0].shape != (H.m,):
         raise StructuralError(
             f"path waypoints have length {path.waypoints[0].shape[0]}, the family has m = {H.m}"

@@ -300,7 +300,8 @@ def ensemble_genericity(
     Fractions are None when no intersection was located (vacuous statistics).
     ``n`` must be an integer >= 2, ``m`` 2 or 3, ``trials`` and
     ``seeds_per_level`` integers >= 1, ``rng_seed`` one >= 0 and
-    ``perturbation`` finite and positive (``PreconditionError``).
+    ``box_halfwidth`` and ``perturbation`` finite and positive
+    (``PreconditionError``).
     """
     _check_integer("n", n, 2)
     _check_integer("m", m, 2, 3)
@@ -308,6 +309,7 @@ def ensemble_genericity(
     _check_integer("rng_seed", rng_seed, 0)
     _check_integer("seeds_per_level", seeds_per_level, 1)
     _check_tolerance("perturbation", perturbation, optional=False)
+    _check_tolerance("box_halfwidth", box_halfwidth, optional=False)
     box = _checked_box([[-box_halfwidth, box_halfwidth]] * m, m)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(trials)]
     stacks = _checked_hermitian(_draw_operators(rngs, n, m))

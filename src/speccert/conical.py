@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SpeccertError, StructuralError
+from .errors import PreconditionError, SpeccertError
 from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
-from .sampling import _halton_unit, axis_directions, box_sequence, sphere_directions
+from .sampling import _halton_unit, _sphere_directions, axis_directions, box_sequence
 from .spectrum import (
     _block_rows,
     _check_integer,
@@ -418,8 +418,8 @@ def test_conicality(
     ------
     PreconditionError
         If ``level`` is not an integer in 1..n-1, ``n_directions`` or
-        ``rng_seed`` is not an integer >= 0, ``t0``, ``residual_max`` or a
-        given ``c_min`` or ``tau_deg`` is not finite and positive, the point
+        ``rng_seed`` is not an integer >= 0, ``residual_max`` or a given
+        ``t0``, ``c_min`` or ``tau_deg`` is not finite and positive, the point
         is not degenerate at ``tau_deg``, or the ball of radius t0 around it
         leaves the box.
     StructuralError
@@ -431,11 +431,8 @@ def test_conicality(
     _check_integer("level", level, 1, H.dim - 1)
     _check_integer("n_directions", n_directions, 0)
     _check_integer("rng_seed", rng_seed, 0)
-    if u_star.shape != (H.m,):
-        raise StructuralError(f"control point must have length {H.m}, got shape {u_star.shape}")
-    if not np.all(np.isfinite(u_star)):
-        raise StructuralError(f"control point has non-finite entries: {u_star.tolist()}")
-    for name, value in (("c_min", c_min), ("tau_deg", tau_deg)):
+    H.matrix_at(u_star)  # the family's check of a control point
+    for name, value in (("t0", t0), ("c_min", c_min), ("tau_deg", tau_deg)):
         _check_tolerance(name, value)
     _check_tolerance("residual_max", residual_max, optional=False)
     if tau_deg is None:
@@ -466,12 +463,13 @@ def _conicality_rows(
     A row is (stack, box, level, u_star, tau, energy_scale): a family's
     (m + 1, n, n) operator stack and (m, 2) box, a valid lower level of the
     pair, a control point of length m, the degeneracy threshold and the
-    family's ``energy_scale``. All rows share n and m; ``t0`` and ``c_min``,
-    when None, default per row as ``test_conicality`` sets them. One checked
-    eigensolve at the points, judged row by row, decides each row's
-    preconditions; one eigensolve over the probes of every row that meets
-    them, taken in blocks of at most ``BLOCK_ENTRIES`` matrix entries
-    (``_block_rows``), and array fits give the slopes. As in
+    family's ``energy_scale``. All rows share n and m; ``t0`` and ``c_min``
+    are checked by the caller and, when None, default per row as
+    ``test_conicality`` sets them. One checked eigensolve at the points,
+    judged row by row, decides each row's preconditions; one eigensolve over
+    the probes of every row that meets them, taken in blocks of at most
+    ``BLOCK_ENTRIES`` matrix entries (``_block_rows``), and array fits give
+    the slopes. As in
     ``_locate_groups``, the matrices and eigensolves are float64 when every
     stack is, complex otherwise. Every step works row by row
     (``_affine_stack``, stacked ``eigh``/``eigvalsh`` and batched products),
@@ -492,7 +490,9 @@ def _conicality_rows(
     diameter = _box_diameters(box)
     t0s = 1e-3 * diameter if t0 is None else np.full(N, t0, dtype=float)
     if c_min is None:
-        c_mins = 1e-6 * np.array(scales, dtype=float) / diameter
+        # a diagonal that underflows to 0 leaves a row that ``fits`` refuses
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_mins = 1e-6 * np.array(scales, dtype=float) / diameter
     else:
         c_mins = np.full(N, c_min, dtype=float)
     mats = _affine_stack(ops, U)
@@ -500,15 +500,12 @@ def _conicality_rows(
     failed = _failed_rows(mats, U, lam, vecs)
     gaps = np.diff(lam, axis=1)  # gaps[:, l - 1] is the gap above level l
     residual_gap = gaps[np.arange(N), level - 1]
-    fits = np.all((U >= box[..., 0] + t0s[:, None]) & (U <= box[..., 1] - t0s[:, None]), axis=1)
+    # a default radius is 0 only where the box diagonal underflows
+    margin = t0s[:, None]
+    fits = (t0s > 0) & np.all((U >= box[..., 0] + margin) & (U <= box[..., 1] - margin), axis=1)
     outcomes = [None] * N
     for k in range(N):
-        if not (np.isfinite(t0s[k]) and t0s[k] > 0):
-            shown = t0s[k] if t0 is None else t0
-            outcomes[k] = PreconditionError(
-                f"probe radius t0 must be finite and positive, got {shown}"
-            )
-        elif k in failed:
+        if k in failed:
             outcomes[k] = failed[k]
         elif residual_gap[k] > tau[k]:
             outcomes[k] = PreconditionError(
@@ -523,7 +520,7 @@ def _conicality_rows(
     pair = np.arange(1, n) - level[:, None]
     flank_ok = ~np.any((gaps < 10.0 * tau[:, None]) & (np.abs(pair) == 1), axis=1)
     others_simple = flank_ok & np.all((gaps >= 10.0 * tau[:, None]) | (pair == 0), axis=1)
-    directions = np.vstack([axis_directions(m), sphere_directions(m, n_directions, rng_seed)])
+    directions = np.vstack([axis_directions(m), _sphere_directions(m, n_directions, rng_seed)])
     directions.setflags(write=False)
     radii = np.stack([t0s, t0s / 2, t0s / 4], axis=1)
     probed = [k for k in range(N) if outcomes[k] is None]
@@ -629,11 +626,13 @@ def certify_connectedness(
     "certified" iff every level has a conical certificate with all other
     levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
     ``seed_budget`` must be an integer >= 1, ``rng_seed`` one >= 0 and a
-    given ``tau_deg`` finite and positive (``PreconditionError``).
+    given ``tau_deg`` or ``t0`` finite and positive (``PreconditionError``,
+    raised before any search).
     """
     _check_integer("seed_budget", seed_budget, 1)
     _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_deg", tau_deg)
+    _check_tolerance("t0", t0)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
     seeds = list(box_sequence(H.box, seed_budget, rng_seed))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .operators import ControlHamiltonian, _finite_array, _within_hermiticity_tol
-from .spectrum import _check_tolerance
+from .spectrum import _check_integer, _check_tolerance
 
 RANK_TOL = 1e-9
 BRACKET_ZERO_TOL = 1e-12
@@ -409,8 +409,10 @@ def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict
     Raises
     ------
     PreconditionError
-        If ``n`` is not the dimension of the closure's generators, ``result.n``.
+        If ``n`` is not an integer equal to the dimension of the closure's
+        generators, ``result.n``.
     """
+    _check_integer("n", n, 1)
     if n != result.n:
         raise PreconditionError(
             f"closure of {result.n} x {result.n} generators classified at n = {n}"

@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .spectrum import _check_integer
+
 # tables kept per (count, dimension, seed) and per (count, base); the genericity
 # ensemble's one-off per-trial tables bypass the cache (``_halton_units``)
 _TABLES = 256
@@ -70,7 +72,10 @@ def box_sequence(box: np.ndarray, count: int, seed: int) -> np.ndarray:
 
     Prefix-stable: the first k points are the same for every count >= k,
     which keeps larger search budgets strict supersets of smaller ones.
+    ``count`` and ``seed`` must be integers >= 0 (``PreconditionError``).
     """
+    _check_integer("count", count, 0)
+    _check_integer("seed", seed, 0)
     box = np.asarray(box, dtype=float)
     pts = _halton_unit(count, box.shape[0], seed)
     return box[:, 0] + pts * (box[:, 1] - box[:, 0])
@@ -149,12 +154,22 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-@lru_cache(maxsize=_TABLES)
 def sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
     """Unit directions in R^m from a seeded Halton sequence via the Gaussian map, read-only.
 
-    Built once per (m, count, seed).
+    Built once per (m, count, seed). ``m`` must be an integer >= 1 and
+    ``count`` and ``seed`` integers >= 0 (``PreconditionError``).
     """
+    # checked before the cache, which would raise on an unhashable argument
+    _check_integer("m", m, 1)
+    _check_integer("count", count, 0)
+    _check_integer("seed", seed, 0)
+    return _sphere_directions(m, count, seed)
+
+
+@lru_cache(maxsize=_TABLES)
+def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
+    """``sphere_directions`` for checked arguments, built once per (m, count, seed)."""
     # keep strictly inside (0,1) so the inverse CDF stays finite
     pts = np.clip(_halton_unit(count, m, seed), 1e-12, 1 - 1e-12)
     g = np.array([_ndtri(y) for y in pts.ravel().tolist()]).reshape(pts.shape)

@@ -125,6 +125,12 @@ class TestPropagate:
         with pytest.raises(PreconditionError):
             propagate(two_level_cone, hold([0.1, 0.1], 1.0), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("psi0", [[np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]])
+    def test_non_finite_state_rejected(self, two_level_cone, psi0):
+        # a nan norm passed the unit-norm test, and every state came out nan
+        with pytest.raises(PreconditionError, match="initial state must be finite"):
+            propagate(two_level_cone, hold([0.1, 0.1], 1.0), np.array(psi0))
+
     def test_waypoint_outside_box_rejected(self, two_level_cone):
         with pytest.raises(GeometryError):
             propagate(two_level_cone, hold([3.0, 0.0], 1.0), np.array([1.0, 0.0]))

@@ -251,6 +251,12 @@ class TestEnsemble:
         with pytest.raises(PreconditionError, match="perturbation must be finite and positive"):
             ensemble_genericity(3, 2, 5, 11, perturbation=perturbation)
 
+    @pytest.mark.parametrize("halfwidth", [*HOSTILE_TOLERANCES, "3", True])
+    def test_hostile_box_halfwidth_rejected(self, halfwidth):
+        # "3" raised a bare TypeError, and True ran on [-1, 1]^2
+        with pytest.raises(PreconditionError, match="box_halfwidth must be finite and positive"):
+            ensemble_genericity(3, 2, 5, 11, box_halfwidth=halfwidth)
+
     @pytest.mark.parametrize("count", [0, -2])
     def test_seeds_per_level_must_be_positive(self, count):
         # 0 located nothing, and -2 raised a bare ValueError

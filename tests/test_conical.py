@@ -853,11 +853,19 @@ class TestConicality:
         with pytest.raises(PreconditionError):
             test_conicality(two_level_cone, [0.0, 0.0], 1, t0=1.5)
 
-    @pytest.mark.parametrize("t0", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("t0", [0.0, -0.1, np.nan, np.inf, -np.inf, "1e-8", [1e-8], True])
     def test_probe_radius_must_be_finite_and_positive(self, flat_gap_family, t0):
-        # at t0 = 0 every probe sits at u_star, and each slope is 0/0
-        with pytest.raises(PreconditionError, match="finite and positive"):
+        # at t0 = 0 every probe sits at u_star, and each slope is 0/0; "1e-8" and
+        # [1e-8] were read as numbers, and True probed at radius 1.0
+        with pytest.raises(PreconditionError, match="t0 must be finite and positive"):
             test_conicality(flat_gap_family, [0.0, 0.0], 1, t0=t0)
+
+    def test_underflowing_default_radius_rejected(self):
+        # the box diagonal, and so the default radius, underflows to 0
+        H = make_family(np.zeros((2, 2)), [SIGMA_X, SIGMA_Z], [[-1e-300, 1e-300]] * 2)
+        assert H.box_diameter() == 0.0
+        with pytest.raises(PreconditionError, match="interior to the box with margin 0 "):
+            test_conicality(H, [0.0, 0.0], 1)
 
     @pytest.mark.parametrize("tau", HOSTILE_TOLERANCES)
     def test_hostile_threshold_rejected(self, two_level_cone, tau):
@@ -1111,12 +1119,26 @@ class TestCertifyConnectedness:
         report = certify_connectedness(H, 6, rng_seed=3)
         assert report.status == "incomplete"
 
-    def test_zero_probe_radius_incomplete(self):
+    def test_zero_probe_radius_rejected(self):
+        # a zero radius returned an incomplete report, while tau_deg = 0 raised
         H = make_family(np.zeros((2, 2)), [SIGMA_Z, SIGMA_X], [[-1, 1], [-1, 1]])
-        report = certify_connectedness(H, 4, t0=0.0)
-        assert report.status == "incomplete"
-        assert not report.certificates
-        assert "finite and positive" in report.failures[1]
+        with pytest.raises(PreconditionError, match="t0 must be finite and positive, got 0.0"):
+            certify_connectedness(H, 4, t0=0.0)
+
+    @pytest.mark.parametrize("t0", [*HOSTILE_TOLERANCES, True])
+    def test_hostile_probe_radius_rejected_before_any_search(self, monkeypatch, two_level_cone, t0):
+        # it was judged per located point, after the whole search: True left the
+        # cone incomplete, and "1e-8" and [1e-8] were read as numbers
+        solves = []
+        locate = conical._locate_groups
+        monkeypatch.setattr(
+            conical, "_locate_groups", lambda groups: solves.append(1) or locate(groups)
+        )
+        with pytest.raises(PreconditionError, match="t0 must be finite and positive"):
+            certify_connectedness(two_level_cone, 4, t0=t0)
+        assert solves == []
+        assert certify_connectedness(two_level_cone, 4, t0=1e-2).certified
+        assert solves == [1]
 
     def test_three_level_chain_certified(self, three_level_chain):
         report = certify_connectedness(three_level_chain, 12, rng_seed=5)

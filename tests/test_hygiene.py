@@ -164,13 +164,13 @@ def test_only_operators_writes_documents():
 # non-positive value would turn a verdict silently
 THRESHOLDS = {
     "tau_deg", "tau_res", "tau_edge", "rank_tol", "c_min", "residual_max",
-    "step_bound", "step_limit", "rho", "epsilon", "delta", "perturbation",
+    "step_bound", "step_limit", "rho", "epsilon", "delta", "perturbation", "t0", "box_halfwidth",
 }
 # parameters that count, seed or index: a float, a bool or a value out of
 # range would index between levels, wrap round, or reach numpy as a bare error
 INTEGERS = {
     "level", "rng_seed", "seed_budget", "budget", "n_directions", "max_records", "trials",
-    "seeds_per_level",
+    "seeds_per_level", "count", "seed",
 }
 
 
@@ -370,6 +370,9 @@ NONE_CALLS = {
         ControlPath(waypoints=(np.array([0.1, 0.1]),), durations=np.array([1.0]), epsilon=1.0),
         np.array([1.0, 0.0]),
         step_limit=None,
+    ),
+    "certify.py:ensemble_genericity:box_halfwidth": lambda H: ensemble_genericity(
+        3, 2, 2, 11, box_halfwidth=None
     ),
     "certify.py:ensemble_genericity:perturbation": lambda H: ensemble_genericity(
         3, 2, 2, 11, perturbation=None

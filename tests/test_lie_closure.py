@@ -202,6 +202,12 @@ class TestClassifyTransitive:
         with pytest.raises(PreconditionError, match="2 x 2"):
             classify_transitive(closure([1j * SIGMA_X, 1j * SIGMA_Z]), n)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_n_must_be_an_integer(self, n):
+        # 2.0 was accepted as the dimension 2
+        with pytest.raises(PreconditionError, match="n must be an integer >= 1"):
+            classify_transitive(closure([1j * SIGMA_X, 1j * SIGMA_Z]), n)
+
     def test_small_abelian_controls_nothing(self):
         gens = [1j * np.diag([0.0, 1.0, 2.0]), 1j * np.diag([1.0, 1.0, 0.0])]
         verdict = classify_transitive(closure(gens), 3)

@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 import speccert
+from speccert import PreconditionError
 from speccert.conical import RESTART_SEED
 from speccert.sampling import (
     _box_sequences,
@@ -100,6 +101,28 @@ def test_sphere_directions_match_a_fresh_halton_draw(m, count, seed):
     expected = g / np.linalg.norm(g, axis=1)[:, None]
     for _ in range(2):
         assert np.array_equal(sphere_directions(m, count, seed), expected)
+
+
+@pytest.mark.parametrize(
+    "count, seed, name",
+    [(2.5, 0, "count"), (True, 0, "count"), (-1, 0, "count"), (4, -1, "seed"), (4, 0.5, "seed"),
+     (4, "0", "seed")],
+)
+def test_box_sequence_rejects_a_bad_count_or_seed(count, seed, name):
+    # seed -1 raised numpy's ValueError, and count 2.5 a bare TypeError
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer >= 0"):
+        box_sequence(np.array([[-1.0, 1.0], [-1.0, 1.0]]), count, seed)
+
+
+@pytest.mark.parametrize(
+    "m, count, seed, name",
+    [(0, 2, 0, "m"), (2.0, 2, 0, "m"), (2, 2.5, 0, "count"), (2, -1, 0, "count"),
+     (2, 2, -1, "seed"), (2, 2, [0], "seed"), (2, [2], 0, "count")],
+)
+def test_sphere_directions_rejects_a_bad_argument(m, count, seed, name):
+    # an unhashable argument raised in the cache, before any check
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        sphere_directions(m, count, seed)
 
 
 def test_cached_tables_are_read_only():
