@@ -295,7 +295,8 @@ def ensemble_genericity(
     In each locator solve, every seed's restarts run alongside its first
     run (one stacked eigensolve per iteration for all of them), so a solve
     lasts about as long as its slowest run, not its slowest seed's runs in
-    turn.
+    turn; from n = ``LAZY_SEED_MIN_DIM`` on, a level's seeds also start one
+    after another, as in ``locate_intersection``.
 
     Fractions are None when no intersection was located (vacuous statistics).
     ``n`` must be an integer >= 2, ``m`` 2 or 3, ``trials`` and

@@ -9,6 +9,7 @@ origin, and certify from the worst sampled direction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,13 @@ RESTART_SEED = 0x5EED
 # determinant) when its Hadamard ratio |det J| / prod ||row_i|| exceeds this,
 # and by pinv otherwise, as at a decoupled (block-diagonal) pair
 STEP_HADAMARD_MIN = 1e-8
+# the smallest n at which a group starts with its first seed's first run alone
+# and releases each next seed's first run as its predecessor's restart is
+# released: from n = 6 on, the eigensolve rows of seeds keyed after a group's
+# answer cost more than the extra lockstep iterations (about 200 us each) of
+# the later starts; below it every seed starts at once (measured on one BLAS
+# thread)
+LAZY_SEED_MIN_DIM = 6
 
 
 def spectral_diameter_estimate(H: ControlHamiltonian) -> float:
@@ -78,11 +86,15 @@ def locate_intersection(
 
     Every run of every seed advances in lockstep, one stacked eigensolve per
     iteration. A seed's next run starts as soon as its current run first
-    rejects a step, alongside it, and a rejection streak tries its next
-    shrunken caps several at a time, so the schedule is shorter than the
-    runs one after another; each run still takes exactly the steps it would
-    take alone, and no run's path depends on which other seeds share the
-    batch.
+    rejects a step or ends without an interior hit, alongside it, and a
+    rejection streak tries its next shrunken caps several at a time, so the
+    schedule is shorter than the runs one after another. Below
+    n = ``LAZY_SEED_MIN_DIM`` every seed's first run starts at once; from it
+    on only the first seed's does, and each seed's first run starts the next
+    seed's first run as it starts its own restart, so seeds after the answer
+    are rarely solved. Each run still takes exactly the steps it would take
+    alone, and no run's path depends on which other seeds share the batch or
+    when it starts.
 
     Returns the point reached by the first seed, in seed order, whose runs end
     at an interior point with gap <= tau_deg (its first such run), or None
@@ -196,7 +208,14 @@ def _locate_groups(groups) -> list:
     slot that ends at an interior hit: the run a seed-by-seed, run-by-run
     search reaches first. Slots keyed at or above it are dropped. Run r + 1
     is released at run r's first rejected step or when run r ends without a
-    hit, since runs that hit rarely reject a step.
+    hit, since runs that hit rarely reject a step. Below
+    n = ``LAZY_SEED_MIN_DIM`` every seed's run 0 is released at the start;
+    from it on only the first seed's is, and the same event of a seed's run 0
+    also releases the next seed's run 0. Either way every slot keyed below a
+    group's first hit is released and run to its end (a run that releases
+    nothing ends at an interior hit or is dropped behind a lower-keyed one,
+    and the slots it would release are keyed above that hit), so when a slot
+    starts changes the work, never an answer.
 
     A rejected step leaves the point, gap and pair frame as they were, so the
     next trial depends on the shrunken cap alone. After s straight
@@ -263,7 +282,10 @@ def _locate_groups(groups) -> list:
     streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
     step = np.empty((k, m))
     length = np.empty(k)
-    released = run == 0
+    # from LAZY_SEED_MIN_DIM on, a seed's run 0 is a successor of the previous
+    # seed's run 0, keyed RESTARTS + 1 slots on; below it every run 0 starts now
+    lazy = n >= LAZY_SEED_MIN_DIM
+    released = (run == 0) & (pos == 0) if lazy else run == 0
     # per group, the key of its lowest-keyed slot that ended at an interior hit
     first = counts * runs
     tiny = np.finfo(float).tiny
@@ -324,11 +346,15 @@ def _locate_groups(groups) -> list:
         # the box, as at an avoided crossing, where the gap has a positive minimum
         over[solve] = ~(length[d] <= far_step[d])
         a = ev[~over & useful]
-        # a run's successor is released when the run ends without a hit or first
-        # rejects a step; a useful run's successor is keyed at most at its
-        # group's first hit, and that slot was released when it started
-        succeed = ((over & ~hits) | (unmoved & fresh)) & (run[ev] < restarts) & useful
-        new = ev[succeed] + 1
+        # a run's successors are released when the run ends without a hit or
+        # first rejects a step: its restart, and under the lazy schedule a first
+        # run's next seed too. A useful run's successors are keyed at most at
+        # its group's first hit, and that slot was released when it started
+        succeed = ((over & ~hits) | (unmoved & fresh)) & useful
+        new = ev[succeed & (run[ev] < restarts)] + 1
+        if lazy:
+            seeded = succeed & (run[ev] == 0) & (pos[ev] + 1 < counts[grp[ev]])
+            new = np.concatenate([new, ev[seeded] + runs])
         new = new[~released[new]]
         released[new] = True
         if not (len(a) or len(new)):
@@ -621,13 +647,17 @@ def certify_connectedness(
     For every level j locates an intersection from the user hints, if any,
     followed by ``seed_budget`` low-discrepancy seeds (all levels in one
     lockstep solve, each level's point the one ``locate_intersection``
-    returns), and submits every located point to the conicality test in one
-    call, each level's outcome the one ``test_conicality`` gives. Status is
+    returns; from n = ``LAZY_SEED_MIN_DIM`` on a level's seeds start one
+    after another, as there), and submits every located point to the
+    conicality test in one call, each level's outcome the one
+    ``test_conicality`` gives. Status is
     "certified" iff every level has a conical certificate with all other
     levels simple there; otherwise "incomplete". Incompleteness is a status, not an error.
-    ``seed_budget`` must be an integer >= 1, ``rng_seed`` one >= 0 and a
-    given ``tau_deg`` or ``t0`` finite and positive (``PreconditionError``,
-    raised before any search).
+    ``seed_budget`` must be an integer >= 1, ``rng_seed`` one >= 0, ``hints``
+    an iterable of control points inside the box, as ``locate_intersection``
+    takes its seeds, and a given ``tau_deg`` or ``t0`` finite and positive
+    (``PreconditionError``, raised before any search). ``n_hints`` in the
+    metadata counts the checked hints.
     """
     _check_integer("seed_budget", seed_budget, 1)
     _check_integer("rng_seed", rng_seed, 0)
@@ -635,10 +665,8 @@ def certify_connectedness(
     _check_tolerance("t0", t0)
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
-    seeds = list(box_sequence(H.box, seed_budget, rng_seed))
-    if hints is not None:
-        seeds = [np.asarray(h, dtype=float) for h in hints] + seeds
-    U = _seed_array(H, seeds)
+    seeds = box_sequence(H.box, seed_budget, rng_seed)
+    U = _seed_array(H, seeds if hints is None else itertools.chain(hints, seeds))
     located = _locate_groups([(H._stack, H.box, j, U, tau_deg) for j in range(1, H.dim)])
     found = [(j, u) for j, u in enumerate(located, start=1) if u is not None]
     outcomes = _conicality_rows(
@@ -671,7 +699,7 @@ def certify_connectedness(
         "seed_budget": seed_budget,
         "rng_seed": rng_seed,
         "tau_deg": tau_deg,
-        "n_hints": 0 if hints is None else len(hints),
+        "n_hints": len(U) - seed_budget,
         "caveat": "conicality verified only at located points inside the stated box",
     }
     return ConnectednessReport(

@@ -380,9 +380,15 @@ def _oracle(source: str) -> tuple:
     """(solves, the reference's answers per solve, its end-reason counts, its
     eigensolve count) for one part of the equivalence set, each solve a group
     list as one call receives it."""
-    if source == "certify":
+    if source in ("certify", "large"):
+        # certify's default 8 seeds per level; "large" is where the lazy seed
+        # schedule saves the most
+        if source == "certify":
+            families = _certify_random_families(60)
+        else:
+            families = _bench_families(6, (12, 16), 12)
         solves = []
-        for H in _certify_random_families(60):
+        for H in families:
             U = box_sequence(H.box, 8, 0)
             solves.append([(H._stack, H.box, j, U, degeneracy_tol(H)) for j in range(1, H.dim)])
     elif source == "thresholds":
@@ -447,7 +453,7 @@ def planted_set(
     return solves
 
 
-SOURCES = ["certify", "thresholds", "chain", "11", "22", "33"]
+SOURCES = ["certify", "thresholds", "chain", "11", "22", "33", "large"]
 END_REASONS = {"hit", "edge", "far", "cap", "iterations"}
 
 
@@ -486,7 +492,54 @@ class TestLocatorOracle:
         assert _locate_groups(groups)[0] is not None  # a restart finds the interior cone
 
 
+def _eigh_rows(monkeypatch, solves) -> list:
+    """The row count of every stacked eigensolve the locator runs on ``solves``."""
+    rows = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda a: rows.append(len(a)) or eigh(a))
+        for groups in solves:
+            _locate_groups(groups)
+    return rows
+
+
+EAGER, LAZY = 10**9, 2  # LAZY_SEED_MIN_DIM values that make every solve eager or lazy
+
+
 class TestLocatorSchedule:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_lazy_and_eager_seeds_give_the_same_points(self, monkeypatch, source):
+        solves, answers, _, _ = _oracle(source)
+        for limit in (EAGER, LAZY):
+            monkeypatch.setattr(conical, "LAZY_SEED_MIN_DIM", limit)
+            for groups, want in zip(solves, answers):
+                assert _same_answers(_locate_groups(groups), want)
+
+    def test_lazy_seeds_evaluate_fewer_rows_at_n8(self, monkeypatch):
+        solves = [groups for groups in _oracle("certify")[0] if groups[0][0].shape[-1] == 8]
+        assert len(solves) == 20
+        assert conical.LAZY_SEED_MIN_DIM <= 8
+        lazy = sum(_eigh_rows(monkeypatch, solves))
+        monkeypatch.setattr(conical, "LAZY_SEED_MIN_DIM", EAGER)
+        eager = sum(_eigh_rows(monkeypatch, solves))
+        # seeds keyed after a level's answer are mostly never solved
+        assert lazy <= 0.6 * eager
+
+    def test_below_the_threshold_the_schedule_is_eager(self, monkeypatch):
+        solves = [
+            groups
+            for source in ("certify", "chain", "11")
+            for groups in _oracle(source)[0]
+            if groups[0][0].shape[-1] < conical.LAZY_SEED_MIN_DIM
+        ]
+        assert len(solves) >= 50
+        default = _eigh_rows(monkeypatch, solves)
+        monkeypatch.setattr(conical, "LAZY_SEED_MIN_DIM", EAGER)
+        assert default == _eigh_rows(monkeypatch, solves)
+        # and the lazy schedule would have run them differently
+        monkeypatch.setattr(conical, "LAZY_SEED_MIN_DIM", LAZY)
+        assert default != _eigh_rows(monkeypatch, solves)
+
     def test_at_most_half_the_reference_eigensolves(self, monkeypatch):
         solves, _, _, reference_calls = _oracle("certify")
         calls = []
@@ -944,17 +997,23 @@ class TestConicality:
         assert errs[2] <= errs[1] + 1e-9
 
 
-def _certify_random_families(count: int) -> list:
-    """The certify_random benchmark's first families of seed 0: unit-norm real
-    symmetric operators, m = 2, box [-3, 3]^2, n cycling 3, 4, 8."""
+def _bench_families(count: int, sizes, seed: int = 0) -> list:
+    """Families drawn as the benchmark draws them: unit-norm real symmetric
+    operators, m = 2, box [-3, 3]^2, n cycling through ``sizes``, one child of
+    ``SeedSequence(seed)`` per family."""
     families = []
-    for k, child in enumerate(np.random.SeedSequence(0).spawn(count)):
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(child)
-        ops = [HermitianOperator(random_symmetric(rng, (3, 4, 8)[k % 3])) for _ in range(3)]
+        ops = [HermitianOperator(random_symmetric(rng, sizes[k % len(sizes)])) for _ in range(3)]
         families.append(
             ControlHamiltonian(drift=ops[0], controlled=tuple(ops[1:]), box=[[-3.0, 3.0]] * 2)
         )
     return families
+
+
+def _certify_random_families(count: int) -> list:
+    """The certify_random benchmark's first families of seed 0 (n cycling 3, 4, 8)."""
+    return _bench_families(count, (3, 4, 8))
 
 
 def _located_points(H, seeds: int = 8) -> list:
@@ -1146,6 +1205,36 @@ class TestCertifyConnectedness:
         assert set(report.certificates) == {1, 2}
         for cert in report.certificates.values():
             assert cert.others_simple
+
+    @pytest.mark.parametrize("hints", [5, [[0.1, "x"]], [0.1, 0.2], [[0.1, 0.2], None], "ab"])
+    def test_malformed_hints_rejected_before_any_search(self, monkeypatch, two_level_cone, hints):
+        # 5 raised a bare TypeError and [[0.1, "x"]] a bare ValueError
+        solves = []
+        locate = conical._locate_groups
+        monkeypatch.setattr(
+            conical, "_locate_groups", lambda groups: solves.append(1) or locate(groups)
+        )
+        with pytest.raises(PreconditionError, match="seeds must be control points of length 2"):
+            certify_connectedness(two_level_cone, 4, hints=hints)
+        assert solves == []
+
+    def test_hint_outside_the_box_rejected(self, two_level_cone):
+        with pytest.raises(PreconditionError, match="lies outside the control box"):
+            certify_connectedness(two_level_cone, 4, hints=[[2.0, 0.0]])
+
+    def test_hints_from_a_generator(self, double_cone_family):
+        # a generator ran the whole search, then raised a TypeError from len(hints)
+        H = double_cone_family
+        hints = [[0.9, 0.1], [0.1, 0.1]]
+        listed = certify_connectedness(H, 8, rng_seed=0, hints=hints)
+        generated = certify_connectedness(H, 8, rng_seed=0, hints=(h for h in hints))
+        assert generated.to_json_dict() == listed.to_json_dict()
+        assert generated.metadata["n_hints"] == 2
+
+    @pytest.mark.parametrize("hints, count", [(None, 0), ([], 0), (np.array([[0.9, 0.1]]), 1)])
+    def test_n_hints_counts_the_checked_hints(self, double_cone_family, hints, count):
+        report = certify_connectedness(double_cone_family, 8, rng_seed=0, hints=hints)
+        assert report.metadata["n_hints"] == count
 
     def test_hint_that_hits_comes_before_box_seeds(self, double_cone_family):
         H = double_cone_family
