@@ -45,9 +45,9 @@ from .spectrum import (
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
-# climb: the largest step limit it tries (16 x the default, so halving lands
+# climb: the largest step limit it tries (8 x the default, so halving lands
 # on the default exactly) and the final-state error it aims for
-CLIMB_START_LIMIT = 1.6
+CLIMB_START_LIMIT = 0.8
 CLIMB_TOLERANCE = 1e-6
 MAX_TOTAL_STEPS = 10**8
 DEFAULT_MAX_RECORDS = 1200
@@ -263,8 +263,14 @@ def propagate(
     exp(-i h K) with K = H(u_mid) - i (h^2/12) [D, H(u_mid)], where u_mid is
     the step's midpoint and D = dH/dt is the segment's constant rate. It is
     fourth-order accurate, exactly unitary per step, and costs one eigensolve
-    per step. Step sizes are chosen so that ||H|| * h <= step_limit on every
-    segment. Since H is affine in u, K is too: each segment's corrected
+    per step. Each segment takes the fewest equal steps that keep
+    h * (lambda_max - lambda_min) / 2 <= step_limit at both its ends (to
+    within a relative 1e-9), with the spreads from one stacked eigensolve at
+    the waypoints. Half the spread is min_c ||H - c I||, convex in u, so the
+    bound holds on every step of the segment. An offset c I only adds a
+    global phase, and the step's error comes from commutators of H alone, so
+    the spread, unlike ||H||, sizes the steps independently of the offset.
+    Since H is affine in u, K is too: each segment's corrected
     operators are built once, complex for a real family too through their
     Magnus term, and the step exponentials are evaluated in stacked chunks
     of ``_block_rows(n**2)`` steps (1820 at n = 3),
@@ -313,9 +319,18 @@ def propagate(
         if not H.contains(w):
             raise GeometryError(f"waypoint {w.tolist()} lies outside the control box")
     segs = list(path.segments())
+    lam = np.linalg.eigvalsh(H.matrices_at(np.array(path.waypoints)))
+    half_spread = (lam[:, -1] - lam[:, 0]) / 2
+    # half the spread is convex in u, so it peaks on a segment at one of its
+    # ends; a held point's one segment has that point at both ends
+    if len(half_spread) > 1:
+        half_spread = np.maximum(half_spread[:-1], half_spread[1:])
+    # a relative slack of 1e-9, so that the rounding an offset c * I leaves in
+    # the spread adds no step where dur * spread / step_limit is an integer
+    # (as on a path through round waypoints)
     steps_per_seg = [
-        max(1, math.ceil(dur * max(H.norm_bound(a), H.norm_bound(b)) / step_limit))
-        for a, b, dur in segs
+        max(1, math.ceil(dur * spread / step_limit * (1 - 1e-9)))
+        for (_, _, dur), spread in zip(segs, half_spread)
     ]
     total_steps = sum(steps_per_seg)
     if total_steps > MAX_TOTAL_STEPS:
@@ -491,13 +506,16 @@ def climb(
     ``delta`` is rho/2.
 
     The step limit comes from a measured error. The path is propagated at
-    ``CLIMB_START_LIMIT`` and once more at twice that limit, reading only the
-    final states, so neither run decomposes its records; the propagator is
-    fourth order, so ||psi_h - psi_2h|| / 15
-    estimates the final state's error. While the estimate exceeds
-    ``CLIMB_TOLERANCE`` the limit is halved, and the last run serves as the
-    coarse one, down to ``DEFAULT_STEP_LIMIT`` at the least, so no climb takes
-    more steps than ``propagate``'s default rule.
+    ``CLIMB_START_LIMIT`` (8 x the default) and once more at twice that
+    limit, reading only the final states, so neither run decomposes its
+    records; the propagator is fourth order, so ||psi_h - psi_2h|| / 15
+    estimates the final state's error. A limit bounds h times the spectral
+    half-spread (lambda_max - lambda_min) / 2 (``propagate``), which an
+    energy offset c I does not change, so a climb of H + c I takes the same
+    steps and ends at the same limit as a climb of H. While the estimate
+    exceeds ``CLIMB_TOLERANCE`` the limit is halved, and the last run serves
+    as the coarse one, down to ``DEFAULT_STEP_LIMIT`` at the least, so no
+    climb takes more steps than ``propagate``'s default rule.
     Returns the plan, the trajectory, the final population of the top sorted
     level at the end point, the step limit used and the error estimate.
 

@@ -346,7 +346,11 @@ class ControlHamiltonian:
         return _affine_stack(self._stack, U)
 
     def norm_bound(self, u) -> float:
-        """Upper bound on the spectral norm of H(u) via the triangle inequality."""
+        """Upper bound on the spectral norm of H(u) via the triangle inequality.
+
+        ``propagate`` does not use it: it sizes its steps by the spectral
+        half-spread of H, which an energy offset does not change.
+        """
         u = np.asarray(u, dtype=float)
         return float(self._norms[0] + np.abs(u) @ self._norms[1:])
 

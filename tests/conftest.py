@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def scaled(H: ControlHamiltonian, s: float) -> ControlHamiltonian:
         controlled=tuple(HermitianOperator(s * h.matrix) for h in H.controlled),
         box=H.box,
     )
+
+
+def half_spread(H: ControlHamiltonian, u) -> float:
+    """(lambda_max - lambda_min) / 2 of H(u), from an eigensolve of its own."""
+    lam = np.linalg.eigvalsh(H.matrix_at(u))
+    return float(lam[-1] - lam[0]) / 2
+
+
+def step_counts(H: ControlHamiltonian, path, step_limit: float = 0.1) -> list:
+    """``propagate``'s steps per segment: the fewest whose size h keeps
+    h * half_spread <= step_limit * (1 + 1e-9) at both ends of the segment."""
+    counts = []
+    for a, b, dur in path.segments():
+        spread = max(half_spread(H, a), half_spread(H, b))
+        counts.append(max(1, math.ceil(dur * spread / step_limit / (1 + 1e-9))))
+    return counts
 
 
 @pytest.fixture

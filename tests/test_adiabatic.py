@@ -25,6 +25,7 @@ from speccert import (
     load_path,
     plan_passage,
     propagate,
+    sample_nonresonant,
     test_conicality,
 )
 from speccert import adiabatic
@@ -38,7 +39,7 @@ from speccert.adiabatic import (
 from speccert.sampling import random_hermitian, random_symmetric
 from speccert.spectrum import BLOCK_ENTRIES, degeneracy_tol
 from branch_reference import reference_labels, reference_records
-from conftest import SIGMA_X, SIGMA_Z, make_family, random_family
+from conftest import SIGMA_X, SIGMA_Z, half_spread, make_family, random_family, step_counts
 
 
 def hold(u, T, epsilon=1.0):
@@ -191,8 +192,7 @@ def reference_states(H, path, psi0, step_limit=0.1):
     step, K = H(u_mid) - i (h^2/12) [D, H(u_mid)] with D = dH/dt, one step at a time."""
     psi = np.asarray(psi0, dtype=complex)
     states = []
-    for a, b, dur in path.segments():
-        nsteps = max(1, int(np.ceil(dur * max(H.norm_bound(a), H.norm_bound(b)) / step_limit)))
+    for (a, b, dur), nsteps in zip(path.segments(), step_counts(H, path, step_limit)):
         h = dur / nsteps
         rate = (H.matrix_at(b) - H.matrix_at(a)) / dur
         for i in range(nsteps):
@@ -210,8 +210,7 @@ class TestChunkedPropagation:
         path = ControlPath(waypoints=waypoints, durations=np.array([90.0, 7.0]), epsilon=1.0)
         psi0 = decompose(H, waypoints[0]).frame[:, 0]
         reference = reference_states(H, path, psi0)
-        bound = max(H.norm_bound(waypoints[0]), H.norm_bound(waypoints[1]))
-        assert 90.0 * bound / 0.1 > BLOCK_ENTRIES // 4**2
+        assert step_counts(H, path)[0] > BLOCK_ENTRIES // 4**2
         traj = propagate(H, path, psi0, max_records=len(reference))
         assert traj.states.shape[0] == len(reference) + 1
         assert np.max(np.abs(traj.states[1:] - reference)) <= 1e-12
@@ -225,7 +224,8 @@ class TestChunkedPropagation:
         total = len(reference)
         assert total > 2 * (BLOCK_ENTRIES // 4**2)
         traj = propagate(H, path, psi0, max_records=50)
-        stride = total // 50
+        # stride = ceil(steps / max_records), as propagate documents
+        stride = -(-total // 50)
         recorded = [k for k in range(1, total + 1) if k % stride == 0 or k == total]
         assert traj.states.shape[0] == len(recorded) + 1
         assert np.max(np.abs(traj.states[1:] - reference[np.array(recorded) - 1])) <= 1e-12
@@ -272,12 +272,19 @@ class TestChunkedPropagation:
         # it instead would not exchange them.
         H = make_family(np.eye(2), [SIGMA_Z, SIGMA_X], [[-1, 1], [-1, 1]])
         a, apex, b = np.array([0.0, -0.6]), np.zeros(2), np.array([0.0, 0.6])
+        block = BLOCK_ENTRIES // 2**2
+        # H(apex) = I has no spread, so a held segment takes one step whatever
+        # its duration: the approach ends 3 steps short of the block boundary
+        # and four held segments carry the hold across it
+        approach = (block - 3.5) * DEFAULT_STEP_LIMIT / half_spread(H, a)
         path = ControlPath(
-            waypoints=(a, apex, apex, b), durations=np.array([150.0, 200.0, 150.0]), epsilon=1.0
+            waypoints=(a, *[apex] * 5, b),
+            durations=np.array([approach, 50.0, 50.0, 50.0, 50.0, 150.0]),
+            epsilon=1.0,
         )
+        assert step_counts(H, path)[:5] == [block - 3, 1, 1, 1, 1]
         psi0 = decompose(H, a).frame[:, 0]
         traj = propagate(H, path, psi0, max_records=10**6)
-        block = BLOCK_ENTRIES // 2**2
         held = np.flatnonzero(np.all(traj.controls == apex, axis=1))
         assert held[0] < block - 1 and block < held[-1] < traj.times.shape[0] - 1
         points = decompose_many(H, traj.controls)
@@ -317,10 +324,12 @@ def sequential_states(chunks, psi0):
 def path_of_lengths(H, waypoints, lengths, step_limit=DEFAULT_STEP_LIMIT):
     """A path through the waypoints whose segments take the given numbers of propagate steps."""
     durations = [
-        (count - 0.5) * step_limit / max(H.norm_bound(a), H.norm_bound(b))
+        (count - 0.5) * step_limit / max(half_spread(H, a), half_spread(H, b))
         for a, b, count in zip(waypoints, waypoints[1:], lengths)
     ]
-    return ControlPath(waypoints=tuple(waypoints), durations=np.array(durations), epsilon=1.0)
+    path = ControlPath(waypoints=tuple(waypoints), durations=np.array(durations), epsilon=1.0)
+    assert step_counts(H, path, step_limit) == list(lengths)
+    return path
 
 
 def blocked_run(n, real, seed, lengths, mp):
@@ -650,6 +659,83 @@ class TestClimb:
         report = certify_connectedness(two_level_cone, 6, rng_seed=3)
         with pytest.raises(PreconditionError):
             climb(two_level_cone, report, [0.0, 0.0], epsilon=0.1)
+
+
+def offset_family(H, c, where):
+    """H with c * I added to its drift, or to its first control (then H + c u_1 I)."""
+    ops = [H.drift.matrix, *(h.matrix for h in H.controlled)]
+    k = 0 if where == "drift" else 1
+    ops[k] = ops[k] + c * np.eye(H.dim)
+    return make_family(ops[0], ops[1:], H.box)
+
+
+def segment_steps(chunks, path):
+    """Each segment's step count, read from the chunks ``propagate`` advanced it in."""
+    counts, k = [], 0
+    for _, _, dur in path.segments():
+        # every chunk of a segment has its step size h = dur / steps
+        nsteps, taken = round(dur / chunks[k][2]), 0
+        while taken < nsteps:
+            taken += len(chunks[k][0])
+            k += 1
+        assert taken == nsteps
+        counts.append(nsteps)
+    assert k == len(chunks)
+    return counts
+
+
+class TestEnergyOffset:
+    """An offset c * I changes only a global phase, so it changes no step, record or population."""
+
+    @pytest.fixture(params=["chain", "random n = 4"])
+    def setting(self, request):
+        if request.param == "chain":
+            H = request.getfixturevalue("three_level_chain")
+            return H, chain_report(H), [-0.3, 0.55], 1e-3
+        rng = np.random.default_rng(2)
+        H = make_family(
+            random_symmetric(rng, 4),
+            [random_symmetric(rng, 4), random_symmetric(rng, 4)],
+            [[-3, 3], [-3, 3]],
+        )
+        report = certify_connectedness(H, 8, rng_seed=0)
+        assert report.certified
+        return H, report, sample_nonresonant(H, 50, 0).report.u_bar, 1e-2
+
+    @staticmethod
+    def run(H, report, anchor, epsilon):
+        """The climb, its chunks' (steps, h), and the per-segment steps of one
+        default-limit ``propagate`` along the climb's path."""
+        with pytest.MonkeyPatch.context() as mp:
+            chunks = record_chunks(mp)
+            result = climb(H, report, anchor, epsilon)
+            grid = [(len(lam), h) for lam, _, h, _ in chunks]
+            chunks.clear()
+            propagate(H, result.path, decompose(H, anchor).frame[:, 0], max_records=1)
+            return result, grid, segment_steps(chunks, result.path)
+
+    @pytest.mark.parametrize("where", ["drift", "control"])
+    @pytest.mark.parametrize("c", [-100.0, 10.0, 100.0])
+    def test_offset_changes_no_step(self, setting, where, c):
+        H, report, anchor, epsilon = setting
+        base, base_grid, base_steps = self.run(H, report, anchor, epsilon)
+        shifted, grid, steps = self.run(offset_family(H, c, where), report, anchor, epsilon)
+        assert np.array_equal(shifted.path.waypoints, base.path.waypoints)
+        assert steps == base_steps
+        assert grid == base_grid
+        assert shifted.step_limit == base.step_limit
+        assert shifted.trajectory.times.shape == base.trajectory.times.shape
+        # every state is the same up to a global phase
+        overlap = np.sum(shifted.trajectory.states.conj() * base.trajectory.states, axis=1)
+        assert np.max(1 - np.abs(overlap)) <= 1e-9
+        # populations are compared where the levels are resolved: at a record on
+        # an intersection the crossing pair's frame is any basis of its eigenspace
+        lam = np.linalg.eigvalsh(H.matrices_at(base.trajectory.controls))
+        resolved = np.min(np.diff(lam, axis=1), axis=1) > 1e-3 * H.energy_scale
+        assert np.count_nonzero(resolved) >= 0.95 * len(resolved)
+        moved = np.abs(shifted.trajectory.populations - base.trajectory.populations)
+        assert np.max(moved[resolved]) <= 1e-9
+        assert abs(shifted.p_target - base.p_target) <= 1e-9
 
 
 class TestRoute:
