@@ -18,6 +18,7 @@ from .errors import PreconditionError, SpeccertError
 from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
 from .sampling import _halton_unit, _sphere_directions, axis_directions, box_sequence
 from .spectrum import (
+    DEGENERACY_REL,
     _block_rows,
     _check_integer,
     _check_tolerance,
@@ -45,6 +46,8 @@ RESTART_SEED = 0x5EED
 # determinant) when its Hadamard ratio |det J| / prod ||row_i|| exceeds this,
 # and by pinv otherwise, as at a decoupled (block-diagonal) pair
 STEP_HADAMARD_MIN = 1e-8
+# how a locator run ends, as ``_locate_groups`` counts them (see there)
+END_REASONS = ("hit", "edge", "far", "cap", "iterations", "stall", "face")
 # the smallest n at which a group starts with its first seed's first run alone
 # and releases each next seed's first run as its predecessor's restart is
 # released: from n = 6 on, the eigensolve rows of seeds keyed after a group's
@@ -80,9 +83,15 @@ def locate_intersection(
     widens after a kept step and shrinks after a rejected one. A seed ends at
     gap <= tau_deg, when its cap falls to roundoff, when its full step is more
     than ``FAR_STEP`` box diagonals long (the gap has a positive minimum
-    nearby, an avoided crossing), or after ``MAX_ITERATIONS``. A run that ends
-    anywhere but at an interior hit restarts from the seed's next point of a
-    fixed low-discrepancy sequence, up to ``RESTARTS`` times per seed.
+    nearby, an avoided crossing), or after ``MAX_ITERATIONS``. It also ends
+    when a kept step lowers the gap by no more than ``DEGENERACY_REL`` times
+    the spectral spread lambda_n - lambda_1 at its new point (a stall: the
+    run crawls towards a positive minimum of the gap), and when a rejected
+    step starts on a box face and its full step points beyond that face (the
+    run is pinned there: its clipped trials are projections, not descent
+    steps). A run that ends anywhere but at an interior hit restarts from the
+    seed's next point of a fixed low-discrepancy sequence, up to ``RESTARTS``
+    times per seed.
 
     Every run of every seed advances in lockstep, one stacked eigensolve per
     iteration. A seed's next run starts as soon as its current run first
@@ -192,7 +201,7 @@ def _inverse_first_column(J: np.ndarray) -> np.ndarray:
     return col
 
 
-def _locate_groups(groups) -> list:
+def _locate_groups(groups, reasons=None) -> list:
     """``locate_intersection`` for many groups in one lockstep solve.
 
     A group is (stack, box, level, seeds, tau): a family's (m + 1, n, n)
@@ -216,6 +225,19 @@ def _locate_groups(groups) -> list:
     nothing ends at an interior hit or is dropped behind a lower-keyed one,
     and the slots it would release are keyed above that hit), so when a slot
     starts changes the work, never an answer.
+
+    A run ends without a hit by ``far``, ``cap`` or ``iterations`` (see
+    ``locate_intersection``), by ``stall`` when a kept step lowers the gap by
+    no more than ``DEGENERACY_REL`` times lambda_n - lambda_1 at its new
+    point, or by ``face`` when a rejected ladder starts from a point on a box
+    face and the full step's target u + step lies beyond that same face. The
+    stall test is the package's one degeneracy resolution, so it depends on
+    neither the energy unit nor ``tau``. In the interior the step is a
+    descent direction (the gap falls as (1 - t) gap for small t), so a ladder
+    there keeps a rung; on a face the clipped trials are projections with no
+    such guarantee, and the run waits for a rejection there, since runs that
+    touch a face and move on do hit. Every end releases the run's successors
+    alike.
 
     A rejected step leaves the point, gap and pair frame as they were, so the
     next trial depends on the shrunken cap alone. After s straight
@@ -241,6 +263,11 @@ def _locate_groups(groups) -> list:
     answer is bitwise the one a solve of that group alone returns; a real
     group in a call with complex ones is solved in complex arithmetic, to
     rounding the same. Returns one point or None per group.
+
+    ``reasons``, when given, is a dict to which the counts of how the runs
+    ended are added under the names of ``END_REASONS``: "hit" and "edge" (a
+    degeneracy inside or outside the interior margin) and the five ends
+    above. A run dropped behind its group's first hit is not counted.
     """
     if not groups:
         return []
@@ -290,6 +317,9 @@ def _locate_groups(groups) -> list:
     first = counts * runs
     tiny = np.finfo(float).tiny
     new = np.nonzero(released)[0]  # slots whose runs start at this iteration's eigensolve
+    # per slot, 1 + the index in END_REASONS of how its run ended; 0 while it
+    # runs, or when it is dropped behind its group's first hit
+    why = None if reasons is None else np.zeros(k, dtype=np.int8)
     # the live slots, and this iteration's ladders: their rung counts and first
     # rows, and per rung (row) its slot, index, cap and trial point
     a = rungs = offsets = rs = rung = rc = np.empty(0, dtype=int)
@@ -314,12 +344,28 @@ def _locate_groups(groups) -> list:
         # since their last kept one
         unmoved = np.zeros(len(ev), dtype=bool)
         fresh = streak[ev] == 0
+        # which slots stalled at a positive gap or are pinned to a box face
+        stuck = np.zeros(len(ev), dtype=bool)
         if t:
             accepted = np.minimum.reduceat(np.where(row_gap[:t] < gap[rs], rung, t), offsets)
             kept = accepted < t
             last = offsets + np.where(kept, accepted, rungs - 1)
+            # how far each ladder's last rung lowered the gap, against the
+            # degeneracy resolution of that rung's spectrum
+            drop = gap[a] - row_gap[last]
+            resolution = DEGENERACY_REL * (lam[last, -1] - lam[last, 0])
             s, row = a[kept], last[kept]
             U[s], gap[s], pair[s] = trial.take(row, 0), row_gap[row], row_pair.take(row, 0)
+            # a rejected ladder that starts on a box face, toward a full step's
+            # target beyond that same face, is pinned there: its clipped trials
+            # are projections, which need not lower the gap however short. The
+            # box clips such a target back onto u in that coordinate, and no
+            # other target that differs from u there
+            u = U.take(a, 0)
+            target = u + step.take(a, 0)
+            onto = np.minimum(np.maximum(target, lo.take(a, 0)), hi.take(a, 0)) == u
+            pinned = np.logical_or.reduce(onto & (target != u), axis=1)
+            stuck[len(new) :] = np.where(kept, drop <= resolution, pinned)
             # a kept rung doubles its cap, a rejected ladder shrinks its last one
             last_cap = rc[last]
             grown = np.minimum(2.0 * last_cap, cap_max[a])
@@ -328,7 +374,9 @@ def _locate_groups(groups) -> list:
             streak[a] = np.where(kept, 0, streak[a] + rungs)
             unmoved[len(new) :] = ~kept
         ended = gap[ev] <= tau[ev]
-        over = ended | (cap[ev] <= cap_min[ev]) | (iterations[ev] >= MAX_ITERATIONS)
+        capped = cap[ev] <= cap_min[ev]
+        limited = iterations[ev] >= MAX_ITERATIONS
+        over = ended | capped | limited | stuck
         # every evaluated slot is keyed below its group's first hit until a hit
         # lowers that key; slots keyed after it cannot change the group's answer
         hits, useful = ended, True
@@ -345,6 +393,10 @@ def _locate_groups(groups) -> list:
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive minimum
         over[solve] = ~(length[d] <= far_step[d])
+        if why is not None:
+            # hit, edge, cap, iterations, stall and face; the other ends are far
+            ends = [hits, ended, capped, limited, stuck & ~unmoved, stuck]
+            why[ev[over]] = np.select(ends, [1, 2, 4, 5, 6, 7], 3)[over]
         a = ev[~over & useful]
         # a run's successors are released when the run ends without a hit or
         # first rejects a step: its restart, and under the lazy schedule a first
@@ -373,6 +425,10 @@ def _locate_groups(groups) -> list:
         clipped = np.minimum(1.0, rc / np.maximum(length[rs], tiny))
         trial = U.take(rs, 0) + step.take(rs, 0) * clipped[:, None]
         trial = np.minimum(np.maximum(trial, lo.take(rs, 0)), hi.take(rs, 0))
+    if why is not None:
+        tally = np.bincount(why, minlength=len(END_REASONS) + 1)[1:]
+        for name, count in zip(END_REASONS, tally):
+            reasons[name] = reasons.get(name, 0) + int(count)
     return [None if f == c * runs else U[s + f] for f, c, s in zip(first, counts, start)]
 
 

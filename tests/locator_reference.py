@@ -4,7 +4,11 @@ ladders, kept as the oracle whose points the scheduled solve must reproduce
 bitwise, group by group.
 
 Each seed runs its restarts one after another, and every iteration takes one
-trial step per live seed. ``reasons``, when given, is a dict that counts how
+trial step per live seed. It deliberately keeps the ends a run had before
+the scheduled solve learned to end a run that stalls at a positive gap or is
+pinned to a box face ("stall" and "face"): here such a run goes on to its
+cap, iteration limit or far step, so matching it point for point shows that
+the two early ends move no answer. ``reasons``, when given, is a dict that counts how
 the runs ended: "hit" (an interior degeneracy), "edge" (a degeneracy outside
 the interior margin), "far" (the full step left the box by ``FAR_STEP``
 diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run

@@ -454,7 +454,8 @@ def planted_set(
 
 
 SOURCES = ["certify", "thresholds", "chain", "11", "22", "33", "large"]
-END_REASONS = {"hit", "edge", "far", "cap", "iterations"}
+# the reference solve keeps the ends a run had before "stall" and "face"
+REFERENCE_ENDS = set(conical.END_REASONS) - {"stall", "face"}
 
 
 class TestLocatorOracle:
@@ -474,7 +475,7 @@ class TestLocatorOracle:
             for reason, count in _oracle(source)[2].items():
                 reasons[reason] = reasons.get(reason, 0) + count
         # the equivalence set is not vacuous: its runs end in every way a run can end
-        assert {r for r, count in reasons.items() if count} == END_REASONS
+        assert {r for r, count in reasons.items() if count} == REFERENCE_ENDS
 
     @pytest.mark.parametrize("limit", [3, 12])
     def test_matches_the_reference_under_short_iteration_limits(self, monkeypatch, limit):
@@ -565,6 +566,73 @@ class TestLocatorSchedule:
             _locate_groups(groups)
             assert len(events) >= 4
             assert events == ["eigh", "step"] * (len(events) // 2)
+
+
+class TestLocatorEnds:
+    """Runs pinned to a box face or stalled at a positive gap minimum end early.
+
+    The reference solve runs such runs on to their old ends, so
+    ``TestLocatorOracle`` shows that ending them moves no point. The counts
+    written into these tests were measured on the solve before the two ends
+    existed.
+    """
+
+    @pytest.mark.parametrize("restarts, rows", [(0, 5), (2, 14)])
+    def test_runs_pinned_to_a_box_face_end_there(self, monkeypatch, restarts, rows):
+        # H(u) = (u1 - 1.5) sigma_x + u2 sigma_z on [-1, 1]^2 crosses only at
+        # (1.5, 0), past the face u1 = 1. Every run slides to (1, 0), where each
+        # clipped trial stays put; runs used to ladder down to the roundoff cap,
+        # in 29 rows for one run and 86 for a seed's three
+        H = make_family(-1.5 * SIGMA_X, [SIGMA_X, SIGMA_Z], [[-1, 1], [-1, 1]])
+        groups = [(H._stack, H.box, 1, np.array([[0.0, 0.5]]), degeneracy_tol(H))]
+        monkeypatch.setattr(conical, "RESTARTS", restarts)
+        reasons, old = {}, {}
+        assert _locate_groups(groups, reasons) == [None]
+        assert reasons["face"] == restarts + 1 == sum(reasons.values())
+        reference_locate(groups, old)
+        assert old["cap"] == restarts + 1 == sum(old.values())
+        assert _eigh_rows(monkeypatch, [groups]) == [1] * rows
+
+    def test_a_crawl_ends_by_stall(self, monkeypatch):
+        # a run of ensemble_genericity(3, 2, 50, 11) whose kept steps lower a
+        # positive gap by less and less; it used to crawl on to MAX_ITERATIONS
+        # in 55 lockstep iterations and 65 rows
+        stack, box, level, U, tau = _oracle("11")[0][0][86]
+        groups = [(stack, box, level, U[1:2], tau)]
+        monkeypatch.setattr(conical, "RESTARTS", 0)
+        reasons, old = {}, {}
+        assert _locate_groups(groups, reasons) == [None]
+        assert reasons["stall"] == 1 and sum(reasons.values()) == 1
+        reference_locate(groups, old)
+        assert old["iterations"] == 1 and sum(old.values()) == 1
+        assert _eigh_rows(monkeypatch, [groups]) == [1] * 24
+
+    @pytest.mark.parametrize(
+        "source, rows, iterations", [("certify", 17550, 1262), ("11", 10558, 123)]
+    )
+    def test_less_work_than_before(self, monkeypatch, source, rows, iterations):
+        # rows and iterations (stacked eigensolves) the solve took before the two ends
+        got = _eigh_rows(monkeypatch, _oracle(source)[0])
+        assert sum(got) <= 0.85 * rows
+        assert len(got) <= 0.9 * iterations
+
+    def test_both_ends_fire_on_the_equivalence_set(self):
+        reasons = {}
+        for source in SOURCES:
+            for groups in _oracle(source)[0]:
+                _locate_groups(groups, reasons)
+        assert set(reasons) == set(conical.END_REASONS)
+        assert reasons["stall"] > 0 and reasons["face"] > 0
+
+    def test_counting_reasons_changes_no_work(self, monkeypatch):
+        solves = _oracle("chain")[0]
+        rows = _eigh_rows(monkeypatch, solves)
+        counted = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: counted.append(len(a)) or eigh(a))
+        for groups, want in zip(solves, _oracle("chain")[1]):
+            assert _same_answers(_locate_groups(groups, {}), want)
+        assert counted == rows
 
 
 def _einsum_jacobian(pair, controls) -> np.ndarray:
