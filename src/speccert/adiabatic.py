@@ -32,7 +32,7 @@ from .operators import (
     _write_json,
     read_json,
 )
-from .resonance import check_nonresonant
+from .resonance import _point_report
 from .spectrum import (
     _block_rows,
     _check_integer,
@@ -145,6 +145,11 @@ class StateTrajectory:
     and caches both; a ``NumericalError`` from that decomposition surfaces at
     the read. Its ``controls`` and ``states``, which that pass reads, are
     read-only. Built from all six fields, it returns the arrays it was given.
+
+    At a record on an intersection, where the crossing pair's levels are not
+    resolved, its frame is any basis of their eigenspace, so rounding sets
+    how the pair's population splits between its two labels; the pair's
+    summed population depends only on the state.
     """
 
     times: np.ndarray
@@ -298,7 +303,7 @@ def propagate(
         If ``psi0`` is not a finite unit vector, ``step_limit`` is not finite and
         positive, or ``max_records`` is not an integer >= 1.
     GeometryError
-        If a waypoint lies outside the control box.
+        If a waypoint lies outside the control box (the first one is named).
     BudgetError
         If the required number of steps exceeds 1e8; slower paths should use
         a larger epsilon.
@@ -311,15 +316,41 @@ def propagate(
     # written so that a nan norm fails it
     if not abs(float(np.linalg.norm(psi)) - 1.0) <= UNIT_NORM_TOL:
         raise PreconditionError("initial state must be finite with unit norm")
-    if path.waypoints[0].shape != (H.m,):
+    plan = _segment_steps(H, path, step_limit)
+    offsets = np.cumsum([0] + [nsteps for *_, nsteps in plan])
+    stride = -(-int(offsets[-1]) // max_records)
+    times = np.zeros(1)
+    records = [(times, plan[0][0][None], psi[None])]
+    for k, h, steps, states in _advance(H, plan, psi):
+        a, b, _, nsteps = plan[k]
+        # a sequential cumsum from the running time adds h exactly as t += h would
+        times = np.cumsum(np.concatenate((times[-1:], np.full(len(steps), h))))[1:]
+        keep = ((offsets[k] + steps + 1) % stride == 0) | (steps == nsteps - 1)
+        controls = a + ((steps[keep] + 1) / nsteps)[:, None] * (b - a)
+        records.append((times[keep], controls, states[keep]))
+    times, controls, states = (np.concatenate(parts) for parts in zip(*records))
+    norm_defect = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+    return StateTrajectory._of(H, times, controls, states, norm_defect)
+
+
+def _segment_steps(H: ControlHamiltonian, path: ControlPath, step_limit: float) -> list:
+    """(start, end, duration, steps) per segment of ``path``, by ``propagate``'s step rule.
+
+    Raises ``propagate``'s StructuralError for waypoints of the wrong length,
+    its GeometryError for the first waypoint outside the box and its
+    BudgetError for too many steps.
+    """
+    waypoints = np.array(path.waypoints)
+    if waypoints.shape[1] != H.m:
         raise StructuralError(
-            f"path waypoints have length {path.waypoints[0].shape[0]}, the family has m = {H.m}"
+            f"path waypoints have length {waypoints.shape[1]}, the family has m = {H.m}"
         )
-    for w in path.waypoints:
-        if not H.contains(w):
-            raise GeometryError(f"waypoint {w.tolist()} lies outside the control box")
+    outside = np.any((waypoints < H.box[:, 0]) | (waypoints > H.box[:, 1]), axis=1)
+    if outside.any():
+        w = waypoints[int(np.argmax(outside))]
+        raise GeometryError(f"waypoint {w.tolist()} lies outside the control box")
     segs = list(path.segments())
-    lam = np.linalg.eigvalsh(H.matrices_at(np.array(path.waypoints)))
+    lam = np.linalg.eigvalsh(H.matrices_at(waypoints))
     half_spread = (lam[:, -1] - lam[:, 0]) / 2
     # half the spread is convex in u, so it peaks on a segment at one of its
     # ends; a held point's one segment has that point at both ends
@@ -328,22 +359,29 @@ def propagate(
     # a relative slack of 1e-9, so that the rounding an offset c * I leaves in
     # the spread adds no step where dur * spread / step_limit is an integer
     # (as on a path through round waypoints)
-    steps_per_seg = [
-        max(1, math.ceil(dur * spread / step_limit * (1 - 1e-9)))
-        for (_, _, dur), spread in zip(segs, half_spread)
+    plan = [
+        (a, b, dur, max(1, math.ceil(dur * spread / step_limit * (1 - 1e-9))))
+        for (a, b, dur), spread in zip(segs, half_spread)
     ]
-    total_steps = sum(steps_per_seg)
+    total_steps = sum(nsteps for *_, nsteps in plan)
     if total_steps > MAX_TOTAL_STEPS:
         raise BudgetError(
             f"path requires {total_steps} steps (> {MAX_TOTAL_STEPS}); increase epsilon"
         )
-    stride = -(-total_steps // max_records)
+    return plan
+
+
+def _advance(H: ControlHamiltonian, plan: list, psi: np.ndarray):
+    """Advance psi along the segments of ``plan`` (``_segment_steps``), a chunk at a time.
+
+    Yields (k, h, steps, states) per chunk of segment k, whose steps of size h
+    have the indices ``steps`` within the segment and end in ``states``, one
+    row per step; the last chunk's last row is the final state. The step
+    products are ``propagate``'s; the states are left to the caller.
+    """
     n = H.dim
     chunk = _block_rows(n**2)
-    times = np.zeros(1)
-    records = [(times, segs[0][0][None], psi[None])]
-    offsets = np.cumsum([0] + steps_per_seg)
-    for (a, b, dur), nsteps, offset in zip(segs, steps_per_seg, offsets):
+    for k, (a, b, dur, nsteps) in enumerate(plan):
         h = dur / nsteps
         delta = b - a
         # K(u) = H(u) - i (h^2/12) [D, H(u)] is affine in u, with operator stack ks
@@ -361,14 +399,16 @@ def propagate(
                 psi = np.matmul(block, psi, out=out)[-1]
             states = states.reshape(-1, n)[: len(steps)]
             psi = states[-1]
-            # a sequential cumsum from the running time adds h exactly as t += h would
-            times = np.cumsum(np.concatenate((times[-1:], np.full(len(steps), h))))[1:]
-            keep = ((offset + steps + 1) % stride == 0) | (steps == nsteps - 1)
-            controls = a + ((steps[keep] + 1) / nsteps)[:, None] * delta
-            records.append((times[keep], controls, states[keep]))
-    times, controls, states = (np.concatenate(parts) for parts in zip(*records))
-    norm_defect = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    return StateTrajectory._of(H, times, controls, states, norm_defect)
+            yield k, h, steps, states
+
+
+def _final_state(H: ControlHamiltonian, path: ControlPath, psi0, step_limit: float) -> np.ndarray:
+    """``propagate(H, path, psi0, step_limit).final_state``, bitwise, from the same
+    steps, keeping no records: no times, controls, norm defects or trajectory."""
+    plan = _segment_steps(H, path, step_limit)
+    for *_, states in _advance(H, plan, np.asarray(psi0, dtype=complex)):
+        pass
+    return states[-1]
 
 
 def plan_passage(
@@ -505,17 +545,21 @@ def climb(
     diagonal), so the passage balls lie in the box and do not overlap, and
     ``delta`` is rho/2.
 
+    The anchor is decomposed once: its spectrum is judged for non-resonance
+    as ``check_nonresonant`` judges it, and its frame gives the ground state.
     The step limit comes from a measured error. The path is propagated at
     ``CLIMB_START_LIMIT`` (8 x the default) and once more at twice that
-    limit, reading only the final states, so neither run decomposes its
-    records; the propagator is fourth order, so ||psi_h - psi_2h|| / 15
-    estimates the final state's error. A limit bounds h times the spectral
-    half-spread (lambda_max - lambda_min) / 2 (``propagate``), which an
-    energy offset c I does not change, so a climb of H + c I takes the same
-    steps and ends at the same limit as a climb of H. While the estimate
-    exceeds ``CLIMB_TOLERANCE`` the limit is halved, and the last run serves
-    as the coarse one, down to ``DEFAULT_STEP_LIMIT`` at the least, so no
-    climb takes more steps than ``propagate``'s default rule.
+    limit. The second run takes ``propagate``'s steps but keeps only its
+    final state, bitwise ``propagate``'s, and no trajectory; neither run
+    decomposes its records. The propagator is fourth order, so
+    ||psi_h - psi_2h|| / 15 estimates the final state's error. A limit
+    bounds h times the spectral half-spread (lambda_max - lambda_min) / 2
+    (``propagate``), which an energy offset c I does not change, so a climb
+    of H + c I takes the same steps and ends at the same limit as a climb of
+    H. While the estimate exceeds ``CLIMB_TOLERANCE`` the limit is halved,
+    and the last run serves as the coarse one, down to ``DEFAULT_STEP_LIMIT``
+    at the least, so no climb takes more steps than ``propagate``'s default
+    rule.
     Returns the plan, the trajectory, the final population of the top sorted
     level at the end point, the step limit used and the error estimate.
 
@@ -524,14 +568,22 @@ def climb(
     PreconditionError
         If ``epsilon``, or a given ``rho`` or ``delta``, is not finite and
         positive, the report is not certified or the anchor is resonant.
+    StructuralError
+        If ``u_anchor`` is not m finite numbers.
+    GeometryError
+        If the anchor lies outside the box (raised before any eigensolve),
+        or no passage fits in it.
     """
     _check_tolerance("epsilon", epsilon, optional=False)
     for name, value in (("rho", rho), ("delta", delta)):
         _check_tolerance(name, value)
     if not report.certified:
         raise PreconditionError("climb requires a certified connectedness report")
-    u_anchor = np.asarray(u_anchor, dtype=float)
-    if not check_nonresonant(H, u_anchor).passed:
+    u_anchor = H._checked_point(u_anchor, "anchor")
+    if not H.contains(u_anchor):
+        raise GeometryError(f"anchor {u_anchor.tolist()} lies outside the control box")
+    anchor = decompose(H, u_anchor)
+    if not _point_report(H, anchor).passed:
         raise PreconditionError("anchor point must be non-resonant")
     n = H.dim
     points = [np.asarray(report.certificates[j].u_star, dtype=float) for j in range(1, n)]
@@ -594,9 +646,9 @@ def climb(
         ]
     )
     path = ControlPath(waypoints=tuple(deduped), durations=durations, epsilon=epsilon)
-    psi0 = decompose(H, u_anchor).frame[:, 0]
+    psi0 = anchor.frame[:, 0]
     step_limit = CLIMB_START_LIMIT
-    coarse = propagate(H, path, psi0, 2 * step_limit).final_state
+    coarse = _final_state(H, path, psi0, 2 * step_limit)
     while True:
         trajectory = propagate(H, path, psi0, step_limit)
         # Richardson estimate for a fourth-order method: 2**4 - 1 = 15

@@ -505,15 +505,14 @@ def test_conicality(
         is not degenerate at ``tau_deg``, or the ball of radius t0 around it
         leaves the box.
     StructuralError
-        If ``u_star`` is not a finite control point of length m.
+        If ``u_star`` is not m finite numbers.
     NumericalError
         If the eigendecomposition at ``u_star`` fails ``decompose``'s checks.
     """
-    u_star = np.asarray(u_star, dtype=float)
     _check_integer("level", level, 1, H.dim - 1)
     _check_integer("n_directions", n_directions, 0)
     _check_integer("rng_seed", rng_seed, 0)
-    H.matrix_at(u_star)  # the family's check of a control point
+    u_star = H._checked_point(u_star, "u_star")
     for name, value in (("t0", t0), ("c_min", c_min), ("tau_deg", tau_deg)):
         _check_tolerance(name, value)
     _check_tolerance("residual_max", residual_max, optional=False)

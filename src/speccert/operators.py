@@ -136,6 +136,23 @@ def _energy_scales(stacks: np.ndarray, box: np.ndarray) -> np.ndarray:
     return np.max(lam[..., -1] - lam[..., 0], axis=1)
 
 
+def _numeric_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as an ndarray of one of the numpy dtype ``kinds``.
+
+    Raises
+    ------
+    StructuralError
+        If ``values`` is ragged or holds non-numbers (bools and strings included).
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise StructuralError(f"{what} is not a rectangular array: {exc}") from exc
+    if a.dtype.kind not in kinds:
+        raise StructuralError(f"{what} must hold numbers, got dtype {a.dtype}")
+    return a
+
+
 def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     """``values`` as an ndarray of one of the numpy dtype ``kinds``, all finite.
 
@@ -144,12 +161,7 @@ def _finite_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     StructuralError
         If ``values`` is ragged, holds non-numbers, or holds inf/nan.
     """
-    try:
-        a = np.asarray(values)
-    except ValueError as exc:
-        raise StructuralError(f"{what} is not a rectangular array: {exc}") from exc
-    if a.dtype.kind not in kinds:
-        raise StructuralError(f"{what} must hold numbers, got dtype {a.dtype}")
+    a = _numeric_array(values, what, kinds)
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{what} has non-finite entries")
     return a
@@ -294,11 +306,42 @@ class ControlHamiltonian:
         return (self.box[:, 0] + self.box[:, 1]) / 2
 
     def contains(self, u, margin: float = 0.0) -> bool:
-        """True if u is inside the box, shrunk on every side by ``margin``."""
-        u = np.asarray(u, dtype=float)
+        """True if u is inside the box, shrunk on every side by ``margin``.
+
+        A point with an inf or nan entry lies in no box.
+
+        Raises
+        ------
+        StructuralError
+            If u is not m numbers.
+        """
+        u = _numeric_array(u, "control point").astype(float)
+        if u.shape != (self.m,):
+            raise StructuralError(f"control point must have length {self.m}, got shape {u.shape}")
         return bool(
             np.all(u >= self.box[:, 0] + margin) and np.all(u <= self.box[:, 1] - margin)
         )
+
+    def _checked_point(self, u, what: str = "control point") -> np.ndarray:
+        """u as a new float array of shape (m,): the family's check of a control point.
+
+        Raises
+        ------
+        StructuralError
+            If u is not m finite numbers: ragged, holding non-numbers (bools
+            and strings included), of another shape, or holding inf/nan.
+        """
+        u = _finite_array(u, what).astype(float)
+        if u.shape != (self.m,):
+            raise StructuralError(f"{what} must have length {self.m}, got shape {u.shape}")
+        return u
+
+    def _checked_points(self, U, what: str = "control points") -> np.ndarray:
+        """U as a new float array of shape (N, m), checked as ``_checked_point`` checks one."""
+        U = _finite_array(U, what).astype(float)
+        if U.ndim != 2 or U.shape[1] != self.m:
+            raise StructuralError(f"{what} must have shape (N, {self.m}), got {U.shape}")
+        return U
 
     @cached_property
     def _norms(self) -> np.ndarray:
@@ -322,10 +365,7 @@ class ControlHamiltonian:
 
     def matrix_at(self, u) -> np.ndarray:
         """Raw matrix of H(u), bitwise equal to the matching row of ``matrices_at``."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.m,):
-            raise StructuralError(f"control point must have length {self.m}, got shape {u.shape}")
-        return self.matrices_at(u[None])[0]
+        return _affine_stack(self._stack, self._checked_point(u)[None])[0]
 
     def matrices_at(self, U) -> np.ndarray:
         """Raw matrices H(U[k]) stacked as (N, n, n) for control points U of shape (N, m).
@@ -336,14 +376,9 @@ class ControlHamiltonian:
         Raises
         ------
         StructuralError
-            If U is not of shape (N, m) or has a non-finite entry.
+            If U is not of shape (N, m), holds non-numbers or has a non-finite entry.
         """
-        U = np.asarray(U, dtype=float)
-        if U.ndim != 2 or U.shape[1] != self.m:
-            raise StructuralError(f"control points must have shape (N, {self.m}), got {U.shape}")
-        if not np.all(np.isfinite(U)):
-            raise StructuralError("control points have non-finite entries")
-        return _affine_stack(self._stack, U)
+        return _affine_stack(self._stack, self._checked_points(U))
 
     def norm_bound(self, u) -> float:
         """Upper bound on the spectral norm of H(u) via the triangle inequality.
@@ -351,7 +386,7 @@ class ControlHamiltonian:
         ``propagate`` does not use it: it sizes its steps by the spectral
         half-spread of H, which an energy offset does not change.
         """
-        u = np.asarray(u, dtype=float)
+        u = self._checked_point(u)
         return float(self._norms[0] + np.abs(u) @ self._norms[1:])
 
     def to_json_dict(self) -> dict:

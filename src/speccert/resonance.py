@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ControlHamiltonian
-from .spectrum import _check_integer, _check_tolerance, _decompose_stack, decompose, degeneracy_tol
+from .spectrum import (
+    SpectralPoint,
+    _check_integer,
+    _check_tolerance,
+    _decompose_stack,
+    decompose,
+    degeneracy_tol,
+)
 
 RES_TOL_SCALE = 1e-6
 
@@ -83,7 +90,13 @@ def check_nonresonant(
     (``PreconditionError``).
     """
     _check_tolerance("tau_res", tau_res)
-    sp = decompose(H, u)
+    return _point_report(H, decompose(H, u), tau_res)
+
+
+def _point_report(
+    H: ControlHamiltonian, sp: SpectralPoint, tau_res: float | None = None
+) -> ResonanceReport:
+    """The ``check_nonresonant`` report of H at the decomposed point sp."""
     return _report(sp.u, _gap_stats(H, sp.eigenvalues[None, :], tau_res), 0)
 
 

@@ -139,13 +139,13 @@ def decompose_many(H: ControlHamiltonian, U) -> list:
     Raises
     ------
     StructuralError
-        If U is not of shape (N, m) or has a non-finite entry.
+        If U is not of shape (N, m), holds non-numbers or has a non-finite entry.
     NumericalError
         If the eigensolver fails to converge or, at some row, the residual /
         orthonormality / trace invariants exceed their tolerances (carries the
         first failing row's residual).
     """
-    U = np.array(U, dtype=float)
+    U = H._checked_points(U)
     return _points(U, *_decompose_stack(H.matrices_at(U), U))
 
 
@@ -158,12 +158,12 @@ def decompose(H: ControlHamiltonian, u, check: bool = True) -> SpectralPoint:
     Raises
     ------
     StructuralError
-        If u is not a finite point of length m.
+        If u is not m finite numbers.
     NumericalError
         If the eigensolver fails to converge or the residual / orthonormality /
         trace invariants exceed their tolerances (carries the residual).
     """
-    U = np.array(u, dtype=float)[None]
+    U = H._checked_point(u)[None]
     return _points(U, *_decompose_stack(H.matrix_at(U[0])[None], U, check))[0]
 
 
@@ -292,15 +292,15 @@ def track(
     PreconditionError
         If a given ``step_bound`` is not finite and positive.
     StructuralError
-        If the path is empty or a point is not a finite point of length m.
+        If the path is empty or a point is not m finite numbers.
     RefinementNeededError
         If two consecutive path points are farther apart than ``step_bound``.
     """
     _check_tolerance("step_bound", step_bound)
-    U = np.array(list(path), dtype=float)
-    if not len(U):
+    points = list(path)
+    if not points:
         raise StructuralError("path must contain at least one point")
-    # formed first, so a non-finite point is rejected before the step lengths
+    U = H._checked_points(points, "path points")
     mats = H.matrices_at(U)
     if step_bound is None:
         step_bound = 0.05 * H.box_diameter()

@@ -31,6 +31,7 @@ from speccert import (
 from speccert import adiabatic
 from speccert.adiabatic import (
     BLOCK_MAX_DIM,
+    CLIMB_START_LIMIT,
     DEFAULT_STEP_LIMIT,
     StateTrajectory,
     _route,
@@ -135,6 +136,12 @@ class TestPropagate:
     def test_waypoint_outside_box_rejected(self, two_level_cone):
         with pytest.raises(GeometryError):
             propagate(two_level_cone, hold([3.0, 0.0], 1.0), np.array([1.0, 0.0]))
+
+    def test_first_waypoint_outside_box_is_named(self, two_level_cone):
+        waypoints = tuple(np.array(w) for w in ([0.1, 0.1], [0.2, 1.5], [0.3, 0.3], [-2.0, 0.0]))
+        path = ControlPath(waypoints=waypoints, durations=np.ones(3), epsilon=1.0)
+        with pytest.raises(GeometryError, match=r"waypoint \[0\.2, 1\.5\] lies outside"):
+            propagate(two_level_cone, path, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("waypoint", [[0.1, 0.2, 0.3], [0.1]])
     def test_waypoint_length_must_match_family(self, two_level_cone, waypoint):
@@ -660,6 +667,23 @@ class TestClimb:
         with pytest.raises(PreconditionError):
             climb(two_level_cone, report, [0.0, 0.0], epsilon=0.1)
 
+    @pytest.mark.parametrize("anchor", [[5.0, 0.5], [-0.3, -0.8], [np.nan, 0.5]])
+    def test_anchor_outside_box_rejected_before_any_eigensolve(
+        self, monkeypatch, three_level_chain, anchor
+    ):
+        # the chain was decomposed at [5.0, 0.5] and its path planned before
+        # propagate named the anchor as a waypoint outside the box
+        report = chain_report(three_level_chain)
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran at an anchor outside the box")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        error = GeometryError if np.isfinite(anchor).all() else StructuralError
+        with pytest.raises(error, match="anchor"):
+            climb(three_level_chain, report, anchor, epsilon=1e-2)
+
 
 def offset_family(H, c, where):
     """H with c * I added to its drift, or to its first control (then H + c u_1 I)."""
@@ -684,23 +708,76 @@ def segment_steps(chunks, path):
     return counts
 
 
+def climb_setting(request, name):
+    """(family, report, anchor, epsilon) of a climb of the chain, or of a certified
+    random real n = 4 family."""
+    if name == "chain":
+        H = request.getfixturevalue("three_level_chain")
+        return H, chain_report(H), [-0.3, 0.55], 1e-3
+    rng = np.random.default_rng(2)
+    H = make_family(
+        random_symmetric(rng, 4),
+        [random_symmetric(rng, 4), random_symmetric(rng, 4)],
+        [[-3, 3], [-3, 3]],
+    )
+    report = certify_connectedness(H, 8, rng_seed=0)
+    assert report.certified
+    return H, report, sample_nonresonant(H, 50, 0).report.u_bar, 1e-2
+
+
+class TestReferenceRun:
+    """The climb's run at twice the step limit takes ``propagate``'s steps and keeps only
+    the final state; the anchor is decomposed once."""
+
+    @pytest.fixture(params=["chain", "random n = 4"])
+    def setting(self, request):
+        return climb_setting(request, request.param)
+
+    def test_final_state_is_propagates_bitwise(self, setting):
+        H, report, anchor, epsilon = setting
+        result = climb(H, report, anchor, epsilon)
+        psi0 = decompose(H, anchor).frame[:, 0]
+        finals = {}
+        for limit in {CLIMB_START_LIMIT, result.step_limit, DEFAULT_STEP_LIMIT}:
+            finals[limit] = propagate(H, result.path, psi0, 2 * limit).final_state
+            reference = adiabatic._final_state(H, result.path, psi0, 2 * limit)
+            assert np.array_equal(reference, finals[limit])
+        # the climb's estimate is measured against that run
+        coarse = finals[result.step_limit]
+        error = float(np.linalg.norm(result.trajectory.final_state - coarse)) / 15
+        assert result.error_estimate == error
+
+    def test_chain_climb_builds_one_trajectory(self, monkeypatch, three_level_chain):
+        report = chain_report(three_level_chain)
+        chunks = record_chunks(monkeypatch)
+        built, rows = [], []
+        of = StateTrajectory._of
+
+        def counting_of(cls, *args):
+            built.append(args[1].shape[0])
+            return of(*args)
+
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            rows.append(math.prod(np.shape(a)[:-2]))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(StateTrajectory, "_of", classmethod(counting_of))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-3)
+        assert result.step_limit == CLIMB_START_LIMIT
+        assert built == [result.trajectory.times.shape[0]]
+        # every propagator step of both runs, the anchor and the end point
+        assert sum(rows) == sum(len(lam) for lam, *_ in chunks) + 2
+
+
 class TestEnergyOffset:
     """An offset c * I changes only a global phase, so it changes no step, record or population."""
 
     @pytest.fixture(params=["chain", "random n = 4"])
     def setting(self, request):
-        if request.param == "chain":
-            H = request.getfixturevalue("three_level_chain")
-            return H, chain_report(H), [-0.3, 0.55], 1e-3
-        rng = np.random.default_rng(2)
-        H = make_family(
-            random_symmetric(rng, 4),
-            [random_symmetric(rng, 4), random_symmetric(rng, 4)],
-            [[-3, 3], [-3, 3]],
-        )
-        report = certify_connectedness(H, 8, rng_seed=0)
-        assert report.certified
-        return H, report, sample_nonresonant(H, 50, 0).report.u_bar, 1e-2
+        return climb_setting(request, request.param)
 
     @staticmethod
     def run(H, report, anchor, epsilon):
@@ -735,6 +812,14 @@ class TestEnergyOffset:
         assert np.count_nonzero(resolved) >= 0.95 * len(resolved)
         moved = np.abs(shifted.trajectory.populations - base.trajectory.populations)
         assert np.max(moved[resolved]) <= 1e-9
+        # elsewhere rounding splits the closest pair's population, but not its sum
+        pair = np.argmin(np.diff(lam, axis=1), axis=1)[~resolved]
+        sums = []
+        for traj in (base.trajectory, shifted.trajectory):
+            by_level = np.take_along_axis(traj.populations, traj.labels - 1, axis=1)[~resolved]
+            rows = np.arange(len(pair))
+            sums.append(by_level[rows, pair] + by_level[rows, pair + 1])
+        assert np.all(np.abs(sums[1] - sums[0]) <= 1e-9)
         assert abs(shifted.p_target - base.p_target) <= 1e-9
 
 

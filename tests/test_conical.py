@@ -1290,6 +1290,11 @@ class TestCertifyConnectedness:
         with pytest.raises(PreconditionError, match="lies outside the control box"):
             certify_connectedness(two_level_cone, 4, hints=[[2.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_hint_lies_outside_the_box(self, two_level_cone, bad):
+        with pytest.raises(PreconditionError, match="lies outside the control box"):
+            certify_connectedness(two_level_cone, 4, hints=[[bad, 0.0]])
+
     def test_hints_from_a_generator(self, double_cone_family):
         # a generator ran the whole search, then raised a TypeError from len(hints)
         H = double_cone_family

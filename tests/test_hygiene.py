@@ -349,6 +349,72 @@ def test_thresholds_without_none_default_refuse_none(path):
     assert none_admitting_thresholds(path.read_text()) == []
 
 
+# parameters that hold a control point or a stack of them (``track``'s path too):
+# each is read once, by the family's point check, which refuses ragged, boolean,
+# string and non-finite input with a StructuralError
+POINTS = {"u", "U", "u_star", "u_anchor"}
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, node) of the public module-level functions and public methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def raw_point_conversions(source: str) -> list:
+    """``function:parameter`` for each control-point parameter that a public function
+    or method in ``source`` converts with ``np.asarray`` or ``np.array`` itself."""
+    found = set()
+    for name, fn in _public_functions(ast.parse(source)):
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        points = params & (POINTS | ({"path"} if fn.name == "track" else set()))
+        for call in ast.walk(fn):
+            converts = (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("asarray", "array")
+                and getattr(call.func.value, "id", None) == "np"
+                and call.args
+            )
+            if converts:
+                read = {n.id for n in ast.walk(call.args[0]) if isinstance(n, ast.Name)}
+                found.update(f"{name}:{param}" for param in points & read)
+    return sorted(found)
+
+
+def test_point_checker_flags_raw_conversions():
+    source = (
+        "def raw(H, u):\n"
+        "    u = np.asarray(u, dtype=float)\n"
+        "def checked(H, u_star):\n"
+        "    u_star = H._checked_point(u_star)\n"
+        "def track(H, path):\n"
+        "    U = np.array(list(path), dtype=float)\n"
+        "def other(H, path, U, psi):\n"
+        "    W = np.array(list(path), dtype=float)\n"
+        "    V = np.array(U[0])\n"
+        "    return np.asarray(psi)\n"
+        "class Family:\n"
+        "    def at(self, u):\n"
+        "        return np.asarray(u) @ self.w\n"
+        "    def _private(self, U):\n"
+        "        return np.array(U, dtype=float)\n"
+        "def _helper(u_anchor):\n"
+        "    return np.asarray(u_anchor)\n"
+    )
+    assert raw_point_conversions(source) == ["Family.at:u", "other:U", "raw:u", "track:path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_read_points_through_the_family(path):
+    assert raw_point_conversions(path.read_text()) == []
+
+
 def _certificate(H):
     return test_conicality(H, [0.0, 0.0], 1).certificate
 

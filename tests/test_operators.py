@@ -219,6 +219,20 @@ class TestControlHamiltonian:
         with pytest.raises(StructuralError):
             make_family(SIGMA_Z, [SIGMA_X, SIGMA_X], [[-1, 1], [1, 1]])
 
+    @pytest.mark.parametrize("point", [[0.1], [[0.1, 0.2]], [0.1, 0.2, 0.3], "ab", [True, False]])
+    def test_contains_takes_only_m_numbers(self, two_level_cone, point):
+        # [0.1] and [[0.1, 0.2]] broadcast against the box and were inside it
+        with pytest.raises(StructuralError, match="control point"):
+            two_level_cone.contains(point)
+
+    @pytest.mark.parametrize(
+        "point, inside",
+        [([0.5, -1.0], True), ([0, 1], True), ([1.5, 0.0], False), ([np.nan, 0.0], False),
+         ([0.0, np.inf], False), ([-np.inf, 0.0], False)],
+    )
+    def test_contains_answers_for_every_point_of_length_m(self, two_level_cone, point, inside):
+        assert two_level_cone.contains(point) is inside
+
     def test_json_roundtrip(self, tmp_path, two_level_cone):
         path = tmp_path / "model.json"
         two_level_cone.save(path)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speccert import (
+    ConnectednessReport,
     ControlHamiltonian,
     GapTable,
     NumericalError,
@@ -14,9 +15,11 @@ from speccert import (
     RefinementNeededError,
     StructuralError,
     check_nonresonant,
+    climb,
     decompose,
     decompose_many,
     degeneracy_tol,
+    evaluate,
     gap,
     save_track_csv,
     spectral_diameter_estimate,
@@ -337,6 +340,55 @@ class TestNonFinitePoints:
         for call in calls:
             with pytest.raises(StructuralError, match="non-finite"):
                 call()
+
+
+# a malformed control point of each kind, with the message that names its fault;
+# bools were read as 1.0 and 0.0, the rest raised a bare ValueError or TypeError
+MALFORMED_POINTS = {
+    "string": ("ab", "numbers"),
+    "ragged": ([[0.1, 0.2], [0.3]], "rectangular"),
+    "dict": ({"a": 1}, "numbers"),
+    "bools": ([True, False], "numbers"),
+}
+
+
+# passes ``climb``'s certification check; its certificates are never read
+CERTIFIED = ConnectednessReport(certificates={}, failures={}, status="certified", metadata={})
+
+
+# every entry that takes a control point (u) or a stack of them (U), and converts it
+POINT_ENTRIES = {
+    "matrix_at": lambda H, u, U: H.matrix_at(u),
+    "matrices_at": lambda H, u, U: H.matrices_at(U),
+    "norm_bound": lambda H, u, U: H.norm_bound(u),
+    "contains": lambda H, u, U: H.contains(u),
+    "evaluate": lambda H, u, U: evaluate(H, u),
+    "decompose": lambda H, u, U: decompose(H, u),
+    "decompose_many": lambda H, u, U: decompose_many(H, U),
+    "check_nonresonant": lambda H, u, U: check_nonresonant(H, u),
+    "track": lambda H, u, U: track(H, U),
+    "test_conicality": lambda H, u, U: test_conicality(H, u, 1),
+    "climb": lambda H, u, U: climb(H, CERTIFIED, u, 1e-2),
+}
+
+
+class TestMalformedPoints:
+    """A control point that is not m numbers raises StructuralError, before any eigensolve."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_POINTS))
+    @pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+    def test_every_point_entry_rejects_it(self, monkeypatch, three_level_chain, entry, kind):
+        point, message = MALFORMED_POINTS[kind]
+        # a stack holding the point, or the malformed object itself where it is no list
+        stack = [point] if kind == "bools" else point
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran on a malformed point")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(StructuralError, match=message):
+            POINT_ENTRIES[entry](three_level_chain, point, stack)
 
 
 def planted_cone_family(seed: int, n: int, real: bool, level: int, apex) -> ControlHamiltonian:
