@@ -28,27 +28,27 @@ from .operators import (
     _affine_stack,
     _columns,
     _finite_array,
+    _numeric_array,
     _write_csv,
     _write_json,
     read_json,
 )
 from .resonance import _point_report
-from .spectrum import (
-    _block_rows,
+from .spectrum import _block_rows, _decompose_stack, continue_branches, decompose, degeneracy_tol
+from .tolerance import (
+    CLIMB_TOLERANCE,
+    CONTROL_LENGTH_ZERO,
+    ROUTE_END_MARGIN,
+    STEP_COUNT_SLACK,
+    UNIT_NORM_TOL,
     _check_integer,
     _check_tolerance,
-    _decompose_stack,
-    continue_branches,
-    decompose,
-    degeneracy_tol,
 )
 
-UNIT_NORM_TOL = 1e-9
 DEFAULT_STEP_LIMIT = 0.1
 # climb: the largest step limit it tries (8 x the default, so halving lands
-# on the default exactly) and the final-state error it aims for
+# on the default exactly)
 CLIMB_START_LIMIT = 0.8
-CLIMB_TOLERANCE = 1e-6
 MAX_TOTAL_STEPS = 10**8
 DEFAULT_MAX_RECORDS = 1200
 # the largest n at which propagate advances its state a block of steps at a
@@ -270,8 +270,8 @@ def propagate(
     fourth-order accurate, exactly unitary per step, and costs one eigensolve
     per step. Each segment takes the fewest equal steps that keep
     h * (lambda_max - lambda_min) / 2 <= step_limit at both its ends (to
-    within a relative 1e-9), with the spreads from one stacked eigensolve at
-    the waypoints. Half the spread is min_c ||H - c I||, convex in u, so the
+    within a relative ``STEP_COUNT_SLACK``), with the spreads from one
+    stacked eigensolve at the waypoints. Half the spread is min_c ||H - c I||, convex in u, so the
     bound holds on every step of the segment. An offset c I only adds a
     global phase, and the step's error comes from commutators of H alone, so
     the spread, unlike ||H||, sizes the steps independently of the offset.
@@ -297,8 +297,9 @@ def propagate(
     Raises
     ------
     StructuralError
-        If the path's waypoints do not have length ``H.m``, or ``psi0`` does
-        not have length ``H.dim``.
+        If the path's waypoints do not have length ``H.m``, or ``psi0`` is
+        not ``H.dim`` numbers (ragged, holding strings, bools or other
+        non-numbers, or of another shape).
     PreconditionError
         If ``psi0`` is not a finite unit vector, ``step_limit`` is not finite and
         positive, or ``max_records`` is not an integer >= 1.
@@ -310,7 +311,7 @@ def propagate(
     """
     _check_tolerance("step_limit", step_limit, optional=False)
     _check_integer("max_records", max_records, 1)
-    psi = np.asarray(psi0, dtype=complex).copy()
+    psi = _numeric_array(psi0, "initial state", kinds="iufc").astype(complex)
     if psi.shape != (H.dim,):
         raise StructuralError(f"initial state has shape {psi.shape}, the family has n = {H.dim}")
     # written so that a nan norm fails it
@@ -356,11 +357,11 @@ def _segment_steps(H: ControlHamiltonian, path: ControlPath, step_limit: float) 
     # ends; a held point's one segment has that point at both ends
     if len(half_spread) > 1:
         half_spread = np.maximum(half_spread[:-1], half_spread[1:])
-    # a relative slack of 1e-9, so that the rounding an offset c * I leaves in
-    # the spread adds no step where dur * spread / step_limit is an integer
-    # (as on a path through round waypoints)
+    # a relative slack, so that the rounding an offset c * I leaves in the
+    # spread adds no step where dur * spread / step_limit is an integer (as on
+    # a path through round waypoints)
     plan = [
-        (a, b, dur, max(1, math.ceil(dur * spread / step_limit * (1 - 1e-9))))
+        (a, b, dur, max(1, math.ceil(dur * spread / step_limit * (1 - STEP_COUNT_SLACK))))
         for (a, b, dur), spread in zip(segs, half_spread)
     ]
     total_steps = sum(nsteps for *_, nsteps in plan)
@@ -487,7 +488,7 @@ def _route(a, b, obstacles, delta, box, depth: int = 8) -> list:
     worst = None
     for p in obstacles:
         dist, s = _segment_clearance(a, b, p)
-        if dist < delta and 1e-9 < s < 1 - 1e-9:
+        if dist < delta and ROUTE_END_MARGIN < s < 1 - ROUTE_END_MARGIN:
             if worst is None or dist < worst[0]:
                 worst = (dist, s, p)
     if worst is None:
@@ -495,7 +496,7 @@ def _route(a, b, obstacles, delta, box, depth: int = 8) -> list:
     dist, s, p = worst
     q = a + s * (b - a)
     away = q - p
-    if float(np.linalg.norm(away)) > 1e-12:
+    if float(np.linalg.norm(away)) > CONTROL_LENGTH_ZERO:
         away = away / float(np.linalg.norm(away))
     else:
         away = _perpendicular(b - a)
@@ -567,7 +568,9 @@ def climb(
     ------
     PreconditionError
         If ``epsilon``, or a given ``rho`` or ``delta``, is not finite and
-        positive, the report is not certified or the anchor is resonant.
+        positive, the report is not certified or lacks a certificate of
+        some level 1..n-1 (raised before any eigensolve), or the anchor is
+        resonant.
     StructuralError
         If ``u_anchor`` is not m finite numbers.
     GeometryError
@@ -582,6 +585,9 @@ def climb(
     u_anchor = H._checked_point(u_anchor, "anchor")
     if not H.contains(u_anchor):
         raise GeometryError(f"anchor {u_anchor.tolist()} lies outside the control box")
+    missing = [j for j in range(1, H.dim) if j not in report.certificates]
+    if missing:
+        raise PreconditionError(f"certified report lacks the certificates of levels {missing}")
     anchor = decompose(H, u_anchor)
     if not _point_report(H, anchor).passed:
         raise PreconditionError("anchor point must be non-resonant")
@@ -615,7 +621,7 @@ def climb(
         else:
             w = p - u_anchor
         nw = float(np.linalg.norm(w))
-        if nw <= 1e-12:
+        if nw <= CONTROL_LENGTH_ZERO:
             w = np.zeros(H.m)
             w[0] = 1.0
             nw = 1.0
@@ -635,7 +641,7 @@ def climb(
     deduped = [waypoints[0]]
     scale = max(H.box_diameter(), 1.0)
     for w in waypoints[1:]:
-        if float(np.linalg.norm(w - deduped[-1])) > 1e-12 * scale:
+        if float(np.linalg.norm(w - deduped[-1])) > CONTROL_LENGTH_ZERO * scale:
             deduped.append(w)
     if len(deduped) < 2:
         raise GeometryError("climb path degenerated to a single point")

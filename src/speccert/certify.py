@@ -42,7 +42,8 @@ from .operators import (
 )
 from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _box_sequences, _gaussian_stack, _unit_norm
-from .spectrum import DEGENERACY_REL, _check_integer, _check_tolerance, decompose
+from .spectrum import decompose
+from .tolerance import DEGENERACY_REL, PERTURBATION_NORM_FLOOR, _check_integer, _check_tolerance
 
 SCHEMA_VERSION = "speccert-certificate/1"
 
@@ -256,11 +257,11 @@ def _perturbed_stacks(stacks: np.ndarray, rngs, rel_size: float) -> np.ndarray:
 
     The noise is a ``_draw_operators`` draw, so of the family's kind for m,
     and each operator moves by ``rel_size`` times its spectral norm (floored
-    at 1e-300) times a unit-norm noise matrix.
+    at ``PERTURBATION_NORM_FLOOR``) times a unit-norm noise matrix.
     """
     noise = _draw_operators(rngs, stacks.shape[-1], stacks.shape[1] - 1)
     norms = np.max(np.abs(np.linalg.eigvalsh(stacks)), axis=-1)
-    bumps = (rel_size * np.maximum(norms, 1e-300))[..., None, None] * noise
+    bumps = (rel_size * np.maximum(norms, PERTURBATION_NORM_FLOOR))[..., None, None] * noise
     return _checked_hermitian(stacks + bumps)
 
 

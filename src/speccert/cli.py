@@ -21,7 +21,8 @@ from .conical import certify_connectedness, locate_intersection, test_conicality
 from .errors import PreconditionError, SpeccertError
 from .operators import _columns, _write_csv, _write_json, load_hamiltonian
 from .sampling import box_sequence
-from .spectrum import _block_rows, _check_integer, _check_tolerance, _decompose_stack, decompose
+from .spectrum import _block_rows, _decompose_stack, decompose
+from .tolerance import _check_integer, _check_tolerance
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

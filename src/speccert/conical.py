@@ -9,27 +9,34 @@ origin, and certify from the worst sampled direction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SpeccertError
-from .operators import ControlHamiltonian, _affine_stack, _box_diameters, _write_json
+from .errors import PreconditionError, SpeccertError, StructuralError
+from .operators import (
+    ControlHamiltonian,
+    _affine_stack,
+    _box_diameters,
+    _numeric_array,
+    _write_json,
+)
 from .sampling import _halton_unit, _sphere_directions, axis_directions, box_sequence
-from .spectrum import (
+from .spectrum import _block_rows, _decompose_stack, _failed_rows, degeneracy_tol
+from .tolerance import (
+    C_MIN_REL,
     DEGENERACY_REL,
-    _block_rows,
+    FIT_NORM_FLOOR,
+    INTERIOR_REL_MARGIN,
+    PROBE_RADIUS_REL,
+    RESIDUAL_MAX,
+    SIMPLE_GAP_FACTOR,
+    STEP_HADAMARD_MIN,
     _check_integer,
     _check_tolerance,
-    _decompose_stack,
-    _failed_rows,
-    degeneracy_tol,
 )
 
 DEFAULT_DIRECTIONS = 32
-RESIDUAL_MAX = 0.1
-INTERIOR_REL_MARGIN = 1e-6
 # Gauss-Newton locator, per seed: the iteration cap; the largest step, as a
 # fraction of the box diagonal; the factor the step cap shrinks by after a
 # rejected step; and the full-step length, in box diagonals, beyond which the
@@ -42,10 +49,6 @@ FAR_STEP = 10.0
 # RESTARTS times per seed, drawn from a sequence scrambled with RESTART_SEED
 RESTARTS = 2
 RESTART_SEED = 0x5EED
-# a square Gauss-Newton Jacobian is solved in closed form (adjugate over
-# determinant) when its Hadamard ratio |det J| / prod ||row_i|| exceeds this,
-# and by pinv otherwise, as at a decoupled (block-diagonal) pair
-STEP_HADAMARD_MIN = 1e-8
 # how a locator run ends, as ``_locate_groups`` counts them (see there)
 END_REASONS = ("hit", "edge", "far", "cap", "iterations", "stall", "face")
 # the smallest n at which a group starts with its first seed's first run alone
@@ -129,29 +132,39 @@ def locate_intersection(
     """
     _check_integer("level", level, 1, H.dim - 1)
     _check_tolerance("tau_deg", tau_deg)
-    if tau_deg is None:
-        tau_deg = degeneracy_tol(H)
     U = _seed_array(H, seeds)
     if U.size == 0:
         return None
+    if tau_deg is None:
+        tau_deg = degeneracy_tol(H)
     return _locate_groups([(H._stack, H.box, level, U, tau_deg)])[0]
 
 
 def _seed_array(H: ControlHamiltonian, seeds) -> np.ndarray:
-    """Seeds as a (k, m) float array, each checked to lie in the box."""
+    """Seeds as a new (k, m) float array of points in the box, (0, m) for no seeds.
+
+    Each seed is read as ``contains`` reads a point: a ragged seed, a string,
+    a dict, bools or a seed of another length is malformed, and one with an
+    inf or nan entry lies in no box. One array comparison tests the box and
+    names the first seed outside it. Every refusal is a PreconditionError.
+    """
     message = f"seeds must be control points of length {H.m}"
     try:
-        U = np.array(list(seeds), dtype=float)
-    except (TypeError, ValueError) as exc:
-        # ragged or non-numeric seeds
-        raise PreconditionError(message) from exc
-    if U.size == 0:
-        return U
+        points = list(seeds)
+    except TypeError as exc:
+        raise PreconditionError(f"{message}: {exc}") from exc
+    if not points:
+        return np.empty((0, H.m))
+    try:
+        U = _numeric_array(points, "seeds").astype(float)
+    except StructuralError as exc:
+        raise PreconditionError(f"{message}: {exc}") from exc
     if U.ndim != 2 or U.shape[1] != H.m:
-        raise PreconditionError(message)
-    for s in U:
-        if not H.contains(s):
-            raise PreconditionError(f"seed {s.tolist()} lies outside the control box")
+        raise PreconditionError(f"{message}, got shape {U.shape}")
+    outside = ~np.all((U >= H.box[:, 0]) & (U <= H.box[:, 1]), axis=1)
+    if outside.any():
+        s = U[int(np.argmax(outside))]
+        raise PreconditionError(f"seed {s.tolist()} lies outside the control box")
     return U
 
 
@@ -569,11 +582,11 @@ def _conicality_rows(
     tau = np.array(taus, dtype=float)
     N, n, m = len(rows), ops.shape[-1], box.shape[1]
     diameter = _box_diameters(box)
-    t0s = 1e-3 * diameter if t0 is None else np.full(N, t0, dtype=float)
+    t0s = PROBE_RADIUS_REL * diameter if t0 is None else np.full(N, t0, dtype=float)
     if c_min is None:
         # a diagonal that underflows to 0 leaves a row that ``fits`` refuses
         with np.errstate(divide="ignore", invalid="ignore"):
-            c_mins = 1e-6 * np.array(scales, dtype=float) / diameter
+            c_mins = C_MIN_REL * np.array(scales, dtype=float) / diameter
     else:
         c_mins = np.full(N, c_min, dtype=float)
     mats = _affine_stack(ops, U)
@@ -597,10 +610,12 @@ def _conicality_rows(
             outcomes[k] = PreconditionError(
                 f"u_star must be interior to the box with margin {t0s[k]:.3g} for radial probing"
             )
-    # multiplicity must be exactly two: both flanking adjacent gaps clear 10*tau
+    # multiplicity must be exactly two: both flanking adjacent gaps clear the
+    # simple-gap bound
     pair = np.arange(1, n) - level[:, None]
-    flank_ok = ~np.any((gaps < 10.0 * tau[:, None]) & (np.abs(pair) == 1), axis=1)
-    others_simple = flank_ok & np.all((gaps >= 10.0 * tau[:, None]) | (pair == 0), axis=1)
+    simple_gap = SIMPLE_GAP_FACTOR * tau[:, None]
+    flank_ok = ~np.any((gaps < simple_gap) & (np.abs(pair) == 1), axis=1)
+    others_simple = flank_ok & np.all((gaps >= simple_gap) | (pair == 0), axis=1)
     directions = np.vstack([axis_directions(m), _sphere_directions(m, n_directions, rng_seed)])
     directions.setflags(write=False)
     radii = np.stack([t0s, t0s / 2, t0s / 4], axis=1)
@@ -616,7 +631,8 @@ def _conicality_rows(
         g = (upper - np.take_along_axis(lam_p, level[b, None, None, None] - 1, axis=3))[..., 0]
         slopes = (g @ r[:, :, None])[..., 0] / (r[:, None, :] @ r[:, :, None])[:, 0]
         misfit = g - slopes[..., None] * r[:, None, :]
-        residuals = np.linalg.norm(misfit, axis=2) / np.maximum(np.linalg.norm(g, axis=2), 1e-300)
+        g_norm = np.maximum(np.linalg.norm(g, axis=2), FIT_NORM_FLOOR)
+        residuals = np.linalg.norm(misfit, axis=2) / g_norm
         for k, s, res in zip(b.tolist(), slopes, residuals):
             worst = int(np.argmin(s))
             bad = int(np.argmax(res))
@@ -711,17 +727,19 @@ def certify_connectedness(
     ``seed_budget`` must be an integer >= 1, ``rng_seed`` one >= 0, ``hints``
     an iterable of control points inside the box, as ``locate_intersection``
     takes its seeds, and a given ``tau_deg`` or ``t0`` finite and positive
-    (``PreconditionError``, raised before any search). ``n_hints`` in the
+    (``PreconditionError``, raised before any eigensolve). ``n_hints`` in the
     metadata counts the checked hints.
     """
     _check_integer("seed_budget", seed_budget, 1)
     _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_deg", tau_deg)
     _check_tolerance("t0", t0)
+    U = box_sequence(H.box, seed_budget, rng_seed)
+    if hints is not None:
+        # checked on their own: beside the float seeds, bools would read as numbers
+        U = np.concatenate([_seed_array(H, hints), U])
     if tau_deg is None:
         tau_deg = degeneracy_tol(H)
-    seeds = box_sequence(H.box, seed_budget, rng_seed)
-    U = _seed_array(H, seeds if hints is None else itertools.chain(hints, seeds))
     located = _locate_groups([(H._stack, H.box, j, U, tau_deg) for j in range(1, H.dim)])
     found = [(j, u) for j, u in enumerate(located, start=1) if u is not None]
     outcomes = _conicality_rows(

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import StructuralError
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint, _check_tolerance, degeneracy_tol
-
-EDGE_TOL_SCALE = 1e-9
+from .spectrum import SpectralPoint, degeneracy_tol
+from .tolerance import EDGE_TOL_SCALE, _check_tolerance
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,19 +21,20 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .operators import ControlHamiltonian, _finite_array, _within_hermiticity_tol
-from .spectrum import _check_integer, _check_tolerance
+from .tolerance import (
+    BRACKET_ZERO_TOL,
+    RANK_TOL,
+    REPROJECT_BELOW,
+    SP_WITNESS_NULL_REL,
+    SP_WITNESS_TOL,
+    _check_integer,
+    _check_tolerance,
+)
 
-RANK_TOL = 1e-9
-BRACKET_ZERO_TOL = 1e-12
 # rows a leaf of the blocked basis extension takes one at a time
 LEAF_ROWS = 8
 # fewest rows the extension projects in one piece; fewer make its products memory-bound
 _PIECE_ROWS = 64
-# share of its norm below which a leaf projects a row's residual off the whole span once
-# more: two passes off the recent rows leave it orthogonal to older ones to c eps / share,
-# so the basis stays within 1e-12 of orthonormal for c up to 8 (c stayed below 5 over
-# 4000 random real closures at n <= 8 and 40 reducible ones at n = 16)
-_REPROJECT_BELOW = 8 * np.finfo(float).eps / 1e-12
 
 CLASS_FULL = "u(n)"
 CLASS_TRACELESS = "su(n)"
@@ -166,7 +167,7 @@ class _SpanBasis:
                 v = v - (q @ v) @ q
                 v = v - (q @ v) @ q
             resid = math.sqrt(v @ v)
-            if bound < resid < _REPROJECT_BELOW * norm0:
+            if bound < resid < REPROJECT_BELOW * norm0:
                 # v kept its rounding error off vectors[:start] while it shrank: remove it
                 v = v - (self.vectors[: self.dim] @ v) @ self.vectors[: self.dim]
                 resid = math.sqrt(v @ v)
@@ -349,12 +350,13 @@ def generators_from(H: ControlHamiltonian) -> list:
     return list(1j * H._stack)
 
 
-def _sp_witness(basis, n: int, tol: float = 1e-6) -> bool:
+def _sp_witness(basis, n: int) -> bool:
     """Search for an antiunitary structure J with J conj(J) = -I intertwining the basis.
 
     Solves the least-squares problem J X = conj(X) J over all basis elements
     by a smallest-singular-vector computation, then verifies that the
-    candidate is (approximately) unitary and squares, as an antiunitary, to -1.
+    candidate is (approximately) unitary and squares, as an antiunitary, to -1
+    (``SP_WITNESS_NULL_REL`` and ``SP_WITNESS_TOL``).
     """
     if not basis:
         return False
@@ -368,7 +370,7 @@ def _sp_witness(basis, n: int, tol: float = 1e-6) -> bool:
     scale = float(svals[0]) if svals.size else 0.0
     if scale == 0.0:
         return False
-    if float(svals[-1]) > 1e-8 * scale:
+    if float(svals[-1]) > SP_WITNESS_NULL_REL * scale:
         return False
     j_mat = vh[-1].conj().reshape(n, n)
     sv = np.linalg.svd(j_mat, compute_uv=False)
@@ -376,9 +378,9 @@ def _sp_witness(basis, n: int, tol: float = 1e-6) -> bool:
     if mean_sv == 0.0:
         return False
     j_mat = j_mat / mean_sv
-    if float(np.max(np.abs(j_mat @ j_mat.conj().T - eye))) > tol:
+    if float(np.max(np.abs(j_mat @ j_mat.conj().T - eye))) > SP_WITNESS_TOL:
         return False
-    if float(np.max(np.abs(j_mat @ np.conj(j_mat) + eye))) > tol:
+    if float(np.max(np.abs(j_mat @ np.conj(j_mat) + eye))) > SP_WITNESS_TOL:
         return False
     return True
 

@@ -16,15 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, StructuralError
-
-# Per-entry tolerance for accepting a matrix as Hermitian, relative to its
-# largest entry (``_within_hermiticity_tol``).
-HERMITICITY_TOL = 1e-12
+from .tolerance import HERMITICITY_TOL
 
 
 def hermiticity_defect(matrix) -> float:
-    """Largest entrywise |A - A^dagger|."""
-    a = np.asarray(matrix, dtype=complex)
+    """Largest entrywise |A - A^dagger|.
+
+    Raises
+    ------
+    StructuralError
+        If the input is ragged or holds non-numbers (bools and strings included).
+    """
+    a = _numeric_array(matrix, "matrix", kinds="iufc").astype(complex, copy=False)
     return float(np.max(np.abs(a - a.conj().T)))
 
 
@@ -59,9 +62,11 @@ def validate(matrix) -> ValidityReport:
     Raises
     ------
     StructuralError
-        If the input is not a square matrix.
+        If the input is not a square matrix of numbers (ragged, holding
+        bools, strings or other non-numbers, or of another shape). A matrix
+        with an inf or nan entry is not refused: its report does not accept it.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = _numeric_array(matrix, "matrix", kinds="iufc").astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
@@ -189,8 +194,12 @@ class HermitianOperator:
 
     @classmethod
     def from_array(cls, matrix, symmetrize: bool = False) -> "HermitianOperator":
-        """Build from an array; with symmetrize=True replace A by (A + A^dagger)/2."""
-        a = np.asarray(matrix, dtype=complex)
+        """Build from an array; with symmetrize=True replace A by (A + A^dagger)/2.
+
+        The entries take the constructor's contract: a ragged matrix, bools,
+        strings or other non-numbers raise ``StructuralError``.
+        """
+        a = _numeric_array(matrix, "operator matrix", kinds="iufc").astype(complex, copy=False)
         if symmetrize:
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise StructuralError(f"expected a square matrix, got shape {a.shape}")

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ControlHamiltonian
-from .spectrum import (
-    SpectralPoint,
-    _check_integer,
-    _check_tolerance,
-    _decompose_stack,
-    decompose,
-    degeneracy_tol,
-)
-
-RES_TOL_SCALE = 1e-6
+from .spectrum import SpectralPoint, _decompose_stack, decompose, degeneracy_tol
+from .tolerance import RES_TOL_SCALE, _check_integer, _check_tolerance
 
 CERTIFIED_PROPERTY = "all pairwise spectral gaps distinct (rational independence not tested)"
 

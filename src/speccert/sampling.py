@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import _check_integer
+from .tolerance import HALTON_CLIP, _check_integer
 
 # tables kept per (count, dimension, seed) and per (count, base); the genericity
 # ensemble's one-off per-trial tables bypass the cache (``_halton_units``)
@@ -171,7 +171,7 @@ def sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
 def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
     """``sphere_directions`` for checked arguments, built once per (m, count, seed)."""
     # keep strictly inside (0,1) so the inverse CDF stays finite
-    pts = np.clip(_halton_unit(count, m, seed), 1e-12, 1 - 1e-12)
+    pts = np.clip(_halton_unit(count, m, seed), HALTON_CLIP, 1 - HALTON_CLIP)
     g = np.array([_ndtri(y) for y in pts.ravel().tolist()]).reshape(pts.shape)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0

@@ -7,14 +7,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, RefinementNeededError, StructuralError
+from .errors import NumericalError, RefinementNeededError, StructuralError
 from .operators import ControlHamiltonian, _columns, _write_csv
+from .tolerance import (
+    DEGENERACY_REL,
+    ORTHONORMALITY_TOL,
+    RESIDUAL_TOL,
+    TRACK_LIPSCHITZ_SLACK,
+    _check_integer,
+    _check_tolerance,
+)
 
-RESIDUAL_TOL = 1e-9
-ORTHONORMALITY_TOL = 1e-10
-# two adjacent levels are degenerate when their gap is at most DEGENERACY_REL
-# times the family's spectral scale; the one degeneracy threshold of the package
-DEGENERACY_REL = 1e-8
 # matrix entries per block of a stacked eigensolve taken a block of rows at a
 # time (``_block_rows``), so its memory does not grow with the rows that share
 # a call (256 KB of complex entries)
@@ -177,37 +180,6 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
     return DEGENERACY_REL * H.energy_scale
 
 
-def _check_tolerance(name: str, value, optional: bool = True) -> None:
-    """Reject a tolerance, radius or speed that is not a finite real number > 0.
-
-    None stands for a default the caller computes, and passes when
-    ``optional``; a parameter whose default is a number, or that has no
-    default, is checked with ``optional=False``, so None is refused there too.
-    A nan threshold fails every comparison and an infinite or non-positive
-    one makes every or no gap count, so each would turn a verdict silently;
-    a nan or negative detour radius would likewise never detour a climb.
-    A bool, a string or a sequence is refused too, not left to raise a TypeError.
-    """
-    if value is None and optional:
-        return
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and 0 < value < np.inf):
-        raise PreconditionError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    """Reject a count or index that is not an integer in low..high (no upper end when None).
-
-    A bool or a float, integral or not, is refused: a level of 1.5 would
-    index between levels, a nan budget would compare false with every bound,
-    and True would pass for 1 silently.
-    """
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and low <= value and (high is None or value <= high)):
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise PreconditionError(f"{name} must be an integer {span}, got {value}")
-
-
 def gap(sp: SpectralPoint, j: int) -> float:
     """Adjacent spectral gap at a decomposed point (1-based level index)."""
     return sp.gap(j)
@@ -313,7 +285,7 @@ def track(
     lip = float(np.sum(H.control_norms()))
     tol = degeneracy_tol(H)
     # relative to H, like lip, so the check bites in every energy unit
-    margin = tol + 1e-7 * lip
+    margin = tol + TRACK_LIPSCHITZ_SLACK * lip
     lam, frames = _decompose_stack(mats, U)
     labels, _ = continue_branches(lam, frames, tol)
     # Lipschitz sanity per labeled branch; a gross violation means the

@@ -662,6 +662,26 @@ class TestClimb:
         with pytest.raises(PreconditionError):
             climb(diag_family, report, [0.1, 0.1], epsilon=0.1)
 
+    @pytest.mark.parametrize("levels", [(), (1,), (2,)])
+    def test_certified_report_without_a_level_rejected_before_any_eigensolve(
+        self, monkeypatch, three_level_chain, levels
+    ):
+        # an empty report raised a bare KeyError: 1, after the anchor was decomposed
+        certs = chain_report(three_level_chain).certificates
+        report = ConnectednessReport(
+            certificates={j: certs[j] for j in levels}, failures={}, status="certified", metadata={}
+        )
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, kernel=kernel, **k: calls.append(1) or kernel(*a, **k)
+            )
+        missing = [j for j in (1, 2) if j not in levels]
+        with pytest.raises(PreconditionError, match=rf"lacks the certificates of levels \{missing}"):
+            climb(three_level_chain, report, [0.3, 0.4], 1e-2)
+        assert calls == []
+
     def test_resonant_anchor_rejected(self, two_level_cone):
         report = certify_connectedness(two_level_cone, 6, rng_seed=3)
         with pytest.raises(PreconditionError):

@@ -353,26 +353,33 @@ def test_thresholds_without_none_default_refuse_none(path):
 # each is read once, by the family's point check, which refuses ragged, boolean,
 # string and non-finite input with a StructuralError
 POINTS = {"u", "U", "u_star", "u_anchor"}
+# lists of control points, read by ``conical._seed_array``: checked in private
+# helpers too, since that helper is the one that reads them (``sampling``'s
+# ``seeds`` are integer generator seeds, which no function converts with numpy)
+POINT_LISTS = {"seeds", "hints"}
 
 
-def _public_functions(tree: ast.Module):
-    """(qualified name, node) of the public module-level functions and public methods."""
+def _functions(tree: ast.Module):
+    """(qualified name, node) of the module-level functions and the methods."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for fn in node.body:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                if isinstance(fn, ast.FunctionDef):
                     yield f"{node.name}.{fn.name}", fn
 
 
 def raw_point_conversions(source: str) -> list:
     """``function:parameter`` for each control-point parameter that a public function
-    or method in ``source`` converts with ``np.asarray`` or ``np.array`` itself."""
+    or method in ``source`` converts with ``np.asarray`` or ``np.array`` itself, and
+    for each list of points that any function or method converts so."""
     found = set()
-    for name, fn in _public_functions(ast.parse(source)):
+    for name, fn in _functions(ast.parse(source)):
         params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-        points = params & (POINTS | ({"path"} if fn.name == "track" else set()))
+        points = params & POINT_LISTS
+        if not fn.name.startswith("_"):
+            points |= params & (POINTS | ({"path"} if fn.name == "track" else set()))
         for call in ast.walk(fn):
             converts = (
                 isinstance(call, ast.Call)
@@ -406,13 +413,99 @@ def test_point_checker_flags_raw_conversions():
         "        return np.array(U, dtype=float)\n"
         "def _helper(u_anchor):\n"
         "    return np.asarray(u_anchor)\n"
+        "def _read(H, seeds):\n"
+        "    return np.array(list(seeds), dtype=float)\n"
+        "def search(H, hints=None):\n"
+        "    return np.asarray(hints)\n"
+        "def checked(H, seeds, hints):\n"
+        "    return _seed_array(H, itertools.chain(hints, seeds))\n"
     )
-    assert raw_point_conversions(source) == ["Family.at:u", "other:U", "raw:u", "track:path"]
+    assert raw_point_conversions(source) == [
+        "Family.at:u", "_read:seeds", "other:U", "raw:u", "search:hints", "track:path",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_functions_read_points_through_the_family(path):
     assert raw_point_conversions(path.read_text()) == []
+
+
+# ``sampling``'s Cephes coefficient tables are data, not thresholds
+CEPHES_TABLES = {"_P0", "_Q0", "_P1", "_Q1", "_P2", "_Q2"}
+
+
+def small_float_literals(source: str, allowed: frozenset = frozenset()) -> list:
+    """``line:value`` of each float literal with 0 < |x| < 1e-3 in ``source``, except in
+    module-level assignments to the ``allowed`` names."""
+    tree = ast.parse(source)
+    skipped = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(getattr(t, "id", None) in allowed for t in stmt.targets)
+        for node in ast.walk(stmt)
+    }
+    return [
+        f"{node.lineno}:{node.value!r}"
+        for node in sorted(
+            (n for n in ast.walk(tree) if isinstance(n, ast.Constant)), key=lambda n: n.lineno
+        )
+        if type(node.value) is float and 0 < abs(node.value) < 1e-3 and id(node) not in skipped
+    ]
+
+
+def test_literal_checker_flags_a_planted_threshold():
+    source = (
+        "_P0 = (1.5e-4, -2.5e-9)\n"
+        "LIMIT = 0.1\n"
+        "def gap(x, y):\n"
+        "    return x > 2.5e-4 * y and x < 1e-3 - 1e-9j and y > -3e-7\n"
+    )
+    assert small_float_literals(source, frozenset({"_P0"})) == ["4:0.00025", "4:3e-07"]
+    assert small_float_literals(source) == ["1:0.00015", "1:2.5e-09", "4:0.00025", "4:3e-07"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "tolerance.py"], ids=lambda p: p.name
+)
+def test_thresholds_are_written_only_in_the_tolerance_policy(path):
+    # every threshold and guard below 1e-3 is a named value of ``tolerance``
+    assert small_float_literals(path.read_text(), frozenset(CEPHES_TABLES)) == []
+
+
+def _module_level_names(tree: ast.Module) -> set:
+    """Names bound by the module-level assignments and function definitions of ``tree``."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_no_module_redefines_a_tolerance():
+    policy = _module_level_names(ast.parse((PACKAGE / "tolerance.py").read_text()))
+    found = sorted(
+        f"{path.name}:{name}"
+        for path in MODULES
+        if path.name != "tolerance.py"
+        for name in _module_level_names(ast.parse(path.read_text())) & policy
+    )
+    assert found == []
+
+
+def test_tolerance_is_a_leaf():
+    # every module reads the policy, so the policy reads no module but the errors
+    tree = ast.parse((PACKAGE / "tolerance.py").read_text())
+    imports = {
+        (node.level, node.module) if isinstance(node, ast.ImportFrom) else (0, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    assert imports == {(0, "__future__"), (0, "numpy"), (1, "errors")}
 
 
 def _certificate(H):

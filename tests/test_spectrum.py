@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from speccert import (
     ConnectednessReport,
     ControlHamiltonian,
+    ControlPath,
     GapTable,
+    HermitianOperator,
     NumericalError,
     PreconditionError,
     RefinementNeededError,
     StructuralError,
+    certify_connectedness,
     check_nonresonant,
     climb,
     decompose,
@@ -21,11 +24,15 @@ from speccert import (
     degeneracy_tol,
     evaluate,
     gap,
+    locate_intersection,
+    propagate,
     save_track_csv,
     spectral_diameter_estimate,
     test_conicality,
     track,
+    validate,
 )
+from speccert.operators import hermiticity_defect
 from speccert.sampling import random_hermitian, random_symmetric
 from speccert.spectrum import DEGENERACY_REL, continue_branches
 from branch_reference import _greedy_match, reference_labels
@@ -389,6 +396,67 @@ class TestMalformedPoints:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         with pytest.raises(StructuralError, match=message):
             POINT_ENTRIES[entry](three_level_chain, point, stack)
+
+
+# per kind of malformed input: (a list of control points, a state of the chain, a
+# 2 x 2 matrix) holding it, and what the refusal says
+MALFORMED_INPUTS = {
+    "string": ([["0.1", "0.2"]], ["1", "0", "0"], [["1", "0"], ["0", "1"]], "must hold numbers"),
+    "ragged": ([[0.1, 0.2], [0.3]], [1.0, [0.0, 0.0]], [[1.0, 0.0], [0.0]], "not a rectangular"),
+    "dict": ([{"u": 0.1}], {"psi": 1.0}, {"a": 1.0}, "must hold numbers"),
+    "bools": (
+        [[True, False]], [True, False, False], [[True, False], [False, True]], "must hold numbers"
+    ),
+}
+
+HELD = ControlPath(waypoints=(np.array([0.1, 0.1]),), durations=np.array([1.0]), epsilon=1.0)
+
+# every entry that reads a list of control points, a state or a matrix: (the
+# error it raises, the call given the family and the three malformed inputs)
+INPUT_ENTRIES = {
+    "locate_intersection:seeds": (
+        PreconditionError, lambda H, U, psi, a: locate_intersection(H, 1, U)
+    ),
+    "certify_connectedness:hints": (
+        PreconditionError, lambda H, U, psi, a: certify_connectedness(H, 2, hints=U)
+    ),
+    "propagate:psi0": (StructuralError, lambda H, U, psi, a: propagate(H, HELD, psi)),
+    "from_array": (StructuralError, lambda H, U, psi, a: HermitianOperator.from_array(a)),
+    "validate": (StructuralError, lambda H, U, psi, a: validate(a)),
+    "hermiticity_defect": (StructuralError, lambda H, U, psi, a: hermiticity_defect(a)),
+}
+
+
+class TestMalformedInputs:
+    """Seeds, hints, states and matrix entries take the contract control points take,
+    and are refused before any eigensolve."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_INPUTS))
+    @pytest.mark.parametrize("entry", sorted(INPUT_ENTRIES))
+    def test_every_entry_rejects_it(self, monkeypatch, three_level_chain, entry, kind):
+        # string seeds and bools ran as numbers, and the other kinds raised a bare
+        # ValueError or TypeError, or a PreconditionError that did not say why
+        *inputs, reason = MALFORMED_INPUTS[kind]
+        error, call = INPUT_ENTRIES[entry]
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran on a malformed input")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(error, match=reason):
+            call(three_level_chain, *inputs)
+
+    def test_first_seed_outside_the_box_is_named(self, three_level_chain):
+        seeds = [[0.1, 0.2], [2.0, 0.0], [np.nan, 0.0], [0.2, 0.1]]
+        with pytest.raises(PreconditionError, match=r"seed \[2.0, 0.0\] lies outside"):
+            locate_intersection(three_level_chain, 1, seeds)
+        with pytest.raises(PreconditionError, match=r"seed \[nan, 0.0\] lies outside"):
+            locate_intersection(three_level_chain, 1, seeds[2:])
+
+    def test_a_nan_matrix_is_validated_not_refused(self):
+        report = validate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert report.dim == 2 and not report.accepted
 
 
 def planted_cone_family(seed: int, n: int, real: bool, level: int, apex) -> ControlHamiltonian:
