@@ -40,9 +40,8 @@ from .operators import (
     _write_csv,
     _write_json,
 )
-from .resonance import NonresonantSample, sample_nonresonant
+from .resonance import NonresonantSample, _sample_point
 from .sampling import _box_sequences, _gaussian_stack, _unit_norm
-from .spectrum import decompose
 from .tolerance import DEGENERACY_REL, PERTURBATION_NORM_FLOOR, _check_integer, _check_tolerance
 
 SCHEMA_VERSION = "speccert-certificate/1"
@@ -146,11 +145,8 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
     except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"connectedness: {exc}")
     try:
-        resonance = sample_nonresonant(
-            H, cfg.resonance_budget, rng_seed=cfg.rng_seed, tau_res=cfg.tol_res
-        )
+        resonance, sp, _ = _sample_point(H, cfg.resonance_budget, cfg.rng_seed, cfg.tol_res)
         if resonance.found:
-            sp = decompose(H, resonance.report.u_bar)
             graph = build_graph(H, sp)
             graph_connected, _ = is_connected(graph)
     except (SpeccertError, np.linalg.LinAlgError) as exc:

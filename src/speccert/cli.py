@@ -66,7 +66,8 @@ def _cmd_spectrum(args) -> int:
     header = ["step", *_columns("u", H.m), *_columns("lambda", H.dim)]
 
     def rows():
-        # decomposed in blocks of bounded size, never as one stack over the grid
+        # decomposed in blocks of bounded size, never as one stack over the grid;
+        # with the checked eigh, since eigvalsh would move the CSV's values by ulps
         block = _block_rows(H.dim**2)
         for start in range(0, len(points), block):
             U = points[start : start + block]

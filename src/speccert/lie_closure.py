@@ -6,8 +6,9 @@ new part of each bracket it added with the generators only (see ``closure``). A 
 imaginary generators, such as i H for real H, closes in its so(n) and
 i sym(n) parts separately, in real arithmetic. Classification is by
 dimension: u(n) has n^2, su(n) n^2 - 1, and for even n the quaternionic
-candidate n(n+1)/2, resolved by an explicit antiunitary-structure witness
-search; an algebra is abelian when no bracket of the first sweep is nonzero.
+candidate n(n+1)/2, or n(n+1)/2 + 1 when the algebra less its centre has
+n(n+1)/2, resolved by an explicit antiunitary-structure witness search;
+an algebra is abelian when no bracket of the first sweep is nonzero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -191,6 +192,9 @@ class LieClosureResult:
     classification: str
     traceless_generators: bool
     n: int
+    # a basis of pi(L), L less its centre, when the class was decided on pi(L)
+    # (see ``closure``): the structure witness is then sought on it, not on basis
+    _witness_basis: tuple | None = field(default=None, repr=False)
 
     def to_json_dict(self, include_basis: bool = False) -> dict:
         out = {
@@ -249,7 +253,11 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     generators, can lack one). Only the skew-Hermitian part X + iY of each generator enters, so a
     Hermitian part small enough to pass the skew check adds no direction.
     ``traceless_generators`` is reported only; the class follows from the
-    dimension.
+    dimension. At even n >= 4 an algebra L of dimension n(n+1)/2 + 1 that is
+    not otherwise classed is closed once more from the generators projected
+    off the centre, pi(g) = g - (tr g / n) I; L is the quaternionic candidate
+    when pi(L) has dimension n(n+1)/2 (sp(n/2) + u(1), a quaternionic family
+    with an energy offset), and its witness is sought on pi(L)'s basis.
 
     When every generator is homogeneous, X = 0 or Y = 0 exactly (i H for real
     symmetric H is), the grading u(n) = so(n) + i sym(n) is preserved:
@@ -281,6 +289,35 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     coords = _vec(gens)
     trace = np.abs(coords[:, k: k + n].sum(axis=1))
     traceless = bool(np.all(trace <= rank_tol * np.linalg.norm(coords, axis=1)))
+    dim, basis, abelian = _closed_span(coords, n, rank_tol)
+    classification, witness_basis = _classify(dim, n, abelian), None
+    # at n = 2 that dimension is u(2)'s, and sp(1) is su(2)
+    if classification == CLASS_OTHER and n % 2 == 0 and dim == n * (n + 1) // 2 + 1:
+        # pi(g) = g - (tr g / n) I, subtracting the mean of the diagonal
+        # coordinates, is a Lie homomorphism, so closing pi of the generators
+        # gives pi(L); its own basis, not L's projected, holds no element that
+        # cancellation against the centre left at rounding-error size
+        centreless = coords.copy()
+        centreless[:, k: k + n] -= centreless[:, k: k + n].mean(axis=1, keepdims=True)
+        pi_dim, pi_basis, _ = _closed_span(centreless, n, rank_tol)
+        if pi_dim == n * (n + 1) // 2:
+            classification, witness_basis = CLASS_SP_CANDIDATE, pi_basis
+    return LieClosureResult(
+        dimension=dim,
+        basis=basis,
+        classification=classification,
+        traceless_generators=traceless,
+        n=n,
+        _witness_basis=witness_basis,
+    )
+
+
+def _closed_span(coords: np.ndarray, n: int, rank_tol: float) -> tuple:
+    """(dimension, basis, abelian) of the algebra generated by the u(n) coordinates ``coords``.
+
+    The closure of ``closure``'s docstring, for generators already checked.
+    """
+    k = n * (n - 1) // 2
     x, y = coords[:, :k], coords[:, k:]
     if np.any(x.any(axis=1) & y.any(axis=1)):
         grades, rows = (None,), [coords]
@@ -329,15 +366,9 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
                         c, norm, err = c[keep], norm[keep], err[keep]
                     found[t].append(grow(t, c, norm, err))
         frontier = [tuple(map(np.concatenate, zip(*f))) if f else none for f in found]
-    dim = sum(b.dim for b in bases)
     mats = [iter(b.matrices()) for b in bases]
-    return LieClosureResult(
-        dimension=dim,
-        basis=tuple(next(mats[t]) for t, count in segments for _ in range(count)),
-        classification=_classify(dim, n, abelian),
-        traceless_generators=traceless,
-        n=n,
-    )
+    basis = tuple(next(mats[t]) for t, count in segments for _ in range(count))
+    return sum(b.dim for b in bases), basis, abelian
 
 
 def generators_from(H: ControlHamiltonian) -> list:
@@ -422,7 +453,8 @@ def classify_transitive(result: LieClosureResult, n: int) -> TransitivityVerdict
     if result.classification in (CLASS_FULL, CLASS_TRACELESS):
         return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=True)
     if result.classification == CLASS_SP_CANDIDATE:
-        if _sp_witness(list(result.basis), n):
+        basis = result.basis if result._witness_basis is None else result._witness_basis
+        if _sp_witness(list(basis), n):
             return TransitivityVerdict(controllable_on_sphere=True, controllable_on_group=False)
         return TransitivityVerdict(controllable_on_sphere=None, controllable_on_group=False)
     return TransitivityVerdict(controllable_on_sphere=False, controllable_on_group=False)

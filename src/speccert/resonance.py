@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint, _decompose_stack, decompose, degeneracy_tol
+from .spectrum import SpectralPoint, _eigvals_stack, decompose, degeneracy_tol
 from .tolerance import RES_TOL_SCALE, _check_integer, _check_tolerance
 
 CERTIFIED_PROPERTY = "all pairwise spectral gaps distinct (rational independence not tested)"
@@ -59,17 +59,6 @@ def _gap_stats(H: ControlHamiltonian, lam: np.ndarray, tau_res: float | None):
     return min_sep, simple, tau
 
 
-def _report(u: np.ndarray, stats, k: int) -> ResonanceReport:
-    """The report for row k of ``_gap_stats`` output, taken at control point u."""
-    min_sep, simple, tau = stats
-    return ResonanceReport(
-        u_bar=u,
-        min_gap_separation=float(min_sep[k]),
-        simple=bool(simple[k]),
-        tau_res=float(tau[k]),
-    )
-
-
 def check_nonresonant(
     H: ControlHamiltonian, u, tau_res: float | None = None
 ) -> ResonanceReport:
@@ -89,7 +78,13 @@ def _point_report(
     H: ControlHamiltonian, sp: SpectralPoint, tau_res: float | None = None
 ) -> ResonanceReport:
     """The ``check_nonresonant`` report of H at the decomposed point sp."""
-    return _report(sp.u, _gap_stats(H, sp.eigenvalues[None, :], tau_res), 0)
+    min_sep, simple, tau = _gap_stats(H, sp.eigenvalues[None, :], tau_res)
+    return ResonanceReport(
+        u_bar=sp.u,
+        min_gap_separation=float(min_sep[0]),
+        simple=bool(simple[0]),
+        tau_res=float(tau[0]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,21 +122,40 @@ def sample_nonresonant(
     all evaluated candidates is recorded either way. ``budget`` must be an
     integer >= 1, ``rng_seed`` one >= 0 and a given ``tau_res`` finite and
     positive (``PreconditionError``).
+
+    Every candidate is screened on its eigenvalues alone, computed without
+    frames, and only their sum is checked, against the trace
+    (``NumericalError``, as for a solve that does not converge); the
+    acceptance rate counts the screen's passes. Only the chosen point is
+    decomposed, with ``decompose``'s checks of residual, orthonormality and
+    trace, and its report is ``check_nonresonant``'s at that point. A
+    screened pass whose report fails there, which only a last-bit difference
+    between the two eigensolvers can cause, is passed over for the next.
     """
     _check_integer("budget", budget, 1)
     _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_res", tau_res)
+    return _sample_point(H, budget, rng_seed, tau_res)[0]
+
+
+def _sample_point(H: ControlHamiltonian, budget: int, rng_seed: int, tau_res: float | None):
+    """(sample, decomposed chosen point or None, screened passes whose report failed).
+
+    ``sample_nonresonant`` for arguments already checked; the chosen point's
+    ``SpectralPoint`` is the one ``decompose`` returns there.
+    """
     rng = np.random.default_rng(rng_seed)
     lo, hi = H.box[:, 0], H.box[:, 1]
     # all candidates are drawn up front so the result is the first pass by
     # index even if the evaluation order ever changes
     candidates = lo + rng.random((budget, H.m)) * (hi - lo)
-    lam, _ = _decompose_stack(H.matrices_at(candidates), candidates)
-    stats = min_sep, simple, tau = _gap_stats(H, lam, tau_res)
-    passed = simple & (min_sep >= tau)
-    first = int(np.argmax(passed))
-    return NonresonantSample(
-        report=_report(candidates[first], stats, first) if passed[first] else None,
-        tried=budget,
-        acceptance_rate=int(np.count_nonzero(passed)) / budget,
-    )
+    lam = _eigvals_stack(H.matrices_at(candidates), candidates)
+    min_sep, simple, tau = _gap_stats(H, lam, tau_res)
+    passed = np.flatnonzero(simple & (min_sep >= tau))
+    rate = len(passed) / budget
+    for misses, k in enumerate(passed.tolist()):
+        sp = decompose(H, candidates[k])
+        report = _point_report(H, sp, tau_res)
+        if report.passed:
+            return NonresonantSample(report=report, tried=budget, acceptance_rate=rate), sp, misses
+    return NonresonantSample(report=None, tried=budget, acceptance_rate=rate), None, len(passed)

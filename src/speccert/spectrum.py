@@ -23,6 +23,8 @@ from .tolerance import (
 # a call (256 KB of complex entries)
 BLOCK_ENTRIES = 2**14
 
+TRACE_MISMATCH = "eigenvalue sum does not match trace"
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralPoint:
@@ -81,6 +83,13 @@ def _block_rows(row_entries: int) -> int:
     return max(1, BLOCK_ENTRIES // row_entries)
 
 
+def _not_converged(U: np.ndarray) -> NumericalError:
+    """The error of a stacked eigensolve over the points U that did not converge."""
+    return NumericalError(
+        f"eigensolver did not converge on {len(U)} point(s) from u={U[0].tolist()}"
+    )
+
+
 def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
     """Checked eigenvalues (N, n) and phase-fixed frames of mats = H(U[k]); freezes U too.
 
@@ -89,9 +98,7 @@ def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
     try:
         lam, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver did not converge on {len(U)} point(s) from u={U[0].tolist()}"
-        ) from exc
+        raise _not_converged(U) from exc
     vecs = _fix_phases(vecs)
     if check:
         failed = _failed_rows(mats, U, lam, vecs)
@@ -100,6 +107,34 @@ def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
     for a in (U, lam, vecs):
         a.setflags(write=False)
     return lam, vecs
+
+
+def _eigvals_stack(mats: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Eigenvalues (N, n) of mats = H(U[k]), ascending, without frames.
+
+    Of ``_failed_rows``' checks, only the one that reads eigenvalues alone is
+    run: the first row whose eigenvalue sum misses its trace raises that
+    check's ``NumericalError``, as does a solve that does not converge.
+    LAPACK's eigenvalue-only driver may differ from ``_decompose_stack``'s in
+    the last bits, so a caller that must match ``decompose`` decomposes the
+    rows it keeps.
+    """
+    try:
+        lam = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise _not_converged(U) from exc
+    defect, limit = _trace_defects(mats, lam)
+    over = defect > limit
+    if over.any():
+        k = int(np.argmax(over))
+        raise NumericalError(f"{TRACE_MISMATCH} at u={U[k].tolist()}", residual=float(defect[k]))
+    return lam
+
+
+def _trace_defects(mats: np.ndarray, lam: np.ndarray) -> tuple:
+    """Per row, |sum of eigenvalues - trace| and its bound ``RESIDUAL_TOL`` (1 + |trace|)."""
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    return np.abs(np.sum(lam, axis=1) - tr), RESIDUAL_TOL * (1.0 + np.abs(tr))
 
 
 def _failed_rows(mats: np.ndarray, U: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> dict:
@@ -114,12 +149,10 @@ def _failed_rows(mats: np.ndarray, U: np.ndarray, lam: np.ndarray, vecs: np.ndar
     resid = np.max(np.linalg.norm(mats @ vecs - vecs * lam[:, None, :], axis=1), axis=1)
     gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
     ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
-    tr = np.trace(mats, axis1=1, axis2=2).real
-    tr_defect = np.abs(np.sum(lam, axis=1) - tr)
     checks = (
         ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + hnorm)),
         ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
-        ("eigenvalue sum does not match trace", tr_defect, RESIDUAL_TOL * (1.0 + np.abs(tr))),
+        (TRACE_MISMATCH, *_trace_defects(mats, lam)),
     )
     over = np.stack([value > limit for _, value, limit in checks])
     failed = {}

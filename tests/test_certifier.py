@@ -12,6 +12,7 @@ from speccert import (
     ControlHamiltonian,
     GapTable,
     HermitianOperator,
+    NumericalError,
     PreconditionError,
     build_graph,
     certify,
@@ -148,6 +149,29 @@ class TestCertify:
         # error, and rng_seed = -1 escaped certify as numpy's ValueError
         with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
             CertifyConfig(**{field: value})
+
+
+class TestResonanceStageSolves:
+    def test_candidates_are_screened_and_one_point_decomposed(self, monkeypatch):
+        # one eigenvalue-only solve over the candidates and one checked eigh row for
+        # the chosen point, which the graph reuses (was budget + 1 eigh rows)
+        H = _random_family(np.random.default_rng(3), 4, 2, 3.0)
+        H.energy_scale, H.control_norms()  # the family's cached scales, solved once per family
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            counted = lambda a, name=name, solve=solve: solves.append((name, len(a))) or solve(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def skipped(*args, **kwargs):
+            raise NumericalError("not run here")
+
+        module = importlib.import_module("speccert.certify")
+        monkeypatch.setattr(module, "certify_connectedness", skipped)
+        cert = certify(H, CertifyConfig(resonance_budget=50))
+        assert cert.resonance.found and cert.graph is not None
+        assert cert.errors == ("connectedness: not run here",)
+        assert solves == [("eigvalsh", 50), ("eigh", 1)]
 
 
 class TestArithmeticField:

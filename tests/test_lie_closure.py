@@ -269,6 +269,26 @@ class TestEnergyOffset:
         gens[0] = gens[0] + 1j * 10.0**log_c * np.eye(2 * k)
         assert closure(gens).dimension <= k * (2 * k + 1) + 1
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(2, 3),
+        seed=st.integers(0, 2**16),
+        c=st.one_of(st.just(0.0), st.floats(-6, 0).map(lambda e: 10.0**e)),
+    )
+    @example(k=2, seed=0, c=1e-6)
+    @example(k=2, seed=0, c=0.3)
+    def test_sp_plus_centre_acts_transitively_on_the_sphere(self, k, seed, c):
+        # Sp(k) acts transitively on the sphere, and phases keep it so; the
+        # class is decided on pi(L) = {g - (tr g / n) I} and so is the witness
+        rng = np.random.default_rng(seed)
+        gens = [sp_element(rng, k) for _ in range(2)]
+        gens[0] = gens[0] + 1j * c * np.eye(2 * k)
+        result = closure(gens)
+        verdict = classify_transitive(result, 2 * k)
+        assert result.classification == CLASS_SP_CANDIDATE
+        assert verdict.controllable_on_sphere is True
+        assert not verdict.controllable_on_group
+
     @pytest.mark.parametrize("c", [1e-9, 1e-6])
     def test_offset_family_is_not_certified_for_the_group(self, c):
         rng = np.random.default_rng(0)

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from speccert import (
     HermitianOperator,
+    NumericalError,
     PreconditionError,
     check_nonresonant,
     decompose,
     sample_nonresonant,
 )
 from speccert.operators import ControlHamiltonian
+from speccert.resonance import _sample_point
 from conftest import HOSTILE_TOLERANCES, make_family
 from ensemble_reference import _random_family
 
@@ -171,12 +173,47 @@ class TestSampleNonresonant:
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_matches_per_candidate_checks(self, three_level_chain, seed):
-        H = three_level_chain
-        out = sample_nonresonant(H, budget=60, rng_seed=seed)
-        # the candidates as sample_nonresonant draws them, checked one at a time
-        rng = np.random.default_rng(seed)
-        lo, hi = H.box[:, 0], H.box[:, 1]
-        reports = [check_nonresonant(H, u) for u in lo + rng.random((60, H.m)) * (hi - lo)]
-        passed = [r for r in reports if r.passed]
-        assert out.acceptance_rate == len(passed) / 60
-        assert out.report.to_json_dict() == passed[0].to_json_dict()
+        _assert_matches_per_candidate_checks(three_level_chain, 60, seed)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (8, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_candidate_checks_on_random_families(self, n, m, seed):
+        # the families certify_random draws (real, m = 2, box [-3, 3]^2), and complex m = 3 ones
+        H = _random_family(np.random.default_rng(100 + seed), n, m, 3.0)
+        _assert_matches_per_candidate_checks(H, 200, seed)
+
+    def test_trace_defect_raises(self, three_level_chain, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1.0)
+        with pytest.raises(NumericalError, match="eigenvalue sum does not match trace"):
+            sample_nonresonant(three_level_chain, budget=20, rng_seed=1)
+
+    def test_screened_passes_whose_check_fails_are_passed_over(self, monkeypatch):
+        # a screen that reads the frozen spectrum {0, 1, 2} as {0, 0.9, 2.1}, with the
+        # same trace and distinct gaps, passes every candidate; each checked report fails
+        H = family_with_fixed_spectrum([0.0, 1.0, 2.0])
+        H.energy_scale  # the family's cached scale, from the true eigenvalues
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.tile([0.0, 0.9, 2.1], (len(a), 1)))
+        sample, point, misses = _sample_point(H, 10, 1, None)
+        assert (sample.found, point, misses, sample.acceptance_rate) == (False, None, 10, 1.0)
+
+    def test_non_convergence_raises_a_numerical_error(self, three_level_chain, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalError, match="eigensolver did not converge on 20 point"):
+            sample_nonresonant(three_level_chain, budget=20, rng_seed=1)
+
+
+def _assert_matches_per_candidate_checks(H, budget: int, seed: int) -> None:
+    """``sample_nonresonant`` reads as ``check_nonresonant`` at every candidate would."""
+    out = sample_nonresonant(H, budget=budget, rng_seed=seed)
+    # the candidates as sample_nonresonant draws them, checked one at a time
+    rng = np.random.default_rng(seed)
+    lo, hi = H.box[:, 0], H.box[:, 1]
+    reports = [check_nonresonant(H, u) for u in lo + rng.random((budget, H.m)) * (hi - lo)]
+    passed = [r for r in reports if r.passed]
+    assert out.acceptance_rate == len(passed) / budget
+    assert np.array_equal(out.report.u_bar, passed[0].u_bar)
+    assert out.report.to_json_dict() == passed[0].to_json_dict()
