@@ -39,18 +39,22 @@ from .tolerance import (
 DEFAULT_DIRECTIONS = 32
 # Gauss-Newton locator, per seed: the iteration cap; the largest step, as a
 # fraction of the box diagonal; the factor the step cap shrinks by after a
-# rejected step; and the full-step length, in box diagonals, beyond which the
-# linearised nearest degeneracy is too far out for the seed to reach one
+# rejected step; the full-step length, in box diagonals, beyond which the
+# linearised nearest degeneracy is too far out for the seed to reach one; and
+# the full-step length, in box diagonals, beyond which that degeneracy lies
+# outside the box (no box point is farther than one diagonal from another),
+# which ends a run when it holds at two consecutive points of the run
 MAX_ITERATIONS = 64
 STEP_FRACTION = 0.25
 SHRINK = 0.25
 FAR_STEP = 10.0
+OUTSIDE_STEP = 1.0
 # runs that end without a hit restart from fresh low-discrepancy points, up to
 # RESTARTS times per seed, drawn from a sequence scrambled with RESTART_SEED
 RESTARTS = 2
 RESTART_SEED = 0x5EED
 # how a locator run ends, as ``_locate_groups`` counts them (see there)
-END_REASONS = ("hit", "edge", "far", "cap", "iterations", "stall", "face")
+END_REASONS = ("hit", "edge", "far", "cap", "iterations", "stall", "face", "outside")
 # the smallest n at which a group starts with its first seed's first run alone
 # and releases each next seed's first run as its predecessor's restart is
 # released: from n = 6 on, the eigensolve rows of seeds keyed after a group's
@@ -89,10 +93,17 @@ def locate_intersection(
     nearby, an avoided crossing), or after ``MAX_ITERATIONS``. It also ends
     when a kept step lowers the gap by no more than ``DEGENERACY_REL`` times
     the spectral spread lambda_n - lambda_1 at its new point (a stall: the
-    run crawls towards a positive minimum of the gap), and when a rejected
-    step starts on a box face and its full step points beyond that face (the
-    run is pinned there: its clipped trials are projections, not descent
-    steps). A run that ends anywhere but at an interior hit restarts from the
+    run crawls towards a positive minimum of the gap), when a rejected
+    step starts on a box face, its full step points beyond that face, and
+    the step projected onto the face lowers the gap, to first order, by no
+    more than that same resolution (the run is pinned there: its clipped
+    trials are projections, not descent steps), and when its full step is
+    longer than ``OUTSIDE_STEP`` box
+    diagonals at two consecutive points of the run, its start and the points
+    it moves to (the linear model has put the nearest degeneracy outside the
+    box twice, as on a crawl into an avoided crossing, where the gap has a
+    positive minimum and Gauss-Newton converges slowly if at all). A run that
+    ends anywhere but at an interior hit restarts from the
     seed's next point of a fixed low-discrepancy sequence, up to ``RESTARTS``
     times per seed.
 
@@ -178,11 +189,18 @@ def _gauss_newton_steps(pair: np.ndarray, controls: np.ndarray, gap: np.ndarray)
     Im (B_l)_01 (identically zero in a real one). Returns
     -(gap/2) times the first column of J's (pseudo-)inverse, row by row.
     """
-    B = pair.conj().swapaxes(1, 2)[:, None] @ (controls @ pair[:, None])
+    B = _pair_blocks(pair, controls)
     rows = [(B[..., 1, 1].real - B[..., 0, 0].real) / 2, B[..., 0, 1].real]
     if np.iscomplexobj(B):
         rows.append(B[..., 0, 1].imag)
     return -(gap / 2)[:, None] * _inverse_first_column(np.stack(rows, axis=1))
+
+
+def _pair_blocks(pair: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """The 2x2 blocks B_l = P^dagger (H_l P) (k, m, 2, 2) of the control operators
+    ``controls`` (k, m, n, n) in the pair frames P ``pair`` (k, n, 2); the gap's
+    derivative along u_l is (B_l)_11 - (B_l)_00."""
+    return pair.conj().swapaxes(1, 2)[:, None] @ (controls @ pair[:, None])
 
 
 def _inverse_first_column(J: np.ndarray) -> np.ndarray:
@@ -242,15 +260,28 @@ def _locate_groups(groups, reasons=None) -> list:
     A run ends without a hit by ``far``, ``cap`` or ``iterations`` (see
     ``locate_intersection``), by ``stall`` when a kept step lowers the gap by
     no more than ``DEGENERACY_REL`` times lambda_n - lambda_1 at its new
-    point, or by ``face`` when a rejected ladder starts from a point on a box
-    face and the full step's target u + step lies beyond that same face. The
-    stall test is the package's one degeneracy resolution, so it depends on
-    neither the energy unit nor ``tau``. In the interior the step is a
-    descent direction (the gap falls as (1 - t) gap for small t), so a ladder
-    there keeps a rung; on a face the clipped trials are projections with no
-    such guarantee, and the run waits for a rejection there, since runs that
-    touch a face and move on do hit. Every end releases the run's successors
-    alike.
+    point, by ``face`` when a rejected ladder starts from a point on a box
+    face, the full step's target u + step lies beyond that same face, and
+    the projected step p (the step with the clipped coordinates zeroed)
+    lowers the gap, to first order sum_l ((B_l)_11 - (B_l)_00) p_l with B_l
+    the control operators' blocks in the pair frame (``_pair_blocks``), by
+    no more than the stall resolution of the ladder's last rung, or by
+    ``outside`` when the full step solved at its point is longer than
+    ``OUTSIDE_STEP`` box diagonals and so was the one solved at its previous
+    point. The stall test is the package's one degeneracy resolution, so it
+    depends on neither the energy unit nor ``tau``. In the interior the step
+    is a descent direction (the gap falls as (1 - t) gap for small t), so a
+    ladder there keeps a rung; on a face the clipped trials are u + t p,
+    which descend for small t only when p does, and the run waits for a
+    rejection there, since runs that touch a face and move on do hit. A
+    step is solved at a run's start and at every point it moves to, so the
+    outside end counts points, not iterations, and is unit-free; it asks for
+    two points because runs that cross a flat patch once and then hit are
+    common. A step longer than ``FAR_STEP`` diagonals ends the run by
+    ``far`` at once. Every end releases the run's successors alike. Unlike
+    ``stall`` and ``face``, the outside end can end a run that would have
+    hit, so it moves answers: a seed's later run, or a later seed, then
+    supplies the group's point.
 
     A rejected step leaves the point, gap and pair frame as they were, so the
     next trial depends on the shrunken cap alone. After s straight
@@ -279,7 +310,7 @@ def _locate_groups(groups, reasons=None) -> list:
 
     ``reasons``, when given, is a dict to which the counts of how the runs
     ended are added under the names of ``END_REASONS``: "hit" and "edge" (a
-    degeneracy inside or outside the interior margin) and the five ends
+    degeneracy inside or outside the interior margin) and the six ends
     above. A run dropped behind its group's first hit is not counted.
     """
     if not groups:
@@ -304,6 +335,7 @@ def _locate_groups(groups, reasons=None) -> list:
     cap_max = STEP_FRACTION * diameter[grp]
     cap_min = (np.finfo(float).eps * (diameter + np.max(np.abs(box), axis=(1, 2))))[grp]
     far_step = FAR_STEP * diameter[grp]
+    outside_step = OUTSIDE_STEP * diameter[grp]
     level = np.array(levels)[grp]
     tau = np.array(taus, dtype=float)[grp]
     # run r >= 1 of seed i starts from point i*RESTARTS + r - 1 of one
@@ -322,6 +354,8 @@ def _locate_groups(groups, reasons=None) -> list:
     streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
     step = np.empty((k, m))
     length = np.empty(k)
+    # whether the full step solved at the run's last point left the box
+    beyond = np.zeros(k, dtype=bool)
     # from LAZY_SEED_MIN_DIM on, a seed's run 0 is a successor of the previous
     # seed's run 0, keyed RESTARTS + 1 slots on; below it every run 0 starts now
     lazy = n >= LAZY_SEED_MIN_DIM
@@ -378,6 +412,16 @@ def _locate_groups(groups, reasons=None) -> list:
             target = u + step.take(a, 0)
             onto = np.minimum(np.maximum(target, lo.take(a, 0)), hi.take(a, 0)) == u
             pinned = np.logical_or.reduce(onto & (target != u), axis=1)
+            # unless the projected step (the step with those coordinates zeroed)
+            # lowers the gap, to first order, by more than the stall resolution:
+            # then shorter trials along it are kept, and the run may still hit
+            c = np.nonzero(pinned & ~kept)[0]
+            if len(c):
+                f = a[c]
+                B = _pair_blocks(pair.take(f, 0), controls.take(grp[f], 0))
+                projected = np.where(onto[c], 0.0, step.take(f, 0))
+                slope = np.add.reduce((B[..., 1, 1].real - B[..., 0, 0].real) * projected, axis=1)
+                pinned[c] = -slope <= resolution[c]
             stuck[len(new) :] = np.where(kept, drop <= resolution, pinned)
             # a kept rung doubles its cap, a rejected ladder shrinks its last one
             last_cap = rc[last]
@@ -404,12 +448,20 @@ def _locate_groups(groups, reasons=None) -> list:
         step[d] = sd = _gauss_newton_steps(pair.take(d, 0), controls.take(grp[d], 0), gap[d])
         length[d] = np.sqrt(np.add.reduce(sd * sd, axis=1))
         # a longer step puts the nearest zero of the linear model far outside
-        # the box, as at an avoided crossing, where the gap has a positive minimum
-        over[solve] = ~(length[d] <= far_step[d])
+        # the box, as at an avoided crossing, where the gap has a positive
+        # minimum; a step longer than the box at two consecutive points of a
+        # run has put it outside the box twice, as on a crawl into such a minimum
+        far = ~(length[d] <= far_step[d])
+        out = length[d] > outside_step[d]
+        over[solve] = far | (out & beyond[d])
+        beyond[d] = out
         if why is not None:
-            # hit, edge, cap, iterations, stall and face; the other ends are far
-            ends = [hits, ended, capped, limited, stuck & ~unmoved, stuck]
-            why[ev[over]] = np.select(ends, [1, 2, 4, 5, 6, 7], 3)[over]
+            # hit, edge, cap, iterations, stall and face, then outside among
+            # the runs that ended at their step solve; the other ends are far
+            left = np.zeros(len(ev), dtype=bool)
+            left[solve] = ~far
+            ends = [hits, ended, capped, limited, stuck & ~unmoved, stuck, left]
+            why[ev[over]] = np.select(ends, [1, 2, 4, 5, 6, 7, 8], 3)[over]
         a = ev[~over & useful]
         # a run's successors are released when the run ends without a hit or
         # first rejects a step: its restart, and under the lazy schedule a first

@@ -7,15 +7,23 @@ Each seed runs its restarts one after another, and every iteration takes one
 trial step per live seed. It deliberately keeps the ends a run had before
 the scheduled solve learned to end a run that stalls at a positive gap or is
 pinned to a box face ("stall" and "face"): here such a run goes on to its
-cap, iteration limit or far step, so matching it point for point shows that
-the two early ends move no answer. ``reasons``, when given, is a dict that counts how
+cap, iteration limit, far step or outside end, so matching it point for
+point shows that the two early ends move no answer. The outside end (the
+full step longer than ``OUTSIDE_STEP`` box diagonals at two consecutive
+points of a run, its start and the points it moves to) can end a run that
+would have hit, so it moves answers and the reference applies it too;
+``outside=False`` runs the solve as it was before that end, so that a test
+can bound what the end moves. ``reasons``, when given, is a dict that counts how
 the runs ended: "hit" (an interior degeneracy), "edge" (a degeneracy outside
 the interior margin), "far" (the full step left the box by ``FAR_STEP``
-diagonals), "cap" (the step cap fell to roundoff) or "iterations" (the run
-reached ``MAX_ITERATIONS``). ``eigh_rows``, when given, is a list that gets
+diagonals), "outside", "cap" (the step cap fell to roundoff) or
+"iterations" (the run reached ``MAX_ITERATIONS``). Here the step is solved
+again after a rejected trial, from the same point, so it is the same step:
+the outside end counts a point once, at the solve after the run moved
+there. ``eigh_rows``, when given, is a list that gets
 the row count of every stacked eigensolve. The operator stacks are stacked
 as given, so the call runs in their field, as the scheduled solve does; the
-step and restart constants and the Gauss-Newton step solve
+step, end and restart constants and the Gauss-Newton step solve
 (``_gauss_newton_steps``) are read from ``conical`` at call time, as the
 scheduled solve reads them, so the two share their arithmetic and the
 comparison checks the schedule alone.
@@ -29,8 +37,9 @@ from speccert.operators import _affine_stack, _box_diameters
 from speccert.sampling import _halton_unit
 
 
-def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
-    """Per group, the first interior hit in seed order, or None."""
+def reference_locate(groups, reasons=None, eigh_rows=None, outside=True) -> list:
+    """Per group, the first interior hit in seed order, or None; with
+    ``outside=False``, as the solve ran before it learned the outside end."""
     if not groups:
         return []
     restarts = conical.RESTARTS
@@ -51,6 +60,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
     cap_max = conical.STEP_FRACTION * diameter[grp]
     cap_min = (np.finfo(float).eps * (diameter + np.max(np.abs(box), axis=(1, 2))))[grp]
     far_step = conical.FAR_STEP * diameter[grp]
+    outside_step = conical.OUTSIDE_STEP * diameter[grp]
     level = np.array(levels)[grp]
     tau = np.array(taus, dtype=float)[grp]
     unit = _halton_unit(int(counts.max()) * restarts, m, RESTART_SEED)
@@ -74,6 +84,11 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
     iterations = np.zeros(k, dtype=int)
     runs = np.zeros(k, dtype=int)
     far = np.zeros(k, dtype=bool)
+    left = np.zeros(k, dtype=bool)
+    # whether the seed's point moved since its last step solve, and whether
+    # the full step solved at its last point was longer than OUTSIDE_STEP
+    moved = np.zeros(k, dtype=bool)
+    beyond = np.zeros(k, dtype=bool)
     live = np.zeros(k, dtype=bool)
     fresh = np.ones(k, dtype=bool)
     first = counts.copy()
@@ -81,18 +96,21 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
         if fresh.any():
             f = np.nonzero(fresh)[0]
             gap[f], pair[f] = pair_at(f, U[f])
-            cap[f], iterations[f], far[f] = cap_max[f], 0, False
+            cap[f], iterations[f], far[f], left[f] = cap_max[f], 0, False, False
+            moved[f], beyond[f] = True, False
             live |= fresh
         ended = live & (gap <= tau)
         hits = ended & np.all((U > inner_lo) & (U < inner_hi), axis=1)
         np.minimum.at(first, grp[hits], pos[hits])
         useful = pos < first[grp]
-        over = live & (ended | far | (cap <= cap_min) | (iterations >= max_iterations))
+        gone = far | left
+        over = live & (ended | gone | (cap <= cap_min) | (iterations >= max_iterations))
         tally("hit", hits)
         tally("edge", ended & ~hits)
         tally("far", over & ~ended & far)
-        tally("cap", over & ~ended & ~far & (cap <= cap_min))
-        tally("iterations", over & ~ended & ~far & (cap > cap_min))
+        tally("outside", over & ~ended & left)
+        tally("cap", over & ~ended & ~gone & (cap <= cap_min))
+        tally("iterations", over & ~ended & ~gone & (cap > cap_min))
         live &= ~over & useful
         fresh = over & ~hits & (runs < restarts) & useful
         f = np.nonzero(fresh)[0]
@@ -107,6 +125,14 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
         length = np.linalg.norm(step, axis=1)
         near = length <= far_step[a]
         far[a[~near]] = True
+        if outside:
+            # a second point in a row whose full step is longer than the box
+            out = length > outside_step[a]
+            new = moved[a]
+            left[a] = near & new & out & beyond[a]
+            beyond[a] = np.where(new, out, beyond[a])
+            moved[a] = False
+            near &= ~left[a]
         a, step, length = a[near], step[near], length[near]
         step *= np.minimum(1.0, cap[a] / np.maximum(length, np.finfo(float).tiny))[:, None]
         trial = np.clip(U[a] + step, lo[a], hi[a])
@@ -114,6 +140,7 @@ def reference_locate(groups, reasons=None, eigh_rows=None) -> list:
         better = trial_gap < gap[a]
         keep = a[better]
         U[keep], gap[keep], pair[keep] = trial[better], trial_gap[better], trial_pair[better]
+        moved[keep] = True
         cap[a] = np.where(
             better, np.minimum(2.0 * cap[a], cap_max[a]), shrink * np.minimum(cap[a], length)
         )

@@ -216,6 +216,25 @@ class TestEnergyUnit:
     def test_evidence_invariant_under_scaling(self, three_level_chain, k):
         assert _evidence(scaled(three_level_chain, 10.0**k)) == _evidence(three_level_chain)
 
+    def test_random_families_keep_their_certified_levels(self):
+        # certify_random's first 36 families of bench seed 0 (n cycling 3, 4, 8)
+        # in energy units a million times larger and ten million times smaller;
+        # 29 of them are certified, with 137 certified levels in all
+        statuses, levels = set(), 0
+        for k, child in enumerate(np.random.SeedSequence(0).spawn(36)):
+            H = _random_family(np.random.default_rng(child), (3, 4, 8)[k % 3], 2, 3.0)
+            base = certify_connectedness(H, 8)
+            statuses.add(base.status)
+            levels += len(base.certificates)
+            for s in (1e6, 1e-7):
+                report = certify_connectedness(scaled(H, s), 8)
+                assert report.status == base.status
+                assert set(report.certificates) == set(base.certificates)
+                for j, cert in report.certificates.items():
+                    moved = np.abs(cert.u_star - base.certificates[j].u_star)
+                    assert np.max(moved) <= 1e-6
+        assert statuses == {"certified", "incomplete"} and levels == 137
+
 
 def _traceless_family(seed, n, offset):
     """Random traceless complex family over [-2, 2]^2, its drift shifted by offset * I."""

@@ -297,6 +297,9 @@ class TestBatchedLocator:
             max_size=6,
         ),
     )
+    # a run that meets a box face with its full step beyond it, is rejected
+    # there once, and then hits along the face
+    @example(seed=10871, n=5, m=3, shape=[(1, 1, 1)])
     def test_each_group_matches_its_standalone_solve(self, seed, n, m, shape):
         # shape lists (family, level, seed count) per group; real families for m = 2,
         # complex ones for m = 3
@@ -569,11 +572,14 @@ class TestLocatorSchedule:
 
 
 class TestLocatorEnds:
-    """Runs pinned to a box face or stalled at a positive gap minimum end early.
+    """Runs pinned to a box face, stalled at a positive gap minimum or sent
+    outside the box twice end early.
 
-    The reference solve runs such runs on to their old ends, so
-    ``TestLocatorOracle`` shows that ending them moves no point. The counts
-    written into these tests were measured on the solve before the two ends
+    The reference solve runs face and stall runs on to their old ends, so
+    ``TestLocatorOracle`` shows that ending them moves no point. The outside
+    end moves points, so the reference has it too, and
+    ``test_the_outside_end_only_moves_points`` bounds what it moves. The
+    counts of the old ends were measured on the solve before the new ones
     existed.
     """
 
@@ -607,6 +613,61 @@ class TestLocatorEnds:
         assert old["iterations"] == 1 and sum(old.values()) == 1
         assert _eigh_rows(monkeypatch, [groups]) == [1] * 24
 
+    def test_a_crawl_into_an_avoided_crossing_ends_outside(self, monkeypatch):
+        # a run of ensemble_genericity(3, 2, 50, 33) whose full steps are 1.85
+        # and 3.21 box diagonals long at its start and at the point it moves
+        # to. Without the outside end it crawls on, its full steps 0.4 and
+        # 3.2-4.2 diagonals by turns, until one is over FAR_STEP, in 52 rows
+        stack, box, level, U, tau = _oracle("33")[0][0][60]
+        groups = [(stack, box, level, U[4:5], tau)]
+        monkeypatch.setattr(conical, "RESTARTS", 0)
+        reasons, old, old_rows = {}, {}, []
+        assert _locate_groups(groups, reasons) == [None]
+        assert reasons["outside"] == 1 and sum(reasons.values()) == 1
+        assert reference_locate(groups, old, old_rows, outside=False) == [None]
+        assert old["far"] == 1 and sum(old.values()) == 1
+        assert _eigh_rows(monkeypatch, [groups]) == [1, 1]
+        assert sum(old_rows) == 52
+
+    def test_one_step_out_of_the_box_does_not_end_a_run(self, monkeypatch):
+        # a run of ensemble_genericity(3, 2, 50, 11) whose full step is 1.49
+        # box diagonals long at its start and 0.34 at the point it moves to,
+        # and which hits in 6 rows. Ending a run at one such step, as a far
+        # end at one diagonal would, loses the hit
+        stack, box, level, U, tau = _oracle("11")[0][0][12]
+        groups = [(stack, box, level, U[:1], tau)]
+        monkeypatch.setattr(conical, "RESTARTS", 0)
+        reasons = {}
+        (u,) = _locate_groups(groups, reasons)
+        assert u is not None and reasons["hit"] == 1 and sum(reasons.values()) == 1
+        assert _eigh_rows(monkeypatch, [groups]) == [1] * 6
+        monkeypatch.setattr(conical, "FAR_STEP", conical.OUTSIDE_STEP)
+        assert _locate_groups(groups) == [None]
+
+    def test_the_outside_end_only_moves_points(self, planted_set):
+        # against the reference without the end, over the whole equivalence
+        # set: no group loses or gains a point, and each moved point is an
+        # interior degeneracy of its level, as good an answer as the old one
+        solves = [groups for source in SOURCES for groups in _oracle(source)[0]] + planted_set
+        answers = [want for source in SOURCES for want in _oracle(source)[1]]
+        answers += [reference_locate(groups) for groups in planted_set]
+        located = moved = 0
+        for groups, new in zip(solves, answers, strict=True):
+            old = reference_locate(groups, outside=False)
+            for (stack, box, level, _, tau), a, b in zip(groups, old, new, strict=True):
+                assert (a is None) == (b is None)
+                if a is None:
+                    continue
+                located += 1
+                if not np.array_equal(a, b):
+                    moved += 1
+                    lam = np.linalg.eigvalsh(stack[0] + np.tensordot(b, stack[1:], 1))
+                    assert lam[level] - lam[level - 1] <= tau
+                    margin = INTERIOR_REL_MARGIN * (box[:, 1] - box[:, 0])
+                    assert np.all((b > box[:, 0] + margin) & (b < box[:, 1] - margin))
+        assert located >= 1000
+        assert moved == 11
+
     @pytest.mark.parametrize(
         "source, rows, iterations", [("certify", 17550, 1262), ("11", 10558, 123)]
     )
@@ -616,13 +677,13 @@ class TestLocatorEnds:
         assert sum(got) <= 0.85 * rows
         assert len(got) <= 0.9 * iterations
 
-    def test_both_ends_fire_on_the_equivalence_set(self):
+    def test_every_early_end_fires_on_the_equivalence_set(self):
         reasons = {}
         for source in SOURCES:
             for groups in _oracle(source)[0]:
                 _locate_groups(groups, reasons)
         assert set(reasons) == set(conical.END_REASONS)
-        assert reasons["stall"] > 0 and reasons["face"] > 0
+        assert reasons["stall"] > 0 and reasons["face"] > 0 and reasons["outside"] > 0
 
     def test_counting_reasons_changes_no_work(self, monkeypatch):
         solves = _oracle("chain")[0]
