@@ -40,7 +40,7 @@ from .operators import (
     _write_csv,
     _write_json,
 )
-from .resonance import NonresonantSample, _sample_point
+from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _box_sequences, _gaussian_stack, _unit_norm
 from .tolerance import DEGENERACY_REL, PERTURBATION_NORM_FLOOR, _check_integer, _check_tolerance
 
@@ -145,9 +145,9 @@ def certify(H: ControlHamiltonian, config: CertifyConfig | None = None) -> Contr
     except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"connectedness: {exc}")
     try:
-        resonance, sp, _ = _sample_point(H, cfg.resonance_budget, cfg.rng_seed, cfg.tol_res)
+        resonance = sample_nonresonant(H, cfg.resonance_budget, cfg.rng_seed, cfg.tol_res)
         if resonance.found:
-            graph = build_graph(H, sp)
+            graph = build_graph(H, resonance._point)
             graph_connected, _ = is_connected(graph)
     except (SpeccertError, np.linalg.LinAlgError) as exc:
         errors.append(f"resonance/graph: {exc}")

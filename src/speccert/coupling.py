@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint, degeneracy_tol
+from .spectrum import SpectralPoint, _simple_spectra, degeneracy_tol
 from .tolerance import EDGE_TOL_SCALE, _check_tolerance
 
 
@@ -57,9 +57,7 @@ def build_graph(
         edge set, would be ill-defined).
     """
     _check_tolerance("tau_edge", tau_edge)
-    n = sp.dim
-    tol = degeneracy_tol(H)
-    if not all(sp.gap(j) > tol for j in range(1, n)):
+    if not _simple_spectra(sp.eigenvalues, degeneracy_tol(H)):
         raise StructuralError(
             "coupling graph requires a simple spectrum; degenerate levels found"
         )
@@ -72,7 +70,7 @@ def build_graph(
         (int(j) + 1, int(k) + 1): float(coupled[j, k])
         for j, k in zip(*np.nonzero(np.triu(coupled > tau_edge, k=1)))
     }
-    return CouplingGraph(n_nodes=n, edges=frozenset(weights), weights=weights)
+    return CouplingGraph(n_nodes=sp.dim, edges=frozenset(weights), weights=weights)
 
 
 def is_connected(g: CouplingGraph):

@@ -8,12 +8,12 @@ records this weakening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import ControlHamiltonian
-from .spectrum import SpectralPoint, _eigvals_stack, decompose, degeneracy_tol
+from .spectrum import SpectralPoint, _eigvals_stack, _simple_spectra, decompose, degeneracy_tol
 from .tolerance import RES_TOL_SCALE, _check_integer, _check_tolerance
 
 CERTIFIED_PROPERTY = "all pairwise spectral gaps distinct (rational independence not tested)"
@@ -50,7 +50,7 @@ def _gap_stats(H: ControlHamiltonian, lam: np.ndarray, tau_res: float | None):
     n = lam.shape[1]
     diameter = lam[:, -1] - lam[:, 0]
     tau = RES_TOL_SCALE * diameter if tau_res is None else np.full(lam.shape[0], float(tau_res))
-    simple = np.all(np.diff(lam, axis=1) > degeneracy_tol(H), axis=1)
+    simple = _simple_spectra(lam, degeneracy_tol(H))
     lower, upper = np.triu_indices(n, k=1)
     gaps = np.sort(lam[:, upper] - lam[:, lower], axis=1)
     # for sorted gaps the closest pair is adjacent, so this is the minimum
@@ -94,6 +94,8 @@ class NonresonantSample:
     report: ResonanceReport | None
     tried: int
     acceptance_rate: float
+    # the chosen point as ``decompose`` returns it, None when none was found
+    _point: SpectralPoint | None = field(default=None, repr=False)
 
     @property
     def found(self) -> bool:
@@ -130,20 +132,13 @@ def sample_nonresonant(
     decomposed, with ``decompose``'s checks of residual, orthonormality and
     trace, and its report is ``check_nonresonant``'s at that point. A
     screened pass whose report fails there, which only a last-bit difference
-    between the two eigensolvers can cause, is passed over for the next.
+    between the two eigensolvers can cause, is passed over for the next. The
+    chosen point's ``SpectralPoint`` rides along, outside the document and the
+    repr, so that ``certify`` builds its coupling graph without a second solve.
     """
     _check_integer("budget", budget, 1)
     _check_integer("rng_seed", rng_seed, 0)
     _check_tolerance("tau_res", tau_res)
-    return _sample_point(H, budget, rng_seed, tau_res)[0]
-
-
-def _sample_point(H: ControlHamiltonian, budget: int, rng_seed: int, tau_res: float | None):
-    """(sample, decomposed chosen point or None, screened passes whose report failed).
-
-    ``sample_nonresonant`` for arguments already checked; the chosen point's
-    ``SpectralPoint`` is the one ``decompose`` returns there.
-    """
     rng = np.random.default_rng(rng_seed)
     lo, hi = H.box[:, 0], H.box[:, 1]
     # all candidates are drawn up front so the result is the first pass by
@@ -153,9 +148,9 @@ def _sample_point(H: ControlHamiltonian, budget: int, rng_seed: int, tau_res: fl
     min_sep, simple, tau = _gap_stats(H, lam, tau_res)
     passed = np.flatnonzero(simple & (min_sep >= tau))
     rate = len(passed) / budget
-    for misses, k in enumerate(passed.tolist()):
+    for k in passed.tolist():
         sp = decompose(H, candidates[k])
         report = _point_report(H, sp, tau_res)
         if report.passed:
-            return NonresonantSample(report=report, tried=budget, acceptance_rate=rate), sp, misses
-    return NonresonantSample(report=None, tried=budget, acceptance_rate=rate), None, len(passed)
+            return NonresonantSample(report=report, tried=budget, acceptance_rate=rate, _point=sp)
+    return NonresonantSample(report=None, tried=budget, acceptance_rate=rate)

@@ -213,6 +213,12 @@ def degeneracy_tol(H: ControlHamiltonian) -> float:
     return DEGENERACY_REL * H.energy_scale
 
 
+def _simple_spectra(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each ascending spectrum in lam (..., n) is simple: every adjacent
+    gap, as ``SpectralPoint.gap`` computes it, exceeds ``tol``."""
+    return np.all(np.diff(lam, axis=-1) > tol, axis=-1)
+
+
 def gap(sp: SpectralPoint, j: int) -> float:
     """Adjacent spectral gap at a decomposed point (1-based level index)."""
     return sp.gap(j)
@@ -233,7 +239,7 @@ def continue_branches(lam: np.ndarray, frames: np.ndarray, tol: float, ref=None)
         ref = (frames[0], np.arange(1, n + 1))
     old = np.concatenate((ref[0][None], frames))
     # old[up[e]] is the reference of old[e]; ref (e = 0) is its own
-    nondegenerate = np.all(np.diff(lam, axis=1) > tol, axis=1)
+    nondegenerate = _simple_spectra(lam, tol)
     last = np.maximum.accumulate(np.where(nondegenerate, np.arange(1, K + 1), 0))
     up = np.concatenate(([0, 0], last[:-1]))
     overlap = np.abs(np.swapaxes(old[up[1:]].conj(), 1, 2) @ frames)

@@ -68,6 +68,15 @@ class TestControlPath:
                 epsilon=1.0,
             )
 
+    @pytest.mark.parametrize("epsilon", [-1, 0, [1, 2]])
+    def test_epsilon_must_be_a_positive_number(self, epsilon):
+        with pytest.raises(StructuralError, match="epsilon must be a positive number"):
+            line([0, 0], [1, 0], 1.0, epsilon=epsilon)
+
+    def test_waypoints_required(self):
+        with pytest.raises(StructuralError, match="one or more waypoints"):
+            ControlPath(waypoints=(), durations=np.array([1.0]), epsilon=1.0)
+
     def test_json_roundtrip(self, tmp_path):
         path = line([0.1, 0.2], [0.3, -0.4], 2.5, epsilon=0.01)
         target = tmp_path / "path.json"
@@ -598,6 +607,13 @@ class TestClimb:
         result = climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2)
         assert result.p_target >= 0.9
         assert np.max(result.trajectory.norm_defect) <= 1e-9
+
+    def test_a_passage_leaving_the_box_is_refused(self, three_level_chain):
+        # the intersection at (0, 0) is 0.6 from the face u1 = -0.6
+        report = chain_report(three_level_chain)
+        message = r"passage of radius 0.7 at \[0.0, 0.0\] leaves the control box"
+        with pytest.raises(GeometryError, match=message):
+            climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2, rho=0.7)
 
     def test_passages_do_not_overlap(self, three_level_chain):
         # (0, 0) and (0.75, 0) are 0.75 apart but 0.6 from the box edge, so a

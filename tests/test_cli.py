@@ -400,9 +400,10 @@ class TestSynthesizeSimulate:
             "[1, 2]",
             '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": NaN}',
             '{"waypoints": [[0.1, 0.2]],\n "durations": [1.0',
+            '{"waypoints": [[0.1, 0.2]], "durations": [1.0], "epsilon": -1}',
         ],
         ids=["infinite-duration", "string-durations", "ragged-waypoints", "string-epsilon",
-             "top-level-list", "nan-epsilon", "broken-json"],
+             "top-level-list", "nan-epsilon", "broken-json", "negative-epsilon"],
     )
     def test_simulate_malformed_path_exit_2(self, cone_file, tmp_path, capsys, document):
         path_file = tmp_path / "path.json"

@@ -1328,6 +1328,31 @@ class TestCertifyConnectedness:
         assert certify_connectedness(two_level_cone, 4, t0=1e-2).certified
         assert solves == [1]
 
+    def test_other_levels_not_simple_leave_the_report_incomplete(self):
+        # two identical cones at the origin, one per 2x2 block: levels 1 and 3
+        # cross there together, so each certificate has another level degenerate
+        # beside it, and levels 2 and 3 (one per block) never meet inside the box
+        sz, sx = (np.kron(np.eye(2), s.real) for s in (SIGMA_Z, SIGMA_X))
+        H = make_family(np.diag([0.0, 0.0, 5.0, 5.0]), [sz, sx], [[-1, 1], [-1, 1]])
+        report = certify_connectedness(H, 8)
+        assert report.status == "incomplete"
+        assert set(report.certificates) == {1, 3}
+        assert not any(cert.others_simple for cert in report.certificates.values())
+        not_simple = "other levels are not simple at the located intersection"
+        assert report.failures == {
+            1: not_simple,
+            2: "no interior intersection located",
+            3: not_simple,
+        }
+
+    def test_located_point_failing_the_probe_margin_is_a_failure(self, two_level_cone):
+        # the cone at the origin is found, but a probe radius of 1.5 leaves the box
+        report = certify_connectedness(two_level_cone, 8, t0=1.5)
+        assert report.status == "incomplete" and not report.certificates
+        assert report.failures[1].startswith(
+            "located point failed conicality preconditions: u_star must be interior"
+        )
+
     def test_three_level_chain_certified(self, three_level_chain):
         report = certify_connectedness(three_level_chain, 12, rng_seed=5)
         assert report.certified

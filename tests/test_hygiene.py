@@ -106,6 +106,42 @@ def test_every_private_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
+def private_calls_across_modules(source: str, function: str) -> list:
+    """Names that ``function`` in ``source`` calls among the private names its
+    module imports from another module of the package."""
+    tree = ast.parse(source)
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+        if a.name.startswith("_")
+    }
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    called = {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    return sorted(called & imported)
+
+
+def test_cross_module_checker_flags_a_planted_call():
+    source = (
+        "from .a import _hidden, public\n"
+        "from numpy import _private\n"
+        "def _local():\n    pass\n"
+        "def run(H):\n    _local()\n    _private()\n    public(H)\n    return _hidden(H)\n"
+    )
+    assert private_calls_across_modules(source, "run") == ["_hidden"]
+
+
+def test_certify_runs_each_stage_through_its_public_entry_point():
+    # each stage is then a call the benchmark's tracer can wrap and time
+    source = (PACKAGE / "certify.py").read_text()
+    assert private_calls_across_modules(source, "certify") == []
+
+
 def test_only_operators_splits_drift_from_controls():
     # every other module reads a family through its operator stack and cached norms
     split = {"drift", "controlled", "operator_norm"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -48,6 +50,14 @@ class TestClosure:
         assert result.dimension == 3
         assert result.classification == CLASS_TRACELESS
         assert result.traceless_generators
+
+    def test_basis_document_round_trips_bitwise(self):
+        result = closure(generators_from(make_family(SIGMA_Z, [SIGMA_X, SIGMA_Y], [[-1, 1]] * 2)))
+        doc = json.loads(json.dumps(result.to_json_dict(include_basis=True)))
+        assert len(doc["basis"]) == result.dimension
+        for entry, b in zip(doc["basis"], result.basis, strict=True):
+            assert np.array_equal(np.array(entry["re"]), b.real)
+            assert np.array_equal(np.array(entry["im"]), b.imag)
 
     def test_pauli_with_identity_closes_to_u2(self):
         result = closure([1j * SIGMA_X, 1j * SIGMA_Z, 1j * np.eye(2)])

@@ -63,6 +63,15 @@ class TestHermitianOperator:
         op = HermitianOperator.from_array(raw, symmetrize=True)
         assert np.allclose(op.matrix, np.array([[0, 0.5], [0.5, 0]]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [HermitianOperator, lambda a: HermitianOperator.from_array(a, symmetrize=True)],
+        ids=["constructor", "symmetrize"],
+    )
+    def test_rejects_a_non_square_matrix(self, build):
+        with pytest.raises(StructuralError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            build(np.zeros((2, 3)))
+
     def test_matrix_is_immutable(self):
         op = HermitianOperator(SIGMA_Z)
         with pytest.raises(ValueError):
@@ -218,6 +227,10 @@ class TestControlHamiltonian:
     def test_requires_nonempty_intervals(self):
         with pytest.raises(StructuralError):
             make_family(SIGMA_Z, [SIGMA_X, SIGMA_X], [[-1, 1], [1, 1]])
+
+    def test_requires_one_interval_per_control(self):
+        with pytest.raises(StructuralError, match=r"box must have shape \(2, 2\), got \(1, 2\)"):
+            make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, 1]])
 
     @pytest.mark.parametrize("point", [[0.1], [[0.1, 0.2]], [0.1, 0.2, 0.3], "ab", [True, False]])
     def test_contains_takes_only_m_numbers(self, two_level_cone, point):

@@ -12,7 +12,6 @@ from speccert import (
     sample_nonresonant,
 )
 from speccert.operators import ControlHamiltonian
-from speccert.resonance import _sample_point
 from conftest import HOSTILE_TOLERANCES, make_family
 from ensemble_reference import _random_family
 
@@ -194,8 +193,8 @@ class TestSampleNonresonant:
         H = family_with_fixed_spectrum([0.0, 1.0, 2.0])
         H.energy_scale  # the family's cached scale, from the true eigenvalues
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.tile([0.0, 0.9, 2.1], (len(a), 1)))
-        sample, point, misses = _sample_point(H, 10, 1, None)
-        assert (sample.found, point, misses, sample.acceptance_rate) == (False, None, 10, 1.0)
+        sample = sample_nonresonant(H, 10, 1)
+        assert (sample.found, sample._point, sample.acceptance_rate) == (False, None, 1.0)
 
     def test_non_convergence_raises_a_numerical_error(self, three_level_chain, monkeypatch):
         def failing(a):
@@ -217,3 +216,8 @@ def _assert_matches_per_candidate_checks(H, budget: int, seed: int) -> None:
     assert out.acceptance_rate == len(passed) / budget
     assert np.array_equal(out.report.u_bar, passed[0].u_bar)
     assert out.report.to_json_dict() == passed[0].to_json_dict()
+    # the chosen point rides along as decompose returns it, in no document or repr
+    sp = decompose(H, passed[0].u_bar)
+    assert np.array_equal(out._point.eigenvalues, sp.eigenvalues)
+    assert np.array_equal(out._point.frame, sp.frame)
+    assert "_point" not in repr(out) and "_point" not in out.to_json_dict()

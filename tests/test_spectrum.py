@@ -34,7 +34,7 @@ from speccert import (
 )
 from speccert.operators import hermiticity_defect
 from speccert.sampling import random_hermitian, random_symmetric
-from speccert.spectrum import DEGENERACY_REL, continue_branches
+from speccert.spectrum import DEGENERACY_REL, _simple_spectra, continue_branches
 from branch_reference import _greedy_match, reference_labels
 from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 
@@ -171,6 +171,22 @@ class TestDegeneracyTol:
         assert calls == [(5, 3, 3)]
 
 
+class TestSimpleSpectra:
+    """One simple-spectrum decision, every adjacent gap > the threshold, for the
+    non-resonance check, the coupling graph and branch continuation."""
+
+    def test_a_gap_at_the_threshold_is_degenerate(self):
+        lam = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 2.0], [-1.0, 0.0, 0.5]])
+        assert _simple_spectra(lam, 0.5).tolist() == [True, False, False]
+        assert _simple_spectra(lam[0], 0.5) and not _simple_spectra(lam[2], 0.5)
+
+    def test_reads_the_gaps_of_a_spectral_point(self, three_level_chain):
+        sp = decompose(three_level_chain, [0.3, 0.4])
+        for tol in (sp.gap(1), sp.gap(2), np.nextafter(min(sp.gap(1), sp.gap(2)), 0)):
+            want = all(sp.gap(j) > tol for j in (1, 2))
+            assert bool(_simple_spectra(sp.eigenvalues, tol)) == want
+
+
 class TestGap:
     def test_sigma_z_gap(self):
         H = make_family(SIGMA_Z, [SIGMA_X, SIGMA_X], [[-1, 1], [-1, 1]])
@@ -220,6 +236,10 @@ class TestTrack:
         path = [np.array([0.5, 0.3 + 0.02 * k]) for k in range(10)]
         tracked = track(two_level_cone, path)
         assert np.array_equal(tracked.labels, np.tile([1, 2], (10, 1)))
+
+    def test_empty_path_raises(self, two_level_cone):
+        with pytest.raises(StructuralError, match="path must contain at least one point"):
+            track(two_level_cone, [])
 
     def test_straight_path_through_origin_swaps_labels(self, two_level_cone):
         path = [np.array([x, 0.0]) for x in np.linspace(-0.5, 0.5, 21)]
