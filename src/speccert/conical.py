@@ -108,16 +108,15 @@ def locate_intersection(
     times per seed.
 
     Every run of every seed advances in lockstep, one stacked eigensolve per
-    iteration. A seed's next run starts as soon as its current run first
-    rejects a step or ends without an interior hit, alongside it, and a
-    rejection streak tries its next shrunken caps several at a time, so the
-    schedule is shorter than the runs one after another. Below
-    n = ``LAZY_SEED_MIN_DIM`` every seed's first run starts at once; from it
-    on only the first seed's does, and each seed's first run starts the next
-    seed's first run as it starts its own restart, so seeds after the answer
-    are rarely solved. Each run still takes exactly the steps it would take
-    alone, and no run's path depends on which other seeds share the batch or
-    when it starts.
+    iteration, one trial per run. A seed's next run starts as soon as its
+    current run first rejects a step or ends without an interior hit,
+    alongside it, so the schedule is shorter than the runs one after
+    another. Below n = ``LAZY_SEED_MIN_DIM`` every seed's first run starts
+    at once; from it on only the first seed's does, and each seed's first
+    run starts the next seed's first run as it starts its own restart, so
+    seeds after the answer are rarely solved. Each run still takes exactly
+    the steps it would take alone, and no run's path depends on which other
+    seeds share the batch or when it starts.
 
     Returns the point reached by the first seed, in seed order, whose runs end
     at an interior point with gap <= tau_deg (its first such run), or None
@@ -260,18 +259,18 @@ def _locate_groups(groups, reasons=None) -> list:
     A run ends without a hit by ``far``, ``cap`` or ``iterations`` (see
     ``locate_intersection``), by ``stall`` when a kept step lowers the gap by
     no more than ``DEGENERACY_REL`` times lambda_n - lambda_1 at its new
-    point, by ``face`` when a rejected ladder starts from a point on a box
+    point, by ``face`` when a rejected trial starts from a point on a box
     face, the full step's target u + step lies beyond that same face, and
     the projected step p (the step with the clipped coordinates zeroed)
     lowers the gap, to first order sum_l ((B_l)_11 - (B_l)_00) p_l with B_l
     the control operators' blocks in the pair frame (``_pair_blocks``), by
-    no more than the stall resolution of the ladder's last rung, or by
+    no more than the stall resolution of that trial's spectrum, or by
     ``outside`` when the full step solved at its point is longer than
     ``OUTSIDE_STEP`` box diagonals and so was the one solved at its previous
     point. The stall test is the package's one degeneracy resolution, so it
     depends on neither the energy unit nor ``tau``. In the interior the step
-    is a descent direction (the gap falls as (1 - t) gap for small t), so a
-    ladder there keeps a rung; on a face the clipped trials are u + t p,
+    is a descent direction (the gap falls as (1 - t) gap for small t), so
+    shorter trials there are kept; on a face the clipped trials are u + t p,
     which descend for small t only when p does, and the run waits for a
     rejection there, since runs that touch a face and move on do hit. A
     step is solved at a run's start and at every point it moves to, so the
@@ -284,17 +283,12 @@ def _locate_groups(groups, reasons=None) -> list:
     supplies the group's point.
 
     A rejected step leaves the point, gap and pair frame as they were, so the
-    next trial depends on the shrunken cap alone. After s straight
-    rejections a slot evaluates its next 2^s trials at once, a ladder of
-    rungs whose caps fall by SHRINK each (exact, SHRINK being a power of
-    two), stopping where the cap falls to roundoff or the iterations run
-    out, and takes its first rung that lowers the gap. Each iteration
-    evaluates every rung and every released start point in one stacked
-    eigensolve, each row with its group's operators. A live slot's cap is
-    above its roundoff floor and its iteration count below the limit, so it
-    has at least one rung: every live slot is evaluated in every iteration,
-    and an iteration judges only the slots it evaluated, so its work grows
-    with its rows, not with the call's slots.
+    next trial depends on the shrunken cap alone. Each iteration evaluates
+    one trial per live slot, and every released start point, in one stacked
+    eigensolve, each row with its group's operators; the stall and face
+    tests judge each trial on its own spectrum. Every live slot is evaluated
+    in every iteration, and an iteration judges only the slots it
+    evaluated, so its work grows with its rows, not with the call's slots.
 
     The matrices, eigensolves and pair frames are in the field of the
     stacks as ``np.stack`` joins them: float64 when every stack is, else
@@ -351,7 +345,6 @@ def _locate_groups(groups, reasons=None) -> list:
     pair = np.empty((k, n, 2), dtype=ops.dtype)
     cap = np.empty(k)
     iterations = np.zeros(k, dtype=int)
-    streak = np.zeros(k, dtype=int)  # rejections since the run's last kept step
     step = np.empty((k, m))
     length = np.empty(k)
     # whether the full step solved at the run's last point left the box
@@ -367,45 +360,41 @@ def _locate_groups(groups, reasons=None) -> list:
     # per slot, 1 + the index in END_REASONS of how its run ended; 0 while it
     # runs, or when it is dropped behind its group's first hit
     why = None if reasons is None else np.zeros(k, dtype=np.int8)
-    # the live slots, and this iteration's ladders: their rung counts and first
-    # rows, and per rung (row) its slot, index, cap and trial point
-    a = rungs = offsets = rs = rung = rc = np.empty(0, dtype=int)
+    # the live slots and their trial points, one per slot and row
+    a = np.empty(0, dtype=int)
     trial = np.empty((0, m))
     while True:
-        idx, points = rs, trial
+        idx, points = a, trial
         if len(new):
-            idx, points = np.concatenate([rs, new]), np.concatenate([trial, U.take(new, 0)])
+            idx, points = np.concatenate([a, new]), np.concatenate([trial, U.take(new, 0)])
         lam, vecs = np.linalg.eigh(_affine_stack(ops.take(grp[idx], 0), points))
         rows, j = np.arange(len(idx)), level[idx]
         row_gap = lam[rows, j] - lam[rows, j - 1]
         # columns j - 1 and j of each row's eigenvectors, as (rows, n, 2)
         row_pair = vecs[rows[:, None], :, j[:, None] + (-1, 0)].transpose(0, 2, 1)
-        t = len(rs)
+        t = len(a)
         # the evaluated slots, released starts first
         ev = a
         if len(new):
             gap[new], pair[new] = row_gap[t:], row_pair[t:]
-            cap[new], iterations[new], streak[new] = cap_max[new], 0, 0
+            cap[new], iterations[new] = cap_max[new], 0
             ev = np.concatenate([new, a])
-        # which slots stayed at their point, and which had rejected no step
-        # since their last kept one
+        # which slots stayed at their point
         unmoved = np.zeros(len(ev), dtype=bool)
-        fresh = streak[ev] == 0
         # which slots stalled at a positive gap or are pinned to a box face
         stuck = np.zeros(len(ev), dtype=bool)
         if t:
-            accepted = np.minimum.reduceat(np.where(row_gap[:t] < gap[rs], rung, t), offsets)
-            kept = accepted < t
-            last = offsets + np.where(kept, accepted, rungs - 1)
-            # how far each ladder's last rung lowered the gap, against the
-            # degeneracy resolution of that rung's spectrum
-            drop = gap[a] - row_gap[last]
-            resolution = DEGENERACY_REL * (lam[last, -1] - lam[last, 0])
-            s, row = a[kept], last[kept]
-            U[s], gap[s], pair[s] = trial.take(row, 0), row_gap[row], row_pair.take(row, 0)
-            # a rejected ladder that starts on a box face, toward a full step's
-            # target beyond that same face, is pinned there: its clipped trials
-            # are projections, which need not lower the gap however short. The
+            trial_gap = row_gap[:t]
+            kept = trial_gap < gap[a]
+            # how far each trial lowered the gap, against the degeneracy
+            # resolution of its spectrum
+            drop = gap[a] - trial_gap
+            resolution = DEGENERACY_REL * (lam[:t, -1] - lam[:t, 0])
+            s = a[kept]
+            U[s], gap[s], pair[s] = trial[kept], trial_gap[kept], row_pair[:t][kept]
+            # a rejected trial from a box face, toward a full step's target
+            # beyond that same face, is pinned there: its clipped trials are
+            # projections, which need not lower the gap however short. The
             # box clips such a target back onto u in that coordinate, and no
             # other target that differs from u there
             u = U.take(a, 0)
@@ -423,12 +412,10 @@ def _locate_groups(groups, reasons=None) -> list:
                 slope = np.add.reduce((B[..., 1, 1].real - B[..., 0, 0].real) * projected, axis=1)
                 pinned[c] = -slope <= resolution[c]
             stuck[len(new) :] = np.where(kept, drop <= resolution, pinned)
-            # a kept rung doubles its cap, a rejected ladder shrinks its last one
-            last_cap = rc[last]
-            grown = np.minimum(2.0 * last_cap, cap_max[a])
-            cap[a] = np.where(kept, grown, SHRINK * np.minimum(last_cap, length[a]))
-            iterations[a] += np.where(kept, accepted + 1, rungs)
-            streak[a] = np.where(kept, 0, streak[a] + rungs)
+            # a kept trial doubles the cap, a rejected one shrinks it
+            grown = np.minimum(2.0 * cap[a], cap_max[a])
+            cap[a] = np.where(kept, grown, SHRINK * np.minimum(cap[a], length[a]))
+            iterations[a] += 1
             unmoved[len(new) :] = ~kept
         ended = gap[ev] <= tau[ev]
         capped = cap[ev] <= cap_min[ev]
@@ -464,10 +451,11 @@ def _locate_groups(groups, reasons=None) -> list:
             why[ev[over]] = np.select(ends, [1, 2, 4, 5, 6, 7, 8], 3)[over]
         a = ev[~over & useful]
         # a run's successors are released when the run ends without a hit or
-        # first rejects a step: its restart, and under the lazy schedule a first
-        # run's next seed too. A useful run's successors are keyed at most at
-        # its group's first hit, and that slot was released when it started
-        succeed = ((over & ~hits) | (unmoved & fresh)) & useful
+        # first rejects a step (later rejections find them released): its
+        # restart, and under the lazy schedule a first run's next seed too. A
+        # useful run's successors are keyed at most at its group's first hit,
+        # and that slot was released when it started
+        succeed = ((over & ~hits) | unmoved) & useful
         new = ev[succeed & (run[ev] < restarts)] + 1
         if lazy:
             seeded = succeed & (run[ev] == 0) & (pos[ev] + 1 < counts[grp[ev]])
@@ -476,20 +464,9 @@ def _locate_groups(groups, reasons=None) -> list:
         released[new] = True
         if not (len(a) or len(new)):
             break
-        # after s straight rejections, the next 2^s caps, as far as the cap's
-        # roundoff floor and the iteration limit reach
-        rungs = np.minimum(np.exp2(streak[a]), MAX_ITERATIONS - iterations[a]).astype(int)
-        rs, starts = a.repeat(rungs), rungs.cumsum() - rungs
-        rung = np.arange(len(rs)) - starts.repeat(rungs)
-        rc = cap[rs] * SHRINK**rung
-        within = rc > cap_min[rs]
-        if len(a):
-            rungs = np.add.reduceat(within, starts, dtype=int)
-        offsets = rungs.cumsum() - rungs
-        rs, rung, rc = rs[within], rung[within], rc[within]
-        clipped = np.minimum(1.0, rc / np.maximum(length[rs], tiny))
-        trial = U.take(rs, 0) + step.take(rs, 0) * clipped[:, None]
-        trial = np.minimum(np.maximum(trial, lo.take(rs, 0)), hi.take(rs, 0))
+        clipped = np.minimum(1.0, cap[a] / np.maximum(length[a], tiny))
+        trial = U.take(a, 0) + step.take(a, 0) * clipped[:, None]
+        trial = np.minimum(np.maximum(trial, lo.take(a, 0)), hi.take(a, 0))
     if why is not None:
         tally = np.bincount(why, minlength=len(END_REASONS) + 1)[1:]
         for name, count in zip(END_REASONS, tally):

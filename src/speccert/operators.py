@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, StructuralError
-from .tolerance import HERMITICITY_TOL
+from .errors import NumericalError, PreconditionError, StructuralError
+from .tolerance import HERMITICITY_TOL, _check_integer
 
 
 def hermiticity_defect(matrix) -> float:
@@ -409,11 +409,13 @@ class ControlHamiltonian:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ControlHamiltonian":
         try:
-            dim = int(d["dim"])
+            dim = d["dim"]
+            # read as a count is read: a bool, a float or a string is no dim
+            _check_integer("dim", dim, 1)
             drift = HermitianOperator.from_json_dict(d["drift"])
             controlled = tuple(HermitianOperator.from_json_dict(c) for c in d["controlled"])
             box = d["box"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, PreconditionError) as exc:
             raise StructuralError(f"malformed Hamiltonian document: {exc}") from exc
         if drift.dim != dim:
             raise StructuralError(f"declared dim {dim} does not match drift dim {drift.dim}")

@@ -1,7 +1,6 @@
 """Reference locator: the lockstep solve that ``conical._locate_groups`` ran
-before its restarts became concurrent slots and its rejection streaks
-ladders, kept as the oracle whose points the scheduled solve must reproduce
-bitwise, group by group.
+before its restarts became concurrent slots, kept as the oracle whose points
+the scheduled solve must reproduce bitwise, group by group.
 
 Each seed runs its restarts one after another, and every iteration takes one
 trial step per live seed. It deliberately keeps the ends a run had before

@@ -215,6 +215,16 @@ class TestCertifyCommand:
         assert code == 2
         assert "rectangular" in capsys.readouterr().err
 
+    def test_non_integer_dim_exit_2(self, cone_file, tmp_path, capsys):
+        doc = json.loads(cone_file.read_text())
+        doc["dim"] = 2.9
+        bad = tmp_path / "fractional_dim.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["certify", "--input", str(bad), "--out", str(tmp_path), "--seed", "1"])
+        assert code == 2
+        assert "malformed Hamiltonian document" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_infinite_box_bound_exit_2(self, cone_file, tmp_path, capsys):
         doc = json.loads(cone_file.read_text())
         doc["box"][0][1] = float("inf")

@@ -329,9 +329,10 @@ class TestInputContract:
         with pytest.raises(StructuralError, match="non-finite"):
             make_family(SIGMA_Z, [SIGMA_X, SIGMA_Z], [[-1, bound], [-1, 1]])
 
-    def test_non_integer_dim_in_document_rejected(self, two_level_cone):
+    @pytest.mark.parametrize("dim", ["two", 2.9, 2.0, "2", " 2 ", True])
+    def test_non_integer_dim_in_document_rejected(self, two_level_cone, dim):
         doc = two_level_cone.to_json_dict()
-        doc["dim"] = "two"
+        doc["dim"] = dim
         with pytest.raises(StructuralError, match="malformed"):
             ControlHamiltonian.from_json_dict(doc)
 
