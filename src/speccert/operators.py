@@ -149,6 +149,15 @@ def _numeric_array(values, what: str, kinds: str = "iuf") -> np.ndarray:
     StructuralError
         If ``values`` is ragged or holds non-numbers (bools and strings included).
     """
+    if isinstance(values, (list, tuple)):
+        # numpy reads a bool among numbers as 0 or 1; an array leaf is judged by its dtype
+        stack = list(values)
+        while stack:
+            v = stack.pop()
+            if isinstance(v, (list, tuple)):
+                stack.extend(v)
+            elif isinstance(v, bool) or getattr(v, "dtype", None) == bool:
+                raise StructuralError(f"{what} must hold numbers, got a bool")
     try:
         a = np.asarray(values)
     except ValueError as exc:

@@ -87,78 +87,12 @@ def _box_sequences(box: np.ndarray, count: int, seeds) -> np.ndarray:
     return box[:, 0] + _halton_units(count, box.shape[0], seeds) * (box[:, 1] - box[:, 0])
 
 
-# Cephes ndtri: the rational approximations of the standard normal quantile,
-# highest-order coefficient first; the Q tables omit their leading 1
-_SQRT_2PI = 2.50662827463100050242e0
-_EXP_M2 = 0.13533528323661269189
-_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-
-
-def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
-    """Horner's rule; ``monic`` prepends a leading coefficient of 1."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """Standard normal quantile of y in [0, 1], bitwise ``scipy.special.ndtri`` (Cephes)."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))) * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    # x < 8 is y > exp(-32)
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, q, monic=True)
-    return x if upper else -x
-
-
 def sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
-    """Unit directions in R^m from a seeded Halton sequence via the Gaussian map, read-only.
+    """Unit directions in R^m from a seeded Halton sequence via the Box-Muller map, read-only.
 
-    Built once per (m, count, seed). ``m`` must be an integer >= 1 and
-    ``count`` and ``seed`` integers >= 0 (``PreconditionError``).
+    Halton axes 2i, 2i + 1 (h, h') give the Gaussian pair sqrt(-2 ln h) (cos 2 pi h',
+    sin 2 pi h'); the first m are normalised. Built once per (m, count, seed). ``m`` must
+    be an integer >= 1 and ``count`` and ``seed`` integers >= 0 (``PreconditionError``).
     """
     # checked before the cache, which would raise on an unhashable argument
     _check_integer("m", m, 1)
@@ -170,9 +104,11 @@ def sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
 @lru_cache(maxsize=_TABLES)
 def _sphere_directions(m: int, count: int, seed: int) -> np.ndarray:
     """``sphere_directions`` for checked arguments, built once per (m, count, seed)."""
-    # keep strictly inside (0,1) so the inverse CDF stays finite
-    pts = np.clip(_halton_unit(count, m, seed), HALTON_CLIP, 1 - HALTON_CLIP)
-    g = np.array([_ndtri(y) for y in pts.ravel().tolist()]).reshape(pts.shape)
+    h = _halton_unit(count, 2 * ((m + 1) // 2), seed)
+    # even axes give radii, odd axes angles; the clip keeps the log finite at 0
+    r = np.sqrt(-2.0 * np.log(np.maximum(h[:, 0::2], HALTON_CLIP)))
+    a = 2.0 * math.pi * h[:, 1::2]
+    g = np.stack([r * np.cos(a), r * np.sin(a)], axis=2).reshape(h.shape)[:, :m]
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     directions = g / norms[:, None]

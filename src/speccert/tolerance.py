@@ -152,8 +152,8 @@ CONTROL_LENGTH_ZERO = 1e-12
 
 # -- Sampling and ensembles ---------------------------------------------------------
 
-# Low-discrepancy points are clipped into [HALTON_CLIP, 1 - HALTON_CLIP]
-# before the normal quantile, a guard that keeps it finite at 0.
+# The radius axes of a probe direction's Halton point are clipped from below
+# at HALTON_CLIP before the Box-Muller log, a guard that keeps it finite at 0.
 HALTON_CLIP = 1e-12
 # A guard: a persistence bump scales with its operator's norm, floored here,
 # so that an operator of norm 0 still moves.

@@ -79,6 +79,21 @@ def diag_family() -> ControlHamiltonian:
 
 
 @pytest.fixture
+def quadratic_contact_family():
+    """Levels 1,2 degenerate at the origin, split only at second order.
+
+    Both controls couple the degenerate pair exclusively through the third
+    level (2 energy units away), so the gap opens as t^2/2 along every
+    direction: second-order perturbation theory gives the effective pair
+    Hamiltonian -(t^2/2)[[v1^2, v1 v2], [v1 v2, v2^2]] whose eigenvalue
+    spread is (t^2/2)(v1^2+v2^2).
+    """
+    h1 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
+    h2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
+    return make_family(np.diag([0.0, 0.0, 2.0]), [h1, h2], [[-1, 1], [-1, 1]])
+
+
+@pytest.fixture
 def three_level_chain() -> ControlHamiltonian:
     """Real symmetric 3-level family with conical intersections for both level pairs."""
     drift = np.diag([0.0, 0.0, 1.5])

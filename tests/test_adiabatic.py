@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -614,6 +615,25 @@ class TestClimb:
         message = r"passage of radius 0.7 at \[0.0, 0.0\] leaves the control box"
         with pytest.raises(GeometryError, match=message):
             climb(three_level_chain, report, [-0.3, 0.55], epsilon=1e-2, rho=0.7)
+
+    def test_an_intersection_on_a_box_face_leaves_no_passage_radius(
+        self, monkeypatch, two_level_cone
+    ):
+        # a hand-made certified report whose u* lies on the face u1 = 1: its clearance is 0
+        cert = dataclasses.replace(
+            test_conicality(two_level_cone, [0.0, 0.0], 1).certificate, u_star=np.array([1.0, 0.0])
+        )
+        report = ConnectednessReport(
+            certificates={1: cert}, failures={}, status="certified", metadata={}
+        )
+
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a propagation ran without a passage radius")
+
+        monkeypatch.setattr(adiabatic, "propagate", no_propagation)
+        monkeypatch.setattr(adiabatic, "_final_state", no_propagation)
+        with pytest.raises(GeometryError, match="no positive passage radius fits inside the box"):
+            climb(two_level_cone, report, [0.3, 0.4], epsilon=1e-2)
 
     def test_passages_do_not_overlap(self, three_level_chain):
         # (0, 0) and (0.75, 0) are 0.75 apart but 0.6 from the box edge, so a

@@ -151,6 +151,48 @@ class TestCertify:
             CertifyConfig(**{field: value})
 
 
+def _fail_first_row(monkeypatch):
+    """Make the conicality test's stacked eigendecomposition fail its checks at its first point."""
+
+    def failed_rows(mats, U, lam, vecs):
+        return {0: NumericalError(f"planted failure at u={U[0].tolist()}", residual=1.0)}
+
+    monkeypatch.setattr(importlib.import_module("speccert.conical"), "_failed_rows", failed_rows)
+
+
+class TestFailedDecompositionAtALocatedPoint:
+    def test_conicality_raises(self, two_level_cone, monkeypatch):
+        _fail_first_row(monkeypatch)
+        with pytest.raises(NumericalError, match="planted failure at u=\\[0.0, 0.0\\]"):
+            test_conicality(two_level_cone, [0.0, 0.0], 1)
+
+    def test_connectedness_reraises(self, two_level_cone, monkeypatch):
+        _fail_first_row(monkeypatch)
+        with pytest.raises(NumericalError, match="planted failure"):
+            certify_connectedness(two_level_cone, 4)
+
+    def test_certify_records_it_and_still_judges_the_closure(self, two_level_cone, monkeypatch):
+        _fail_first_row(monkeypatch)
+        cert = certify(two_level_cone, CertifyConfig(rng_seed=1))
+        assert len(cert.errors) == 1
+        assert cert.errors[0].startswith("connectedness: planted failure at u=")
+        assert cert.connectedness is None
+        assert cert.closure_result.dimension == 3
+        assert cert.verdict == "exactly-controllable-SU(2)"
+
+    def test_ensemble_counts_it_located_not_conical(self, monkeypatch):
+        want = ensemble_genericity(3, 2, 2, 0)
+        _fail_first_row(monkeypatch)
+        got = ensemble_genericity(3, 2, 2, 0)
+        # the first located point is the first trial's lowest located level
+        assert want.per_trial[0].conical >= 1
+        assert got.located_total == want.located_total
+        assert got.conical_total == want.conical_total - 1
+        assert got.per_trial[0].located == want.per_trial[0].located
+        assert got.per_trial[0].conical == want.per_trial[0].conical - 1
+        assert got.per_trial[1:] == want.per_trial[1:]
+
+
 class TestResonanceStageSolves:
     def test_candidates_are_screened_and_one_point_decomposed(self, monkeypatch):
         # one eigenvalue-only solve over the candidates and one checked eigh row for

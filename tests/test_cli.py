@@ -215,6 +215,18 @@ class TestCertifyCommand:
         assert code == 2
         assert "rectangular" in capsys.readouterr().err
 
+    def test_bool_matrix_entry_exit_2(self, cone_file, tmp_path, capsys):
+        # a true among the numbers was read as 1.0 and certified with exit 0
+        doc = json.loads(cone_file.read_text())
+        doc["drift"]["re"][0][0] = True
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        assert "[true, " in bad.read_text()
+        code = main(["certify", "--input", str(bad), "--out", str(tmp_path), "--seed", "1"])
+        assert code == 2
+        assert "got a bool" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_non_integer_dim_exit_2(self, cone_file, tmp_path, capsys):
         doc = json.loads(cone_file.read_text())
         doc["dim"] = 2.9
@@ -349,6 +361,17 @@ class TestSynthesizeSimulate:
         # ... and that branch ends at sorted level 2: the passage transferred
         sorted_pops = capsys.readouterr().out.splitlines()[-1].split(":")[1].split()
         assert float(sorted_pops[1]) >= 0.9
+
+    def test_synthesize_quadratic_contact_exit_1(self, quadratic_contact_family, tmp_path, capsys):
+        source = tmp_path / "quadratic.json"
+        quadratic_contact_family.save(source)
+        code = main(
+            ["synthesize", "--input", str(source), "--out", str(tmp_path), "--seed", "2",
+             "--level", "1", "--rho", "0.5", "--epsilon", "0.01"]
+        )
+        assert code == 1
+        assert "is not conical" in capsys.readouterr().out
+        assert not (tmp_path / "path.json").exists()
 
     def test_synthesize_not_found_exit_1(self, diag_file, tmp_path):
         code = main(

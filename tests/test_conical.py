@@ -103,21 +103,6 @@ def _is_interior(H, u) -> bool:
     return bool(np.all(u > H.box[:, 0] + margin) and np.all(u < H.box[:, 1] - margin))
 
 
-@pytest.fixture
-def quadratic_contact_family():
-    """Levels 1,2 degenerate at the origin, split only at second order.
-
-    Both controls couple the degenerate pair exclusively through the third
-    level (2 energy units away), so the gap opens as t^2/2 along every
-    direction: second-order perturbation theory gives the effective pair
-    Hamiltonian -(t^2/2)[[v1^2, v1 v2], [v1 v2, v2^2]] whose eigenvalue
-    spread is (t^2/2)(v1^2+v2^2).
-    """
-    h1 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
-    h2 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
-    return make_family(np.diag([0.0, 0.0, 2.0]), [h1, h2], [[-1, 1], [-1, 1]])
-
-
 class TestLocateIntersection:
     def test_cone_at_origin(self, two_level_cone):
         u = locate_intersection(two_level_cone, 1, [[0.5, 0.5]])
@@ -263,6 +248,11 @@ class TestLocateIntersection:
     def test_seed_outside_box_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):
             locate_intersection(two_level_cone, 1, [[2.0, 0.0]])
+
+    def test_seed_with_a_bool_rejected(self, two_level_cone):
+        # read as the seed (1, 0.5), which the search ran from
+        with pytest.raises(PreconditionError, match="got a bool"):
+            locate_intersection(two_level_cone, 1, [[True, 0.5]])
 
     def test_bad_level_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):

@@ -466,38 +466,26 @@ def test_public_functions_read_points_through_the_family(path):
     assert raw_point_conversions(path.read_text()) == []
 
 
-# ``sampling``'s Cephes coefficient tables are data, not thresholds
-CEPHES_TABLES = {"_P0", "_Q0", "_P1", "_Q1", "_P2", "_Q2"}
-
-
-def small_float_literals(source: str, allowed: frozenset = frozenset()) -> list:
-    """``line:value`` of each float literal with 0 < |x| < 1e-3 in ``source``, except in
-    module-level assignments to the ``allowed`` names."""
+def small_float_literals(source: str) -> list:
+    """``line:value`` of each float literal with 0 < |x| < 1e-3 in ``source``."""
     tree = ast.parse(source)
-    skipped = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign)
-        and any(getattr(t, "id", None) in allowed for t in stmt.targets)
-        for node in ast.walk(stmt)
-    }
     return [
         f"{node.lineno}:{node.value!r}"
         for node in sorted(
             (n for n in ast.walk(tree) if isinstance(n, ast.Constant)), key=lambda n: n.lineno
         )
-        if type(node.value) is float and 0 < abs(node.value) < 1e-3 and id(node) not in skipped
+        if type(node.value) is float and 0 < abs(node.value) < 1e-3
     ]
 
 
 def test_literal_checker_flags_a_planted_threshold():
+    # a module-level table is flagged as any other literal is
     source = (
         "_P0 = (1.5e-4, -2.5e-9)\n"
         "LIMIT = 0.1\n"
         "def gap(x, y):\n"
         "    return x > 2.5e-4 * y and x < 1e-3 - 1e-9j and y > -3e-7\n"
     )
-    assert small_float_literals(source, frozenset({"_P0"})) == ["4:0.00025", "4:3e-07"]
     assert small_float_literals(source) == ["1:0.00015", "1:2.5e-09", "4:0.00025", "4:3e-07"]
 
 
@@ -506,7 +494,7 @@ def test_literal_checker_flags_a_planted_threshold():
 )
 def test_thresholds_are_written_only_in_the_tolerance_policy(path):
     # every threshold and guard below 1e-3 is a named value of ``tolerance``
-    assert small_float_literals(path.read_text(), frozenset(CEPHES_TABLES)) == []
+    assert small_float_literals(path.read_text()) == []
 
 
 def _module_level_names(tree: ast.Module) -> set:

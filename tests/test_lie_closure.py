@@ -199,6 +199,43 @@ def sp_element(rng, k):
     return np.vstack([top, bot])
 
 
+class TestSpWitness:
+    """``_sp_witness`` on each of its refusals, and on sp(2) as the positive control."""
+
+    @staticmethod
+    def closed(gens, dimension):
+        result = closure(gens)
+        assert result.dimension == dimension
+        return list(result.basis)
+
+    def test_empty_basis_has_no_witness(self):
+        assert _sp_witness([], 4) is False
+
+    def test_zero_basis_has_no_witness(self):
+        # the stacked system is all zeros, so it has no scale to judge a null vector by
+        assert _sp_witness([np.zeros((2, 2))], 2) is False
+
+    def test_su4_has_no_null_vector(self):
+        # C^4 is not conjugate to itself under su(4): nothing intertwines
+        rng = np.random.default_rng(12)
+        gens = [g - np.trace(g) / 4 * np.eye(4) for g in (random_skew(rng, 4) for _ in range(2))]
+        assert _sp_witness(self.closed(gens, 15), 4) is False
+
+    def test_rank_deficient_intertwiner_is_not_unitary(self):
+        # J diag(1, -1, 2) = -diag(1, -1, 2) J leaves J only its (0, 1) and (1, 0) entries
+        assert _sp_witness([1j * np.diag([1.0, -1.0, 2.0])], 3) is False
+
+    def test_so4_witness_squares_to_plus_one(self):
+        # a real algebra commutes with J = I, and I conj(I) = +I, not -I
+        rng = np.random.default_rng(13)
+        gens = [a - a.T for a in (rng.standard_normal((4, 4)) for _ in range(2))]
+        assert _sp_witness(self.closed(gens, 6), 4) is False
+
+    def test_sp2_has_a_witness(self):
+        rng = np.random.default_rng(10)
+        assert _sp_witness(self.closed([sp_element(rng, 2) for _ in range(3)], 10), 4) is True
+
+
 class TestClassifyTransitive:
     def test_su2_controls_sphere_and_group(self):
         result = closure([1j * SIGMA_X, 1j * SIGMA_Z])

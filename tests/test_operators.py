@@ -316,6 +316,23 @@ class TestInputContract:
         with pytest.raises(StructuralError, match="numbers"):
             HermitianOperator.from_real_imag([["a", 0], [0, 1]], [[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda H: H.matrix_at([True, 0.5]),
+            lambda H: H.matrix_at([np.bool_(False), 0.5]),
+            lambda H: H.matrix_at([np.array(True), 0.5]),
+            lambda H: HermitianOperator([[True, 0.0], [0.0, 1.0]]),
+            lambda H: HermitianOperator.from_real_imag(
+                [[1.0, 0.0], (0.0, False)], np.zeros((2, 2))
+            ),
+        ],
+    )
+    def test_a_bool_among_numbers_rejected(self, two_level_cone, build):
+        # numpy read the bool as 1.0 or 0.0: matrix_at([True, 0.5]) evaluated at (1, 0.5)
+        with pytest.raises(StructuralError, match="must hold numbers, got a bool"):
+            build(two_level_cone)
+
     def test_nan_matrix_rejected(self):
         with pytest.raises(StructuralError, match="non-finite"):
             HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))

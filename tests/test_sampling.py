@@ -6,8 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
-from scipy.stats import norm, qmc
+from scipy.stats import qmc
 
 import speccert
 from speccert import PreconditionError
@@ -16,13 +15,13 @@ from speccert.sampling import (
     _box_sequences,
     _gaussian_stack,
     _halton_unit,
-    _ndtri,
     _unit_norm,
     box_sequence,
     random_hermitian,
     random_symmetric,
     sphere_directions,
 )
+from speccert.tolerance import HALTON_CLIP
 
 
 def _fresh_halton(count: int, m: int, seed: int) -> np.ndarray:
@@ -53,23 +52,6 @@ def test_stacked_tables_stay_out_of_the_cache():
     assert _halton_unit.cache_info().currsize == 0
 
 
-def test_ndtri_matches_scipy():
-    rng = np.random.default_rng(0)
-    edges = [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32)]
-    y = np.concatenate(
-        [
-            rng.uniform(0.0, 1.0, 20000),
-            np.logspace(-300, -1, 5000),  # the lower tail, through both far branches
-            1 - np.logspace(-16, -1, 2000),  # the upper tail
-            # branch edges; the last edge's neighbourhood also crosses 1, out of the domain
-            np.outer(edges, 1 + np.linspace(-1e-12, 1e-12, 201)).ravel(),
-            [0.0, 0.5, 1.0, 5e-324, 1e-12, 1 - 1e-12, -0.5, 1.5],
-        ]
-    )
-    got = np.array([_ndtri(v) for v in y.tolist()])
-    assert np.array_equal(got, ndtri(y), equal_nan=True)
-
-
 def test_import_leaves_scipy_stats_out():
     # and every other scipy module: the package imports numpy alone
     src = Path(speccert.__file__).resolve().parents[1]
@@ -95,12 +77,29 @@ def test_box_sequence_matches_a_fresh_halton_draw(count, m, seed):
         assert np.array_equal(box_sequence(box, count, seed), expected)
 
 
-@pytest.mark.parametrize("m, count, seed", [(2, 32, 0), (3, 32, 7), (4, 5, 11)])
+@pytest.mark.parametrize(
+    "m, count, seed", [(1, 9, 3), (1, 0, 0), (2, 32, 0), (3, 32, 7), (4, 5, 11), (5, 17, 2)]
+)
 def test_sphere_directions_match_a_fresh_halton_draw(m, count, seed):
-    g = norm.ppf(np.clip(_fresh_halton(count, m, seed), 1e-12, 1 - 1e-12))
+    # the Box-Muller map of a table with an even number of axes: axis 2i a radius
+    # (clipped from below), axis 2i + 1 an angle
+    pairs = math.ceil(m / 2)
+    h = _fresh_halton(count, 2 * pairs, seed)
+    r = np.sqrt(-2.0 * np.log(np.clip(h[:, 0::2], HALTON_CLIP, None)))
+    a = 2.0 * math.pi * h[:, 1::2]
+    g = np.stack([r * np.cos(a), r * np.sin(a)], axis=2).reshape(count, 2 * pairs)[:, :m]
     expected = g / np.linalg.norm(g, axis=1)[:, None]
     for _ in range(2):
-        assert np.array_equal(sphere_directions(m, count, seed), expected)
+        directions = sphere_directions(m, count, seed)
+        assert directions.shape == (count, m)
+        assert np.array_equal(directions, expected)
+
+
+def test_planar_directions_are_the_halton_angles():
+    # for m = 2 the radius cancels in the normalisation
+    a = 2.0 * math.pi * _fresh_halton(64, 2, 5)[:, 1]
+    expected = np.column_stack([np.cos(a), np.sin(a)])
+    assert np.allclose(sphere_directions(2, 64, 5), expected, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
