@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .operators import ControlHamiltonian, _finite_array, _within_hermiticity_tol
+from .spectrum import _block_rows
 from .tolerance import (
     BRACKET_ZERO_TOL,
     RANK_TOL,
@@ -88,7 +89,11 @@ def _vec(a: np.ndarray, grade: int | None = None) -> np.ndarray:
     flat = a.reshape(-1, n * n)
     if grade is None:
         flat = np.ascontiguousarray(flat, dtype=complex).view(np.float64)
-    v = (flat.take(upper, axis=1) + sign * flat.take(lower, axis=1)) * (scale / 2)
+    # in place, so that a bracket block's coordinates take one array, not four
+    v = flat.take(lower, axis=1)
+    v *= sign
+    v += flat.take(upper, axis=1)
+    v *= scale / 2
     return v.reshape(*a.shape[:-2], len(upper))
 
 
@@ -183,18 +188,54 @@ class _SpanBasis:
         return mats if self.grade is None else mats * 1j**self.grade
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LieClosureResult:
-    """Bracket-generated algebra: orthonormal basis, dimension, classification."""
+    """Bracket-generated algebra: orthonormal basis, dimension, classification.
+
+    A result from ``closure`` builds ``basis`` on its first read, from the
+    rows its span bases accepted, in the order they were accepted, and caches
+    it: a caller that reads only the class never holds the n^2 matrices.
+    Built from all its fields, it returns the basis it was given.
+    """
 
     dimension: int
-    basis: tuple
     classification: str
     traceless_generators: bool
     n: int
-    # a basis of pi(L), L less its centre, when the class was decided on pi(L)
-    # (see ``closure``): the structure witness is then sought on it, not on basis
-    _witness_basis: tuple | None = field(default=None, repr=False)
+
+    def __init__(self, dimension, basis, classification, traceless_generators, n, _witness_basis=None):
+        vars(self).update(
+            dimension=dimension,
+            basis=basis,
+            classification=classification,
+            traceless_generators=traceless_generators,
+            n=n,
+            # a basis of pi(L), L less its centre, when the class was decided on
+            # pi(L) (see ``closure``): the structure witness is then sought on it
+            _witness_basis=_witness_basis,
+        )
+
+    @classmethod
+    def _of(cls, dimension, span, classification, traceless_generators, n, witness_span=None):
+        """A result whose bases are read from ``_closed_span``'s spans on first use."""
+        result = cls.__new__(cls)
+        vars(result).update(
+            dimension=dimension,
+            classification=classification,
+            traceless_generators=traceless_generators,
+            n=n,
+            _span=span,
+            _witness_span=witness_span,
+        )
+        return result
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return _span_matrices(*self._span)
+
+    @functools.cached_property
+    def _witness_basis(self) -> tuple | None:
+        return None if self._witness_span is None else _span_matrices(*self._witness_span)
 
     def to_json_dict(self, include_basis: bool = False) -> dict:
         out = {
@@ -208,6 +249,12 @@ class LieClosureResult:
                 {"re": b.real.tolist(), "im": b.imag.tolist()} for b in self.basis
             ]
         return out
+
+
+def _span_matrices(bases: list, segments: list) -> tuple:
+    """The rows of ``bases`` as matrices, in the order ``segments`` (part, rows) lists them."""
+    mats = [iter(b.matrices()) for b in bases]
+    return tuple(next(mats[t]) for t, count in segments for _ in range(count))
 
 
 def _classify(dim: int, n: int, abelian: bool) -> str:
@@ -234,7 +281,8 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     with the new part of each bracket the last sweep added (the first sweep
     with that of each generator), keeps genuinely new directions (relative
     rank tolerance ``rank_tol``), and stops when none remain or the span is
-    all of u(n). That is the whole closure: the Lie algebra generated by X is
+    all of u(n), or all of su(n) when every generator is traceless to
+    ``rank_tol``. That is the whole closure: the Lie algebra generated by X is
     spanned by the right-normed brackets [x1, [x2, ..., [x_{k-1}, x_k]]] with
     every x_i in X, and each is ad_x of a shorter one for some x in X.
 
@@ -277,10 +325,16 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     """
     _check_tolerance("rank_tol", rank_tol, optional=False)
     gens = _finite_array(generators, "generators", kinds="iufc")
-    if gens.ndim != 3 or not len(gens) or gens.shape[1] != gens.shape[2]:
+    if gens.ndim != 3 or not gens.size or gens.shape[1] != gens.shape[2]:
         raise StructuralError(
             f"generators must be a non-empty stack of square matrices, got shape {gens.shape}"
         )
+    # each generator scaled by the power of two that puts its largest real or
+    # imaginary part in [1/2, 1): exact, so every later step reads the same in
+    # any energy unit, and no sum or square of entries overflows or underflows
+    parts = np.ascontiguousarray(gens, dtype=complex).view(np.float64)
+    peak = np.abs(parts).max(axis=(1, 2))
+    gens = np.ldexp(parts, -np.frexp(peak)[1][:, None, None]).view(complex)
     defects = np.max(np.abs(gens + np.swapaxes(gens, 1, 2).conj()), axis=(1, 2))
     if not np.all(_within_hermiticity_tol(gens, defects)):
         raise StructuralError("generator is not skew-Hermitian")
@@ -289,8 +343,10 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
     coords = _vec(gens)
     trace = np.abs(coords[:, k: k + n].sum(axis=1))
     traceless = bool(np.all(trace <= rank_tol * np.linalg.norm(coords, axis=1)))
-    dim, basis, abelian = _closed_span(coords, n, rank_tol)
-    classification, witness_basis = _classify(dim, n, abelian), None
+    # a traceless set generates a subalgebra of su(n): its closure ends there
+    limit = n * n - traceless
+    dim, span, abelian = _closed_span(coords, n, rank_tol, limit)
+    classification, witness_span = _classify(dim, n, abelian), None
     # at n = 2 that dimension is u(2)'s, and sp(1) is su(2)
     if classification == CLASS_OTHER and n % 2 == 0 and dim == n * (n + 1) // 2 + 1:
         # pi(g) = g - (tr g / n) I, subtracting the mean of the diagonal
@@ -299,23 +355,19 @@ def closure(generators, rank_tol: float = RANK_TOL) -> LieClosureResult:
         # cancellation against the centre left at rounding-error size
         centreless = coords.copy()
         centreless[:, k: k + n] -= centreless[:, k: k + n].mean(axis=1, keepdims=True)
-        pi_dim, pi_basis, _ = _closed_span(centreless, n, rank_tol)
+        pi_dim, pi_span, _ = _closed_span(centreless, n, rank_tol, n * n - 1)
         if pi_dim == n * (n + 1) // 2:
-            classification, witness_basis = CLASS_SP_CANDIDATE, pi_basis
-    return LieClosureResult(
-        dimension=dim,
-        basis=basis,
-        classification=classification,
-        traceless_generators=traceless,
-        n=n,
-        _witness_basis=witness_basis,
-    )
+            classification, witness_span = CLASS_SP_CANDIDATE, pi_span
+    return LieClosureResult._of(dim, span, classification, traceless, n, witness_span)
 
 
-def _closed_span(coords: np.ndarray, n: int, rank_tol: float) -> tuple:
-    """(dimension, basis, abelian) of the algebra generated by the u(n) coordinates ``coords``.
+def _closed_span(coords: np.ndarray, n: int, rank_tol: float, limit: int) -> tuple:
+    """(dimension, span, abelian) of the algebra generated by the u(n) coordinates ``coords``.
 
-    The closure of ``closure``'s docstring, for generators already checked.
+    The closure of ``closure``'s docstring, for generators already checked,
+    stopped once its dimension reaches ``limit``. ``span`` is (bases,
+    segments): the span bases, and (part, rows added) in the order the rows
+    were added, from which ``_span_matrices`` builds the basis.
     """
     k = n * (n - 1) // 2
     x, y = coords[:, :k], coords[:, k:]
@@ -326,49 +378,62 @@ def _closed_span(coords: np.ndarray, n: int, rank_tol: float) -> tuple:
     eps = np.finfo(float).eps
     bases = [_SpanBasis(n, g) for g in grades]
     segments = []  # (part, rows added), in the order the rows were added
+    # per part, the size and rounding error of each row the sweep added, as
+    # grow returns them: the next sweep's frontier is those rows of its basis
+    sizes, errors = [[] for _ in grades], [[] for _ in grades]
 
-    def grow(t: int, block: np.ndarray, norms: np.ndarray, error: np.ndarray) -> tuple:
-        # the new part of each row added: the row, scaled to unit norm, less its
-        # projection on the span before it; with its norm and its rounding error
+    def grow(t: int, block: np.ndarray, norms: np.ndarray, error: np.ndarray) -> None:
+        # the new part of each row added is the row, scaled to unit norm, less
+        # its projection on the span before it: the basis row times its size
         added, resid = bases[t].extend(block, rel_tol=rank_tol, floor=2.0 * error)
         segments.append((t, len(added)))
-        size = resid / norms[added]
-        new = bases[t].vectors[bases[t].dim - len(added): bases[t].dim]
-        return _unvec(size[:, None] * new, n, grades[t]), size, error[added] / norms[added] + n * eps
+        sizes[t].append(resid / norms[added])
+        errors[t].append(error[added] / norms[added] + n * eps)
 
-    none = (np.empty((0, n, n)), np.empty(0), np.empty(0))
     norms = [np.sqrt((r * r).sum(axis=1)) for r in rows]
     units = [r[m > 0] / m[m > 0, None] for r, m in zip(rows, norms)]
     gens = [_unvec(u, n, g) for u, g in zip(units, grades)]
-    frontier = [
-        grow(t, u, np.ones(len(u)), np.full(len(u), n * eps)) if len(u) else none
-        for t, u in enumerate(units)
-    ]
-    abelian = True
-    while any(len(f[0]) for f in frontier) and sum(b.dim for b in bases) < n * n:
-        found = [[] for _ in grades]
-        for (p, (f, size, error)), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
-            if len(f) and len(g):
-                # [i^p F, i^q G] = i^(p+q) [F, G]. G F is (F G)^T when F and G share
-                # a grade and -(F G)^T when not, (F G)^dagger in u(n): so [F, G] is
-                # twice the part of F G in grade (p + q) mod 2, or its skew-Hermitian part
-                t = (p + q) % len(grades)
+    for t, u in enumerate(units):
+        if len(u):
+            grow(t, u, np.ones(len(u)), np.full(len(u), n * eps))
+    abelian, before = True, 0
+    # until a sweep adds nothing or the span reaches the limit
+    while before < sum(b.dim for b in bases) < limit:
+        before = sum(b.dim for b in bases)
+        # where each part's frontier starts in its basis, with the rows' sizes and errors
+        frontier = [
+            (b.dim - sum(map(len, size)), np.concatenate([[], *size]), np.concatenate([[], *error]))
+            for b, size, error in zip(bases, sizes, errors)
+        ]
+        sizes, errors = [[] for _ in grades], [[] for _ in grades]
+        for (p, (start, size, error)), (q, g) in itertools.product(enumerate(frontier), enumerate(gens)):
+            if not len(size) or not len(g):
+                continue
+            # [i^p F, i^q G] = i^(p+q) [F, G]. G F is (F G)^T when F and G share
+            # a grade and -(F G)^T when not, (F G)^dagger in u(n): so [F, G] is
+            # twice the part of F G in grade (p + q) mod 2, or its skew-Hermitian part
+            t = (p + q) % len(grades)
+            # formed and offered to the basis a piece of frontier rows at a
+            # time: as many rows as keep a piece's products within
+            # BLOCK_ENTRIES entries, but enough to give the basis about
+            # _PIECE_ROWS brackets to project in one product
+            piece = max(_block_rows(len(g) * n * n), _PIECE_ROWS // len(g))
+            for lo in range(0, len(size), piece):
+                s, e = size[lo: lo + piece], error[lo: lo + piece]
+                f = _unvec(s[:, None] * bases[p].vectors[start + lo: start + lo + len(s)], n, grades[p])
                 c = _vec(f[:, None] @ g, grades[t]).reshape(len(f) * len(g), -1)
-                c = (-2.0 if p + q == 2 else 2.0) * c
+                c *= -2.0 if p + q == 2 else 2.0
                 # the rounding error of [F, G] for a unit G that carries n eps: twice
                 # F's own, and n eps of F for G's and for the product
-                err = np.repeat(2.0 * (error + 2 * n * eps * size), len(g))
+                err = np.repeat(2.0 * (e + 2 * n * eps * s), len(g))
                 norm = np.sqrt((c * c).sum(axis=1))
                 keep = norm > np.maximum(BRACKET_ZERO_TOL, 2.0 * err)
                 if keep.any():
                     abelian = False
                     if not keep.all():
                         c, norm, err = c[keep], norm[keep], err[keep]
-                    found[t].append(grow(t, c, norm, err))
-        frontier = [tuple(map(np.concatenate, zip(*f))) if f else none for f in found]
-    mats = [iter(b.matrices()) for b in bases]
-    basis = tuple(next(mats[t]) for t, count in segments for _ in range(count))
-    return sum(b.dim for b in bases), basis, abelian
+                    grow(t, c, norm, err)
+    return sum(b.dim for b in bases), (bases, segments), abelian
 
 
 def generators_from(H: ControlHamiltonian) -> list:
@@ -404,11 +469,8 @@ def _sp_witness(basis, n: int) -> bool:
     if float(svals[-1]) > SP_WITNESS_NULL_REL * scale:
         return False
     j_mat = vh[-1].conj().reshape(n, n)
-    sv = np.linalg.svd(j_mat, compute_uv=False)
-    mean_sv = float(np.mean(sv))
-    if mean_sv == 0.0:
-        return False
-    j_mat = j_mat / mean_sv
+    # J is a unit right-singular vector, so its singular values never all vanish
+    j_mat = j_mat / float(np.mean(np.linalg.svd(j_mat, compute_uv=False)))
     if float(np.max(np.abs(j_mat @ j_mat.conj().T - eye))) > SP_WITNESS_TOL:
         return False
     if float(np.max(np.abs(j_mat @ np.conj(j_mat) + eye))) > SP_WITNESS_TOL:

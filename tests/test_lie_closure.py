@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from speccert.lie_closure import (
     _vec,
 )
 from speccert.sampling import random_symmetric
-from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family, random_family, scaled
 
 
 def random_skew(rng, n):
@@ -108,6 +110,12 @@ class TestClosure:
     def test_mismatched_dims_rejected(self):
         with pytest.raises(StructuralError):
             closure([1j * SIGMA_X, 1j * np.eye(3)])
+
+    # a stack of 0 x 0 matrices reached numpy's reductions and raised ValueError
+    @pytest.mark.parametrize("stack", [[], [np.zeros((0, 0))], np.zeros((2, 0, 0))])
+    def test_empty_stack_rejected(self, stack):
+        with pytest.raises(StructuralError, match="non-empty stack"):
+            closure(stack)
 
     def test_generators_lie_in_basis_span(self):
         rng = np.random.default_rng(5)
@@ -791,3 +799,165 @@ class TestLargeClosures:
         traceless = [g - np.trace(g) / 24 * np.eye(24) for g in gens]
         result = closure(traceless)
         assert (result.dimension, result.classification) == (575, CLASS_TRACELESS)
+
+
+class TestEnergyUnit:
+    """Each generator is rescaled by a power of two before any sum of squares."""
+
+    # sqrt(sum x^2) overflowed above about 1e154 and underflowed below about
+    # 1e-162: these scales read dimension 0 and class abelian-or-small
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e200, 1e-160, 1e-170, 1e-200])
+    def test_family_closes_as_at_unit_scale(self, scale):
+        H = random_family(0, 4, 2)
+        expected = closure(generators_from(H)).to_json_dict()
+        assert expected["classification"] == CLASS_FULL
+        # dimension, classification, traceless_generators and n
+        assert closure(generators_from(scaled(H, scale))).to_json_dict() == expected
+
+    # not 1e200: there the eigensolver's residual check overflows first
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e-160, 1e-170, 1e-200])
+    def test_family_certifies_as_at_unit_scale(self, scale):
+        H = random_family(0, 4, 2)
+        assert certify(scaled(H, scale)).verdict == certify(H).verdict == "exactly-controllable-U(4)"
+
+    @pytest.mark.parametrize("largest", [1e308, -1e308, 1e-300])
+    def test_extreme_entries_close_as_at_unit_scale(self, largest):
+        gens = [1j * SIGMA_X, 1j * SIGMA_Z]
+        expected = closure([np.sign(largest) * g for g in gens])
+        result = closure([largest * g for g in gens])
+        assert result.to_json_dict() == expected.to_json_dict()
+        for b, b0 in zip(result.basis, expected.basis, strict=True):
+            assert np.array_equal(b, b0)
+
+
+class TestTracelessStop:
+    def test_a_traceless_closure_stops_at_su_n_one_sweep_earlier(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        gens = [1j * random_symmetric(rng, 8) for _ in range(3)]
+        gens = [g - np.trace(g) / 8 * np.eye(8) for g in gens]
+        added = []
+        extend = _SpanBasis.extend
+
+        def recording(self, *args, **kwargs):
+            rows, resid = extend(self, *args, **kwargs)
+            added.append(len(rows))
+            return rows, resid
+
+        monkeypatch.setattr(_SpanBasis, "extend", recording)
+        result = closure(gens)
+        stopped, added[:] = list(added), []
+        closed_span = lie_closure._closed_span
+        # the closure as it ran before it knew the limit: until a sweep adds nothing
+        monkeypatch.setattr(
+            lie_closure, "_closed_span", lambda coords, n, tol, limit: closed_span(coords, n, tol, n * n)
+        )
+        unlimited = closure(gens)
+        assert (result.dimension, result.classification) == (63, CLASS_TRACELESS)
+        assert unlimited.to_json_dict() == result.to_json_dict()
+        for b, b0 in zip(result.basis, unlimited.basis, strict=True):
+            assert np.array_equal(b, b0)
+        # the unlimited closure ran a last sweep in which every bracket was rejected
+        assert len(added) > len(stopped) and added[: len(stopped)] == stopped
+        assert not any(added[len(stopped):])
+
+
+class TestLazyBasis:
+    def test_basis_left_unread_is_never_built(self):
+        rng = np.random.default_rng(0)
+        n = 24
+        gens = [1j * random_symmetric(rng, n) for _ in range(3)]
+        closure(gens)  # coordinate tables are cached on first use
+        tracemalloc.start()
+        try:
+            result = closure(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bytes of the so(n) and i sym(n) bases' rows
+        vectors = 8 * ((n * (n - 1) // 2) ** 2 + (n * (n + 1) // 2) ** 2)
+        # the two span bases and the pieces of one sweep; the whole basis as
+        # n^2 complex matrices, or a sweep's brackets in one block, took 9 times this
+        assert peak < 2 * vectors
+        assert result.dimension == n * n
+        assert "basis" not in vars(result)
+
+    def test_basis_is_built_once_and_matches_its_document(self):
+        result = closure(generators_from(make_family(SIGMA_Z, [SIGMA_X, SIGMA_Y], [[-1, 1]] * 2)))
+        basis = result.basis
+        assert result.basis is basis
+        assert isinstance(basis, tuple) and len(basis) == result.dimension
+        doc = result.to_json_dict(include_basis=True)["basis"]
+        for entry, b in zip(doc, basis, strict=True):
+            assert np.array_equal(np.array(entry["re"]), b.real)
+            assert np.array_equal(np.array(entry["im"]), b.imag)
+
+    def test_a_result_built_from_its_fields_returns_them(self):
+        basis = (1j * SIGMA_Z,)
+        result = LieClosureResult(1, basis, CLASS_ABELIAN, True, 2)
+        assert result.basis is basis and result._witness_basis is None
+        assert classify_transitive(result, 2).controllable_on_sphere is False
+
+
+def mutated_stack(draw):
+    """A valid generator stack (nested lists) after one hostile mutation."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    stack = [random_skew(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from([
+        "none", "bool", "string", "None", "ragged", "ndim", "empty",
+        "nonfinite", "entry", "generator-scale", "hermitian",
+    ]))
+    g, i, j = draw(st.integers(0, len(stack) - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    magnitude = draw(st.sampled_from([1e308, -1e308, 1e200, 1e-200, 1e-300]))
+    if kind == "entry":
+        # kept skew-Hermitian, so only the magnitude is hostile
+        stack[g][i, j] = magnitude * (1j if i == j else 1)
+        stack[g][j, i] = -np.conj(stack[g][i, j])
+    elif kind == "generator-scale":
+        stack[g] = stack[g] / np.max(np.abs(stack[g])) * magnitude
+    elif kind == "hermitian":
+        h = rng.standard_normal((n, n))
+        stack[g] = stack[g] + draw(st.sampled_from([1e-20, 1e-14, 1e-8, 1.0])) * (h + h.T)
+    nested = [m.tolist() for m in stack]
+    if kind in ("bool", "string", "None", "nonfinite"):
+        nested[g][i][j] = {
+            "bool": draw(st.booleans()),
+            "string": "1.0",
+            "None": None,
+            "nonfinite": draw(st.sampled_from([np.nan, np.inf, -np.inf])),
+        }[kind]
+    elif kind == "ragged":
+        del nested[g][i][j]
+    elif kind == "ndim":
+        nested = draw(st.sampled_from([nested[0], [nested], nested[0][0]]))
+    elif kind == "empty":
+        nested = draw(st.sampled_from([[], [[]], [[[]]], [np.zeros((0, 0))]]))
+    return nested
+
+
+def normal_range_shifts(values) -> list:
+    """The extreme powers of two that keep every nonzero real and imaginary part normal and finite."""
+    parts = np.abs(np.asarray(values, dtype=complex).view(np.float64))
+    nonzero = parts[parts > 0]
+    if not nonzero.size:
+        return [-1000, 1000]
+    low, high = np.frexp(nonzero.min())[1], np.frexp(nonzero.max())[1]
+    # 2^(e-1) <= x < 2^e: the smallest must stay at 2^-1022 or above, the largest below 2^1024
+    shifts = [-1021 - low, 1024 - high]
+    return shifts if shifts[0] <= shifts[1] else []
+
+
+class TestInputFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_mutated_stack_is_refused_or_closes_alike_in_any_unit(self, data):
+        stack = mutated_stack(data.draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = closure(stack)
+            except (StructuralError, PreconditionError):
+                return
+            for k in normal_range_shifts(stack):
+                shifted = np.ldexp(np.asarray(stack, dtype=complex).view(np.float64), k).view(complex)
+                assert closure(shifted).dimension == result.dimension
