@@ -42,7 +42,7 @@ from .operators import (
 )
 from .resonance import NonresonantSample, sample_nonresonant
 from .sampling import _box_sequences, _gaussian_stack, _unit_norm
-from .tolerance import DEGENERACY_REL, PERTURBATION_NORM_FLOOR, _check_integer, _check_tolerance
+from .tolerance import DEGENERACY_REL, _check_integer, _check_tolerance
 
 SCHEMA_VERSION = "speccert-certificate/1"
 
@@ -252,12 +252,12 @@ def _perturbed_stacks(stacks: np.ndarray, rngs, rel_size: float) -> np.ndarray:
     """Operator stacks (k, m + 1, n, n), each bumped by noise from its own generator.
 
     The noise is a ``_draw_operators`` draw, so of the family's kind for m,
-    and each operator moves by ``rel_size`` times its spectral norm (floored
-    at ``PERTURBATION_NORM_FLOOR``) times a unit-norm noise matrix.
+    and each operator moves by ``rel_size`` times its spectral norm times a
+    unit-norm noise matrix (an operator of norm 0 stays 0).
     """
     noise = _draw_operators(rngs, stacks.shape[-1], stacks.shape[1] - 1)
     norms = np.max(np.abs(np.linalg.eigvalsh(stacks)), axis=-1)
-    bumps = (rel_size * np.maximum(norms, PERTURBATION_NORM_FLOOR))[..., None, None] * noise
+    bumps = (rel_size * norms)[..., None, None] * noise
     return _checked_hermitian(stacks + bumps)
 
 

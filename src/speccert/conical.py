@@ -26,7 +26,6 @@ from .spectrum import _block_rows, _decompose_stack, _failed_rows, degeneracy_to
 from .tolerance import (
     C_MIN_REL,
     DEGENERACY_REL,
-    FIT_NORM_FLOOR,
     INTERIOR_REL_MARGIN,
     PROBE_RADIUS_REL,
     RESIDUAL_MAX,
@@ -311,7 +310,11 @@ def _locate_groups(groups, reasons=None) -> list:
         return []
     stacks, boxes, levels, seed_sets, taus = zip(*groups)
     ops = np.stack(stacks)
-    controls = ops[:, 1:]
+    # each group's controls, and the gaps and resolutions compared with them, scaled by
+    # a power of two (clamped to stay finite), so no square of the Jacobian overflows
+    peak = np.frexp(np.max(np.abs(ops[:, 1:]), axis=(1, 2, 3)))[1]
+    scale = np.ldexp(1.0, -np.maximum(peak, -1021))
+    controls = ops[:, 1:] * scale[:, None, None, None]
     restarts = RESTARTS
     runs = restarts + 1
     counts = np.array([len(U) for U in seed_sets])
@@ -410,7 +413,7 @@ def _locate_groups(groups, reasons=None) -> list:
                 B = _pair_blocks(pair.take(f, 0), controls.take(grp[f], 0))
                 projected = np.where(onto[c], 0.0, step.take(f, 0))
                 slope = np.add.reduce((B[..., 1, 1].real - B[..., 0, 0].real) * projected, axis=1)
-                pinned[c] = -slope <= resolution[c]
+                pinned[c] = -slope <= resolution[c] * scale[grp[f]]
             stuck[len(new) :] = np.where(kept, drop <= resolution, pinned)
             # a kept trial doubles the cap, a rejected one shrinks it
             grown = np.minimum(2.0 * cap[a], cap_max[a])
@@ -432,7 +435,8 @@ def _locate_groups(groups, reasons=None) -> list:
             useful = key[ev] < first[grp[ev]]
         solve = ~(unmoved | over) & useful
         d = ev[solve]
-        step[d] = sd = _gauss_newton_steps(pair.take(d, 0), controls.take(grp[d], 0), gap[d])
+        gd = grp[d]
+        step[d] = sd = _gauss_newton_steps(pair.take(d, 0), controls.take(gd, 0), gap[d] * scale[gd])
         length[d] = np.sqrt(np.add.reduce(sd * sd, axis=1))
         # a longer step puts the nearest zero of the linear model far outside
         # the box, as at an avoided crossing, where the gap has a positive
@@ -659,9 +663,12 @@ def _conicality_rows(
         upper = np.take_along_axis(lam_p, level[b, None, None, None], axis=3)
         g = (upper - np.take_along_axis(lam_p, level[b, None, None, None] - 1, axis=3))[..., 0]
         slopes = (g @ r[:, :, None])[..., 0] / (r[:, None, :] @ r[:, :, None])[:, 0]
-        misfit = g - slopes[..., None] * r[:, None, :]
-        g_norm = np.maximum(np.linalg.norm(g, axis=2), FIT_NORM_FLOOR)
-        residuals = np.linalg.norm(misfit, axis=2) / g_norm
+        # each direction's norms taken after a power of two that cancels in the ratio,
+        # so that no energy unit overflows or underflows them; gaps all 0 fit exactly
+        scale = np.ldexp(1.0, -np.maximum(np.frexp(np.max(g, axis=2))[1], -1021))[..., None]
+        g_norm = np.linalg.norm(g * scale, axis=2)
+        misfit = np.linalg.norm((g - slopes[..., None] * r[:, None, :]) * scale, axis=2)
+        residuals = np.divide(misfit, g_norm, out=np.zeros_like(misfit), where=g_norm != 0)
         for k, s, res in zip(b.tolist(), slopes, residuals):
             worst = int(np.argmin(s))
             bad = int(np.argmax(res))

@@ -23,8 +23,6 @@ from .tolerance import (
 # a call (256 KB of complex entries)
 BLOCK_ENTRIES = 2**14
 
-TRACE_MISMATCH = "eigenvalue sum does not match trace"
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralPoint:
@@ -112,48 +110,46 @@ def _decompose_stack(mats: np.ndarray, U: np.ndarray, check: bool = True):
 def _eigvals_stack(mats: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Eigenvalues (N, n) of mats = H(U[k]), ascending, without frames.
 
-    Of ``_failed_rows``' checks, only the one that reads eigenvalues alone is
-    run: the first row whose eigenvalue sum misses its trace raises that
-    check's ``NumericalError``, as does a solve that does not converge.
-    LAPACK's eigenvalue-only driver may differ from ``_decompose_stack``'s in
-    the last bits, so a caller that must match ``decompose`` decomposes the
-    rows it keeps.
+    The first row that fails ``_failed_rows``' trace check raises its
+    ``NumericalError``, as does a solve that does not converge. LAPACK's
+    eigenvalue-only driver may differ from ``_decompose_stack``'s in the last
+    bits, so a caller that must match ``decompose`` decomposes the rows it keeps.
     """
     try:
         lam = np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
         raise _not_converged(U) from exc
-    defect, limit = _trace_defects(mats, lam)
-    over = defect > limit
-    if over.any():
-        k = int(np.argmax(over))
-        raise NumericalError(f"{TRACE_MISMATCH} at u={U[k].tolist()}", residual=float(defect[k]))
+    failed = _failed_rows(mats, U, lam)
+    if failed:
+        raise failed[min(failed)]
     return lam
 
 
-def _trace_defects(mats: np.ndarray, lam: np.ndarray) -> tuple:
-    """Per row, |sum of eigenvalues - trace| and its bound ``RESIDUAL_TOL`` (1 + |trace|)."""
-    tr = np.trace(mats, axis1=1, axis2=2).real
-    return np.abs(np.sum(lam, axis=1) - tr), RESIDUAL_TOL * (1.0 + np.abs(tr))
-
-
-def _failed_rows(mats: np.ndarray, U: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> dict:
-    """{row: NumericalError} for each row of a ``_decompose_stack`` whose eigenpairs fail a check.
+def _failed_rows(mats: np.ndarray, U: np.ndarray, lam: np.ndarray, vecs=None) -> dict:
+    """{row: NumericalError} for each row of a stacked eigensolve whose eigenpairs fail a check.
 
     A row fails when its eigenpair residual, its frame's orthonormality or its
-    eigenvalue sum against the trace is out of tolerance; the error names the
-    first check the row fails and carries that check's value. Each row is
-    judged on its own, so a row's error is the one ``decompose`` raises for it.
+    eigenvalue sum against the trace (the one check without frames) is out of
+    tolerance; the error names the first check the row fails and carries that
+    check's value. Each row is judged on its own, so a row's error is the one
+    ``decompose`` raises for it.
     """
-    hnorm = np.max(np.abs(lam), axis=1)
-    resid = np.max(np.linalg.norm(mats @ vecs - vecs * lam[:, None, :], axis=1), axis=1)
-    gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
-    ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
-    checks = (
-        ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + hnorm)),
-        ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
-        (TRACE_MISMATCH, *_trace_defects(mats, lam)),
-    )
+    checks = []
+    if vecs is not None:
+        # each row's residual scaled by a power of two (clamped to stay finite) before
+        # its column norms square it, so that no energy unit overflows or underflows them
+        R = mats @ vecs - vecs * lam[:, None, :]
+        scale = np.ldexp(1.0, -np.maximum(np.frexp(np.max(np.abs(R), axis=(1, 2)))[1], -1021))
+        resid = np.max(np.linalg.norm(R * scale[:, None, None], axis=1), axis=1) / scale
+        gram = np.swapaxes(vecs.conj(), 1, 2) @ vecs
+        ortho = np.max(np.abs(gram - np.eye(mats.shape[1])), axis=(1, 2))
+        checks = [
+            ("eigenpair residual above tolerance", resid, RESIDUAL_TOL * (1.0 + np.abs(lam).max(1))),
+            ("frame not orthonormal to tolerance", ortho, ORTHONORMALITY_TOL),
+        ]
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    trace = np.abs(np.sum(lam, axis=1) - tr), RESIDUAL_TOL * (1.0 + np.abs(tr))
+    checks.append(("eigenvalue sum does not match trace", *trace))
     over = np.stack([value > limit for _, value, limit in checks])
     failed = {}
     for k in np.nonzero(over.any(axis=0))[0].tolist():

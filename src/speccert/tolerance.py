@@ -82,9 +82,6 @@ C_MIN_REL = 1e-6
 # Largest relative misfit of a direction's linear gap fit; above it the
 # contact reads as tangential or of higher order. A modelling choice.
 RESIDUAL_MAX = 0.1
-# A guard against division by zero: a direction whose probed gaps are all zero
-# fits with misfit 0, and its relative residual divides by at least this.
-FIT_NORM_FLOOR = 1e-300
 
 # -- Non-resonance and the coupling graph -----------------------------------------
 
@@ -113,9 +110,9 @@ BRACKET_ZERO_TOL = 1e-12
 CLOSURE_ORTHONORMALITY = 1e-12
 # Share of its norm below which a leaf projects a row's residual off the whole
 # span once more: two passes off the recent rows leave it orthogonal to older
-# ones to c eps / share, so the basis stays within CLOSURE_ORTHONORMALITY of
-# orthonormal for c up to 8 (c stayed below 5 over 4000 random real closures
-# at n <= 8 and 40 reducible ones at n = 16). Derived: 8 eps / 1e-12, 1.8e-3.
+# ones to about c eps / share, c measured, not bounded (below 5 in 4000 random
+# closures at n <= 8, about 10 once in 1,800 reducible ones at n = 16). A
+# modelling choice for c up to 8: 8 eps / CLOSURE_ORTHONORMALITY, 1.8e-3.
 REPROJECT_BELOW = 8 * np.finfo(float).eps / CLOSURE_ORTHONORMALITY
 # Quaternionic-structure witness (``lie_closure._sp_witness``): J solves the
 # intertwining equations when the stacked system's smallest singular value is
@@ -150,14 +147,11 @@ ROUTE_END_MARGIN = 1e-9
 # diagonal, when the diagonal is longer than 1).
 CONTROL_LENGTH_ZERO = 1e-12
 
-# -- Sampling and ensembles ---------------------------------------------------------
+# -- Sampling -----------------------------------------------------------------------
 
 # The radius axes of a probe direction's Halton point are clipped from below
 # at HALTON_CLIP before the Box-Muller log, a guard that keeps it finite at 0.
 HALTON_CLIP = 1e-12
-# A guard: a persistence bump scales with its operator's norm, floored here,
-# so that an operator of norm 0 still moves.
-PERTURBATION_NORM_FLOOR = 1e-300
 
 
 # -- The argument contract ----------------------------------------------------------

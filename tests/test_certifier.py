@@ -277,6 +277,40 @@ class TestEnergyUnit:
                     assert np.max(moved) <= 1e-6
         assert statuses == {"certified", "incomplete"} and levels == 137
 
+    # the eigenpair residual's column norms, the fit's norms and the locator's
+    # Jacobian squared energies: above about 1e154 they overflowed, and the
+    # residual check failed every decomposition
+    @pytest.mark.parametrize("scales", [(1e170, 1e-170), (1e250, 1e-250), (1e300, 1e-300)])
+    def test_random_families_keep_their_certified_levels_at_extreme_scales(self, scales):
+        for H, base in _bench_families():
+            for s in scales:
+                report = certify_connectedness(scaled(H, s), 8)
+                assert report.status == base.status
+                assert set(report.certificates) == set(base.certificates)
+                for j, cert in report.certificates.items():
+                    moved = np.abs(cert.u_star - base.certificates[j].u_star)
+                    assert np.max(moved) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e170, 1e250, 1e300])
+    def test_certificates_keep_their_evidence_at_large_scales(self, scale):
+        for H, _ in _bench_families()[:3]:
+            base, cert = certify(H), certify(scaled(H, scale))
+            assert cert.errors == base.errors == ()
+            assert cert.verdict == base.verdict
+            assert cert.resonance.found and cert.graph_connected == base.graph_connected
+            assert set(cert.connectedness.certificates) == set(base.connectedness.certificates)
+
+
+@functools.cache
+def _bench_families() -> tuple:
+    """certify_random's first 36 families of bench seed 0 (n cycling 3, 4, 8), each
+    with its connectedness report at unit scale."""
+    families = []
+    for k, child in enumerate(np.random.SeedSequence(0).spawn(36)):
+        H = _random_family(np.random.default_rng(child), (3, 4, 8)[k % 3], 2, 3.0)
+        families.append((H, certify_connectedness(H, 8)))
+    return tuple(families)
+
 
 def _traceless_family(seed, n, offset):
     """Random traceless complex family over [-2, 2]^2, its drift shifted by offset * I."""
@@ -375,7 +409,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("m, draw", [(2, random_symmetric), (3, random_hermitian)])
     def test_perturbation_matches_a_per_operator_reference(self, m, draw):
         H = _random_family(np.random.default_rng(3), 4, m, 3.0)
-        # a zero operator keeps its noise at the 1e-300 floor
+        # a zero operator has a bump of norm 0 and stays zero
         H = ControlHamiltonian(
             drift=H.drift, controlled=(*H.controlled[:-1], HermitianOperator(np.zeros((4, 4)))),
             box=H.box,
@@ -383,8 +417,9 @@ class TestEnsemble:
         got = _perturbed_stacks(H._stack[None], [np.random.default_rng(7)], 1e-3)[0]
         rng = np.random.default_rng(7)
         for op, bumped in zip([H.drift, *H.controlled], got):
-            scale = 1e-3 * max(float(np.max(np.abs(np.linalg.eigvalsh(op.matrix)))), 1e-300)
+            scale = 1e-3 * float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
             assert np.array_equal(bumped, op.matrix + scale * draw(rng, 4))
+        assert not got[-1].any()
 
     @pytest.mark.parametrize(
         "args, kwargs, name",

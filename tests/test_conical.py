@@ -26,7 +26,7 @@ from speccert.conical import (
     _locate_groups,
 )
 from speccert.sampling import box_sequence, random_hermitian, random_symmetric
-from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family
+from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Y, SIGMA_Z, make_family, scaled
 from conicality_reference import reference_conicality
 from ensemble_reference import _perturbed, _random_family
 from locator_reference import reference_locate
@@ -1048,6 +1048,18 @@ class TestConicality:
         assert not result.conical
         assert "residual" in result.reason or "not linear" in result.reason
         assert np.max(result.fit_residuals) > 0.1
+
+    # the fit's norms squared the gaps: below about 1e-160 they underflowed
+    # to a residual of 0, and above about 1e154 they overflowed to nan, and
+    # either way the contact read as conical
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e160, 1e200])
+    def test_quadratic_contact_rejected_in_any_energy_unit(self, quadratic_contact_family, scale):
+        base = test_conicality(quadratic_contact_family, [0.0, 0.0], 1)
+        result = test_conicality(scaled(quadratic_contact_family, scale), [0.0, 0.0], 1)
+        assert not result.conical
+        assert result.reason.endswith("contact is not linear")
+        assert np.max(result.fit_residuals) == pytest.approx(0.265, abs=1e-3)
+        assert np.max(result.fit_residuals) == pytest.approx(np.max(base.fit_residuals), rel=1e-8)
 
     def test_nondegenerate_point_rejected(self, two_level_cone):
         with pytest.raises(PreconditionError):

@@ -3,6 +3,8 @@ every private name it defines is referenced, and every public function checks
 the thresholds, counts, seeds and indices it takes."""
 
 import ast
+import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +520,31 @@ def test_no_module_redefines_a_tolerance():
         for name in _module_level_names(ast.parse(path.read_text())) & policy
     )
     assert found == []
+
+
+def readme_tolerance_names(text: str) -> list:
+    """The names in the first column of README's Tolerances table, in table order."""
+    lines = text.splitlines()
+    start = lines.index("| Name | Value | Judges | Note |") + 2
+    names = []
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+        names += re.findall(r"`(\w+)`", line.split("|")[1])
+    return names
+
+
+def test_readme_tolerance_checker_reads_the_first_column():
+    text = (
+        "| Name | Value | Judges | Note |\n| --- | --- | --- | --- |\n"
+        "| `A_TOL` | 1 | `B_TOL` | x |\n| `C_TOL`, `D_TOL` | 2, 3 | y | z |\n\n| `E_TOL` |\n"
+    )
+    assert readme_tolerance_names(text) == ["A_TOL", "C_TOL", "D_TOL"]
+
+
+def test_readme_lists_exactly_the_tolerance_policy():
+    policy = _module_level_names(ast.parse((PACKAGE / "tolerance.py").read_text()))
+    names = readme_tolerance_names((PACKAGE.parents[1] / "README.md").read_text())
+    assert len(names) == len(set(names))
+    assert set(names) == {name for name in policy if name.isupper()}
 
 
 def test_tolerance_is_a_leaf():

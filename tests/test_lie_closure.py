@@ -814,8 +814,7 @@ class TestEnergyUnit:
         # dimension, classification, traceless_generators and n
         assert closure(generators_from(scaled(H, scale))).to_json_dict() == expected
 
-    # not 1e200: there the eigensolver's residual check overflows first
-    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e-160, 1e-170, 1e-200])
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e200, 1e300, 1e-160, 1e-170, 1e-200])
     def test_family_certifies_as_at_unit_scale(self, scale):
         H = random_family(0, 4, 2)
         assert certify(scaled(H, scale)).verdict == certify(H).verdict == "exactly-controllable-U(4)"

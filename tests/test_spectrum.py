@@ -34,7 +34,7 @@ from speccert import (
 )
 from speccert.operators import hermiticity_defect
 from speccert.sampling import random_hermitian, random_symmetric
-from speccert.spectrum import DEGENERACY_REL, _simple_spectra, continue_branches
+from speccert.spectrum import DEGENERACY_REL, _eigvals_stack, _simple_spectra, continue_branches
 from branch_reference import _greedy_match, reference_labels
 from conftest import HOSTILE_TOLERANCES, SIGMA_X, SIGMA_Z, make_family, random_family, scaled
 
@@ -125,6 +125,27 @@ class TestDecomposeMany:
             decompose_many(three_level_chain, U)
         assert excinfo.value.residual > 1e-9
         assert str(U[3].tolist()) in str(excinfo.value)
+
+    def test_eigenvalues_alone_are_judged_by_their_trace(self, three_level_chain, monkeypatch):
+        U = np.random.default_rng(3).uniform(-0.5, 0.5, (8, 2))
+        mats = three_level_chain.matrices_at(U)
+        exact = np.linalg.eigvalsh
+
+        def planted(a):
+            # rows 3 and 5 miss their trace by 1e-6; row 3 is the first to fail
+            lam = exact(a)
+            lam[[3, 5], 0] += 1e-6
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", planted)
+        with pytest.raises(NumericalError) as excinfo:
+            _eigvals_stack(mats, U)
+        lam = planted(mats)
+        defect = abs(np.sum(lam, axis=1) - np.trace(mats, axis1=1, axis2=2))[3]
+        assert str(excinfo.value) == f"eigenvalue sum does not match trace at u={U[3].tolist()}"
+        assert excinfo.value.residual == defect
+        monkeypatch.undo()
+        assert np.array_equal(_eigvals_stack(mats, U), exact(mats))
 
     def test_wrong_control_length_raises(self, three_level_chain):
         with pytest.raises(StructuralError):
